@@ -87,6 +87,7 @@ from .solver import (
     SimState,
     SpectralProfile,
     StepperConfig,
+    coefficient_rhs,
     constraint_monitor,
     decay_experiment,
     duhamel_check,

@@ -412,9 +412,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value is a comma list; argparse would read a value such as
+# "-1.5,2,inf,hom" as an option, so it is attached as --spec=-1.5,2,inf,hom
+LIST_OPTIONS = ("--spec", "--rate", "--params", "--binf", "--orders")
+
+
+def _attach_list_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in LIST_OPTIONS and arg.startswith("-") and "," in arg:
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (ConfigError, HypothesisError, IncompatibleDataError) as exc:

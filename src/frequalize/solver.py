@@ -15,10 +15,18 @@ with the quadratic flux and source
     q2 = -n_inf^2 (velocity @ velocity) / n - [p(n) - p(n_inf) - p'(n_inf) rho] I
     r2 = -rho E - n_inf velocity x magnetic ,      n = rho + n_inf .
 
-Products are formed in physical space; divergences and curls act spectrally;
-quadratic products are masked by the 2/3 rule.  The pressure remainder of a
-power law is not polynomial, so its dealiasing is approximate and controlled
-by resolution checks rather than exactness.
+The state is marched as its half-lattice (rfftn) coefficients from the first
+step to the last.  The right-hand side applies the linear generator as
+multipliers; one 10-component inverse transform gives the physical fields for
+the density check and the products, and one 9-component forward transform
+returns (q2, r2), masked by the 2/3 rule: 19 component transforms per
+evaluation.  Each sample costs one inverse transform.  The pressure remainder
+of a power law is not polynomial, so its dealiasing is approximate and
+controlled by resolution checks rather than exactness.
+
+Odd-derivative multipliers i xi_j vanish on the Nyquist planes |k_j| = N/2,
+so the coefficients stay those of a real field even without dealiasing;
+band-limited, dealiased data carries nothing there.
 
 The Gauss functionals div E + rho and div h are annihilated by the
 right-hand side for any state (curl terms are divergence-free and the
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -77,8 +85,12 @@ class SpectralProfile:
         return np.where(mag <= band_edge, out, 0.0)
 
 
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # packed order of symmetric q2
+_PACKED = ((0, 1, 2), (1, 3, 4), (2, 4, 5))  # packed index of q2[i, j]
+
+
 class _SpectralOps:
-    """Real-FFT workspace: frequency arrays and the 2/3-rule mask."""
+    """Half-lattice (rfftn) workspace: derivative multipliers and the 2/3-rule mask."""
 
     def __init__(self, grid: TorusGrid):
         self.grid = grid
@@ -86,43 +98,33 @@ class _SpectralOps:
         self.axes = tuple(range(1, d + 1))
         full = 2.0 * math.pi * np.fft.fftfreq(n, d=grid.spacing)
         half = 2.0 * math.pi * np.fft.rfftfreq(n, d=grid.spacing)
-        per_axis = [full] * (d - 1) + [half]
-        self.xi = np.meshgrid(*per_axis, indexing="ij")
+        xi = np.meshgrid(*([full] * (d - 1) + [half]), indexing="ij")
         keep = n // 3  # integer mode cutoff of the 2/3 rule
-        edge = 2.0 * math.pi * keep / grid.box_length
-        mask = np.ones_like(self.xi[0], dtype=bool)
-        for comp in self.xi:
-            mask &= np.abs(comp) <= edge + 1e-12
-        self.dealias_mask = mask
-        self.band_edge = edge
+        self.band_edge = 2.0 * math.pi * keep / grid.box_length
+        self.dealias_mask = reduce(np.logical_and, [np.abs(c) <= self.band_edge + 1e-12 for c in xi])
+        # i xi_j is even in k on the Nyquist planes |k_j| = N/2, so it is zeroed
+        # there: coefficients of a real field then stay those of a real field
+        self.ik = [np.where(np.isclose(np.abs(c), grid.xi_max), 0.0, 1j * c) for c in xi]
+        self.ik += [0.0] * (3 - d)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(values, axes=self.axes)
+        import scipy.fft  # deferred: set-up that never transforms here skips its import
+
+        return scipy.fft.rfftn(values, axes=self.axes)
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(coeffs, s=self.grid.shape, axes=self.axes)
+        import scipy.fft
 
-    def divergence(self, vec_hat: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(vec_hat[0])
-        for j in range(self.grid.dim):
-            out += 1j * self.xi[j] * vec_hat[j]
-        return out
+        return scipy.fft.irfftn(coeffs, s=self.grid.shape, axes=self.axes)
 
-    def gradient(self, scalar_hat: np.ndarray) -> np.ndarray:
-        out = np.zeros((3,) + scalar_hat.shape, dtype=complex)
-        for j in range(self.grid.dim):
-            out[j] = 1j * self.xi[j] * scalar_hat
-        return out
+    def l2(self, coeffs: np.ndarray) -> float:
+        """L^2 norm of the real field with these coefficients: interior columns count twice."""
+        edges = coeffs[..., [0, -1]]
+        power = 2.0 * np.vdot(coeffs, coeffs).real - np.vdot(edges, edges).real
+        return math.sqrt(power * self.grid.cell_volume / self.grid.points_per_axis**self.grid.dim)
 
-    def curl(self, vec_hat: np.ndarray) -> np.ndarray:
-        xi = [self.xi[j] if j < self.grid.dim else 0.0 for j in range(3)]
-        return np.stack(
-            [
-                1j * (xi[1] * vec_hat[2] - xi[2] * vec_hat[1]),
-                1j * (xi[2] * vec_hat[0] - xi[0] * vec_hat[2]),
-                1j * (xi[0] * vec_hat[1] - xi[1] * vec_hat[0]),
-            ]
-        )
+    def divergence(self, vec_hat) -> np.ndarray:
+        return sum(self.ik[j] * vec_hat[j] for j in range(self.grid.dim))
 
 
 @lru_cache(maxsize=8)
@@ -130,14 +132,8 @@ def _ops(grid: TorusGrid) -> _SpectralOps:
     return _SpectralOps(grid)
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.stack(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
+def _cross(a, b) -> np.ndarray:
+    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
 
 
 @dataclass
@@ -153,6 +149,15 @@ class SimState:
         expected = (STATE_DIM,) + self.grid.shape
         if self.z.shape != expected:
             raise ConfigError(f"state array shape {self.z.shape} != {expected}")
+
+    @classmethod
+    def from_coefficients(cls, grid, eq, time: float, z_hat: np.ndarray) -> "SimState":
+        """The physical state whose half-lattice coefficients are z_hat."""
+        return cls(grid=grid, eq=eq, time=time, z=_ops(grid).inverse(z_hat))
+
+    def coefficients(self) -> np.ndarray:
+        """Half-lattice (rfftn) coefficients of the state array."""
+        return _ops(self.grid).forward(self.z)
 
     @property
     def density(self) -> np.ndarray:
@@ -177,13 +182,7 @@ class SimState:
         return math.sqrt(float(np.sum(self.z**2)) * self.grid.cell_volume)
 
     def fields(self) -> tuple[PhysicalField, PhysicalField, PhysicalField, PhysicalField]:
-        g = self.grid
-        return (
-            PhysicalField(g, self.z[0:1]),
-            PhysicalField(g, self.z[1:4]),
-            PhysicalField(g, self.z[4:7]),
-            PhysicalField(g, self.z[7:10]),
-        )
+        return tuple(PhysicalField(self.grid, self.z[a:b]) for a, b in ((0, 1), (1, 4), (4, 7), (7, 10)))
 
     def as_field(self) -> PhysicalField:
         return PhysicalField(self.grid, self.z)
@@ -203,10 +202,10 @@ def nonlinear_fluxes(state: SimState) -> tuple[np.ndarray, np.ndarray]:
     eq = state.eq
     n = state.total_density()
     vel = state.velocity
+    weight = -(eq.n_inf**2) / n
     q2 = np.empty((3, 3) + state.grid.shape)
-    for i in range(3):
-        for j in range(3):
-            q2[i, j] = -(eq.n_inf**2) * vel[i] * vel[j] / n
+    for i, j in _UPPER:
+        q2[i, j] = q2[j, i] = weight * vel[i] * vel[j]
     rem = eq.pressure.quadratic_remainder(n, eq.n_inf)
     for i in range(3):
         q2[i, i] -= rem
@@ -214,54 +213,44 @@ def nonlinear_fluxes(state: SimState) -> tuple[np.ndarray, np.ndarray]:
     return q2, r2
 
 
-def rhs_eval(state: SimState, *, dealias: bool = True) -> np.ndarray:
-    """Time derivative of the state array (quadratic terms dealiased)."""
-    grid, eq = state.grid, state.eq
+def coefficient_rhs(
+    z_hat: np.ndarray, grid: TorusGrid, eq: EquilibriumState, *, time: float = 0.0, dealias: bool = True
+) -> np.ndarray:
+    """Time derivative of the half-lattice coefficients z_hat (quadratic terms dealiased)."""
     ops = _ops(grid)
+    state = SimState.from_coefficients(grid, eq, time, z_hat)
     n = state.total_density()
     n_min = float(n.min())
     if n_min <= 0.0:
         loc = tuple(int(i) for i in np.unravel_index(int(np.argmin(n)), n.shape))
-        raise DensityError(
-            f"total density reached {n_min:.3e} at grid index {loc} (t={state.time:g})"
-        )
-
-    z_hat = ops.forward(state.z)
-    rho_hat, vel_hat = z_hat[0], z_hat[1:4]
-    e_hat, h_hat = z_hat[4:7], z_hat[7:10]
-
-    lin_spec = np.concatenate(
-        [
-            (-eq.n_inf * ops.divergence(vel_hat))[np.newaxis],
-            eq.a_inf * ops.gradient(rho_hat),
-            ops.curl(h_hat),
-            ops.curl(e_hat),
-        ]
-    )
-    lin_phys = ops.inverse(lin_spec)
-
-    dz = np.empty_like(state.z)
-    dz[0] = lin_phys[0]
-    vel = state.velocity
-    b_inf = eq.b_inf_vector.reshape((3,) + (1,) * grid.dim)
-    dz[1:4] = -lin_phys[1:4] - state.electric - _cross(vel, b_inf) - vel
-    dz[4:7] = lin_phys[4:7] + eq.n_inf * vel
-    dz[7:10] = -lin_phys[7:10]
+        raise DensityError(f"total density reached {n_min:.3e} at grid index {loc} (t={time:g})")
 
     q2, r2 = nonlinear_fluxes(state)
-    upper = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-    packed = np.stack([q2[i, j] for i, j in upper] + [r2[k] for k in range(3)])
-    packed_hat = ops.forward(packed)
+    packed_hat = ops.forward(np.stack([q2[i, j] for i, j in _UPPER] + list(r2)))
     if dealias:
         packed_hat *= ops.dealias_mask
-    q2_hat = np.empty((3, 3) + packed_hat.shape[1:], dtype=complex)
-    for idx, (i, j) in enumerate(upper):
-        q2_hat[i, j] = packed_hat[idx]
-        q2_hat[j, i] = packed_hat[idx]
-    div_q2_hat = np.stack([ops.divergence(q2_hat[i]) for i in range(3)])
-    nonlin = ops.inverse(np.concatenate([div_q2_hat, packed_hat[6:9]]))
-    dz[1:4] += (nonlin[0:3] + nonlin[3:6]) / eq.n_inf
+
+    ik = ops.ik
+    rho_hat, vel_hat = z_hat[0], z_hat[1:4]
+    e_hat, h_hat = z_hat[4:7], z_hat[7:10]
+    dz = np.empty_like(z_hat)
+    dz[0] = -eq.n_inf * ops.divergence(vel_hat)
+    for i in range(3):
+        div_q2 = ops.divergence([packed_hat[k] for k in _PACKED[i]])
+        dz[1 + i] = (div_q2 + packed_hat[6 + i]) / eq.n_inf - eq.a_inf * ik[i] * rho_hat
+    b_inf = eq.b_inf_vector.reshape((3,) + (1,) * grid.dim)
+    dz[1:4] -= e_hat + _cross(vel_hat, b_inf) + vel_hat
+    dz[4:7] = _cross(ik, h_hat) + eq.n_inf * vel_hat
+    dz[7:10] = -_cross(ik, e_hat)
     return dz
+
+
+def rhs_eval(state: SimState, *, dealias: bool = True) -> np.ndarray:
+    """Time derivative of the physical state array (quadratic terms dealiased)."""
+    dz_hat = coefficient_rhs(
+        state.coefficients(), state.grid, state.eq, time=state.time, dealias=dealias
+    )
+    return _ops(state.grid).inverse(dz_hat)
 
 
 def cfl_dt(state: SimState, cfg: StepperConfig) -> float:
@@ -275,19 +264,25 @@ def cfl_dt(state: SimState, cfg: StepperConfig) -> float:
     return cfg.cfl / (state.grid.xi_max * (u_max + c_s + 1.0))
 
 
+def _rk4(
+    z_hat: np.ndarray, grid: TorusGrid, eq: EquilibriumState, t: float, dt: float, dealias: bool
+) -> np.ndarray:
+    """One classical Runge-Kutta step of the half-lattice coefficients."""
+
+    def rhs(z: np.ndarray, s: float) -> np.ndarray:
+        return coefficient_rhs(z, grid, eq, time=s, dealias=dealias)
+
+    k1 = rhs(z_hat, t)
+    k2 = rhs(z_hat + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = rhs(z_hat + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = rhs(z_hat + dt * k3, t + dt)
+    return z_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def step(state: SimState, dt: float, *, dealias: bool = True) -> SimState:
-    """One classical Runge-Kutta step."""
-    z0 = state.z
-
-    def at(z: np.ndarray, t: float) -> SimState:
-        return SimState(grid=state.grid, eq=state.eq, time=t, z=z)
-
-    k1 = rhs_eval(state, dealias=dealias)
-    k2 = rhs_eval(at(z0 + 0.5 * dt * k1, state.time + 0.5 * dt), dealias=dealias)
-    k3 = rhs_eval(at(z0 + 0.5 * dt * k2, state.time + 0.5 * dt), dealias=dealias)
-    k4 = rhs_eval(at(z0 + dt * k3, state.time + dt), dealias=dealias)
-    z_new = z0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return at(z_new, state.time + dt)
+    """One classical Runge-Kutta step, taken on the state's coefficients."""
+    z_hat = _rk4(state.coefficients(), state.grid, state.eq, state.time, dt, dealias)
+    return SimState.from_coefficients(state.grid, state.eq, state.time + dt, z_hat)
 
 
 @dataclass
@@ -309,6 +304,7 @@ def integrate(
 ) -> SimulationSeries:
     """March to t_end with a fixed step, sampling every sample_stride steps.
 
+    The coefficients are marched; each sample is one inverse transform.
     Aborts with diagnostics when the L^2 norm grows past blowup_factor times
     its initial value (spectral blowup or CFL violation).
     """
@@ -317,19 +313,23 @@ def integrate(
     dt0 = cfl_dt(state, cfg)
     n_steps = max(1, math.ceil((t_end - state.time) / dt0))
     dt = (t_end - state.time) / n_steps
-    base = state.l2()
+    grid, eq, ops = state.grid, state.eq, _ops(state.grid)
+    z_hat = state.coefficients()
+    base = ops.l2(z_hat)
     states = [state.copy()]
-    current = state
+    t = state.time
     for k in range(1, n_steps + 1):
-        current = step(current, dt, dealias=cfg.dealias)
-        if not np.all(np.isfinite(current.z)):
-            raise SolverInstabilityError(f"non-finite state at t={current.time:g} (step {k})")
-        if base > 0 and current.l2() > blowup_factor * base:
+        z_hat = _rk4(z_hat, grid, eq, t, dt, cfg.dealias)
+        t += dt
+        if not np.all(np.isfinite(z_hat)):
+            raise SolverInstabilityError(f"non-finite state at t={t:g} (step {k})")
+        norm = ops.l2(z_hat)
+        if base > 0 and norm > blowup_factor * base:
             raise SolverInstabilityError(
-                f"norm grew {current.l2() / base:.2f}x past the abort threshold at t={current.time:g}"
+                f"norm grew {norm / base:.2f}x past the abort threshold at t={t:g}"
             )
         if k % sample_stride == 0 or k == n_steps:
-            states.append(current.copy())
+            states.append(SimState.from_coefficients(grid, eq, t, z_hat))
     return SimulationSeries(times=np.array([s.time for s in states]), states=states)
 
 
@@ -345,13 +345,9 @@ def constraint_monitor(series: SimulationSeries) -> ConstraintReport:
     res_e, res_b, rel = [], [], []
     for s in series.states:
         ops = _ops(s.grid)
-        z_hat = ops.forward(s.z)
-        gauss_e = ops.divergence(z_hat[4:7]) + z_hat[0]
-        gauss_b = ops.divergence(z_hat[7:10])
-        # rfft lattice Parseval: interior columns count twice
-        weight = _rfft_weights(s.grid)
-        norm_e = math.sqrt(float(np.sum(weight * np.abs(gauss_e) ** 2)) / s.grid.volume) * s.grid.cell_volume
-        norm_b = math.sqrt(float(np.sum(weight * np.abs(gauss_b) ** 2)) / s.grid.volume) * s.grid.cell_volume
+        rho_hat, eh_hat = ops.forward(s.z[0:1])[0], ops.forward(s.z[4:10])
+        norm_e = ops.l2(ops.divergence(eh_hat[0:3]) + rho_hat)
+        norm_b = ops.l2(ops.divergence(eh_hat[3:6]))
         res_e.append(norm_e)
         res_b.append(norm_b)
         scale = s.l2()
@@ -362,17 +358,6 @@ def constraint_monitor(series: SimulationSeries) -> ConstraintReport:
         magnetic_residual=np.asarray(res_b),
         relative=np.asarray(rel),
     )
-
-
-@lru_cache(maxsize=8)
-def _rfft_weights(grid: TorusGrid) -> np.ndarray:
-    """Multiplicity of each rfft column in the full-lattice Parseval sum."""
-    n = grid.points_per_axis
-    w = np.full(n // 2 + 1, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0
-    shape = (1,) * (grid.dim - 1) + (n // 2 + 1,)
-    return np.broadcast_to(w.reshape(shape), grid.shape[:-1] + (n // 2 + 1,)).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +470,23 @@ class DuhamelReport:
     c_bound: float
 
 
+def kernel_convolution(times: np.ndarray, source: np.ndarray, decay) -> np.ndarray:
+    """Trapezoid rule for int_{t_0}^{t_i} exp(-decay (t_i - tau)) source(tau) dtau at every t_i.
+
+    Exact recursive form, O(len(times)) for any (non-uniform) grid:
+    conv_i = e_i conv_{i-1} + h_i / 2 (source_i + e_i source_{i-1}) with
+    e_i = exp(-decay h_i).  decay may be an array; the result has shape
+    times.shape + decay.shape.
+    """
+    decay = np.asarray(decay, dtype=float)
+    conv = np.zeros((len(times),) + decay.shape)
+    for i in range(1, len(times)):
+        h = times[i] - times[i - 1]
+        e = np.exp(-decay * h)
+        conv[i] = e * conv[i - 1] + 0.5 * h * (source[i] + e * source[i - 1])
+    return conv
+
+
 def duhamel_check(
     series: SimulationSeries,
     *,
@@ -516,10 +518,9 @@ def duhamel_check(
     src = np.zeros((len(modes), times.size))
     frob_w = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])  # upper-triangle multiplicities
     for i, s in enumerate(series.states):
-        z_hat = ops.forward(s.z) * grid.cell_volume
+        z_hat = s.coefficients() * grid.cell_volume
         q2, r2 = nonlinear_fluxes(s)
-        upper = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-        packed = np.stack([q2[a, b] for a, b in upper] + [r2[k] for k in range(3)])
+        packed = np.stack([q2[a, b] for a, b in _UPPER] + list(r2))
         packed_hat = ops.forward(packed) * grid.cell_volume
         for m, (kvec, q, mag) in enumerate(modes):
             idx = (slice(None),) + tuple(kvec)
@@ -531,24 +532,20 @@ def duhamel_check(
 
     if c1_candidates is None:
         c1_candidates = np.linspace(0.0, 1.0, 101)
+    c1s = np.sort(np.asarray(c1_candidates, dtype=float))
+    worst = np.zeros(c1s.size)  # per candidate: max over modes and times of lhs / envelope
+    for m, (kvec, q, mag) in enumerate(modes):
+        if lhs[m, 0] <= 0:
+            continue
+        decay = c1s * float(rate.eta(mag))
+        envelope = np.exp(-np.outer(times, decay)) * lhs[m, 0] + kernel_convolution(times, src[m], decay)
+        ratio = np.divide(lhs[m][:, None], envelope, out=np.zeros_like(envelope), where=envelope > 0)
+        worst = np.maximum(worst, ratio.max(axis=0, initial=0.0))
     best_c1, best_c = 0.0, math.inf
-    for c1 in sorted(c1_candidates):
-        worst = 0.0
-        for m, (kvec, q, mag) in enumerate(modes):
-            eta = float(rate.eta(mag))
-            if lhs[m, 0] <= 0:
-                continue
-            for i in range(times.size):
-                tau = times[: i + 1]
-                kern = np.exp(-c1 * eta * (times[i] - tau))
-                conv = float(np.trapezoid(kern * src[m, : i + 1], tau)) if i > 0 else 0.0
-                envelope = math.exp(-c1 * eta * times[i]) * lhs[m, 0] + conv
-                if envelope > 0:
-                    worst = max(worst, lhs[m, i] / envelope)
-        if worst <= cap:
-            best_c1, best_c = float(c1), worst
-        else:
+    for c1, w in zip(c1s, worst):
+        if w > cap:
             break
+        best_c1, best_c = float(c1), float(w)
     return DuhamelReport(modes=tuple(modes), c1=best_c1, c_bound=best_c)
 
 

@@ -167,6 +167,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("spec,value,mean_magnitude")
 
+    def test_negative_besov_spec_accepted(self, tmp_path):
+        grid = TorusGrid(dim=2, box_length=6.0, points_per_axis=16)
+        x, y = grid.coordinates
+        dump = tmp_path / "f.fqlz"
+        dump_field(PhysicalField(grid, np.sin(2 * np.pi * x / 6.0) * np.cos(2 * np.pi * y / 6.0)), dump)
+        out = tmp_path / "bn"
+        code = main(["besov", "norm", "--spec", "-1.5,2,inf,hom", "--input", str(dump), "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["value"] > 0
+
+    def test_negative_background_field_accepted(self, tmp_path):
+        out = tmp_path / "gap"
+        code = main(["linear", "gap", "--binf", "-0.5,0,0", "--xi-range", "1e-2:1e2:9", "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["B_inf"] == [-0.5, 0.0, 0.0]
+
     def test_kernel_verify_summary_has_finite_sup_ratio(self, tmp_path):
         grid_cfg = tmp_path / "grid.json"
         grid_cfg.write_text(json.dumps({"dim": 3, "box_length": 32.0, "points_per_axis": 16}))

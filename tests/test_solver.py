@@ -1,10 +1,15 @@
 """Nonlinear pseudospectral solver: fluxes, stepping, constraints, experiments."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frequalize
 from frequalize.besov import BesovSpec, besov_norm
 from frequalize.equilibrium import EquilibriumState
 from frequalize.errors import ConfigError, DensityError, SolverInstabilityError
@@ -20,6 +25,7 @@ from frequalize.solver import (
     duhamel_check,
     initial_data_gen,
     integrate,
+    kernel_convolution,
     nonlinear_fluxes,
     rhs_eval,
     step,
@@ -42,6 +48,58 @@ def lin_rhs_oracle(state: SimState) -> np.ndarray:
     axes = tuple(range(1, state.grid.dim + 1))
     zhat = np.fft.fftn(state.z, axes=axes)
     return np.fft.ifftn(prop.generator_apply(zhat), axes=axes).real
+
+
+def physical_rk4_oracle(z0, grid, eq, dt, n_steps, *, dealias=True):
+    """Classical RK4 on the physical state array, from the module docstring's equations.
+
+    Derivatives act through the full-lattice FFT; quadratic terms are masked
+    to |k_j| <= N/3 before they are differentiated.  Returns every state.
+    """
+    n_pts = grid.points_per_axis
+    k_int = np.fft.fftfreq(n_pts, d=1.0 / n_pts)
+    xi = np.meshgrid(*([2 * np.pi * k_int / grid.box_length] * 3), indexing="ij")
+    keep = np.ones(grid.shape, dtype=bool)
+    for kj in np.meshgrid(k_int, k_int, k_int, indexing="ij"):
+        keep &= np.abs(kj) <= n_pts // 3
+
+    def partial(f, j):
+        return np.fft.ifftn(1j * xi[j] * np.fft.fftn(f)).real
+
+    def masked(f):
+        return np.fft.ifftn(keep * np.fft.fftn(f)).real if dealias else f
+
+    def curl(v):
+        return np.stack([partial(v[(i + 2) % 3], (i + 1) % 3) - partial(v[(i + 1) % 3], (i + 2) % 3)
+                         for i in range(3)])
+
+    def rhs(z):
+        rho, u, e, h = z[0], z[1:4], z[4:7], z[7:10]
+        n = rho + eq.n_inf
+        law = eq.pressure
+        rem = law.p(n) - law.p(eq.n_inf) - law.dp(eq.n_inf) * rho
+        b = eq.b_inf_vector.reshape(3, 1, 1, 1)
+        r2 = -rho * e - eq.n_inf * np.cross(u, h, axis=0)
+        out = np.empty_like(z)
+        out[0] = -eq.n_inf * sum(partial(u[j], j) for j in range(3))
+        for i in range(3):
+            q2_row = [masked(-(eq.n_inf**2) * u[i] * u[j] / n - (rem if i == j else 0.0)) for j in range(3)]
+            div_q2 = sum(partial(q2_row[j], j) for j in range(3))
+            out[1 + i] = -eq.a_inf * partial(rho, i) + (div_q2 + masked(r2[i])) / eq.n_inf
+        out[1:4] -= e + np.cross(u, b, axis=0) + u
+        out[4:7] = curl(h) + eq.n_inf * u
+        out[7:10] = -curl(e)
+        return out
+
+    states = [z0]
+    for _ in range(n_steps):
+        z = states[-1]
+        k1 = rhs(z)
+        k2 = rhs(z + 0.5 * dt * k1)
+        k3 = rhs(z + 0.5 * dt * k2)
+        k4 = rhs(z + dt * k3)
+        states.append(z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+    return states
 
 
 class TestRhs:
@@ -179,6 +237,53 @@ class TestStepping:
         assert abs(l2[1] - l2[0]) < 0.01 * l2[0]
 
 
+class TestCoefficientMarch:
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_matches_physical_rk4_oracle(self, grid16, dealias):
+        eq = EquilibriumState(b_inf=(0.0, 0.0, 0.5))
+        init = initial_data_gen(grid16, eq, seed=3, amplitude=5e-2)
+        dt, stride = 0.1, 5
+        series = integrate(init.state, StepperConfig(dt=dt, dealias=dealias), 2.0, sample_stride=stride)
+        oracle = physical_rk4_oracle(init.state.z, grid16, eq, dt, 20, dealias=dealias)
+        assert len(series.states) == 5
+        for k, s in enumerate(series.states):
+            ref = oracle[k * stride]
+            assert np.linalg.norm(s.z - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_marched_coefficients_stay_those_of_a_real_field(self, eq, grid16, monkeypatch, dealias):
+        # every coefficient array turned into a physical state (each RK stage
+        # and each sample) must survive irfftn -> rfftn unchanged
+        seen = []
+        original = SimState.from_coefficients
+
+        def recording(cls, grid, eq, time, z_hat):
+            seen.append(z_hat.copy())
+            return original(grid, eq, time, z_hat)
+
+        monkeypatch.setattr(SimState, "from_coefficients", classmethod(recording))
+        init = initial_data_gen(grid16, eq, seed=7, amplitude=5e-2)
+        integrate(init.state, StepperConfig(dt=0.25, dealias=dealias), 2.0, sample_stride=1)
+        assert len(seen) == 8 * 4 + 8
+        axes = (1, 2, 3)
+        for z_hat in seen:
+            trip = np.fft.rfftn(np.fft.irfftn(z_hat, s=grid16.shape, axes=axes), axes=axes)
+            assert np.max(np.abs(trip - z_hat)) <= 1e-12 * np.max(np.abs(z_hat))
+
+    def test_import_and_initial_data_leave_scipy_fft_unloaded(self):
+        code = (
+            "import sys\n"
+            "import frequalize\n"
+            "from frequalize import EquilibriumState, TorusGrid, initial_data_gen\n"
+            "initial_data_gen(TorusGrid(dim=3, box_length=20.0, points_per_axis=8), EquilibriumState(), 0)\n"
+            "assert 'scipy.fft' not in sys.modules, 'scipy.fft was imported'\n"
+        )
+        src = str(Path(frequalize.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+
 class TestConstraints:
     def test_compatible_data_machine_zero(self, eq, grid16):
         init = initial_data_gen(grid16, eq, seed=9, amplitude=1e-2)
@@ -271,6 +376,18 @@ class TestDecayExperiment:
 
 
 class TestDuhamel:
+    def test_recursive_convolution_matches_direct_trapezoid(self):
+        rng = np.random.default_rng(0)
+        times = np.concatenate([[0.3], np.sort(rng.uniform(0.3, 9.0, 28)), [9.05]])
+        source = rng.uniform(0.0, 2.0, times.size)
+        decay = np.array([0.0, 0.07, 0.9, 3.0])
+        got = kernel_convolution(times, source, decay)
+        for i in range(times.size):
+            tau = times[: i + 1]
+            for c, rate in enumerate(decay):
+                direct = float(np.trapezoid(np.exp(-rate * (times[i] - tau)) * source[: i + 1], tau))
+                assert abs(got[i, c] - direct) <= 1e-12 * max(abs(direct), 1.0)
+
     def test_source_free_mode_bound(self, eq):
         # with tiny data the source term is negligible and the envelope is
         # essentially the kernel times the initial block power
