@@ -77,17 +77,13 @@ def _parse_window(spec: str) -> tuple[float, float]:
 
 
 def _load_grid(path: str | None, default: TorusGrid) -> TorusGrid:
+    """Grid from a JSON file holding either a run config's grid block or the bare block."""
     if path is None:
         return default
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"grid config {p} does not exist")
-    try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON ({exc})") from None
-    node = raw.get("grid", raw)
-    return TorusGrid.from_config(node)
+    raw = harness.load_json(path)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return harness.parse_grid(raw if "grid" in raw else {"grid": raw})
 
 
 def _emit(args, name: str, header, rows, summary: dict) -> None:

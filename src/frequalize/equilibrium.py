@@ -65,13 +65,3 @@ class EquilibriumState:
     @property
     def b_inf_vector(self) -> np.ndarray:
         return np.asarray(self.b_inf, dtype=float)
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "EquilibriumState":
-        return cls(
-            n_inf=float(cfg.get("n_inf", 1.0)),
-            b_inf=tuple(cfg.get("B_inf", (0.0, 0.0, 0.0))),
-            pressure=PressureLaw(
-                coefficient=float(cfg.get("K", 1.0)), gamma=float(cfg.get("gamma", 5.0 / 3.0))
-            ),
-        )

@@ -49,17 +49,6 @@ class TorusGrid:
                 f"grid.points_per_axis: must be an even integer >= 8, got {n}"
             )
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "TorusGrid":
-        try:
-            return cls(
-                dim=int(cfg["dim"]),
-                box_length=float(cfg["box_length"]),
-                points_per_axis=int(cfg["points_per_axis"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"grid.{exc.args[0]}: missing") from None
-
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.points_per_axis,) * self.dim

@@ -2,9 +2,7 @@
 
 All artifacts are flat files: one CSV per run plus a summary JSON.  Float
 formatting uses shortest round-trip repr and JSON keys are sorted, so a rerun
-with the same seed and config is byte-identical.  The environment variable
-FREQUALIZE_THREADS caps worker threads for independent sweeps; results are
-assembled in submission order, so the thread count never changes output.
+with the same seed and config is byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from .equilibrium import EquilibriumState, PressureLaw
 from .errors import ConfigError
 from .grid import TorusGrid
 from .solver import SpectralProfile, StepperConfig
-from .utils import parallel_map, thread_count  # noqa: F401  (part of the harness API)
 
 LINEAR_TARGET = {0: -0.75, 1: -1.25, 2: -1.75}
 NONLINEAR_TARGET = -0.75
@@ -45,15 +42,40 @@ def _get(cfg: dict, path: str, default=None, required: bool = False):
     return node
 
 
-def _number(cfg: dict, path: str, default=None, required=False, positive=False):
+def _number(cfg: dict, path: str, default=None, required=False, positive=False, integer=False):
     val = _get(cfg, path, default=default, required=required)
     if val is None:
         return None
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {val!r}")
+    if (
+        isinstance(val, bool)
+        or not isinstance(val, (int, float))
+        or (integer and not float(val).is_integer())
+    ):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{path}: expected {kind}, got {val!r}")
     if positive and val <= 0:
         raise ConfigError(f"{path}: must be positive, got {val}")
-    return float(val)
+    return int(val) if integer else float(val)
+
+
+def load_json(path: str | Path):
+    """Contents of a JSON config file; a missing file or invalid JSON is a ConfigError."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"config file {path} does not exist")
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+
+
+def parse_grid(raw: dict) -> TorusGrid:
+    """The grid block {"grid": {"dim", "box_length", "points_per_axis"}} of a config."""
+    return TorusGrid(
+        dim=_number(raw, "grid.dim", required=True, integer=True),
+        box_length=_number(raw, "grid.box_length", required=True, positive=True),
+        points_per_axis=_number(raw, "grid.points_per_axis", required=True, integer=True),
+    )
 
 
 class ExperimentConfig:
@@ -63,11 +85,7 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config root: expected a JSON object")
         self.raw = raw
-        self.grid = TorusGrid(
-            dim=int(_number(raw, "grid.dim", required=True)),
-            box_length=_number(raw, "grid.box_length", required=True, positive=True),
-            points_per_axis=int(_number(raw, "grid.points_per_axis", required=True)),
-        )
+        self.grid = parse_grid(raw)
         b_inf = _get(raw, "equilibrium.B_inf", default=[0.0, 0.0, 0.0])
         if not isinstance(b_inf, (list, tuple)) or len(b_inf) != 3:
             raise ConfigError("equilibrium.B_inf: expected a 3-vector")
@@ -79,7 +97,7 @@ class ExperimentConfig:
                 gamma=_number(raw, "equilibrium.gamma", default=5.0 / 3.0, positive=True),
             ),
         )
-        self.seed = int(_number(raw, "init.seed", default=0))
+        self.seed = _number(raw, "init.seed", default=0, integer=True)
         self.amplitude = _number(raw, "init.amplitude", default=1e-2, positive=True)
         band = _number(raw, "init.profile.band_limit", default=None)
         self.profile = SpectralProfile(
@@ -95,7 +113,7 @@ class ExperimentConfig:
             dealias=dealias,
         )
         self.t_end = _number(raw, "experiment.T", default=100.0, positive=True)
-        self.stride = int(_number(raw, "experiment.stride", default=5, positive=True))
+        self.stride = _number(raw, "experiment.stride", default=5, positive=True, integer=True)
         window = _get(raw, "experiment.fit_window", default=[5.0, self.t_end])
         if not isinstance(window, (list, tuple)) or len(window) != 2:
             raise ConfigError("experiment.fit_window: expected [t1, t2]")
@@ -107,14 +125,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file {path} does not exist")
-        try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-        return cls(raw)
+        return cls(load_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,15 @@ it grows like |xi|^2 at low frequency and collapses like |xi|^-2 at high
 frequency, where the weakly damped electromagnetic wave pair carries the
 regularity loss.
 
+A0, A(xi) and L are written once, in `mode_matrices`, which builds M(xi)
+for a whole batch of frequencies; `system_matrices` and
+`assemble_mode_matrix` read them back from it.  exp(t M(xi)) is computed in
+one place too: a private batched propagator makes one `np.linalg.eig` call
+for its whole batch and falls back to `scipy.linalg.expm` for modes whose
+eigenbasis is ill-conditioned.  `ModePropagator` (a batch of one),
+`GridModePropagator` (a lattice), `ContinuumEvolver` (all quadrature nodes)
+and `pointwise_decay_check` (the distinct sample frequencies) all use it.
+
 Whole-space decay experiments avoid the torus infrared cutoff by radial
 quadrature over continuum modes; lattice evolution is available for
 cross-validation of the nonlinear solver.
@@ -43,22 +52,19 @@ from .equilibrium import EquilibriumState
 from .errors import ConfigError, IncompatibleDataError, NumericalError
 from .fitting import DecayFit, fit_decay_exponent
 from .grid import SpectralField, TorusGrid
-from .utils import parallel_map
 
 STATE_DIM = 10
 _COND_LIMIT = 1e8
 
 
 def omega_matrix(v: np.ndarray) -> np.ndarray:
-    """Skew matrix with omega(v) w = v x w."""
+    """Skew matrix with omega(v) w = v x w, batched over the leading axes of v."""
     v = np.asarray(v, dtype=float)
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    out = np.zeros(v.shape + (3,))
+    out[..., 0, 1], out[..., 0, 2] = -v[..., 2], v[..., 1]
+    out[..., 1, 0], out[..., 1, 2] = v[..., 2], -v[..., 0]
+    out[..., 2, 0], out[..., 2, 1] = -v[..., 1], v[..., 0]
+    return out
 
 
 def _pad_xi(xi: Sequence[float]) -> np.ndarray:
@@ -70,28 +76,48 @@ def _pad_xi(xi: Sequence[float]) -> np.ndarray:
     return out
 
 
-def system_matrices(eq: EquilibriumState) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], np.ndarray]:
-    """(A0 diagonal, xi -> A(xi), L) of the symmetric-hyperbolic form."""
-    a0 = np.ones(STATE_DIM)
-    a0[0] = eq.a_inf
-    a0[1:4] = eq.n_inf
+def _a0_diagonal(eq: EquilibriumState) -> np.ndarray:
+    return np.array([eq.a_inf] + [eq.n_inf] * 3 + [1.0] * 6)
 
+
+def mode_matrices(xi: np.ndarray, eq: EquilibriumState) -> np.ndarray:
+    """Generators M(xi) = -A0^-1 (i A(xi) + L) for xi[..., 3], shape [..., 10, 10].
+
+    The one place where A0, A(xi) and L are written.  The batch is filled
+    and scaled in place, so a full lattice needs no temporaries of its size.
+    The steps follow the formula as written: the eigensolver's roundoff
+    depends on the signs of the zero entries that this order produces.
+    """
+    xi = np.asarray(xi, dtype=float)
+    m = np.zeros(xi.shape[:-1] + (STATE_DIM, STATE_DIM), dtype=complex)
+    # A(xi): acoustic coupling p'(n_inf) xi and the Maxwell rotation blocks
+    m[..., 0, 1:4] = eq.dp_inf * xi
+    m[..., 1:4, 0] = m[..., 0, 1:4]
+    om = omega_matrix(xi)
+    m[..., 4:7, 7:10] = -om
+    m[..., 7:10, 4:7] = om
+    # L: velocity relaxation with the background rotation, velocity<->E exchange
     damping = np.zeros((STATE_DIM, STATE_DIM))
     damping[1:4, 1:4] = eq.n_inf * (np.eye(3) - omega_matrix(eq.b_inf_vector))
     damping[1:4, 4:7] = eq.n_inf * np.eye(3)
     damping[4:7, 1:4] = -eq.n_inf * np.eye(3)
+    m *= 1j
+    m += damping
+    np.negative(m, out=m)
+    m /= _a0_diagonal(eq)[:, None]
+    return m
 
-    dp = eq.dp_inf
+
+def system_matrices(eq: EquilibriumState) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """(A0 diagonal, xi -> A(xi), L) of the symmetric-hyperbolic form.
+
+    A and L are real, so A0 M(xi) = -(i A(xi) + L) splits into its parts.
+    """
+    a0 = _a0_diagonal(eq)
+    damping = -(a0[:, None] * mode_matrices(np.zeros(3), eq)).real
 
     def symbol(xi: np.ndarray) -> np.ndarray:
-        xi = _pad_xi(xi)
-        a = np.zeros((STATE_DIM, STATE_DIM))
-        a[0, 1:4] = dp * xi
-        a[1:4, 0] = dp * xi
-        om = omega_matrix(xi)
-        a[4:7, 7:10] = -om
-        a[7:10, 4:7] = om
-        return a
+        return -(a0[:, None] * mode_matrices(_pad_xi(xi), eq)).imag
 
     return a0, symbol, damping
 
@@ -107,9 +133,7 @@ class ModeMatrix:
 
 def assemble_mode_matrix(xi: Sequence[float], eq: EquilibriumState) -> ModeMatrix:
     xi = _pad_xi(xi)
-    a0, symbol, damping = system_matrices(eq)
-    m = -(1j * symbol(xi) + damping) / a0[:, None]
-    return ModeMatrix(xi=xi, eq=eq, matrix=m)
+    return ModeMatrix(xi=xi, eq=eq, matrix=mode_matrices(xi, eq))
 
 
 def constraint_matrix(xi: Sequence[float]) -> np.ndarray:
@@ -146,34 +170,50 @@ def constraint_residual(z: np.ndarray, xi: Sequence[float]) -> float:
     return float(np.linalg.norm(constraint_matrix(xi) @ z)) / scale
 
 
-class ModePropagator:
-    """exp(t M(xi)) with eigendecomposition and a squaring fallback.
+class _EigenPropagator:
+    """exp(t M) for a batch of generators m[n, 10, 10] from one eigendecomposition.
 
-    The eigenvector route is used when the eigenbasis is well conditioned;
-    otherwise (near eigenvalue collisions the generator can be defective)
-    each requested time falls back to scaling-and-squaring.
+    The eigenvector route is used where the eigenbasis is well conditioned;
+    elsewhere (near eigenvalue collisions the generator can be defective)
+    each application falls back to scaling-and-squaring.
     """
+
+    def __init__(self, matrices: np.ndarray):
+        self.matrices = matrices
+        self.w, self.v = np.linalg.eig(matrices)
+        try:
+            self.vinv = np.linalg.inv(self.v)
+        except np.linalg.LinAlgError:
+            self.vinv = np.full_like(self.v, np.nan)  # every row takes the fallback
+        cond = np.linalg.norm(self.v, axis=(-2, -1)) * np.linalg.norm(self.vinv, axis=(-2, -1))
+        self.ill_conditioned = ~(cond < _COND_LIMIT)
+
+    def apply(self, z: np.ndarray, t: float | np.ndarray, rows: slice | np.ndarray = slice(None)) -> np.ndarray:
+        """exp(t_r M_rows[r]) z[r] for every row r of z[n, 10]; t is one time or one per row."""
+        t = np.broadcast_to(np.asarray(t, dtype=float), z.shape[:1])
+        if np.any(t < 0):
+            raise ConfigError(f"propagation time must be nonnegative, got {t.min()}")
+        coeff = np.einsum("nij,nj->ni", self.vinv[rows], z)
+        coeff *= np.exp(self.w[rows] * t[:, None])
+        out = np.einsum("nij,nj->ni", self.v[rows], coeff)
+        matrices = self.matrices[rows]
+        for r in np.flatnonzero(self.ill_conditioned[rows]):
+            out[r] = scipy.linalg.expm(t[r] * matrices[r]) @ z[r]
+        return out
+
+
+class ModePropagator:
+    """exp(t M(xi)) of one Fourier mode: the batched propagator on a batch of one."""
 
     def __init__(self, xi: Sequence[float], eq: EquilibriumState):
         self.mode = assemble_mode_matrix(xi, eq)
-        m = self.mode.matrix
-        w, v = np.linalg.eig(m)
-        try:
-            vinv = np.linalg.inv(v)
-            cond = float(np.linalg.norm(v) * np.linalg.norm(vinv))
-        except np.linalg.LinAlgError:
-            vinv, cond = None, math.inf
-        self._diagonalizable = cond < _COND_LIMIT
-        self.eigenvalues = w
-        self._v = v
-        self._vinv = vinv if self._diagonalizable else None
+        self._prop = _EigenPropagator(self.mode.matrix[None])
+        self.eigenvalues = self._prop.w[0]
 
     def matrix_at(self, t: float) -> np.ndarray:
-        if t < 0:
-            raise ConfigError(f"propagation time must be nonnegative, got {t}")
-        if self._diagonalizable:
-            return (self._v * np.exp(self.eigenvalues * t)) @ self._vinv
-        return scipy.linalg.expm(t * self.mode.matrix)
+        # column j of exp(tM) is exp(tM) applied to the unit vector e_j
+        unit = np.eye(STATE_DIM, dtype=complex)
+        return self._prop.apply(unit, t, rows=np.zeros(STATE_DIM, dtype=int)).T
 
     def apply(self, z0: np.ndarray, t: float) -> np.ndarray:
         z0 = np.asarray(z0, dtype=complex)
@@ -238,7 +278,7 @@ def gap_sweep(
     direction = direction / np.linalg.norm(direction)
     mags = np.asarray(magnitudes, dtype=float)
     rate = euler_maxwell_rate()
-    gaps = np.array(parallel_map(lambda m: spectral_gap(m * direction, eq), list(mags)))
+    gaps = np.array([spectral_gap(m * direction, eq) for m in mags])
     return GapSweep(magnitudes=mags, gaps=gaps, rate_ratios=gaps / rate.eta(mags))
 
 
@@ -268,9 +308,7 @@ def pointwise_decay_check(
     constraint set.
     """
     rate = euler_maxwell_rate()
-    ratios = []
-    exponents = []
-    propagators: dict[tuple[float, ...], ModePropagator] = {}
+    xis, z0s, times = [], [], []
     for xi, z0, t in samples:
         z0 = np.asarray(z0, dtype=complex)
         res = constraint_residual(z0, xi)
@@ -279,19 +317,19 @@ def pointwise_decay_check(
                 f"mode data violates the divergence constraints (residual {res:.3e} "
                 f"> {residual_tol:g}) at xi={tuple(np.round(_pad_xi(xi), 6))}"
             )
-        key = tuple(_pad_xi(xi))
-        if key not in propagators:
-            propagators[key] = ModePropagator(xi, eq)
-        zt = propagators[key].apply(z0, t)
-        norm0 = float(np.linalg.norm(z0))
-        if norm0 == 0.0:
-            continue
-        ratios.append(float(np.linalg.norm(zt)) / norm0)
-        exponents.append(float(rate.eta(np.linalg.norm(_pad_xi(xi)))) * t)
-    if not ratios:
+        if not np.all(np.isfinite(z0)):
+            raise ConfigError("mode data must be finite")
+        if np.linalg.norm(z0) > 0.0:
+            xis.append(_pad_xi(xi))
+            z0s.append(z0)
+            times.append(t)
+    if not z0s:
         raise ConfigError("no nonzero samples supplied")
-    ratios_arr = np.asarray(ratios)
-    exps = np.asarray(exponents)
+    xis, z0s, times = np.array(xis), np.array(z0s), np.array(times, dtype=float)
+    distinct, rows = np.unique(xis, axis=0, return_inverse=True)
+    zt = _EigenPropagator(mode_matrices(distinct, eq)).apply(z0s, times, rows=rows.ravel())
+    ratios_arr = np.linalg.norm(zt, axis=1) / np.linalg.norm(z0s, axis=1)
+    exps = rate.eta(np.linalg.norm(xis, axis=1)) * times
     if c0_candidates is None:
         c0_candidates = np.linspace(0.0, 1.5, 301)
     best_c0, best_c = 0.0, float(np.max(ratios_arr))
@@ -304,7 +342,7 @@ def pointwise_decay_check(
     return PointwiseDecayReport(
         c_bound=best_c,
         c0=best_c0,
-        n_samples=len(ratios),
+        n_samples=ratios_arr.size,
         max_ratio_at_origin=float(np.max(ratios_arr)),
     )
 
@@ -314,56 +352,25 @@ def pointwise_decay_check(
 
 
 class GridModePropagator:
-    """Batched eigendecomposition of the generator over a full lattice."""
+    """The batched propagator over every mode of a full lattice."""
 
     def __init__(self, grid: TorusGrid, eq: EquilibriumState):
         self.grid = grid
         self.eq = eq
-        xi_list = [comp.ravel() for comp in grid.frequency_vectors]
-        while len(xi_list) < 3:
-            xi_list.append(np.zeros_like(xi_list[0]))
-        self._xi = np.stack(xi_list, axis=1)  # (n_modes, 3)
-        n_modes = self._xi.shape[0]
-
-        a0, _, damping = system_matrices(eq)
-        dp = eq.dp_inf
-        m = np.zeros((n_modes, STATE_DIM, STATE_DIM), dtype=complex)
-        m -= damping
-        xi = self._xi
-        m[:, 0, 1:4] -= 1j * dp * xi
-        m[:, 1:4, 0] -= 1j * dp * xi
-        om = np.zeros((n_modes, 3, 3))
-        om[:, 0, 1] = -xi[:, 2]
-        om[:, 0, 2] = xi[:, 1]
-        om[:, 1, 0] = xi[:, 2]
-        om[:, 1, 2] = -xi[:, 0]
-        om[:, 2, 0] = -xi[:, 1]
-        om[:, 2, 1] = xi[:, 0]
-        m[:, 4:7, 7:10] += 1j * om
-        m[:, 7:10, 4:7] -= 1j * om
-        m /= a0[None, :, None]
-        self._matrices = m
-
-        w, v = np.linalg.eig(m)
-        vinv = np.linalg.inv(v)
-        cond_proxy = np.linalg.norm(v, axis=(1, 2)) * np.linalg.norm(vinv, axis=(1, 2))
-        self._bad = np.flatnonzero(cond_proxy >= _COND_LIMIT)
-        self._w, self._v, self._vinv = w, v, vinv
+        self._xi = np.zeros((grid.points_per_axis**grid.dim, 3))  # (n_modes, 3)
+        for j, comp in enumerate(grid.frequency_vectors):
+            self._xi[:, j] = comp.ravel()
+        self._prop = _EigenPropagator(mode_matrices(self._xi, eq))
 
     def apply(self, zhat: np.ndarray, t: float) -> np.ndarray:
         """Propagate stacked coefficients (10, *grid.shape) by time t."""
         flat = zhat.reshape(STATE_DIM, -1).T  # (n_modes, 10)
-        coeff = np.einsum("nij,nj->ni", self._vinv, flat)
-        coeff *= np.exp(self._w * t)
-        out = np.einsum("nij,nj->ni", self._v, coeff)
-        for idx in self._bad:
-            out[idx] = scipy.linalg.expm(t * self._matrices[idx]) @ flat[idx]
-        return out.T.reshape(zhat.shape)
+        return self._prop.apply(flat, t).T.reshape(zhat.shape)
 
     def generator_apply(self, zhat: np.ndarray) -> np.ndarray:
         """Apply M(xi) modewise (the exact linear right-hand side)."""
         flat = zhat.reshape(STATE_DIM, -1).T
-        out = np.einsum("nij,nj->ni", self._matrices, flat)
+        out = np.einsum("nij,nj->ni", self._prop.matrices, flat)
         return out.T.reshape(zhat.shape)
 
     def constraint_residual(self, zhat: np.ndarray) -> float:
@@ -464,16 +471,17 @@ class ContinuumData:
             return out
         raise ConfigError(f"unknown continuum data kind {self.kind!r}")
 
-    def mode_vector(self, rho: float, frame: np.ndarray) -> np.ndarray:
-        """Compatible 10-vector at xi = rho * frame[0]."""
-        g = float(self.envelope(np.asarray([rho]))[0])
+    def mode_vector(self, rho: float | np.ndarray, frame: np.ndarray) -> np.ndarray:
+        """Compatible 10-vector at xi = rho * frame[0], batched over rho[...]."""
+        rho = np.asarray(rho, dtype=float)
+        g = self.envelope(rho)[..., None]
         omega, e1, e2 = frame
-        z = np.zeros(STATE_DIM, dtype=complex)
+        z = np.zeros(rho.shape + (STATE_DIM,), dtype=complex)
         e_field = g * (omega + e1) / math.sqrt(2.0)
-        z[4:7] = e_field
-        z[0] = -1j * rho * (omega @ e_field)
-        z[1:4] = g * (omega + e1 + e2) / math.sqrt(3.0)
-        z[7:10] = g * (e1 + e2) / math.sqrt(2.0)
+        z[..., 4:7] = e_field
+        z[..., 0] = -1j * rho * (e_field @ omega)
+        z[..., 1:4] = g * (omega + e1 + e2) / math.sqrt(3.0)
+        z[..., 7:10] = g * (e1 + e2) / math.sqrt(2.0)
         return z
 
 
@@ -504,7 +512,8 @@ class ContinuumEvolver:
 
     With an isotropic background (B_inf = 0) the frame-built data makes the
     per-mode norm independent of direction, so a single angular node is
-    exact; a genuine spherical rule is used otherwise.
+    exact; a genuine spherical rule is used otherwise.  All nodes share one
+    batched propagator.
     """
 
     def __init__(
@@ -534,27 +543,23 @@ class ContinuumEvolver:
             nodes, ang_w = _sphere_nodes(n_polar, n_azimuth)
         self.ang_nodes, self.ang_weights = nodes, ang_w
 
-        self._entries = []  # (radial weight * angular weight, eig data, z0)
-        for omega, w_ang in zip(self.ang_nodes, self.ang_weights):
-            frame = _orthonormal_frame(np.asarray(omega))
-            for rho, w_r in zip(self.rho, self.w_rho):
-                z0 = self.data.mode_vector(float(rho), frame)
-                m = assemble_mode_matrix(rho * frame[0], eq).matrix
-                w, v = np.linalg.eig(m)
-                vinv = np.linalg.inv(v)
-                self._entries.append((w_ang * w_r, float(rho), w, v, vinv @ z0))
+        frames = [_orthonormal_frame(np.asarray(omega)) for omega in nodes]
+        xi = np.concatenate([self.rho[:, None] * frame[0] for frame in frames])
+        self._z0 = np.concatenate([data.mode_vector(self.rho, frame) for frame in frames])
+        self._node_rho = np.tile(self.rho, len(frames))
+        self._node_weights = np.outer(ang_w, self.w_rho).ravel()
+        self._prop = _EigenPropagator(mode_matrices(xi, eq))
 
     def norms(self, times: Sequence[float], orders: Sequence[int] = (0, 1, 2)) -> dict[int, np.ndarray]:
         """Derivative-weighted L^2 norms: (2 pi)^-3 integral of |xi|^2k |z|^2."""
-        times = np.asarray(times, dtype=float)
-        acc = {k: np.zeros(times.size) for k in orders}
-        for weight, rho, w, v, coeff in self._entries:
-            evo = v @ (np.exp(np.outer(w, times)) * coeff[:, None])  # (10, nt)
-            power = np.sum(np.abs(evo) ** 2, axis=0)
-            for k in orders:
-                acc[k] += weight * rho ** (2 + 2 * k) * power
+        power = np.array(
+            [np.sum(np.abs(self._prop.apply(self._z0, t)) ** 2, axis=1) for t in times]
+        ).reshape(-1, self._z0.shape[0])  # (times, nodes)
         scale = (2.0 * math.pi) ** -3
-        return {k: np.sqrt(scale * acc[k]) for k in orders}
+        return {
+            k: np.sqrt(scale * (power @ (self._node_weights * self._node_rho ** (2 + 2 * k))))
+            for k in orders
+        }
 
 
 @dataclass(frozen=True)

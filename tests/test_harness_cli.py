@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,6 @@ from frequalize.harness import (
     ExperimentConfig,
     csv_text,
     merge_reports,
-    parallel_map,
-    thread_count,
     write_csv,
     write_json,
 )
@@ -29,6 +28,13 @@ BASE_CONFIG = {
     "stepper": {"cfl": 0.5, "dealias": True},
     "experiment": {"T": 4.0, "stride": 2, "fit_window": [0.5, 4.0]},
 }
+
+
+# for each integer key and a valid value of it: a non-integral number and a numeric string
+INTEGER_KEYS = {"grid.dim": 3, "grid.points_per_axis": 8, "experiment.stride": 2, "init.seed": 5}
+NON_INTEGERS = [(k, v + 0.5) for k, v in INTEGER_KEYS.items()] + [
+    (k, str(v)) for k, v in INTEGER_KEYS.items()
+]
 
 
 def write_config(tmp_path: Path, overrides=None) -> Path:
@@ -69,20 +75,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="invalid JSON"):
             ExperimentConfig.from_file(path)
 
+    @pytest.mark.parametrize("key,value", NON_INTEGERS)
+    def test_integer_key_not_truncated(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: expected an integer"):
+            ExperimentConfig.from_file(write_config(tmp_path, {key: value}))
+
+    def test_integral_float_accepted(self, tmp_path):
+        cfg = ExperimentConfig.from_file(write_config(tmp_path, {"grid.points_per_axis": 8.0}))
+        assert cfg.grid.points_per_axis == 8 and isinstance(cfg.grid.points_per_axis, int)
+
 
 class TestHarnessHelpers:
-    def test_thread_count_env(self, monkeypatch):
-        monkeypatch.setenv("FREQUALIZE_THREADS", "2")
-        assert thread_count() == 2
-        monkeypatch.setenv("FREQUALIZE_THREADS", "zero")
-        with pytest.raises(ConfigError, match="FREQUALIZE_THREADS"):
-            thread_count()
-
-    def test_parallel_map_preserves_order(self, monkeypatch):
-        monkeypatch.setenv("FREQUALIZE_THREADS", "4")
-        items = list(range(40))
-        assert parallel_map(lambda x: x * x, items) == [x * x for x in items]
-
     def test_csv_text_deterministic(self):
         rows = [[0.1 + 0.2, 1.0, True], [float("1e-17"), -3.5, False]]
         a = csv_text(["a", "b", "c"], rows)
@@ -195,6 +198,17 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert math.isfinite(summary["sup_ratio"]) and summary["sup_ratio"] > 0
         assert summary["hypothesis"]["finite_sup_ratio"]
+
+    @pytest.mark.parametrize("bare", [True, False])
+    @pytest.mark.parametrize("key,value", [kv for kv in NON_INTEGERS if kv[0].startswith("grid.")])
+    def test_grid_file_integer_key_exits_2(self, tmp_path, capsys, bare, key, value):
+        block = {"dim": 3, "box_length": 10.0, "points_per_axis": 8, key.split(".")[1]: value}
+        grid_cfg = tmp_path / "grid.json"
+        grid_cfg.write_text(json.dumps(block if bare else {"grid": block}))
+        code = main(["lp", "check", "--grid", str(grid_cfg), "--fields", "1", "--out", str(tmp_path / "lp")])
+        assert code == 2
+        assert f"error: {key}: expected an integer" in capsys.readouterr().err
+        assert not (tmp_path / "lp").exists()
 
     def test_kernel_hypothesis_violation_exits_2(self, tmp_path):
         code = main(

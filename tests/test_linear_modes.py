@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
+import frequalize.linear_modes as linear_modes
+
+from frequalize.decay_kernel import euler_maxwell_rate
 from frequalize.equilibrium import EquilibriumState, PressureLaw
 from frequalize.errors import ConfigError, IncompatibleDataError
 from frequalize.grid import SpectralField, TorusGrid, forward_transform, random_band_limited_field
@@ -22,6 +26,7 @@ from frequalize.linear_modes import (
     gap_sweep,
     linear_decay_experiment,
     linear_evolve_grid,
+    mode_matrices,
     omega_matrix,
     pointwise_decay_check,
     propagate_mode,
@@ -38,6 +43,24 @@ def rng():
 @pytest.fixture(scope="module")
 def eq():
     return EquilibriumState()
+
+
+def reference_generator(xi, eq) -> np.ndarray:
+    """M(xi) = -A0^-1 (i A(xi) + L), written from the module docstring."""
+    def skew(v):  # column j is v x e_j
+        return np.stack([np.cross(v, e) for e in np.eye(3)], axis=1)
+
+    xi = np.asarray(xi, dtype=float)
+    a0 = np.array([eq.a_inf] + [eq.n_inf] * 3 + [1.0] * 6)
+    a = np.zeros((10, 10))
+    a[0, 1:4] = a[1:4, 0] = eq.dp_inf * xi
+    a[4:7, 7:10] = -skew(xi)
+    a[7:10, 4:7] = skew(xi)
+    lmat = np.zeros((10, 10))
+    lmat[1:4, 1:4] = eq.n_inf * (np.eye(3) - skew(np.asarray(eq.b_inf, dtype=float)))
+    lmat[1:4, 4:7] = eq.n_inf * np.eye(3)
+    lmat[4:7, 1:4] = -eq.n_inf * np.eye(3)
+    return -(1j * a + lmat) / a0[:, None]
 
 
 def random_compatible_mode(xi, rng) -> np.ndarray:
@@ -95,6 +118,17 @@ class TestStructure:
             m = assemble_mode_matrix(xi, eq).matrix
             c = constraint_matrix(xi)
             assert np.max(np.abs(c @ m)) < 1e-13
+
+    def test_batched_builder_matches_docstring_reference(self, rng):
+        eq_b = EquilibriumState(n_inf=1.3, b_inf=(0.3, -0.2, 0.5), pressure=PressureLaw(0.8, 1.4))
+        xi = 10.0 ** rng.uniform(-2, 2, size=(6, 1)) * rng.standard_normal((6, 3))
+        xi[[0, 4]] = 0.0
+        got = mode_matrices(xi, eq_b)
+        assert got.shape == (6, 10, 10)
+        for x, m in zip(xi, got):
+            want = reference_generator(x, eq_b)
+            assert np.max(np.abs(m - want)) <= 1e-15 * np.max(np.abs(want))
+        assert np.array_equal(mode_matrices(xi.reshape(2, 3, 3), eq_b), got.reshape(2, 3, 10, 10))
 
     def test_projector_idempotent_hermitian(self, rng):
         xi = np.array([0.7, -0.3, 1.1])
@@ -202,6 +236,26 @@ class TestPointwiseDecay:
         assert rep.c0 > 0
         assert math.isfinite(rep.c_bound)
 
+    def test_matches_per_sample_expm_reference(self, rng):
+        eq_b = EquilibriumState(b_inf=(0.0, 0.4, 0.3))
+        samples = []
+        for i in range(50):
+            xi = samples[-1][0] if i % 10 == 9 else 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(3)
+            samples.append((xi, random_compatible_mode(xi, rng), 10.0 ** rng.uniform(-1, 2)))
+        rep = pointwise_decay_check(samples, eq_b)
+
+        ratios = np.array(
+            [np.linalg.norm(scipy.linalg.expm(t * reference_generator(xi, eq_b)) @ z0) / np.linalg.norm(z0)
+             for xi, z0, t in samples]
+        )
+        eta = euler_maxwell_rate()
+        exps = np.array([float(eta.eta(np.linalg.norm(xi))) * t for xi, _, t in samples])
+        passing = [c0 for c0 in np.linspace(0.0, 1.5, 301) if np.max(ratios * np.exp(c0 * exps)) <= 50.0]
+        assert rep.n_samples == 50
+        assert rep.c0 == passing[-1] > 0
+        c_ref = float(np.max(ratios * np.exp(rep.c0 * exps)))
+        assert rep.c_bound == pytest.approx(c_ref, rel=1e-10)
+
     def test_gradient_magnetic_data_refused(self, eq):
         xi = np.array([1.0, 0.0, 0.0])
         z0 = np.zeros(10, dtype=complex)
@@ -292,3 +346,63 @@ class TestContinuumDecay:
         assert ev.ang_nodes.shape[0] == 16
         norms = ev.norms([1.0, 10.0], orders=(0,))[0]
         assert norms[1] < norms[0]
+
+
+class TestConditioningFallback:
+    """With the conditioning limit at 0 every mode takes scipy.linalg.expm."""
+
+    @pytest.fixture
+    def all_modes_fall_back(self, monkeypatch):
+        calls = []
+        expm = scipy.linalg.expm
+
+        def counting_expm(a):
+            calls.append(1)
+            return expm(a)
+
+        def enable():
+            monkeypatch.setattr(linear_modes, "_COND_LIMIT", 0.0)
+            monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+            return calls
+
+        return enable
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_mode_propagator(self, rng, all_modes_fall_back):
+        eq_b = EquilibriumState(b_inf=(0.0, 0.0, 0.5))
+        xi = [0.8, -0.4, 0.3]
+        z0 = random_compatible_mode(xi, rng)
+        want = [ModePropagator(xi, eq_b).apply(z0, t) for t in (0.5, 5.0, 50.0)]
+        calls = all_modes_fall_back()
+        prop = ModePropagator(xi, eq_b)
+        for w, t in zip(want, (0.5, 5.0, 50.0)):
+            self.assert_close(prop.apply(z0, t), w)
+        assert len(calls) == 3 * 10  # one per column of each exp(tM)
+
+    def test_grid_mode_propagator(self, rng, all_modes_fall_back):
+        eq_b = EquilibriumState(b_inf=(0.0, 0.0, 0.5))
+        grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)
+        z0 = compatible_lattice_state(grid, rng).coefficients
+        want = GridModePropagator(grid, eq_b).apply(z0, 2.5)
+        calls = all_modes_fall_back()
+        self.assert_close(GridModePropagator(grid, eq_b).apply(z0, 2.5), want)
+        assert len(calls) == 8**3
+
+    def test_continuum_evolver(self, all_modes_fall_back):
+        eq_b = EquilibriumState(b_inf=(0.0, 0.0, 0.5))
+        data = ContinuumData(kind="gaussian", width=2.0)
+        times = [0.0, 1.0, 10.0, 100.0]
+
+        def norms():
+            ev = ContinuumEvolver(eq_b, data, n_radial=20, n_polar=4, n_azimuth=4)
+            return ev.norms(times, orders=(0, 1))
+
+        want = norms()
+        calls = all_modes_fall_back()
+        got = norms()
+        for k in (0, 1):
+            np.testing.assert_allclose(got[k], want[k], rtol=1e-10, atol=0.0)
+        assert len(calls) == len(times) * 20 * 16
