@@ -30,13 +30,13 @@ from .grid import (
     forward_transform,
     inverse_transform,
     lp_norm,
-    spectral_l2_norm,
+    shell_l2_norms,
 )
 from .littlewood_paley import (
     BlockIndexRange,
     RadialCutoffs,
     block,
-    block_multiplier,
+    block_profiles,
 )
 
 
@@ -78,27 +78,34 @@ class NormReport:
     mean_magnitude: float = 0.0
 
 
-def _ell_r(values: np.ndarray, r: float) -> float:
-    if values.size == 0:
+def ell_r(values: Sequence[float], r: float) -> float:
+    """l^r norm of the positive entries of values (0 when there are none)."""
+    arr = np.asarray(values, dtype=float)
+    arr = arr[arr > 0.0]
+    if arr.size == 0:
         return 0.0
     if math.isinf(r):
-        return float(np.max(values))
-    return float(np.sum(values**r) ** (1.0 / r))
+        return float(np.max(arr))
+    return float(np.sum(arr**r) ** (1.0 / r))
 
 
 def _to_spectral(f: PhysicalField | SpectralField) -> SpectralField:
     return f if isinstance(f, SpectralField) else forward_transform(f)
 
 
-def _block_lp(g: SpectralField, q: int, p: float, homogeneous: bool,
-              cutoffs: RadialCutoffs | None) -> float:
+def _block_lp(g: SpectralField, qs: np.ndarray, p: float, homogeneous: bool,
+              cutoffs: RadialCutoffs | None) -> np.ndarray:
+    """Block L^p norms of g for every q in qs: shell spectrum at p = 2, inverse transforms otherwise."""
     if p == 2.0:
-        mult = block_multiplier(g.grid, q, homogeneous=homogeneous, cutoffs=cutoffs)
-        return spectral_l2_norm(g, weights=mult)
-    piece = block(g, q, homogeneous=homogeneous, cutoffs=cutoffs)
+        profiles = block_profiles(g.grid, qs, homogeneous=homogeneous, cutoffs=cutoffs)
+        return shell_l2_norms(g.shell_spectrum(), profiles)
     # blocks of real fields are real by construction (real radial multiplier);
     # skip the symmetry gate, which is meaningless on roundoff-level blocks
-    return lp_norm(inverse_transform(piece, require_real=False), p)
+    return np.array([
+        lp_norm(inverse_transform(block(g, int(q), homogeneous=homogeneous, cutoffs=cutoffs),
+                                  require_real=False), p)
+        for q in qs
+    ])
 
 
 def besov_norm(
@@ -109,16 +116,12 @@ def besov_norm(
 ) -> NormReport:
     """Block-weighted norm: l^r over q of 2^(q s) ||block_q f||_Lp."""
     g = _to_spectral(f)
-    rng = BlockIndexRange.for_grid(g.grid)
-    q_lo = rng.q_min if spec.homogeneous else -1
-    raw = {
-        q: _block_lp(g, q, spec.p, spec.homogeneous, cutoffs)
-        for q in range(q_lo, rng.q_max + 1)
-    }
+    qs = BlockIndexRange.for_grid(g.grid).indices(spec.homogeneous)
+    raw = dict(zip(qs.tolist(), _block_lp(g, qs, spec.p, spec.homogeneous, cutoffs).tolist()))
     # blocks at the transform's roundoff floor are artifacts, not content
     floor = 1e-13 * max(raw.values(), default=0.0)
     contributions = {q: 2.0 ** (q * spec.s) * b for q, b in raw.items() if b > floor}
-    value = _ell_r(np.array(list(contributions.values())), spec.r)
+    value = ell_r(list(contributions.values()), spec.r)
     mean_mag = 0.0
     if spec.homogeneous:
         zero = (slice(None),) + (0,) * g.grid.dim
@@ -147,14 +150,8 @@ def _block_norm_series(
     cutoffs: RadialCutoffs | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(qs, matrix[t_index, q_index]) of block L^p norms for a field series."""
-    g0 = _to_spectral(series[0])
-    rng = BlockIndexRange.for_grid(g0.grid)
-    q_lo = rng.q_min if spec.homogeneous else -1
-    qs = np.arange(q_lo, rng.q_max + 1)
-    rows = []
-    for f in series:
-        g = _to_spectral(f)
-        rows.append([_block_lp(g, int(q), spec.p, spec.homogeneous, cutoffs) for q in qs])
+    qs = BlockIndexRange.for_grid(series[0].grid).indices(spec.homogeneous)
+    rows = [_block_lp(_to_spectral(f), qs, spec.p, spec.homogeneous, cutoffs) for f in series]
     return qs, np.array(rows)
 
 
@@ -172,7 +169,7 @@ def chemin_lerner_norm(
     qs, mat = _block_norm_series(series, spec.space, cutoffs)
     per_block = np.array([_time_lp(mat[:, i], times, spec.theta) for i in range(qs.size)])
     weighted = 2.0 ** (qs * spec.space.s) * per_block
-    return _ell_r(weighted[weighted > 0], spec.space.r)
+    return ell_r(weighted, spec.space.r)
 
 
 def mixed_time_norm(
@@ -342,19 +339,15 @@ _DISSIPATION_NORMS = (("rho", 2.5), ("velocity", 2.5), ("electric", 1.5), ("magn
 STATE_REGULARITY = 2.5
 
 
-def _group_spectra(sample) -> dict[str, SpectralField]:
+def _group_spectra(sample) -> np.ndarray:
+    """Shell spectra of z and of each _DISSIPATION_NORMS group (magnetic gradient: |xi|^2 h)."""
     rho, vel, e_field, h_field = sample
     grid = rho.grid
     all_z = np.concatenate([rho.values, vel.values, e_field.values, h_field.values], axis=0)
-    zhat = forward_transform(PhysicalField(grid, all_z))
-    c = zhat.coefficients
-    return {
-        "z": zhat,
-        "rho": SpectralField(grid, c[0:1]),
-        "velocity": SpectralField(grid, c[1:4]),
-        "electric": SpectralField(grid, c[4:7]),
-        "magnetic_grad": SpectralField(grid, c[7:10] * grid.frequency_magnitude),
-    }
+    c = forward_transform(PhysicalField(grid, all_z)).coefficients
+    groups = [SpectralField(grid, c[sl]).shell_spectrum()
+              for sl in (slice(0, 1), slice(1, 4), slice(4, 7), slice(7, 10))]
+    return np.array([sum(groups)] + groups[:3] + [grid.shell_radii**2 * groups[3]])
 
 
 def energy_functionals(
@@ -365,21 +358,12 @@ def energy_functionals(
     if times.size != len(samples):
         raise ConfigError("times and samples length mismatch")
     grid = samples[0][0].grid
-    rng = BlockIndexRange.for_grid(grid)
-    qs = np.arange(-1, rng.q_max + 1)
-    nt, nq = times.size, qs.size
+    qs = BlockIndexRange.for_grid(grid).indices(homogeneous=False)
+    profiles = block_profiles(grid, qs, homogeneous=False, cutoffs=cutoffs)
 
-    block_z = np.zeros((nt, nq))
-    block_group = {name: np.zeros((nt, nq)) for name, _ in _DISSIPATION_NORMS}
-    l2 = np.zeros(nt)
-    for i, sample in enumerate(samples):
-        spectra = _group_spectra(sample)
-        l2[i] = spectral_l2_norm(spectra["z"])
-        for j, q in enumerate(qs):
-            mult = block_multiplier(grid, int(q), homogeneous=False, cutoffs=cutoffs)
-            block_z[i, j] = spectral_l2_norm(spectra["z"], weights=mult)
-            for name, _ in _DISSIPATION_NORMS:
-                block_group[name][i, j] = spectral_l2_norm(spectra[name], weights=mult)
+    spectra = np.array([_group_spectra(sample) for sample in samples])  # [t, group, shell]
+    l2 = np.sqrt(spectra[:, 0].sum(axis=1))
+    blocks = shell_l2_norms(spectra, profiles)  # [t, group, q]
 
     def cumtrapz(y: np.ndarray) -> np.ndarray:
         out = np.zeros_like(y)
@@ -391,13 +375,13 @@ def energy_functionals(
     n_func = np.maximum.accumulate((1.0 + times) ** 0.75 * l2)
 
     w_state = 2.0 ** (qs * STATE_REGULARITY)
-    n0 = np.maximum.accumulate(block_z, axis=0) @ w_state
+    n0 = np.maximum.accumulate(blocks[:, 0], axis=0) @ w_state
 
-    d = np.zeros(nt)
-    d0 = np.zeros(nt)
-    for name, s_val in _DISSIPATION_NORMS:
+    d = np.zeros(times.size)
+    d0 = np.zeros(times.size)
+    for j, (_, s_val) in enumerate(_DISSIPATION_NORMS):
+        group = blocks[:, 1 + j]
         w = 2.0 ** (qs * s_val)
-        besov_series = block_group[name] @ w
-        d += np.sqrt(cumtrapz(besov_series**2))
-        d0 += np.sqrt(cumtrapz(block_group[name] ** 2)) @ w
+        d += np.sqrt(cumtrapz((group @ w) ** 2))
+        d0 += np.sqrt(cumtrapz(group**2)) @ w
     return EnergyFunctionals(times=times, l2=l2, n=n_func, d=d, n0=n0, d0=d0)

@@ -20,6 +20,12 @@ x^(s+rho) e^(-c x^sigma1), and the radial tail integral whose convergence is
 exactly the ell threshold (violations are detected as divergence under
 domain extension).
 
+At p = 2 every quantity here is a radial weight (block profile times kernel
+or its power-law bounds) against |f_hat|^2, so the LHS and both regime
+diagnostics are dot products with the field's shell spectrum for all times
+at once; the L^r block norms of the high-frequency data (r != 2) go through
+the inverse transform in `besov`.
+
 On a torus the block index is bounded below by the box size, so the
 l^alpha tail as q -> -infinity is unobservable below xi_min = 2 pi / L;
 sup ratios are therefore validity-windowed by the box, not extrapolated.
@@ -33,10 +39,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .besov import BesovSpec, besov_norm, negative_norm
+from .besov import BesovSpec, besov_norm, ell_r, negative_norm
 from .errors import ConfigError, HypothesisError
-from .grid import PhysicalField, SpectralField, forward_transform, spectral_l2_norm
-from .littlewood_paley import BlockIndexRange, RadialCutoffs, block_multiplier
+from .grid import PhysicalField, SpectralField, forward_transform, shell_l2_norms
+from .littlewood_paley import BlockIndexRange, RadialCutoffs, block_profiles
 
 SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
@@ -136,13 +142,11 @@ class DecayParams:
             raise HypothesisError(f"requires ell >= 0 at r=2, got ell={self.ell:g}")
 
 
-def _ell_alpha(values: Sequence[float], alpha: float) -> float:
-    arr = np.asarray([v for v in values if v > 0.0], dtype=float)
-    if arr.size == 0:
-        return 0.0
-    if math.isinf(alpha):
-        return float(np.max(arr))
-    return float(np.sum(arr**alpha) ** (1.0 / alpha))
+def _damped_blocks(spectrum: np.ndarray, radii: np.ndarray, profiles: np.ndarray,
+                   times: np.ndarray, rate: DissipRate) -> np.ndarray:
+    """||block_q f^ e^(-eta t)||_L2 for every time (rows) and profile (columns)."""
+    damp = rate.kernel(radii, times[:, None])
+    return shell_l2_norms(damp**2 * spectrum, profiles)
 
 
 def lhs_norm(
@@ -159,14 +163,10 @@ def lhs_norm(
         raise ConfigError(f"time must be nonnegative, got {t}")
     g = f if isinstance(f, SpectralField) else forward_transform(f)
     grid = g.grid
-    damp = rate.kernel(grid.frequency_magnitude, t)
-    rng = BlockIndexRange.for_grid(grid)
-    raw = {}
-    for q in rng:
-        mult = block_multiplier(grid, q, cutoffs=cutoffs)
-        raw[q] = spectral_l2_norm(g, weights=mult * damp)
-    floor = 1e-13 * max(raw.values(), default=0.0)
-    return _ell_alpha([2.0 ** (q * s) * b for q, b in raw.items() if b > floor], alpha)
+    qs = BlockIndexRange.for_grid(grid).indices()
+    profiles = block_profiles(grid, qs, cutoffs=cutoffs)
+    raw = _damped_blocks(g.shell_spectrum(), grid.shell_radii, profiles, np.array([t]), rate)[0]
+    return ell_r((2.0 ** (qs * s) * raw)[raw > 1e-13 * raw.max()], alpha)
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ def profile_lattice_sup(
             continue
         x = 2.0**qs * tau
         vals = x**power * np.exp(-c * x**sigma)
-        out = max(out, _ell_alpha(vals, alpha))
+        out = max(out, ell_r(vals, alpha))
     return out
 
 
@@ -288,59 +288,46 @@ def verify_inequality(
     c_low_raw, c_high_raw = rate.split_constants(params.r_split)
     c_low, c_high = rate.c0 * c_low_raw, rate.c0 * c_high_raw
 
-    mag = grid.frequency_magnitude
-    rng = BlockIndexRange.for_grid(grid)
-    qs = list(rng)
-    mults = {q: block_multiplier(grid, q, cutoffs=cutoffs) for q in qs}
-    base_blocks = {q: spectral_l2_norm(g, weights=mults[q]) for q in qs}
-    floor = 1e-13 * max(base_blocks.values(), default=0.0)
-    active = [q for q in qs if base_blocks[q] > floor]
+    spectrum = g.shell_spectrum()
+    radii = grid.shell_radii
+    qs = BlockIndexRange.for_grid(grid).indices()
+    profiles = block_profiles(grid, qs, cutoffs=cutoffs)
+    base_blocks = shell_l2_norms(spectrum, profiles)
+    active = base_blocks > 1e-13 * base_blocks.max()
+    qs, profiles = qs[active], profiles[active]
+    weight = 2.0 ** (qs * params.s)
 
     # L^r norms of the blocks, needed by the high-regime diagnostic
     if params.r == 2.0:
-        lr_blocks = base_blocks
+        lr_blocks = base_blocks[active]
     else:
-        lr_blocks = besov_norm(
+        contributions = besov_norm(
             f, BesovSpec(0.0, params.r, math.inf, True), cutoffs=cutoffs
         ).contributions
-    high_lr = {q: lr_blocks.get(q, 0.0) for q in active if q >= params.q0}
-    low_mask = (mag <= params.r_split).astype(float)
-    high_mask = (mag >= params.r_split).astype(float)
+        lr_blocks = np.array([contributions.get(q, 0.0) for q in qs.tolist()])
+
+    lhs_blocks = weight * _damped_blocks(spectrum, radii, profiles, times, rate)
+    lhs = np.array([ell_r(row, params.alpha) for row in lhs_blocks])
+    lo_t, hi_t = rhs_time_factors(times, params, rate, n)
+    low_term = lo_t * norms.low
+    high_term = hi_t * norms.high
+
+    # the two proof regimes: the kernel replaced by its power-law bound on
+    # each side of the split radius
+    t = times[:, None]
+    low = qs < params.q0
+    low_damp = np.exp(-c_low * radii**rate.sigma1 * t) * (radii <= params.r_split)
+    low_blocks = weight[low] * shell_l2_norms(low_damp**2 * spectrum, profiles[low])
+    low_regime = [ell_r(row, params.alpha) / (lo * norms.low)
+                  for row, lo in zip(low_blocks, lo_t)] if low.any() and norms.low > 0 else []
+
     with np.errstate(divide="ignore"):
-        inv_mag = np.where(mag > 0, mag, np.inf) ** (-rate.sigma2)
-
-    lhs = np.empty(times.size)
-    low_term = np.empty(times.size)
-    high_term = np.empty(times.size)
-    low_regime: list[float] = []
-    high_regime: list[float] = []
-    for i, t in enumerate(times):
-        damp = rate.kernel(mag, t)
-        vals = [
-            2.0 ** (q * params.s) * spectral_l2_norm(g, weights=mults[q] * damp)
-            for q in active
-        ]
-        lhs[i] = _ell_alpha(vals, params.alpha)
-        lo_t, hi_t = rhs_time_factors(t, params, rate, n)
-        low_term[i] = lo_t * norms.low
-        high_term[i] = hi_t * norms.high
-
-        low_damp = np.exp(-c_low * mag**rate.sigma1 * t) * low_mask
-        low_vals = [
-            2.0 ** (q * params.s) * spectral_l2_norm(g, weights=mults[q] * low_damp)
-            for q in active
-            if q < params.q0
-        ]
-        if low_vals and norms.low > 0:
-            low_regime.append(_ell_alpha(low_vals, params.alpha) / (lo_t * norms.low))
-
-        high_damp = np.exp(-c_high * inv_mag * t) * high_mask
-        for q in active:
-            if q < params.q0 or high_lr.get(q, 0.0) <= 0:
-                continue
-            num = 2.0 ** (q * params.s) * spectral_l2_norm(g, weights=mults[q] * high_damp)
-            den = 2.0 ** (q * (params.s + params.ell)) * hi_t * high_lr[q]
-            high_regime.append(num / den)
+        inv_radii = np.where(radii > 0, radii, np.inf) ** (-rate.sigma2)
+    high_damp = np.exp(-c_high * inv_radii * t) * (radii >= params.r_split)
+    high = (qs >= params.q0) & (lr_blocks > 0)
+    num = weight[high] * shell_l2_norms(high_damp**2 * spectrum, profiles[high])
+    den = 2.0 ** (qs[high] * (params.s + params.ell)) * hi_t[:, None] * lr_blocks[high]
+    high_regime = (num / den).ravel().tolist()
 
     total = low_term + high_term
     with np.errstate(invalid="ignore", divide="ignore"):

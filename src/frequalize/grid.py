@@ -7,6 +7,15 @@ continuum counterparts under refinement.  With that convention Parseval reads
 
     sum_j |f(x_j)|^2 (L/N)^dim = L^-dim sum_k |f_hat_k|^2 .
 
+The grid is cubic (one N and one L on every axis), so |xi_k|^2 is exactly
+xi_min^2 |k|^2 and the integer m = |k|^2 labels the sphere, or shell, that
+xi_k lies on.  A radial multiplier is therefore one value per shell, and
+the L^2 norm of any radial multiplier applied to a field is a dot product
+with the field's shell spectrum (its power binned by m):
+
+    || w(|D|) f ||_L2^2 = sum_m w(xi_min sqrt(m))^2 E_m,
+    E_m = L^-dim sum_{|k|^2 = m} |f_hat_k|^2 .
+
 All operations are pure; reductions run in a fixed index order so repeated
 evaluations are bit-identical.
 """
@@ -16,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -94,6 +102,21 @@ class TorusGrid:
         return np.sqrt(sq)
 
     @cached_property
+    def shell_index(self) -> np.ndarray:
+        """Integer |k|^2 of every lattice point, FFT ordering: the shell of each mode."""
+        n = self.points_per_axis
+        k_sq = np.concatenate([np.arange(n // 2), np.arange(-n // 2, 0)]) ** 2
+        total = np.zeros(self.shape, dtype=np.intp)
+        for axis in range(self.dim):
+            total += k_sq.reshape((-1,) + (1,) * (self.dim - 1 - axis))
+        return total
+
+    @cached_property
+    def shell_radii(self) -> np.ndarray:
+        """|xi| of shell m = xi_min sqrt(m), for every m from 0 to the largest |k|^2."""
+        return self.xi_min * np.sqrt(np.arange(self.dim * (self.points_per_axis // 2) ** 2 + 1))
+
+    @cached_property
     def coordinates(self) -> tuple[np.ndarray, ...]:
         x = np.arange(self.points_per_axis) * self.spacing
         return tuple(np.meshgrid(*([x] * self.dim), indexing="ij"))
@@ -161,6 +184,17 @@ class SpectralField:
         """Pointwise |coefficients|^2 summed over components."""
         return np.sum(np.abs(self.coefficients) ** 2, axis=0)
 
+    def shell_spectrum(self) -> np.ndarray:
+        """Power per shell over the box volume, indexed like grid.shell_radii.
+
+        Empty shells hold zero; the entries sum to the squared L^2 norm.
+        """
+        grid = self.grid
+        binned = np.bincount(
+            grid.shell_index.ravel(), weights=self.power().ravel(), minlength=grid.shell_radii.size
+        )
+        return binned / grid.volume
+
 
 def forward_transform(field: PhysicalField) -> SpectralField:
     """Continuum-calibrated DFT: f_hat_k = (L/N)^dim sum_j f(x_j) exp(-i xi_k.x_j)."""
@@ -208,9 +242,6 @@ def inverse_transform(field: SpectralField, *, require_real: bool = True) -> Phy
                 f"(relative {defect / scale:.3e}) at component {idx[0]}, mode k={k}"
             )
     values = np.fft.ifftn(field.coefficients, axes=axes) / grid.cell_volume
-    if require_real:
-        values = values.real
-        return PhysicalField(grid, values)
     return PhysicalField(grid, values.real)
 
 
@@ -283,16 +314,20 @@ def lp_norm(field: PhysicalField, p: float) -> float:
     return float((np.sum(mag**p) * field.grid.cell_volume) ** (1.0 / p))
 
 
-def spectral_l2_norm(field: SpectralField, weights: np.ndarray | None = None) -> float:
-    """L^2 norm evaluated in coefficient space via Parseval.
+def spectral_l2_norm(field: SpectralField) -> float:
+    """L^2 norm evaluated in coefficient space via Parseval."""
+    return float(np.sqrt(np.sum(field.power()) / field.grid.volume))
 
-    Optionally applies a real multiplier array (shape grid.shape) to every
-    component before summing.
+
+def shell_l2_norms(spectrum: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
+    """L^2 norms of radial multipliers applied to a field, from its shell spectrum.
+
+    spectrum[..., m] is a shell spectrum (an extra radial weight w enters it
+    as w^2 * spectrum) and multipliers[j, m] is multiplier j on shell m.
+    Returns sqrt(sum_m multipliers[j, m]^2 spectrum[..., m]), of shape
+    spectrum.shape[:-1] + (j,).
     """
-    power = field.power()
-    if weights is not None:
-        power = power * np.asarray(weights) ** 2
-    return float(np.sqrt(np.sum(power) / field.grid.volume))
+    return np.sqrt(spectrum @ (np.asarray(multipliers) ** 2).T)
 
 
 def random_band_limited_field(
@@ -337,15 +372,6 @@ def gaussian_bump(grid: TorusGrid, width: float, *, normalized: bool = True) -> 
     if normalized:
         values = values / (2.0 * math.pi * width**2) ** (grid.dim / 2.0)
     return PhysicalField(grid, values)
-
-
-def stack_fields(fields: Sequence[PhysicalField]) -> PhysicalField:
-    """Concatenate the components of several fields on a common grid."""
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise ConfigError("cannot stack fields living on different grids")
-    return PhysicalField(grid, np.concatenate([f.values for f in fields], axis=0))
 
 
 def mean_removed(field: PhysicalField) -> PhysicalField:

@@ -51,7 +51,7 @@ from .decay_kernel import euler_maxwell_rate
 from .equilibrium import EquilibriumState
 from .errors import ConfigError, IncompatibleDataError, NumericalError
 from .fitting import DecayFit, fit_decay_exponent
-from .grid import SpectralField, TorusGrid
+from .grid import SpectralField, TorusGrid, shell_l2_norms
 
 STATE_DIM = 10
 _COND_LIMIT = 1e8
@@ -211,9 +211,14 @@ class ModePropagator:
         self.eigenvalues = self._prop.w[0]
 
     def matrix_at(self, t: float) -> np.ndarray:
-        # column j of exp(tM) is exp(tM) applied to the unit vector e_j
-        unit = np.eye(STATE_DIM, dtype=complex)
-        return self._prop.apply(unit, t, rows=np.zeros(STATE_DIM, dtype=int)).T
+        prop = self._prop
+        if not prop.ill_conditioned[0]:
+            # column j of exp(tM) is exp(tM) applied to the unit vector e_j
+            unit = np.eye(STATE_DIM, dtype=complex)
+            return prop.apply(unit, t, rows=np.zeros(STATE_DIM, dtype=int)).T
+        if t < 0:
+            raise ConfigError(f"propagation time must be nonnegative, got {t}")
+        return scipy.linalg.expm(t * prop.matrices[0])
 
     def apply(self, z0: np.ndarray, t: float) -> np.ndarray:
         z0 = np.asarray(z0, dtype=complex)
@@ -426,18 +431,17 @@ def linear_evolve_grid(
                 "density and magnetic data must be mean-free for decay runs"
             )
     times = np.asarray(times, dtype=float)
-    mag = grid.frequency_magnitude
-    norms = {k: np.empty(times.size) for k in orders}
+    weights = np.array([grid.shell_radii**k for k in orders])
+    series = np.empty((times.size, len(orders)))
     residuals = np.empty(times.size)
     states: list[SpectralField] = []
     for i, t in enumerate(times):
-        zt = prop.apply(z0.coefficients, float(t))
-        residuals[i] = prop.constraint_residual(zt)
-        power = np.sum(np.abs(zt) ** 2, axis=0)
-        for k in orders:
-            norms[k][i] = math.sqrt(float(np.sum(mag ** (2 * k) * power)) / grid.volume)
+        zt = SpectralField(grid, prop.apply(z0.coefficients, float(t)))
+        residuals[i] = prop.constraint_residual(zt.coefficients)
+        series[i] = shell_l2_norms(zt.shell_spectrum(), weights)
         if keep_states:
-            states.append(SpectralField(grid, zt))
+            states.append(zt)
+    norms = {k: series[:, j] for j, k in enumerate(orders)}
     return LinearSolution(
         grid=grid, times=times, states=states, norms=norms, constraint_residuals=residuals
     )

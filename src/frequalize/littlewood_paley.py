@@ -8,7 +8,12 @@ shells overlapping any point, and they telescope:
     chi(xi) + sum_{q>=0} phi(2^-q xi) = 1            (everywhere)
     sum_{q in Z} phi(2^-q xi) = 1                    (xi != 0)
 
-Block operators multiply spectral coefficients by these profiles.  On the
+The profiles are radial, so they are evaluated once per shell of the
+lattice (see `grid`).  Block L^2 norms (p = 2) are dot products of the
+squared shell profiles with the field's shell spectrum and never touch the
+full lattice; a full-lattice multiplier is gathered from the shell values
+only where a block itself is needed (block extraction, decomposition, and
+the inverse-transform route to block L^p norms with p != 2).  On the
 torus the homogeneous family never touches the zero mode, so homogeneous
 sums reconstruct a field up to its mean; that mean is the only polynomial
 the torus can represent, which realizes the usual quotient convention.
@@ -18,13 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import ConfigError, ZeroBlockError
-from .grid import SpectralField, TorusGrid, spectral_l2_norm
+from .grid import SpectralField, TorusGrid, shell_l2_norms
 
 INNER_PLATEAU = 0.75  # chi == 1 inside this radius
 OUTER_SUPPORT = 4.0 / 3.0  # chi == 0 outside this radius
@@ -95,23 +99,37 @@ class BlockIndexRange:
     def __contains__(self, q: int) -> bool:
         return self.q_min <= q <= self.q_max
 
+    def indices(self, homogeneous: bool = True) -> np.ndarray:
+        """Block indices of a family: the whole range, or -1 .. q_max when inhomogeneous
+        (the low-pass block -1 alone when every frequency sits on the chi plateau)."""
+        if homogeneous:
+            return np.arange(self.q_min, self.q_max + 1)
+        return np.arange(-1, max(self.q_max, -1) + 1)
 
-@lru_cache(maxsize=16)
-def _block_multiplier(grid: TorusGrid, cutoffs: RadialCutoffs, q: int, homogeneous: bool) -> np.ndarray:
-    mag = grid.frequency_magnitude
-    if not homogeneous and q == -1:
-        return cutoffs.chi(mag)
-    return cutoffs.phi(mag * 2.0**-q)
+
+def block_profiles(
+    grid: TorusGrid, qs, *, homogeneous: bool = True, cutoffs: RadialCutoffs | None = None
+) -> np.ndarray:
+    """Block profiles on the shells: row j is block qs[j] at every grid.shell_radii entry.
+
+    Inhomogeneous rows are chi for q = -1 and zero below it.
+    """
+    cutoffs = cutoffs or DEFAULT_CUTOFFS
+    r = grid.shell_radii
+    rows = []
+    for q in qs:
+        if homogeneous or q >= 0:
+            rows.append(cutoffs.phi(r * 2.0**-q))
+        else:
+            rows.append(cutoffs.chi(r) if q == -1 else np.zeros_like(r))
+    return np.array(rows).reshape(-1, r.size)
 
 
 def block_multiplier(
     grid: TorusGrid, q: int, *, homogeneous: bool = True, cutoffs: RadialCutoffs | None = None
 ) -> np.ndarray:
-    """Lattice values of the block-q Fourier multiplier."""
-    cutoffs = cutoffs or DEFAULT_CUTOFFS
-    if not homogeneous and q <= -2:
-        return np.zeros(grid.shape)
-    return _block_multiplier(grid, cutoffs, q, homogeneous)
+    """Lattice values of the block-q Fourier multiplier, gathered from its shell profile."""
+    return block_profiles(grid, [q], homogeneous=homogeneous, cutoffs=cutoffs)[0][grid.shell_index]
 
 
 def block(
@@ -136,13 +154,10 @@ def block_l2_norm(
     *,
     homogeneous: bool = True,
     cutoffs: RadialCutoffs | None = None,
-    extra_weight: np.ndarray | None = None,
 ) -> float:
-    """L^2 norm of one block without leaving coefficient space."""
-    mult = block_multiplier(field.grid, q, homogeneous=homogeneous, cutoffs=cutoffs)
-    if extra_weight is not None:
-        mult = mult * extra_weight
-    return spectral_l2_norm(field, weights=mult)
+    """L^2 norm of one block, from the field's shell spectrum."""
+    profile = block_profiles(field.grid, [q], homogeneous=homogeneous, cutoffs=cutoffs)
+    return float(shell_l2_norms(field.shell_spectrum(), profile)[0])
 
 
 @dataclass(frozen=True)
@@ -163,13 +178,22 @@ class LPDecomposition:
 def decompose(
     field: SpectralField, *, homogeneous: bool = True, cutoffs: RadialCutoffs | None = None
 ) -> LPDecomposition:
-    rng = BlockIndexRange.for_grid(field.grid)
-    q_lo = rng.q_min if homogeneous else -1
     blocks = {
         q: block(field, q, homogeneous=homogeneous, cutoffs=cutoffs)
-        for q in range(q_lo, rng.q_max + 1)
+        for q in BlockIndexRange.for_grid(field.grid).indices(homogeneous).tolist()
     }
     return LPDecomposition(source=field, homogeneous=homogeneous, blocks=blocks)
+
+
+def _bernstein_ratios(field: SpectralField, qs: np.ndarray, order: float, homogeneous: bool,
+                      cutoffs: RadialCutoffs | None) -> np.ndarray:
+    """Bernstein ratio of every block q in qs; nan where the block is zero."""
+    spectrum = field.shell_spectrum()
+    profiles = block_profiles(field.grid, qs, homogeneous=homogeneous, cutoffs=cutoffs)
+    base = shell_l2_norms(spectrum, profiles)
+    deriv = shell_l2_norms(field.grid.shell_radii ** (2 * order) * spectrum, profiles)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(base > 0, deriv / (2.0 ** (qs * order) * base), np.nan)
 
 
 def bernstein_ratio(
@@ -185,46 +209,36 @@ def bernstein_ratio(
     Support of the shell forces the ratio into [ (3/4)^order, (8/3)^order ].
     Raises ZeroBlockError when the block vanishes on the lattice.
     """
-    grid = field.grid
-    mult = block_multiplier(grid, q, homogeneous=homogeneous, cutoffs=cutoffs)
-    base = spectral_l2_norm(field, weights=mult)
-    if base == 0.0:
+    ratio = _bernstein_ratios(field, np.array([q]), order, homogeneous, cutoffs)[0]
+    if np.isnan(ratio):
         raise ZeroBlockError(f"block q={q} is zero; derivative ratio undefined")
-    deriv = spectral_l2_norm(field, weights=mult * grid.frequency_magnitude**order)
-    return deriv / (2.0 ** (q * order) * base)
+    return float(ratio)
 
 
 def partition_defect(
     grid: TorusGrid, *, homogeneous: bool = False, cutoffs: RadialCutoffs | None = None
 ) -> float:
-    """Max lattice deviation of the telescoped profile sum from 1.
+    """Max deviation of the telescoped profile sum from 1 over the occupied shells.
 
-    Inhomogeneous form: chi + sum_{q>=0} phi(2^-q .) over every lattice
-    point.  Homogeneous form: sum over the active index range, checked on
-    the nonzero lattice only.
+    Inhomogeneous form: chi + sum_{q>=0} phi(2^-q .) on every occupied
+    shell.  Homogeneous form: sum over the active index range, checked on
+    the nonzero shells only.
     """
-    rng = BlockIndexRange.for_grid(grid)
-    total = np.zeros(grid.shape)
+    qs = BlockIndexRange.for_grid(grid).indices(homogeneous)
+    profiles = block_profiles(grid, qs, homogeneous=homogeneous, cutoffs=cutoffs)
+    occupied = np.bincount(grid.shell_index.ravel(), minlength=grid.shell_radii.size) > 0
     if homogeneous:
-        for q in rng:
-            total += block_multiplier(grid, q, homogeneous=True, cutoffs=cutoffs)
-        mask = grid.frequency_magnitude > 0
-        return float(np.max(np.abs(total[mask] - 1.0)))
-    for q in range(-1, rng.q_max + 1):
-        total += block_multiplier(grid, q, homogeneous=False, cutoffs=cutoffs)
-    return float(np.max(np.abs(total - 1.0)))
+        occupied[0] = False
+    return float(np.max(np.abs(profiles.sum(axis=0)[occupied] - 1.0)))
 
 
 def active_blocks(field: SpectralField, *, homogeneous: bool = True,
                   cutoffs: RadialCutoffs | None = None, tol: float = 0.0) -> list[int]:
     """Indices whose block has L^2 norm above tol."""
-    rng = BlockIndexRange.for_grid(field.grid)
-    q_lo = rng.q_min if homogeneous else -1
-    out = []
-    for q in range(q_lo, rng.q_max + 1):
-        if block_l2_norm(field, q, homogeneous=homogeneous, cutoffs=cutoffs) > tol:
-            out.append(q)
-    return out
+    qs = BlockIndexRange.for_grid(field.grid).indices(homogeneous)
+    profiles = block_profiles(field.grid, qs, homogeneous=homogeneous, cutoffs=cutoffs)
+    norms = shell_l2_norms(field.shell_spectrum(), profiles)
+    return qs[norms > tol].tolist()
 
 
 def bernstein_extremes(
@@ -234,15 +248,9 @@ def bernstein_extremes(
     cutoffs: RadialCutoffs | None = None,
 ) -> tuple[float, float]:
     """(min, max) Bernstein ratio over all nonzero blocks of the given fields."""
-    lo, hi = math.inf, -math.inf
-    rng = BlockIndexRange.for_grid(grid)
-    for f in fields:
-        for q in rng:
-            try:
-                r = bernstein_ratio(f, q, cutoffs=cutoffs)
-            except ZeroBlockError:
-                continue
-            lo, hi = min(lo, r), max(hi, r)
-    if not math.isfinite(lo):
+    qs = BlockIndexRange.for_grid(grid).indices()
+    ratios = np.concatenate([_bernstein_ratios(f, qs, 1.0, True, cutoffs) for f in fields])
+    ratios = ratios[~np.isnan(ratios)]
+    if ratios.size == 0:
         raise ConfigError("no nonzero blocks found in the supplied fields")
-    return lo, hi
+    return float(ratios.min()), float(ratios.max())

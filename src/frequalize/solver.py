@@ -48,7 +48,7 @@ from .decay_kernel import euler_maxwell_rate
 from .equilibrium import EquilibriumState
 from .errors import ConfigError, DensityError, SolverInstabilityError
 from .fitting import DecayFit, fit_decay_exponent
-from .grid import PhysicalField, SpectralField, TorusGrid, forward_transform
+from .grid import PhysicalField, SpectralField, TorusGrid, forward_transform, solenoidal_projection
 from .littlewood_paley import DEFAULT_CUTOFFS
 
 STATE_DIM = 10
@@ -420,19 +420,12 @@ def initial_data_gen(
     sq = mag**2
     safe = np.where(sq > 0, sq, 1.0)
 
-    def solenoidal(coeffs: np.ndarray) -> np.ndarray:
-        dot = sum(xi[j] * coeffs[j] for j in range(grid.dim))
-        out = coeffs.copy()
-        for j in range(grid.dim):
-            out[j] -= xi[j] * dot / safe
-        return out
-
     rho_hat = smooth(1)
     vel_hat = smooth(3)
-    e_hat = solenoidal(smooth(3))
+    e_hat = solenoidal_projection(SpectralField(grid, smooth(3))).coefficients
     for j in range(grid.dim):
         e_hat[j] += 1j * xi[j] * rho_hat[0] / safe  # div E = -rho
-    h_hat = solenoidal(smooth(3))
+    h_hat = solenoidal_projection(SpectralField(grid, smooth(3))).coefficients
 
     z_hat = np.concatenate([rho_hat, vel_hat, e_hat, h_hat])
     values = np.fft.ifftn(z_hat, axes=axes).real
@@ -562,23 +555,6 @@ class DecayExperimentResult:
     initial: InitialData
     saturation_time: float
     duhamel: DuhamelReport | None
-
-    def csv_rows(self) -> list[dict]:
-        f = self.functionals
-        c = self.constraints
-        return [
-            {
-                "t": f.times[i],
-                "l2": f.l2[i],
-                "N": f.n[i],
-                "D": f.d[i],
-                "N0": f.n0[i],
-                "D0": f.d0[i],
-                "resE": c.electric_residual[i],
-                "resB": c.magnetic_residual[i],
-            }
-            for i in range(f.times.size)
-        ]
 
 
 def decay_experiment(

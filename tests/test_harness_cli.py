@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -268,3 +271,13 @@ class TestCli:
         script = out / "plot_linear_decay.py"
         assert script.exists()
         compile(script.read_text(), str(script), "exec")  # syntactically valid
+
+
+def test_benchmark_tracer_installs():
+    """Every layer the benchmark's traced run wraps is still importable under its name."""
+    root = Path(__file__).resolve().parents[1]
+    code = "import frequalize, tracing; tracing.install_layer_wrappers(tracing.Recorder())"
+    path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -380,7 +380,7 @@ class TestConditioningFallback:
         prop = ModePropagator(xi, eq_b)
         for w, t in zip(want, (0.5, 5.0, 50.0)):
             self.assert_close(prop.apply(z0, t), w)
-        assert len(calls) == 3 * 10  # one per column of each exp(tM)
+        assert len(calls) == 3  # one per exp(tM)
 
     def test_grid_mode_propagator(self, rng, all_modes_fall_back):
         eq_b = EquilibriumState(b_inf=(0.0, 0.0, 0.5))

@@ -1,0 +1,76 @@
+"""Property tests: shell-spectrum block norms and the partition of unity on random grids."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from frequalize.grid import SpectralField, TorusGrid
+from frequalize.littlewood_paley import (
+    DEFAULT_CUTOFFS,
+    BlockIndexRange,
+    block_l2_norm,
+    block_profiles,
+)
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
+
+
+@st.composite
+def cubic_grids(draw) -> TorusGrid:
+    dim = draw(st.integers(1, 3))
+    n = 2 * draw(st.integers(4, 12))
+    length = draw(st.floats(1.0, 200.0, allow_nan=False, allow_infinity=False))
+    return TorusGrid(dim=dim, box_length=length, points_per_axis=n)
+
+
+@st.composite
+def band_limited_fields(draw) -> SpectralField:
+    """Random coefficients cut off at a random fraction of the axis Nyquist magnitude."""
+    grid = draw(cubic_grids())
+    components = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    keep = draw(st.floats(0.2, 1.0))
+    rng = np.random.default_rng(seed)
+    shape = (components,) + grid.shape
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs[:, grid.frequency_magnitude > keep * grid.xi_max] = 0.0
+    return SpectralField(grid, coeffs * grid.volume)
+
+
+def lattice_block_norm(field: SpectralField, q: int, homogeneous: bool) -> float:
+    """sqrt(sum_k profile(|xi_k|)^2 |f_hat_k|^2 / L^dim) over the full lattice."""
+    grid = field.grid
+    mag = grid.frequency_magnitude
+    if not homogeneous and q == -1:
+        profile = DEFAULT_CUTOFFS.chi(mag)
+    else:
+        profile = DEFAULT_CUTOFFS.phi(mag / 2.0**q)
+    return float(np.sqrt(np.sum(profile**2 * field.power()) / grid.volume))
+
+
+class TestShellSpectrum:
+    @PROPERTY
+    @given(band_limited_fields(), st.booleans())
+    def test_block_norms_match_lattice_oracle(self, field, homogeneous):
+        for q in BlockIndexRange.for_grid(field.grid).indices(homogeneous).tolist():
+            want = lattice_block_norm(field, q, homogeneous)
+            got = block_l2_norm(field, q, homogeneous=homogeneous)
+            assert abs(got - want) <= 1e-12 * want
+
+    @PROPERTY
+    @given(band_limited_fields())
+    def test_spectrum_sums_to_parseval(self, field):
+        total = np.sum(field.power()) / field.grid.volume
+        assert abs(np.sum(field.shell_spectrum()) - total) <= 1e-12 * total
+
+
+class TestPartitionOfUnity:
+    @PROPERTY
+    @given(cubic_grids(), st.booleans())
+    def test_profiles_sum_to_one_on_occupied_shells(self, grid, homogeneous):
+        qs = BlockIndexRange.for_grid(grid).indices(homogeneous)
+        total = block_profiles(grid, qs, homogeneous=homogeneous).sum(axis=0)
+        occupied = np.unique(grid.shell_index)
+        if homogeneous:
+            occupied = occupied[occupied > 0]
+        assert np.max(np.abs(total[occupied] - 1.0)) <= 1e-12
