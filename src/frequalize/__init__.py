@@ -79,7 +79,6 @@ from .littlewood_paley import (
     RadialCutoffs,
     bernstein_ratio,
     block,
-    build_cutoffs,
     decompose,
     partition_defect,
 )

@@ -11,8 +11,9 @@ sum: per block an L^theta quadrature over [0, T] of the block L^p norms,
 then the l^r aggregation.  Time quadrature is trapezoidal.
 
 Implied constants of the classical embedding and product inequalities
-depend on the cutoff profile; they are measured by the probe helpers and
-tracked for refinement stability, never asserted against fixed values.
+are those of the one fixed cutoff profile; they are measured by the probe
+helpers and tracked for refinement stability, never asserted against fixed
+values.
 """
 
 from __future__ import annotations
@@ -32,12 +33,7 @@ from .grid import (
     lp_norm,
     shell_l2_norms,
 )
-from .littlewood_paley import (
-    BlockIndexRange,
-    RadialCutoffs,
-    block,
-    block_profiles,
-)
+from .littlewood_paley import BlockIndexRange, block, block_profiles
 
 
 @dataclass(frozen=True)
@@ -93,31 +89,24 @@ def _to_spectral(f: PhysicalField | SpectralField) -> SpectralField:
     return f if isinstance(f, SpectralField) else forward_transform(f)
 
 
-def _block_lp(g: SpectralField, qs: np.ndarray, p: float, homogeneous: bool,
-              cutoffs: RadialCutoffs | None) -> np.ndarray:
+def _block_lp(g: SpectralField, qs: np.ndarray, p: float, homogeneous: bool) -> np.ndarray:
     """Block L^p norms of g for every q in qs: shell spectrum at p = 2, inverse transforms otherwise."""
     if p == 2.0:
-        profiles = block_profiles(g.grid, qs, homogeneous=homogeneous, cutoffs=cutoffs)
+        profiles = block_profiles(g.grid, qs, homogeneous=homogeneous)
         return shell_l2_norms(g.shell_spectrum(), profiles)
     # blocks of real fields are real by construction (real radial multiplier);
     # skip the symmetry gate, which is meaningless on roundoff-level blocks
     return np.array([
-        lp_norm(inverse_transform(block(g, int(q), homogeneous=homogeneous, cutoffs=cutoffs),
-                                  require_real=False), p)
+        lp_norm(inverse_transform(block(g, int(q), homogeneous=homogeneous), require_real=False), p)
         for q in qs
     ])
 
 
-def besov_norm(
-    f: PhysicalField | SpectralField,
-    spec: BesovSpec,
-    *,
-    cutoffs: RadialCutoffs | None = None,
-) -> NormReport:
+def besov_norm(f: PhysicalField | SpectralField, spec: BesovSpec) -> NormReport:
     """Block-weighted norm: l^r over q of 2^(q s) ||block_q f||_Lp."""
     g = _to_spectral(f)
     qs = BlockIndexRange.for_grid(g.grid).indices(spec.homogeneous)
-    raw = dict(zip(qs.tolist(), _block_lp(g, qs, spec.p, spec.homogeneous, cutoffs).tolist()))
+    raw = dict(zip(qs.tolist(), _block_lp(g, qs, spec.p, spec.homogeneous).tolist()))
     # blocks at the transform's roundoff floor are artifacts, not content
     floor = 1e-13 * max(raw.values(), default=0.0)
     contributions = {q: 2.0 ** (q * spec.s) * b for q, b in raw.items() if b > floor}
@@ -129,13 +118,11 @@ def besov_norm(
     return NormReport(spec=spec, value=value, contributions=contributions, mean_magnitude=mean_mag)
 
 
-def negative_norm(
-    f: PhysicalField | SpectralField, varrho: float, *, cutoffs: RadialCutoffs | None = None
-) -> float:
+def negative_norm(f: PhysicalField | SpectralField, varrho: float) -> float:
     """sup_q 2^(-q varrho) ||block_q f||_L2 (homogeneous, varrho > 0)."""
     if varrho <= 0:
         raise ConfigError(f"negative-order norm requires varrho > 0, got {varrho}")
-    return besov_norm(f, BesovSpec(-varrho, 2.0, math.inf, True), cutoffs=cutoffs).value
+    return besov_norm(f, BesovSpec(-varrho, 2.0, math.inf, True)).value
 
 
 def _time_lp(values: np.ndarray, times: np.ndarray, theta: float) -> float:
@@ -145,13 +132,11 @@ def _time_lp(values: np.ndarray, times: np.ndarray, theta: float) -> float:
 
 
 def _block_norm_series(
-    series: Sequence[PhysicalField | SpectralField],
-    spec: BesovSpec,
-    cutoffs: RadialCutoffs | None,
+    series: Sequence[PhysicalField | SpectralField], spec: BesovSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """(qs, matrix[t_index, q_index]) of block L^p norms for a field series."""
     qs = BlockIndexRange.for_grid(series[0].grid).indices(spec.homogeneous)
-    rows = [_block_lp(_to_spectral(f), qs, spec.p, spec.homogeneous, cutoffs) for f in series]
+    rows = [_block_lp(_to_spectral(f), qs, spec.p, spec.homogeneous) for f in series]
     return qs, np.array(rows)
 
 
@@ -159,14 +144,12 @@ def chemin_lerner_norm(
     series: Sequence[PhysicalField | SpectralField],
     times: Sequence[float],
     spec: CheminLernerSpec,
-    *,
-    cutoffs: RadialCutoffs | None = None,
 ) -> float:
     """Tilde norm: per block the time L^theta of the L^p norms, then l^r."""
     times = np.asarray(times, dtype=float)
     if len(series) < 2 or times.size != len(series):
         raise ConfigError("time series needs at least 2 time-stamped samples")
-    qs, mat = _block_norm_series(series, spec.space, cutoffs)
+    qs, mat = _block_norm_series(series, spec.space)
     per_block = np.array([_time_lp(mat[:, i], times, spec.theta) for i in range(qs.size)])
     weighted = 2.0 ** (qs * spec.space.s) * per_block
     return ell_r(weighted, spec.space.r)
@@ -176,12 +159,10 @@ def mixed_time_norm(
     series: Sequence[PhysicalField | SpectralField],
     times: Sequence[float],
     spec: CheminLernerSpec,
-    *,
-    cutoffs: RadialCutoffs | None = None,
 ) -> float:
     """Plain mixed norm: time L^theta of the full Besov values."""
     times = np.asarray(times, dtype=float)
-    vals = np.array([besov_norm(f, spec.space, cutoffs=cutoffs).value for f in series])
+    vals = np.array([besov_norm(f, spec.space).value for f in series])
     return _time_lp(vals, times, spec.theta)
 
 
@@ -189,18 +170,14 @@ def chemin_lerner_report(
     series: Sequence[PhysicalField | SpectralField],
     times: Sequence[float],
     spec: CheminLernerSpec,
-    *,
-    cutoffs: RadialCutoffs | None = None,
 ) -> tuple[float, bool]:
     """(value, under_resolved): flags when halving the sampling moves the value >= 1%."""
-    value = chemin_lerner_norm(series, times, spec, cutoffs=cutoffs)
+    value = chemin_lerner_norm(series, times, spec)
     if len(series) >= 5:
         idx = list(range(0, len(series), 2))
         if idx[-1] != len(series) - 1:
             idx.append(len(series) - 1)
-        coarse = chemin_lerner_norm(
-            [series[i] for i in idx], np.asarray(times)[idx], spec, cutoffs=cutoffs
-        )
+        coarse = chemin_lerner_norm([series[i] for i in idx], np.asarray(times)[idx], spec)
         under = abs(coarse - value) >= 0.01 * max(value, 1e-300)
     else:
         under = True
@@ -235,7 +212,6 @@ def inequality_probe(
     r: float = 1.0,
     p_dst: float = 2.0,
     holder: tuple[float, float, float, float] | None = None,
-    cutoffs: RadialCutoffs | None = None,
 ) -> ProbeReport:
     """Max measured LHS/RHS over samples for one of the classical estimates.
 
@@ -261,23 +237,23 @@ def inequality_probe(
         for f in samples:
             n = f.grid.dim
             s_dst = s - n * (1.0 / p - 1.0 / p_dst)
-            lhs = besov_norm(f, BesovSpec(s_dst, p_dst, r, True), cutoffs=cutoffs).value
-            rhs = besov_norm(f, BesovSpec(s, p, r, True), cutoffs=cutoffs).value
+            lhs = besov_norm(f, BesovSpec(s_dst, p_dst, r, True)).value
+            rhs = besov_norm(f, BesovSpec(s, p, r, True)).value
             ratios.append(_safe_ratio(lhs, rhs))
     elif kind == "embedding_sup":
         for f in samples:
             n = f.grid.dim
             lhs = lp_norm(f, math.inf)
-            rhs = besov_norm(f, BesovSpec(n / p, p, 1.0, True), cutoffs=cutoffs).value
+            rhs = besov_norm(f, BesovSpec(n / p, p, 1.0, True)).value
             ratios.append(_safe_ratio(lhs, rhs))
     elif kind == "product_algebra":
         if s <= 0:
             raise HypothesisError(f"product estimate requires s > 0, got s={s}")
         for f, g in samples:
             prod = PhysicalField(f.grid, f.values * g.values)
-            lhs = besov_norm(prod, BesovSpec(s, p, r, True), cutoffs=cutoffs).value
-            rhs = lp_norm(f, math.inf) * besov_norm(g, BesovSpec(s, p, r, True), cutoffs=cutoffs).value
-            rhs += lp_norm(g, math.inf) * besov_norm(f, BesovSpec(s, p, r, True), cutoffs=cutoffs).value
+            lhs = besov_norm(prod, BesovSpec(s, p, r, True)).value
+            rhs = lp_norm(f, math.inf) * besov_norm(g, BesovSpec(s, p, r, True)).value
+            rhs += lp_norm(g, math.inf) * besov_norm(f, BesovSpec(s, p, r, True)).value
             ratios.append(_safe_ratio(lhs, rhs))
     elif kind == "product_holder":
         if s <= 0:
@@ -292,16 +268,16 @@ def inequality_probe(
                 )
         for f, g in samples:
             prod = PhysicalField(f.grid, f.values * g.values)
-            lhs = besov_norm(prod, BesovSpec(s, p, r, True), cutoffs=cutoffs).value
-            rhs = lp_norm(f, p1) * besov_norm(g, BesovSpec(s, p2, r, True), cutoffs=cutoffs).value
-            rhs += lp_norm(g, p3) * besov_norm(f, BesovSpec(s, p4, r, True), cutoffs=cutoffs).value
+            lhs = besov_norm(prod, BesovSpec(s, p, r, True)).value
+            rhs = lp_norm(f, p1) * besov_norm(g, BesovSpec(s, p2, r, True)).value
+            rhs += lp_norm(g, p3) * besov_norm(f, BesovSpec(s, p4, r, True)).value
             ratios.append(_safe_ratio(lhs, rhs))
     elif kind == "norm_split":
         if s <= 0:
             raise HypothesisError(f"norm split requires s > 0, got s={s}")
         for f in samples:
-            lhs = besov_norm(f, BesovSpec(s, p, r, False), cutoffs=cutoffs).value
-            rhs = lp_norm(f, p) + besov_norm(f, BesovSpec(s, p, r, True), cutoffs=cutoffs).value
+            lhs = besov_norm(f, BesovSpec(s, p, r, False)).value
+            rhs = lp_norm(f, p) + besov_norm(f, BesovSpec(s, p, r, True)).value
             ratios.append(_safe_ratio(lhs, rhs))
     else:
         raise ConfigError(f"unknown probe kind {kind!r}")
@@ -350,16 +326,14 @@ def _group_spectra(sample) -> np.ndarray:
     return np.array([sum(groups)] + groups[:3] + [grid.shell_radii**2 * groups[3]])
 
 
-def energy_functionals(
-    samples: Sequence, times: Sequence[float], *, cutoffs: RadialCutoffs | None = None
-) -> EnergyFunctionals:
+def energy_functionals(samples: Sequence, times: Sequence[float]) -> EnergyFunctionals:
     """Compute the runtime functionals for a series of (rho, vel, E, h) samples."""
     times = np.asarray(times, dtype=float)
     if times.size != len(samples):
         raise ConfigError("times and samples length mismatch")
     grid = samples[0][0].grid
     qs = BlockIndexRange.for_grid(grid).indices(homogeneous=False)
-    profiles = block_profiles(grid, qs, homogeneous=False, cutoffs=cutoffs)
+    profiles = block_profiles(grid, qs, homogeneous=False)
 
     spectra = np.array([_group_spectra(sample) for sample in samples])  # [t, group, shell]
     l2 = np.sqrt(spectra[:, 0].sum(axis=1))

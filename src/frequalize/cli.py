@@ -48,7 +48,7 @@ def _parse_times(spec: str) -> np.ndarray:
         t0, t1, n = float(t0_s), float(t1_s), int(n_s)
     except ValueError:
         raise ConfigError(f"--times: expected t0:t1:n, got {spec!r}") from None
-    if n < 1 or t1 < t0 or t0 < 0:
+    if n < 1 or t1 < t0 or t0 < 0 or (n > 1 and t1 <= 0):
         raise ConfigError(f"--times: invalid range {spec!r}")
     if t0 > 0:
         return np.geomspace(t0, t1, n)
@@ -103,6 +103,8 @@ def _emit(args, name: str, header, rows, summary: dict) -> None:
 
 def cmd_lp_check(args) -> int:
     grid = _load_grid(args.grid, TorusGrid(dim=3, box_length=10.0, points_per_axis=32))
+    if args.fields < 1:
+        raise ConfigError(f"--fields: need at least one probe field, got {args.fields}")
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed)
     fields = [forward_transform(random_band_limited_field(grid, 1, rng)) for _ in range(args.fields)]
@@ -170,7 +172,7 @@ def cmd_kernel_verify(args) -> int:
     times = _parse_times(args.times)
     grid = _load_grid(args.grid, TorusGrid(dim=3, box_length=64.0, points_per_axis=48))
     if args.input.startswith("gaussian"):
-        width = float(args.input.split(":")[1]) if ":" in args.input else 1.0
+        width = _parse_floats(args.input.split(":")[1], 1, "--input")[0] if ":" in args.input else 1.0
         field = gaussian_bump(grid, width)
     else:
         field = load_field(args.input)
@@ -230,7 +232,10 @@ def cmd_linear_gap(args) -> int:
 
 
 def cmd_linear_decay(args) -> int:
-    orders = tuple(int(k) for k in args.orders.split(","))
+    try:
+        orders = tuple(int(k) for k in args.orders.split(","))
+    except ValueError:
+        raise ConfigError(f"--orders: expected integers, got {args.orders!r}") from None
     if args.data == "gaussian":
         data = ContinuumData(kind="gaussian", width=args.width)
     elif args.data == "highpass":

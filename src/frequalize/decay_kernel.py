@@ -39,12 +39,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .besov import BesovSpec, besov_norm, ell_r, negative_norm
+from .besov import BesovSpec, besov_norm, ell_r
 from .errors import ConfigError, HypothesisError
 from .grid import PhysicalField, SpectralField, forward_transform, shell_l2_norms
-from .littlewood_paley import BlockIndexRange, RadialCutoffs, block_profiles
+from .littlewood_paley import BlockIndexRange, block_profiles
 
 SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+_TAIL_R_MAXES = (1e1, 1e2, 1e3, 1e4)  # domain extensions of the tail divergence scan
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,8 +156,6 @@ def lhs_norm(
     s: float,
     alpha: float,
     rate: DissipRate,
-    *,
-    cutoffs: RadialCutoffs | None = None,
 ) -> float:
     """Blockwise kernel-damped norm at time t (reduces to the Besov norm at t=0)."""
     if t < 0:
@@ -164,7 +163,7 @@ def lhs_norm(
     g = f if isinstance(f, SpectralField) else forward_transform(f)
     grid = g.grid
     qs = BlockIndexRange.for_grid(grid).indices()
-    profiles = block_profiles(grid, qs, cutoffs=cutoffs)
+    profiles = block_profiles(grid, qs)
     raw = _damped_blocks(g.shell_spectrum(), grid.shell_radii, profiles, np.array([t]), rate)[0]
     return ell_r((2.0 ** (qs * s) * raw)[raw > 1e-13 * raw.max()], alpha)
 
@@ -175,16 +174,18 @@ class RhsNorms:
     high: float  # high-regularity Besov norm of the data
 
 
-def rhs_norms(
-    f: PhysicalField | SpectralField, params: DecayParams, *, cutoffs: RadialCutoffs | None = None
-) -> RhsNorms:
-    low = negative_norm(f, params.rho, cutoffs=cutoffs) if params.rho > 0 else besov_norm(
-        f, BesovSpec(-params.rho, 2.0, math.inf, True), cutoffs=cutoffs
-    ).value
-    high = besov_norm(
-        f, BesovSpec(params.s + params.ell, params.r, params.alpha, True), cutoffs=cutoffs
-    ).value
-    return RhsNorms(low=low, high=high)
+def _rhs_norms(g: SpectralField, params: DecayParams) -> tuple[RhsNorms, dict[int, float]]:
+    """The data norms and the block L^r norms above the roundoff floor (the B^0_(r,inf)
+    contributions), which the high norm weights exactly as besov_norm would."""
+    lr_blocks = besov_norm(g, BesovSpec(0.0, params.r, math.inf, True)).contributions
+    low = besov_norm(g, BesovSpec(-params.rho, 2.0, math.inf, True)).value
+    s_high = params.s + params.ell
+    high = ell_r([2.0 ** (q * s_high) * b for q, b in lr_blocks.items()], params.alpha)
+    return RhsNorms(low=low, high=high), lr_blocks
+
+
+def rhs_norms(f: PhysicalField | SpectralField, params: DecayParams) -> RhsNorms:
+    return _rhs_norms(f if isinstance(f, SpectralField) else forward_transform(f), params)[0]
 
 
 def rhs_time_factors(t: float, params: DecayParams, rate: DissipRate, n: int) -> tuple[float, float]:
@@ -199,13 +200,11 @@ def rhs_bound(
     t: float,
     params: DecayParams,
     rate: DissipRate,
-    *,
-    cutoffs: RadialCutoffs | None = None,
 ) -> tuple[float, float]:
     """(low term, high term) of the decay bound at time t."""
     grid = f.grid
     params.check(grid.dim)
-    norms = rhs_norms(f, params, cutoffs=cutoffs)
+    norms = rhs_norms(f, params)
     lo_t, hi_t = rhs_time_factors(t, params, rate, grid.dim)
     return lo_t * norms.low, hi_t * norms.high
 
@@ -264,8 +263,6 @@ def verify_inequality(
     times: Sequence[float],
     params: DecayParams,
     rate: DissipRate,
-    *,
-    cutoffs: RadialCutoffs | None = None,
 ) -> InequalityReport:
     """Evaluate both sides on a time grid and report the measured sup ratio.
 
@@ -283,7 +280,7 @@ def verify_inequality(
     n = grid.dim
     params.check(n)
 
-    norms = rhs_norms(f, params, cutoffs=cutoffs)
+    norms, lr_norms = _rhs_norms(g, params)
     gamma = gamma_factor(n, rate.sigma2, params.r)
     c_low_raw, c_high_raw = rate.split_constants(params.r_split)
     c_low, c_high = rate.c0 * c_low_raw, rate.c0 * c_high_raw
@@ -291,20 +288,14 @@ def verify_inequality(
     spectrum = g.shell_spectrum()
     radii = grid.shell_radii
     qs = BlockIndexRange.for_grid(grid).indices()
-    profiles = block_profiles(grid, qs, cutoffs=cutoffs)
+    profiles = block_profiles(grid, qs)
     base_blocks = shell_l2_norms(spectrum, profiles)
     active = base_blocks > 1e-13 * base_blocks.max()
     qs, profiles = qs[active], profiles[active]
     weight = 2.0 ** (qs * params.s)
 
     # L^r norms of the blocks, needed by the high-regime diagnostic
-    if params.r == 2.0:
-        lr_blocks = base_blocks[active]
-    else:
-        contributions = besov_norm(
-            f, BesovSpec(0.0, params.r, math.inf, True), cutoffs=cutoffs
-        ).contributions
-        lr_blocks = np.array([contributions.get(q, 0.0) for q in qs.tolist()])
+    lr_blocks = np.array([lr_norms.get(q, 0.0) for q in qs.tolist()])
 
     lhs_blocks = weight * _damped_blocks(spectrum, radii, profiles, times, rate)
     lhs = np.array([ell_r(row, params.alpha) for row in lhs_blocks])
@@ -363,18 +354,18 @@ def tail_integral(
     *,
     r0: float = 1.0,
     r_max: float = 1e3,
-    points: int = 4000,
 ) -> float:
     """L^m norm (1/m = 1/r - 1/2) of e^(-c t rho^-sigma2) / rho^ell on [r0, r_max].
 
-    Computed by direct radial quadrature with the surface measure of the
-    n-sphere.  For r = 2 this is the sup norm over the annulus.
+    Computed by direct radial quadrature on 4000 geometric points with the
+    surface measure of the n-sphere.  For r = 2 this is the sup norm over
+    the annulus.
     """
     if not 1.0 <= r <= 2.0:
         raise HypothesisError(f"requires 1 <= r <= 2, got r={r}")
     _, c_high_raw = rate.split_constants(r0)
     c = rate.c0 * c_high_raw
-    rho = np.geomspace(r0, r_max, points)
+    rho = np.geomspace(r0, r_max, 4000)
     core = np.exp(-c * t * rho**-rate.sigma2) / rho**ell
     if r == 2.0:
         return float(np.max(core))
@@ -399,23 +390,21 @@ def tail_divergence_scan(
     n: int,
     *,
     r0: float = 1.0,
-    r_maxes: Sequence[float] = (1e1, 1e2, 1e3, 1e4),
-    slope_tol: float = 0.05,
 ) -> TailScan:
-    """Extend the tail domain and flag divergence.
+    """Extend the tail domain over r_max = 1e1, 1e2, 1e3, 1e4 and flag divergence.
 
     Below the ell threshold the integrand has a nonintegrable power tail and
     the value grows like a positive power of the cutoff; above it the values
     plateau.  The detector is the log-log slope across the final extension:
-    slopes above slope_tol flag divergence.  The threshold case itself grows
+    slopes above 0.05 flag divergence.  The threshold case itself grows
     like a root of log(r_max) and is reported as diverging, matching the
     marginal character of the hypothesis.
     """
-    vals = [tail_integral(ell, r, rate, t, n, r0=r0, r_max=rm) for rm in r_maxes]
-    slope = math.log(vals[-1] / vals[-2]) / math.log(r_maxes[-1] / r_maxes[-2])
+    vals = [tail_integral(ell, r, rate, t, n, r0=r0, r_max=rm) for rm in _TAIL_R_MAXES]
+    slope = math.log(vals[-1] / vals[-2]) / math.log(_TAIL_R_MAXES[-1] / _TAIL_R_MAXES[-2])
     return TailScan(
-        r_maxes=tuple(r_maxes),
+        r_maxes=_TAIL_R_MAXES,
         values=tuple(vals),
         growth_exponent=slope,
-        diverging=slope > slope_tol,
+        diverging=slope > 0.05,
     )

@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import ConfigError, SaturationWindowError
 
+_MIN_POINTS = 8  # fewest samples a fit window must hold
+
 
 @dataclass(frozen=True)
 class DecayFit:
@@ -47,13 +49,13 @@ def fit_decay_exponent(
     *,
     series_id: str = "series",
     saturation_time: float | None = None,
-    min_points: int = 8,
 ) -> DecayFit:
     """Fit a power law to a positive series on the given time window.
 
-    R^2 below 0.95 marks the series as not power-law.  When a saturation
-    time is supplied (torus runs), windows with t2 > saturation/2 are
-    refused with a diagnostic.
+    The window must hold at least _MIN_POINTS = 8 samples.  R^2 below 0.95
+    marks the series as not power-law.  When a saturation time is supplied
+    (torus runs), windows with t2 > saturation/2 are refused with a
+    diagnostic.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -69,9 +71,9 @@ def fit_decay_exponent(
             f"or enlarge the box"
         )
     mask = (times >= t1) & (times <= t2)
-    if int(mask.sum()) < min_points:
+    if int(mask.sum()) < _MIN_POINTS:
         raise ConfigError(
-            f"fit window [{t1:g}, {t2:g}] holds {int(mask.sum())} samples; need >= {min_points}"
+            f"fit window [{t1:g}, {t2:g}] holds {int(mask.sum())} samples; need >= {_MIN_POINTS}"
         )
     v = values[mask]
     if np.any(v <= 0):

@@ -335,23 +335,20 @@ def random_band_limited_field(
     components: int,
     rng: np.random.Generator,
     *,
-    envelope: float | None = None,
-    keep_fraction: float = 0.75,
     zero_mean: bool = True,
 ) -> PhysicalField:
     """Seeded smooth random field, band-limited strictly below Nyquist.
 
-    White noise is shaped by a Gaussian spectral envelope (default width is
-    half the Nyquist magnitude) and truncated at keep_fraction of Nyquist so
-    every generated field stays clear of the unpaired Nyquist row.
+    White noise is shaped by a Gaussian spectral envelope of width 0.5 xi_max
+    (half the Nyquist magnitude) and cut to zero above 0.75 xi_max, so every
+    generated field stays clear of the unpaired Nyquist row.
     """
     white = rng.standard_normal((components,) + grid.shape)
     axes = tuple(range(1, grid.dim + 1))
     coeffs = np.fft.fftn(white, axes=axes)
     mag = grid.frequency_magnitude
-    width = envelope if envelope is not None else 0.5 * grid.xi_max
-    shape = np.exp(-0.5 * (mag / width) ** 2)
-    shape[mag > keep_fraction * grid.xi_max] = 0.0
+    shape = np.exp(-0.5 * (mag / (0.5 * grid.xi_max)) ** 2)
+    shape[mag > 0.75 * grid.xi_max] = 0.0
     coeffs *= shape
     if zero_mean:
         coeffs[(slice(None),) + (0,) * grid.dim] = 0.0
@@ -362,15 +359,13 @@ def random_band_limited_field(
     return PhysicalField(grid, values)
 
 
-def gaussian_bump(grid: TorusGrid, width: float, *, normalized: bool = True) -> PhysicalField:
-    """Centered Gaussian of the given width; unit integral when normalized."""
+def gaussian_bump(grid: TorusGrid, width: float) -> PhysicalField:
+    """Centered Gaussian of the given width, normalized to unit integral."""
     if width <= 0:
         raise ConfigError(f"gaussian width must be positive, got {width}")
     centered = [c - 0.5 * grid.box_length for c in grid.coordinates]
     r_sq = sum(c**2 for c in centered)
-    values = np.exp(-r_sq / (2.0 * width**2))
-    if normalized:
-        values = values / (2.0 * math.pi * width**2) ** (grid.dim / 2.0)
+    values = np.exp(-r_sq / (2.0 * width**2)) / (2.0 * math.pi * width**2) ** (grid.dim / 2.0)
     return PhysicalField(grid, values)
 
 

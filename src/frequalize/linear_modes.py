@@ -55,6 +55,8 @@ from .grid import SpectralField, TorusGrid, shell_l2_norms
 
 STATE_DIM = 10
 _COND_LIMIT = 1e8
+_RESIDUAL_TOL = 1e-8  # largest Gauss-constraint residual pointwise_decay_check accepts
+_COMPAT_TOL = 1e-10  # largest constraint residual and mean linear_evolve_grid accepts
 
 
 def omega_matrix(v: np.ndarray) -> np.ndarray:
@@ -273,14 +275,9 @@ class GapSweep:
         return float(np.polyfit(x, y, 1)[0])
 
 
-def gap_sweep(
-    magnitudes: Sequence[float],
-    eq: EquilibriumState,
-    *,
-    direction: Sequence[float] = (1.0, 0.0, 0.0),
-) -> GapSweep:
-    direction = _pad_xi(direction)
-    direction = direction / np.linalg.norm(direction)
+def gap_sweep(magnitudes: Sequence[float], eq: EquilibriumState) -> GapSweep:
+    """Constrained spectral gap at xi = m e_x for every magnitude m (the x axis)."""
+    direction = np.array([1.0, 0.0, 0.0])
     mags = np.asarray(magnitudes, dtype=float)
     rate = euler_maxwell_rate()
     gaps = np.array([spectral_gap(m * direction, eq) for m in mags])
@@ -300,27 +297,24 @@ class PointwiseDecayReport:
 def pointwise_decay_check(
     samples: Sequence[tuple[Sequence[float], Sequence[complex], float]],
     eq: EquilibriumState,
-    *,
-    c0_candidates: Sequence[float] | None = None,
-    cap: float = 50.0,
-    residual_tol: float = 1e-8,
 ) -> PointwiseDecayReport:
     """Grid-search the largest decay constant with a bounded prefactor.
 
-    Each sample is (xi, z0, t).  Data violating the Gauss constraints beyond
-    residual_tol is rejected: the gradient part of the magnetic component is
-    stationary under the flow, so no uniform decay can hold off the
-    constraint set.
+    c0 is scanned up linspace(0, 1.5, 301) and the last value whose
+    prefactor C is <= 50 is kept.  Each sample is (xi, z0, t).  Data
+    violating the Gauss constraints beyond _RESIDUAL_TOL = 1e-8 is rejected:
+    the gradient part of the magnetic component is stationary under the
+    flow, so no uniform decay can hold off the constraint set.
     """
     rate = euler_maxwell_rate()
     xis, z0s, times = [], [], []
     for xi, z0, t in samples:
         z0 = np.asarray(z0, dtype=complex)
         res = constraint_residual(z0, xi)
-        if res > residual_tol:
+        if res > _RESIDUAL_TOL:
             raise IncompatibleDataError(
                 f"mode data violates the divergence constraints (residual {res:.3e} "
-                f"> {residual_tol:g}) at xi={tuple(np.round(_pad_xi(xi), 6))}"
+                f"> {_RESIDUAL_TOL:g}) at xi={tuple(np.round(_pad_xi(xi), 6))}"
             )
         if not np.all(np.isfinite(z0)):
             raise ConfigError("mode data must be finite")
@@ -335,12 +329,10 @@ def pointwise_decay_check(
     zt = _EigenPropagator(mode_matrices(distinct, eq)).apply(z0s, times, rows=rows.ravel())
     ratios_arr = np.linalg.norm(zt, axis=1) / np.linalg.norm(z0s, axis=1)
     exps = rate.eta(np.linalg.norm(xis, axis=1)) * times
-    if c0_candidates is None:
-        c0_candidates = np.linspace(0.0, 1.5, 301)
     best_c0, best_c = 0.0, float(np.max(ratios_arr))
-    for c0 in sorted(c0_candidates):
+    for c0 in np.linspace(0.0, 1.5, 301):
         c = float(np.max(ratios_arr * np.exp(c0 * exps)))
-        if c <= cap:
+        if c <= 50.0:
             best_c0, best_c = float(c0), c
         else:
             break
@@ -404,35 +396,34 @@ def linear_evolve_grid(
     times: Sequence[float],
     eq: EquilibriumState,
     *,
-    orders: Sequence[int] = (0, 1, 2),
     keep_states: bool = True,
-    compat_tol: float = 1e-10,
 ) -> LinearSolution:
     """Exact per-mode evolution of compatible lattice data.
 
-    Requires constraint residual <= compat_tol and mean-free density and
-    magnetic data (the zero mode of the magnetic perturbation is conserved,
-    so a nonzero mean would never decay).
+    Reports the derivative-weighted L^2 norms of orders 0, 1 and 2.
+    Requires constraint residual <= _COMPAT_TOL = 1e-10 and mean-free
+    density and magnetic data (the zero mode of the magnetic perturbation is
+    conserved, so a nonzero mean would never decay).
     """
     if z0.components != STATE_DIM:
         raise ConfigError(f"state needs {STATE_DIM} components, got {z0.components}")
     grid = z0.grid
     prop = GridModePropagator(grid, eq)
     res0 = prop.constraint_residual(z0.coefficients)
-    if res0 > compat_tol:
+    if res0 > _COMPAT_TOL:
         raise IncompatibleDataError(
             f"initial data violates the divergence constraints (residual {res0:.3e})"
         )
     zero = (0,) * grid.dim
     mean_scale = float(np.max(np.abs(z0.coefficients)))
     for comp in (0, 7, 8, 9):
-        if abs(z0.coefficients[comp][zero]) > compat_tol * max(mean_scale, 1.0):
+        if abs(z0.coefficients[comp][zero]) > _COMPAT_TOL * max(mean_scale, 1.0):
             raise IncompatibleDataError(
                 "density and magnetic data must be mean-free for decay runs"
             )
     times = np.asarray(times, dtype=float)
-    weights = np.array([grid.shell_radii**k for k in orders])
-    series = np.empty((times.size, len(orders)))
+    weights = np.array([grid.shell_radii**k for k in range(3)])
+    series = np.empty((times.size, 3))
     residuals = np.empty(times.size)
     states: list[SpectralField] = []
     for i, t in enumerate(times):
@@ -441,7 +432,7 @@ def linear_evolve_grid(
         series[i] = shell_l2_norms(zt.shell_spectrum(), weights)
         if keep_states:
             states.append(zt)
-    norms = {k: series[:, j] for j, k in enumerate(orders)}
+    norms = {k: series[:, k] for k in range(3)}
     return LinearSolution(
         grid=grid, times=times, states=states, norms=norms, constraint_residuals=residuals
     )

@@ -1,7 +1,9 @@
 """Dyadic partition of unity and frequency-block operators.
 
-The radial profile chi equals 1 on |xi| <= 3/4 and vanishes for |xi| >= 4/3;
-phi(xi) = chi(xi/2) - chi(xi) is supported on the shell 3/4 <= |xi| <= 8/3.
+The radial profile chi equals 1 on |xi| <= 3/4, vanishes for |xi| >= 4/3
+and follows the exponential ramp in between; it is the one profile the
+package uses.  phi(xi) = chi(xi/2) - chi(xi) is supported on the shell
+3/4 <= |xi| <= 8/3.
 Rescaled copies phi(2^-q xi) tile the frequency lattice with at most two
 shells overlapping any point, and they telescope:
 
@@ -22,8 +24,8 @@ the torus can represent, which realizes the usual quotient convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -53,27 +55,21 @@ def exponential_ramp(t: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class RadialCutoffs:
-    """The (chi, phi) profile pair; shared read-only once constructed."""
-
-    ramp: Callable[[np.ndarray], np.ndarray] = field(default=exponential_ramp)
+    """The one (chi, phi) profile pair: chi = 1 on |xi| <= 3/4, 0 beyond 4/3,
+    and the exponential ramp in between; phi(xi) = chi(xi/2) - chi(xi)."""
 
     def chi(self, r: np.ndarray | float) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         t = (r - INNER_PLATEAU) / (OUTER_SUPPORT - INNER_PLATEAU)
-        return 1.0 - self.ramp(t)
+        return 1.0 - exponential_ramp(t)
 
     def phi(self, r: np.ndarray | float) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         return self.chi(0.5 * r) - self.chi(r)
 
 
-def build_cutoffs(ramp: Callable[[np.ndarray], np.ndarray] | None = None) -> RadialCutoffs:
-    return RadialCutoffs(ramp) if ramp is not None else RadialCutoffs()
-
-
-DEFAULT_CUTOFFS = build_cutoffs()
+DEFAULT_CUTOFFS = RadialCutoffs()
 
 
 @dataclass(frozen=True)
@@ -107,56 +103,39 @@ class BlockIndexRange:
         return np.arange(-1, max(self.q_max, -1) + 1)
 
 
-def block_profiles(
-    grid: TorusGrid, qs, *, homogeneous: bool = True, cutoffs: RadialCutoffs | None = None
-) -> np.ndarray:
+def block_profiles(grid: TorusGrid, qs, *, homogeneous: bool = True) -> np.ndarray:
     """Block profiles on the shells: row j is block qs[j] at every grid.shell_radii entry.
 
     Inhomogeneous rows are chi for q = -1 and zero below it.
     """
-    cutoffs = cutoffs or DEFAULT_CUTOFFS
     r = grid.shell_radii
     rows = []
     for q in qs:
         if homogeneous or q >= 0:
-            rows.append(cutoffs.phi(r * 2.0**-q))
+            rows.append(DEFAULT_CUTOFFS.phi(r * 2.0**-q))
         else:
-            rows.append(cutoffs.chi(r) if q == -1 else np.zeros_like(r))
+            rows.append(DEFAULT_CUTOFFS.chi(r) if q == -1 else np.zeros_like(r))
     return np.array(rows).reshape(-1, r.size)
 
 
-def block_multiplier(
-    grid: TorusGrid, q: int, *, homogeneous: bool = True, cutoffs: RadialCutoffs | None = None
-) -> np.ndarray:
+def block_multiplier(grid: TorusGrid, q: int, *, homogeneous: bool = True) -> np.ndarray:
     """Lattice values of the block-q Fourier multiplier, gathered from its shell profile."""
-    return block_profiles(grid, [q], homogeneous=homogeneous, cutoffs=cutoffs)[0][grid.shell_index]
+    return block_profiles(grid, [q], homogeneous=homogeneous)[0][grid.shell_index]
 
 
-def block(
-    field: SpectralField,
-    q: int,
-    *,
-    homogeneous: bool = True,
-    cutoffs: RadialCutoffs | None = None,
-) -> SpectralField:
+def block(field: SpectralField, q: int, *, homogeneous: bool = True) -> SpectralField:
     """Extract the dyadic block: coefficientwise phi(2^-q xi) (chi for q=-1).
 
     Out-of-range q returns the zero field, matching the convention that the
     inhomogeneous family vanishes below q = -1.
     """
-    mult = block_multiplier(field.grid, q, homogeneous=homogeneous, cutoffs=cutoffs)
+    mult = block_multiplier(field.grid, q, homogeneous=homogeneous)
     return SpectralField(field.grid, field.coefficients * mult)
 
 
-def block_l2_norm(
-    field: SpectralField,
-    q: int,
-    *,
-    homogeneous: bool = True,
-    cutoffs: RadialCutoffs | None = None,
-) -> float:
+def block_l2_norm(field: SpectralField, q: int, *, homogeneous: bool = True) -> float:
     """L^2 norm of one block, from the field's shell spectrum."""
-    profile = block_profiles(field.grid, [q], homogeneous=homogeneous, cutoffs=cutoffs)
+    profile = block_profiles(field.grid, [q], homogeneous=homogeneous)
     return float(shell_l2_norms(field.shell_spectrum(), profile)[0])
 
 
@@ -175,21 +154,20 @@ class LPDecomposition:
         return SpectralField(self.source.grid, total)
 
 
-def decompose(
-    field: SpectralField, *, homogeneous: bool = True, cutoffs: RadialCutoffs | None = None
-) -> LPDecomposition:
+def decompose(field: SpectralField, *, homogeneous: bool = True) -> LPDecomposition:
     blocks = {
-        q: block(field, q, homogeneous=homogeneous, cutoffs=cutoffs)
+        q: block(field, q, homogeneous=homogeneous)
         for q in BlockIndexRange.for_grid(field.grid).indices(homogeneous).tolist()
     }
     return LPDecomposition(source=field, homogeneous=homogeneous, blocks=blocks)
 
 
-def _bernstein_ratios(field: SpectralField, qs: np.ndarray, order: float, homogeneous: bool,
-                      cutoffs: RadialCutoffs | None) -> np.ndarray:
+def _bernstein_ratios(
+    field: SpectralField, qs: np.ndarray, order: float, homogeneous: bool
+) -> np.ndarray:
     """Bernstein ratio of every block q in qs; nan where the block is zero."""
     spectrum = field.shell_spectrum()
-    profiles = block_profiles(field.grid, qs, homogeneous=homogeneous, cutoffs=cutoffs)
+    profiles = block_profiles(field.grid, qs, homogeneous=homogeneous)
     base = shell_l2_norms(spectrum, profiles)
     deriv = shell_l2_norms(field.grid.shell_radii ** (2 * order) * spectrum, profiles)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -197,27 +175,20 @@ def _bernstein_ratios(field: SpectralField, qs: np.ndarray, order: float, homoge
 
 
 def bernstein_ratio(
-    field: SpectralField,
-    q: int,
-    *,
-    order: float = 1.0,
-    homogeneous: bool = True,
-    cutoffs: RadialCutoffs | None = None,
+    field: SpectralField, q: int, *, order: float = 1.0, homogeneous: bool = True
 ) -> float:
     """Measured ratio ||Lambda^order block|| / (2^(q order) ||block||) in L^2.
 
     Support of the shell forces the ratio into [ (3/4)^order, (8/3)^order ].
     Raises ZeroBlockError when the block vanishes on the lattice.
     """
-    ratio = _bernstein_ratios(field, np.array([q]), order, homogeneous, cutoffs)[0]
+    ratio = _bernstein_ratios(field, np.array([q]), order, homogeneous)[0]
     if np.isnan(ratio):
         raise ZeroBlockError(f"block q={q} is zero; derivative ratio undefined")
     return float(ratio)
 
 
-def partition_defect(
-    grid: TorusGrid, *, homogeneous: bool = False, cutoffs: RadialCutoffs | None = None
-) -> float:
+def partition_defect(grid: TorusGrid, *, homogeneous: bool = False) -> float:
     """Max deviation of the telescoped profile sum from 1 over the occupied shells.
 
     Inhomogeneous form: chi + sum_{q>=0} phi(2^-q .) on every occupied
@@ -225,31 +196,17 @@ def partition_defect(
     the nonzero shells only.
     """
     qs = BlockIndexRange.for_grid(grid).indices(homogeneous)
-    profiles = block_profiles(grid, qs, homogeneous=homogeneous, cutoffs=cutoffs)
+    profiles = block_profiles(grid, qs, homogeneous=homogeneous)
     occupied = np.bincount(grid.shell_index.ravel(), minlength=grid.shell_radii.size) > 0
     if homogeneous:
         occupied[0] = False
     return float(np.max(np.abs(profiles.sum(axis=0)[occupied] - 1.0)))
 
 
-def active_blocks(field: SpectralField, *, homogeneous: bool = True,
-                  cutoffs: RadialCutoffs | None = None, tol: float = 0.0) -> list[int]:
-    """Indices whose block has L^2 norm above tol."""
-    qs = BlockIndexRange.for_grid(field.grid).indices(homogeneous)
-    profiles = block_profiles(field.grid, qs, homogeneous=homogeneous, cutoffs=cutoffs)
-    norms = shell_l2_norms(field.shell_spectrum(), profiles)
-    return qs[norms > tol].tolist()
-
-
-def bernstein_extremes(
-    grid: TorusGrid,
-    fields: list[SpectralField],
-    *,
-    cutoffs: RadialCutoffs | None = None,
-) -> tuple[float, float]:
+def bernstein_extremes(grid: TorusGrid, fields: list[SpectralField]) -> tuple[float, float]:
     """(min, max) Bernstein ratio over all nonzero blocks of the given fields."""
     qs = BlockIndexRange.for_grid(grid).indices()
-    ratios = np.concatenate([_bernstein_ratios(f, qs, 1.0, True, cutoffs) for f in fields])
+    ratios = np.concatenate([_bernstein_ratios(f, qs, 1.0, True) for f in fields])
     ratios = ratios[~np.isnan(ratios)]
     if ratios.size == 0:
         raise ConfigError("no nonzero blocks found in the supplied fields")

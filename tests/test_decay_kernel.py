@@ -215,6 +215,31 @@ class TestVerify:
         longer = verify_inequality(gauss3d, np.geomspace(0.01, 1000.0, 30), params, rate)
         assert longer.sup_ratio <= short.sup_ratio * 1.05
 
+    @pytest.mark.parametrize("r,forward,inverse", [(1.0, 1, 8), (2.0, 1, 0)])
+    def test_one_transform_per_input_and_block(self, gauss3d, monkeypatch, r, forward, inverse):
+        # one forward transform of the input, and at r != 2 one inverse per block (8 here)
+        from frequalize import besov, decay_kernel
+
+        counts = {"forward": 0, "inverse": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module in (besov, decay_kernel):
+            monkeypatch.setattr(module, "forward_transform", counting("forward", forward_transform))
+        monkeypatch.setattr(besov, "inverse_transform", counting("inverse", inverse_transform))
+        params = DecayParams(s=0.0, ell=1.5 if r == 1.0 else 2.0, rho=1.5, r=r, alpha=2.0)
+        rep = verify_inequality(gauss3d, [0.0, 1.0, 10.0], params, euler_maxwell_rate())
+        assert counts == {"forward": forward, "inverse": inverse}
+        assert BlockIndexRange.for_grid(gauss3d.grid).indices().size == 8
+        # the high data norm read off the shared block norms is bit-identical to the direct one
+        # (its time factor is 1 at t = 0)
+        direct = besov_norm(gauss3d, BesovSpec(params.s + params.ell, r, params.alpha, True)).value
+        assert rep.high[0] == direct
+
     def test_zero_field_reports_zero_ratio(self):
         grid = TorusGrid(dim=2, box_length=8.0, points_per_axis=16)
         z = PhysicalField(grid, np.zeros(grid.shape))

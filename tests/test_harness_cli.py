@@ -213,6 +213,17 @@ class TestCli:
         assert f"error: {key}: expected an integer" in capsys.readouterr().err
         assert not (tmp_path / "lp").exists()
 
+    @pytest.mark.parametrize("argv,option", [
+        (["kernel", "verify", "--times", "0:0:5"], "--times"),
+        (["linear", "decay", "--orders", "0,x"], "--orders"),
+        (["kernel", "verify", "--input", "gaussian:abc"], "--input"),
+        (["lp", "check", "--fields", "0"], "--fields"),
+    ])
+    def test_bad_option_value_exits_2_and_names_it(self, tmp_path, capsys, argv, option):
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+        assert f"error: {option}:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_kernel_hypothesis_violation_exits_2(self, tmp_path):
         code = main(
             ["kernel", "verify", "--params", "0,1,1.5,1,2", "--times", "0:10:5",
