@@ -210,7 +210,7 @@ def cmd_linear_gap(args) -> int:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise ConfigError(f"--xi-range: expected a:b:n, got {args.xi_range!r}") from None
-    if lo <= 0 or hi <= lo or n < 2:
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= lo or n < 2:
         raise ConfigError(f"--xi-range: invalid range {args.xi_range!r}")
     b_inf = tuple(_parse_floats(args.binf, 3, "--binf")) if args.binf else (0.0, 0.0, 0.0)
     eq = EquilibriumState(b_inf=b_inf)
@@ -239,6 +239,8 @@ def cmd_linear_decay(args) -> int:
     if args.data == "gaussian":
         data = ContinuumData(kind="gaussian", width=args.width)
     elif args.data == "highpass":
+        if not (math.isfinite(args.cutoff) and args.cutoff > 0):
+            raise ConfigError(f"--cutoff: must be positive and finite, got {args.cutoff}")
         data = ContinuumData(kind="highpass", cutoff=args.cutoff, budget=args.budget)
     else:
         raise ConfigError(f"--data: expected gaussian or highpass, got {args.data!r}")
@@ -432,6 +434,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else list(argv)))
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed: must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (ConfigError, HypothesisError, IncompatibleDataError) as exc:
         print(f"frequalize: error: {exc}", file=sys.stderr)

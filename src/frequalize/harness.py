@@ -98,6 +98,8 @@ class ExperimentConfig:
             ),
         )
         self.seed = _number(raw, "init.seed", default=0, integer=True)
+        if self.seed < 0:
+            raise ConfigError(f"init.seed: must be non-negative, got {self.seed}")
         self.amplitude = _number(raw, "init.amplitude", default=1e-2, positive=True)
         band = _number(raw, "init.profile.band_limit", default=None)
         self.profile = SpectralProfile(

@@ -33,6 +33,13 @@ eigenbasis is ill-conditioned.  `ModePropagator` (a batch of one),
 `GridModePropagator` (a lattice), `ContinuumEvolver` (all quadrature nodes)
 and `pointwise_decay_check` (the distinct sample frequencies) all use it.
 
+With D = diag(1, i I6, I3) every generator is real in the form D^-1 M(xi) D:
+each entry coupling a velocity or electric row to a density or magnetic
+column, or the reverse, is i times a real number.  `real_mode_matrices`
+returns that form and `mode_exponentials` the table D^-1 exp(t M(xi)) D over
+a batch of frequencies, built chunk by chunk through the same propagator.
+The nonlinear solver propagates its linear part with that table.
+
 Whole-space decay experiments avoid the torus infrared cutoff by radial
 quadrature over continuum modes; lattice evolution is available for
 cross-validation of the nonlinear solver.
@@ -55,6 +62,7 @@ from .grid import SpectralField, TorusGrid, shell_l2_norms
 
 STATE_DIM = 10
 _COND_LIMIT = 1e8
+_TABLE_CHUNK = 2048  # modes per eigendecomposition in mode_exponentials
 _RESIDUAL_TOL = 1e-8  # largest Gauss-constraint residual pointwise_decay_check accepts
 _COMPAT_TOL = 1e-10  # largest constraint residual and mean linear_evolve_grid accepts
 
@@ -108,6 +116,32 @@ def mode_matrices(xi: np.ndarray, eq: EquilibriumState) -> np.ndarray:
     np.negative(m, out=m)
     m /= _a0_diagonal(eq)[:, None]
     return m
+
+
+# D = diag(1, i I6, I3): D^-1 M(xi) D is real for every xi and B_inf
+REAL_FORM_PHASES = np.array([1.0] + [1j] * 6 + [1.0] * 3)
+
+
+def real_mode_matrices(xi: np.ndarray, eq: EquilibriumState) -> np.ndarray:
+    """D^-1 M(xi) D for xi[..., 3], shape [..., 10, 10], real (the products by +-i are exact)."""
+    m = mode_matrices(xi, eq)
+    m *= REAL_FORM_PHASES
+    m *= REAL_FORM_PHASES.conj()[:, None]
+    return np.ascontiguousarray(m.real)
+
+
+def mode_exponentials(xi: np.ndarray, eq: EquilibriumState, t: float) -> np.ndarray:
+    """The real table D^-1 exp(t M(xi)) D for xi[n, 3], shape (n, 10, 10).
+
+    Built _TABLE_CHUNK modes at a time, each chunk one batched propagator
+    (one real eigendecomposition, the expm fallback for ill-conditioned
+    rows), so the temporaries stay a fixed size.
+    """
+    table = np.empty((len(xi), STATE_DIM, STATE_DIM))
+    for start in range(0, len(xi), _TABLE_CHUNK):
+        rows = slice(start, start + _TABLE_CHUNK)
+        table[rows] = _EigenPropagator(real_mode_matrices(xi[rows], eq)).exponentials(t).real
+    return table
 
 
 def system_matrices(eq: EquilibriumState) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], np.ndarray]:
@@ -203,6 +237,15 @@ class _EigenPropagator:
             out[r] = scipy.linalg.expm(t[r] * matrices[r]) @ z[r]
         return out
 
+    def exponentials(self, t: float) -> np.ndarray:
+        """exp(t M) for every generator of the batch, shape (n, 10, 10)."""
+        if t < 0:
+            raise ConfigError(f"propagation time must be nonnegative, got {t}")
+        out = (self.v * np.exp(self.w * t)[:, None, :]) @ self.vinv
+        for r in np.flatnonzero(self.ill_conditioned):
+            out[r] = scipy.linalg.expm(t * self.matrices[r])
+        return out
+
 
 class ModePropagator:
     """exp(t M(xi)) of one Fourier mode: the batched propagator on a batch of one."""
@@ -213,14 +256,7 @@ class ModePropagator:
         self.eigenvalues = self._prop.w[0]
 
     def matrix_at(self, t: float) -> np.ndarray:
-        prop = self._prop
-        if not prop.ill_conditioned[0]:
-            # column j of exp(tM) is exp(tM) applied to the unit vector e_j
-            unit = np.eye(STATE_DIM, dtype=complex)
-            return prop.apply(unit, t, rows=np.zeros(STATE_DIM, dtype=int)).T
-        if t < 0:
-            raise ConfigError(f"propagation time must be nonnegative, got {t}")
-        return scipy.linalg.expm(t * prop.matrices[0])
+        return self._prop.exponentials(t)[0]
 
     def apply(self, z0: np.ndarray, t: float) -> np.ndarray:
         z0 = np.asarray(z0, dtype=complex)

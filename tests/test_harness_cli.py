@@ -218,10 +218,20 @@ class TestCli:
         (["linear", "decay", "--orders", "0,x"], "--orders"),
         (["kernel", "verify", "--input", "gaussian:abc"], "--input"),
         (["lp", "check", "--fields", "0"], "--fields"),
+        (["linear", "decay", "--data", "highpass", "--cutoff", "0"], "--cutoff"),
+        (["linear", "decay", "--data", "highpass", "--cutoff", "-2"], "--cutoff"),
+        (["lp", "check", "--seed", "-1"], "--seed"),
+        (["linear", "gap", "--xi-range", "1:inf:5"], "--xi-range"),
     ])
     def test_bad_option_value_exits_2_and_names_it(self, tmp_path, capsys, argv, option):
         assert main(argv + ["--out", str(tmp_path / "run")]) == 2
         assert f"error: {option}:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_config_seed_exits_2_and_names_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"init.seed": -3})
+        assert main(["nonlinear", "run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "error: init.seed: must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_kernel_hypothesis_violation_exits_2(self, tmp_path):

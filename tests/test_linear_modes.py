@@ -26,6 +26,7 @@ from frequalize.linear_modes import (
     gap_sweep,
     linear_decay_experiment,
     linear_evolve_grid,
+    mode_exponentials,
     mode_matrices,
     omega_matrix,
     pointwise_decay_check,
@@ -390,6 +391,14 @@ class TestConditioningFallback:
         calls = all_modes_fall_back()
         self.assert_close(GridModePropagator(grid, eq_b).apply(z0, 2.5), want)
         assert len(calls) == 8**3
+
+    def test_mode_exponentials(self, rng, all_modes_fall_back):
+        eq_b = EquilibriumState(b_inf=(0.0, 0.0, 0.5))
+        xi = rng.standard_normal((5, 3))
+        want = mode_exponentials(xi, eq_b, 2.5)
+        calls = all_modes_fall_back()
+        self.assert_close(mode_exponentials(xi, eq_b, 2.5), want)
+        assert len(calls) == 5
 
     def test_continuum_evolver(self, all_modes_fall_back):
         eq_b = EquilibriumState(b_inf=(0.0, 0.0, 0.5))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import frequalize
+from frequalize import solver
 from frequalize.besov import BesovSpec, besov_norm
 from frequalize.equilibrium import EquilibriumState
 from frequalize.errors import ConfigError, DensityError, SolverInstabilityError
@@ -50,18 +51,59 @@ def lin_rhs_oracle(state: SimState) -> np.ndarray:
     return np.fft.ifftn(prop.generator_apply(zhat), axes=axes).real
 
 
-def physical_rk4_oracle(z0, grid, eq, dt, n_steps, *, dealias=True):
-    """Classical RK4 on the physical state array, from the module docstring's equations.
+def docstring_generator(xi, eq):
+    """d z_hat = G(xi) z_hat per mode: the linear terms of the solver docstring's equations."""
+    g = np.zeros(xi.shape[:-1] + (10, 10), dtype=complex)
+    ixi = 1j * xi
+    b = eq.b_inf_vector
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        g[..., 0, 1 + i] = -eq.n_inf * ixi[..., i]  # -n_inf div(velocity)
+        g[..., 1 + i, 0] = -eq.a_inf * ixi[..., i]  # -a_inf grad(density)
+        g[..., 1 + i, 1 + i] = -1.0  # -velocity
+        g[..., 1 + i, 4 + i] = -1.0  # -E
+        g[..., 1 + i, 1 + j] -= b[k]  # -(velocity x B_inf)_i = -(v_j B_k - v_k B_j)
+        g[..., 1 + i, 1 + k] += b[j]
+        g[..., 4 + i, 1 + i] = eq.n_inf  # +n_inf velocity
+        g[..., 4 + i, 7 + k] += ixi[..., j]  # curl(magnetic)_i = i xi_j h_k - i xi_k h_j
+        g[..., 4 + i, 7 + j] -= ixi[..., k]
+        g[..., 7 + i, 4 + k] -= ixi[..., j]  # -curl(electric)
+        g[..., 7 + i, 4 + j] += ixi[..., k]
+    return g
 
-    Derivatives act through the full-lattice FFT; quadratic terms are masked
-    to |k_j| <= N/3 before they are differentiated.  Returns every state.
+
+def taylor_exp(a):
+    """exp(a) for a batch of small matrices by its Taylor series, converged to roundoff."""
+    assert np.max(np.sum(np.abs(a), axis=-1)) < 0.5
+    out = term = np.broadcast_to(np.eye(a.shape[-1]), a.shape)
+    for k in range(1, 30):
+        term = term @ a / k
+        out = out + term
+    return out
+
+
+def lawson_oracle(z0, grid, eq, h, n_steps, *, dealias=True):
+    """Lawson integrating-factor RK4 on the physical state array, from the solver docstring.
+
+    E(h/2) per full-lattice mode is the Taylor exponential of the docstring's
+    linear terms, with xi_j zeroed on the Nyquist planes; N is the velocity
+    source (div q2 + r2) / n_inf with q2 and r2 masked to |k_j| <= N/3
+    before they are differentiated; E(h) is E(h/2) twice.  Returns every state.
     """
     n_pts = grid.points_per_axis
     k_int = np.fft.fftfreq(n_pts, d=1.0 / n_pts)
-    xi = np.meshgrid(*([2 * np.pi * k_int / grid.box_length] * 3), indexing="ij")
+    xi_axis = np.where(np.abs(k_int) == n_pts // 2, 0.0, 2 * np.pi * k_int / grid.box_length)
+    xi = np.meshgrid(*([xi_axis] * 3), indexing="ij")
     keep = np.ones(grid.shape, dtype=bool)
     for kj in np.meshgrid(k_int, k_int, k_int, indexing="ij"):
         keep &= np.abs(kj) <= n_pts // 3
+    half = taylor_exp(0.5 * h * docstring_generator(np.stack([c.ravel() for c in xi], axis=-1), eq))
+
+    def propagate(z, halves):
+        z_hat = np.fft.fftn(z, axes=(1, 2, 3)).reshape(10, -1)
+        for _ in range(halves):
+            z_hat = np.einsum("mij,jm->im", half, z_hat)
+        return np.fft.ifftn(z_hat.reshape(z.shape), axes=(1, 2, 3)).real
 
     def partial(f, j):
         return np.fft.ifftn(1j * xi[j] * np.fft.fftn(f)).real
@@ -69,36 +111,28 @@ def physical_rk4_oracle(z0, grid, eq, dt, n_steps, *, dealias=True):
     def masked(f):
         return np.fft.ifftn(keep * np.fft.fftn(f)).real if dealias else f
 
-    def curl(v):
-        return np.stack([partial(v[(i + 2) % 3], (i + 1) % 3) - partial(v[(i + 1) % 3], (i + 2) % 3)
-                         for i in range(3)])
-
-    def rhs(z):
-        rho, u, e, h = z[0], z[1:4], z[4:7], z[7:10]
+    def nonlinear(z):
+        rho, u, e, h_field = z[0], z[1:4], z[4:7], z[7:10]
         n = rho + eq.n_inf
         law = eq.pressure
         rem = law.p(n) - law.p(eq.n_inf) - law.dp(eq.n_inf) * rho
-        b = eq.b_inf_vector.reshape(3, 1, 1, 1)
-        r2 = -rho * e - eq.n_inf * np.cross(u, h, axis=0)
-        out = np.empty_like(z)
-        out[0] = -eq.n_inf * sum(partial(u[j], j) for j in range(3))
+        r2 = -rho * e - eq.n_inf * np.cross(u, h_field, axis=0)
+        out = np.zeros_like(z)
         for i in range(3):
             q2_row = [masked(-(eq.n_inf**2) * u[i] * u[j] / n - (rem if i == j else 0.0)) for j in range(3)]
-            div_q2 = sum(partial(q2_row[j], j) for j in range(3))
-            out[1 + i] = -eq.a_inf * partial(rho, i) + (div_q2 + masked(r2[i])) / eq.n_inf
-        out[1:4] -= e + np.cross(u, b, axis=0) + u
-        out[4:7] = curl(h) + eq.n_inf * u
-        out[7:10] = -curl(e)
+            out[1 + i] = (sum(partial(q2_row[j], j) for j in range(3)) + masked(r2[i])) / eq.n_inf
         return out
 
     states = [z0]
     for _ in range(n_steps):
-        z = states[-1]
-        k1 = rhs(z)
-        k2 = rhs(z + 0.5 * dt * k1)
-        k3 = rhs(z + 0.5 * dt * k2)
-        k4 = rhs(z + dt * k3)
-        states.append(z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+        u = states[-1]
+        k1 = nonlinear(u)
+        k2 = nonlinear(propagate(u + 0.5 * h * k1, 1))
+        k3 = nonlinear(propagate(u, 1) + 0.5 * h * k2)
+        k4 = nonlinear(propagate(u, 2) + h * propagate(k3, 1))
+        states.append(
+            propagate(u, 2) + h / 6 * (propagate(k1, 2) + 2 * propagate(k2 + k3, 1) + k4)
+        )
     return states
 
 
@@ -207,10 +241,42 @@ class TestStepping:
         out = step(init.state, dt)
         assert np.all(np.isfinite(out.z))
 
-    def test_instability_detector(self, eq, grid16):
+    def test_instability_detector(self, eq, grid16, monkeypatch):
+        # the linear flow is propagated exactly, so no step size blows up by
+        # itself; a growing quadratic part (dv = +2 v) must trip the 10x norm abort
         init = initial_data_gen(grid16, eq, seed=5, amplitude=1e-2)
-        with pytest.raises(SolverInstabilityError):
+        monkeypatch.setattr(solver, "_quadratic", lambda z_hat, grid, eq, time, dealias: 2.0 * z_hat[1:4])
+        with pytest.raises(SolverInstabilityError, match="norm grew"):
             integrate(init.state, StepperConfig(dt=2.5), 60.0, sample_stride=10)
+
+    def test_advective_bound_rechecked_at_samples(self, eq, grid16):
+        # a flow of speed 1: the CFL-default step covers 5 CFL steps, so
+        # h xi_max max|u| = 0.76 exceeds cfl = 0.5 and the run stops at t=0
+        z = np.zeros((10,) + grid16.shape)
+        z[1] = np.sin(2 * math.pi * grid16.coordinates[1] / grid16.box_length)
+        state = SimState(grid=grid16, eq=eq, time=0.0, z=z)
+        with pytest.raises(SolverInstabilityError, match=r"at t=0: h xi_max max\|u\| = 0\.7\d* > cfl = 0\.5"):
+            integrate(state, StepperConfig(), 5.0, sample_stride=5)
+
+    @pytest.mark.parametrize("stride,steps_per_sample", [(5, 1), (20, 2)])
+    def test_cfl_default_one_table_and_one_step_per_sample(self, eq, grid16, monkeypatch, stride, steps_per_sample):
+        tables, steps, fluxes = [], [], []
+        for name, log in (("mode_exponentials", tables), ("_lawson", steps), ("nonlinear_fluxes", fluxes)):
+            def counting(*args, _fn=getattr(solver, name), _log=log):
+                _log.append(args)
+                return _fn(*args)
+
+            monkeypatch.setattr(solver, name, counting)
+        init = initial_data_gen(grid16, eq, seed=1, amplitude=1e-2)
+        series = integrate(init.state, StepperConfig(), 20.0, sample_stride=stride)
+        intervals = math.ceil(20.0 / (stride * cfl_dt(init.state, StepperConfig())))
+        h = 20.0 / (intervals * steps_per_sample)
+        assert h <= solver.MAX_STEP
+        assert len(tables) == 1 and tables[0][2] == pytest.approx(0.5 * h)
+        assert len(series.states) == intervals + 1
+        assert np.allclose(np.diff(series.times), 20.0 / intervals)
+        assert len(steps) == intervals * steps_per_sample
+        assert len(fluxes) == 4 * len(steps)
 
     def test_resolution_doubling_changes_norm_below_one_percent(self, eq):
         # residual aliasing of the non-polynomial pressure remainder is
@@ -239,12 +305,12 @@ class TestStepping:
 
 class TestCoefficientMarch:
     @pytest.mark.parametrize("dealias", [True, False])
-    def test_matches_physical_rk4_oracle(self, grid16, dealias):
+    def test_matches_lawson_oracle(self, grid16, dealias):
         eq = EquilibriumState(b_inf=(0.0, 0.0, 0.5))
         init = initial_data_gen(grid16, eq, seed=3, amplitude=5e-2)
         dt, stride = 0.1, 5
         series = integrate(init.state, StepperConfig(dt=dt, dealias=dealias), 2.0, sample_stride=stride)
-        oracle = physical_rk4_oracle(init.state.z, grid16, eq, dt, 20, dealias=dealias)
+        oracle = lawson_oracle(init.state.z, grid16, eq, dt, 20, dealias=dealias)
         assert len(series.states) == 5
         for k, s in enumerate(series.states):
             ref = oracle[k * stride]
@@ -387,6 +453,15 @@ class TestDuhamel:
             for c, rate in enumerate(decay):
                 direct = float(np.trapezoid(np.exp(-rate * (times[i] - tau)) * source[: i + 1], tau))
                 assert abs(got[i, c] - direct) <= 1e-12 * max(abs(direct), 1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_direct_mode_sums_match_rfftn(self, dim):
+        values = np.random.default_rng(dim).standard_normal((4,) + (16,) * dim)
+        kvecs = [(2,) + (0,) * (dim - 1), (0,) * (dim - 1) + (5,), (1,) * (dim - 1) + (3,)]
+        coeffs = np.fft.rfftn(values, axes=tuple(range(1, dim + 1)))
+        want = np.stack([coeffs[(slice(None),) + k] for k in kvecs], axis=-1)
+        got = solver._mode_coefficients(values, kvecs)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_source_free_mode_bound(self, eq):
         # with tiny data the source term is negligible and the envelope is
