@@ -315,36 +315,44 @@ _DISSIPATION_NORMS = (("rho", 2.5), ("velocity", 2.5), ("electric", 1.5), ("magn
 STATE_REGULARITY = 2.5
 
 
-def _group_spectra(sample) -> np.ndarray:
+def kernel_convolution(times: np.ndarray, source: np.ndarray, decay) -> np.ndarray:
+    """Trapezoid rule for int_{t_0}^{t_i} exp(-decay (t_i - tau)) source(tau) dtau at every t_i.
+
+    Exact recursive form, O(len(times)) for any (non-uniform) grid:
+    conv_i = e_i conv_{i-1} + h_i / 2 (source_i + e_i source_{i-1}) with
+    e_i = exp(-decay h_i).  decay and each source[i] may be arrays; the
+    result has shape times.shape + their broadcast shape.  With decay 0
+    every e_i is 1 and this is the cumulative trapezoid rule.
+    """
+    decay = np.asarray(decay, dtype=float)
+    conv = np.zeros((len(times),) + np.broadcast_shapes(decay.shape, np.shape(source)[1:]))
+    for i in range(1, len(times)):
+        h = times[i] - times[i - 1]
+        e = np.exp(-decay * h)
+        conv[i] = e * conv[i - 1] + 0.5 * h * (source[i] + e * source[i - 1])
+    return conv
+
+
+def _group_spectra(sample: PhysicalField) -> np.ndarray:
     """Shell spectra of z and of each _DISSIPATION_NORMS group (magnetic gradient: |xi|^2 h)."""
-    rho, vel, e_field, h_field = sample
-    grid = rho.grid
-    all_z = np.concatenate([rho.values, vel.values, e_field.values, h_field.values], axis=0)
-    c = forward_transform(PhysicalField(grid, all_z)).coefficients
-    groups = [SpectralField(grid, c[sl]).shell_spectrum()
+    g = forward_transform(sample)
+    groups = [SpectralField(g.grid, g.coefficients[sl]).shell_spectrum()
               for sl in (slice(0, 1), slice(1, 4), slice(4, 7), slice(7, 10))]
-    return np.array([sum(groups)] + groups[:3] + [grid.shell_radii**2 * groups[3]])
+    return np.array([sum(groups)] + groups[:3] + [g.grid.shell_radii**2 * groups[3]])
 
 
-def energy_functionals(samples: Sequence, times: Sequence[float]) -> EnergyFunctionals:
-    """Compute the runtime functionals for a series of (rho, vel, E, h) samples."""
+def energy_functionals(samples: Sequence[PhysicalField], times: Sequence[float]) -> EnergyFunctionals:
+    """The runtime functionals of a series of 10-component (rho, velocity, E, h) states."""
     times = np.asarray(times, dtype=float)
     if times.size != len(samples):
         raise ConfigError("times and samples length mismatch")
-    grid = samples[0][0].grid
+    grid = samples[0].grid
     qs = BlockIndexRange.for_grid(grid).indices(homogeneous=False)
     profiles = block_profiles(grid, qs, homogeneous=False)
 
     spectra = np.array([_group_spectra(sample) for sample in samples])  # [t, group, shell]
     l2 = np.sqrt(spectra[:, 0].sum(axis=1))
     blocks = shell_l2_norms(spectra, profiles)  # [t, group, q]
-
-    def cumtrapz(y: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(y)
-        if y.shape[0] > 1:
-            seg = 0.5 * (y[1:] + y[:-1]) * np.diff(times).reshape(-1, *([1] * (y.ndim - 1)))
-            out[1:] = np.cumsum(seg, axis=0)
-        return out
 
     n_func = np.maximum.accumulate((1.0 + times) ** 0.75 * l2)
 
@@ -356,6 +364,6 @@ def energy_functionals(samples: Sequence, times: Sequence[float]) -> EnergyFunct
     for j, (_, s_val) in enumerate(_DISSIPATION_NORMS):
         group = blocks[:, 1 + j]
         w = 2.0 ** (qs * s_val)
-        d += np.sqrt(cumtrapz((group @ w) ** 2))
-        d0 += np.sqrt(cumtrapz(group**2)) @ w
+        d += np.sqrt(kernel_convolution(times, (group @ w) ** 2, 0.0))
+        d0 += np.sqrt(kernel_convolution(times, group**2, 0.0)) @ w
     return EnergyFunctionals(times=times, l2=l2, n=n_func, d=d, n0=n0, d0=d0)

@@ -63,9 +63,19 @@ def _parse_floats(spec: str, count: int, name: str) -> list[float]:
     if len(parts) != count:
         raise ConfigError(f"{name}: expected {count} comma-separated values, got {spec!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise ConfigError(f"{name}: non-numeric entry in {spec!r}") from None
+    if any(math.isnan(v) for v in values):
+        raise ConfigError(f"{name}: NaN entry in {spec!r}")
+    return values
+
+
+def _finite(name: str, values: list[float]) -> list[float]:
+    """values, or a ConfigError naming the option when one of them is infinite or NaN."""
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{name}: expected finite values, got {values}")
+    return values
 
 
 def _parse_window(spec: str) -> tuple[float, float]:
@@ -165,15 +175,17 @@ def cmd_besov_norm(args) -> int:
 
 
 def cmd_kernel_verify(args) -> int:
-    rate_vals = _parse_floats(args.rate, 2, "--rate")
+    rate_vals = _finite("--rate", _parse_floats(args.rate, 2, "--rate"))
     rate = DissipRate.from_ab(rate_vals[0], rate_vals[1])
     s, ell, rho, r, alpha = _parse_floats(args.params, 5, "--params")
+    if not -1074 <= args.q0 <= 1023:  # 2^q0 is a positive finite double
+        raise ConfigError(f"--q0: 2^{args.q0} is not a positive finite float")
     params = DecayParams(s=s, ell=ell, rho=rho, r=r, alpha=alpha, q0=args.q0)
     times = _parse_times(args.times)
     grid = _load_grid(args.grid, TorusGrid(dim=3, box_length=64.0, points_per_axis=48))
     if args.input.startswith("gaussian"):
-        width = _parse_floats(args.input.split(":")[1], 1, "--input")[0] if ":" in args.input else 1.0
-        field = gaussian_bump(grid, width)
+        width = args.input.split(":")[1] if ":" in args.input else "1.0"
+        field = gaussian_bump(grid, _finite("--input", _parse_floats(width, 1, "--input"))[0])
     else:
         field = load_field(args.input)
     params.check(field.grid.dim)
@@ -212,7 +224,7 @@ def cmd_linear_gap(args) -> int:
         raise ConfigError(f"--xi-range: expected a:b:n, got {args.xi_range!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= lo or n < 2:
         raise ConfigError(f"--xi-range: invalid range {args.xi_range!r}")
-    b_inf = tuple(_parse_floats(args.binf, 3, "--binf")) if args.binf else (0.0, 0.0, 0.0)
+    b_inf = tuple(_finite("--binf", _parse_floats(args.binf, 3, "--binf"))) if args.binf else (0.0, 0.0, 0.0)
     eq = EquilibriumState(b_inf=b_inf)
     mags = np.geomspace(lo, hi, n)
     sweep = gap_sweep(mags, eq)
@@ -236,6 +248,8 @@ def cmd_linear_decay(args) -> int:
         orders = tuple(int(k) for k in args.orders.split(","))
     except ValueError:
         raise ConfigError(f"--orders: expected integers, got {args.orders!r}") from None
+    _finite("--width", [args.width])
+    _finite("--budget", [args.budget])
     if args.data == "gaussian":
         data = ContinuumData(kind="gaussian", width=args.width)
     elif args.data == "highpass":

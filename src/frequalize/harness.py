@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -19,7 +20,6 @@ from .errors import ConfigError
 from .grid import TorusGrid
 from .solver import SpectralProfile, StepperConfig
 
-LINEAR_TARGET = {0: -0.75, 1: -1.25, 2: -1.75}
 NONLINEAR_TARGET = -0.75
 
 
@@ -32,6 +32,9 @@ def _get(cfg: dict, path: str, default=None, required: bool = False):
     walked = []
     for key in path.split("."):
         walked.append(key)
+        if isinstance(node, (list, tuple)) and key.isdigit():  # a list entry: equilibrium.B_inf.0
+            node = node[int(key)]
+            continue
         if not isinstance(node, dict):
             raise ConfigError(f"{'.'.join(walked[:-1])}: expected an object")
         if key not in node:
@@ -44,14 +47,15 @@ def _get(cfg: dict, path: str, default=None, required: bool = False):
 
 def _number(cfg: dict, path: str, default=None, required=False, positive=False, integer=False):
     val = _get(cfg, path, default=default, required=required)
-    if val is None:
+    if val is None and not required:
         return None
     if (
         isinstance(val, bool)
         or not isinstance(val, (int, float))
+        or not abs(val) <= sys.float_info.max  # NaN, +-inf, and integers too large for a float
         or (integer and not float(val).is_integer())
     ):
-        kind = "an integer" if integer else "a number"
+        kind = "an integer" if integer else "a finite number"
         raise ConfigError(f"{path}: expected {kind}, got {val!r}")
     if positive and val <= 0:
         raise ConfigError(f"{path}: must be positive, got {val}")
@@ -84,14 +88,13 @@ class ExperimentConfig:
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
             raise ConfigError("config root: expected a JSON object")
-        self.raw = raw
         self.grid = parse_grid(raw)
         b_inf = _get(raw, "equilibrium.B_inf", default=[0.0, 0.0, 0.0])
         if not isinstance(b_inf, (list, tuple)) or len(b_inf) != 3:
             raise ConfigError("equilibrium.B_inf: expected a 3-vector")
         self.equilibrium = EquilibriumState(
             n_inf=_number(raw, "equilibrium.n_inf", default=1.0, positive=True),
-            b_inf=tuple(float(b) for b in b_inf),
+            b_inf=tuple(_number(raw, f"equilibrium.B_inf.{i}", default=0.0) for i in range(3)),
             pressure=PressureLaw(
                 coefficient=_number(raw, "equilibrium.K", default=1.0, positive=True),
                 gamma=_number(raw, "equilibrium.gamma", default=5.0 / 3.0, positive=True),
@@ -119,7 +122,9 @@ class ExperimentConfig:
         window = _get(raw, "experiment.fit_window", default=[5.0, self.t_end])
         if not isinstance(window, (list, tuple)) or len(window) != 2:
             raise ConfigError("experiment.fit_window: expected [t1, t2]")
-        self.fit_window = (float(window[0]), float(window[1]))
+        self.fit_window = tuple(
+            _number(raw, f"experiment.fit_window.{i}", default=window[i]) for i in range(2)
+        )
         duhamel = _get(raw, "experiment.duhamel", default=False)
         if not isinstance(duhamel, bool):
             raise ConfigError(f"experiment.duhamel: expected a boolean, got {duhamel!r}")
@@ -226,26 +231,27 @@ def merge_reports(summary_paths: Sequence[str | Path]) -> tuple[list[str], list[
             summary = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"report: {path} is not valid JSON ({exc})") from None
+        if not isinstance(summary, dict):
+            raise ConfigError(f"report: {path}: expected a JSON object")
         kind = summary.get("kind")
         run_id = summary.get("run_id", path.parent.name or path.stem)
-        if kind == "linear_decay":
-            for key, fit in sorted(summary.get("fits", {}).items()):
-                target = fit.get("target")
-                if target is None:
-                    raise ConfigError(f"report: {path}: fit {key} lacks a target")
-                rows.append(
-                    [run_id, kind, key, fit["exponent"], target,
-                     fit["exponent"] - target, fit["r_squared"]]
+        try:
+            if kind == "linear_decay":
+                fits = _get(summary, "fits", default={})
+                if not isinstance(fits, dict):
+                    raise ConfigError("fits: expected an object")
+                entries = [(key, f"fits.{key}", None) for key in sorted(fits)]
+            elif kind == "nonlinear_decay":
+                entries = [("0", "fit", NONLINEAR_TARGET)]
+            else:
+                raise ConfigError(f"unknown or missing kind {kind!r}")
+            for order, where, default_target in entries:
+                exponent = _number(summary, f"{where}.exponent", required=True)
+                target = _number(
+                    summary, f"{where}.target", default=default_target, required=default_target is None
                 )
-        elif kind == "nonlinear_decay":
-            fit = summary.get("fit")
-            if fit is None:
-                raise ConfigError(f"report: {path}: missing fit block")
-            target = fit.get("target", NONLINEAR_TARGET)
-            rows.append(
-                [run_id, kind, "0", fit["exponent"], target,
-                 fit["exponent"] - target, fit["r_squared"]]
-            )
-        else:
-            raise ConfigError(f"report: {path}: unknown or missing kind {kind!r}")
+                r_squared = _get(summary, f"{where}.r_squared", required=True)
+                rows.append([run_id, kind, order, exponent, target, exponent - target, r_squared])
+        except ConfigError as exc:
+            raise ConfigError(f"report: {path}: {exc}") from None
     return header, rows

@@ -34,8 +34,6 @@ from .grid import SpectralField, TorusGrid, shell_l2_norms
 
 INNER_PLATEAU = 0.75  # chi == 1 inside this radius
 OUTER_SUPPORT = 4.0 / 3.0  # chi == 0 outside this radius
-SHELL_INNER = 0.75  # phi support lower edge
-SHELL_OUTER = 8.0 / 3.0  # phi support upper edge
 
 
 def exponential_ramp(t: np.ndarray) -> np.ndarray:

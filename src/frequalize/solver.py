@@ -20,10 +20,11 @@ step to the last.  Per mode the right-hand side is M(xi) z + N(z): the
 linear generator of `linear_modes.mode_matrices` plus the quadratic part N,
 which is nonzero in the three velocity rows only.  N takes one 10-component
 inverse transform (the physical fields for the density check and the
-products) and one 9-component forward transform of (q2, r2), masked by the
-2/3 rule.  The pressure remainder of a power law is not polynomial, so its
-dealiasing is approximate and controlled by resolution checks rather than
-exactness.
+products) and one 9-component forward transform of the packed fluxes (the
+six distinct entries of the symmetric q2, then r2; `nonlinear_fluxes`),
+masked by the 2/3 rule.  The pressure remainder of a power law is not
+polynomial, so its dealiasing is approximate and controlled by resolution
+checks rather than exactness.
 
 The march is Lawson's integrating-factor RK4: with E(h) = exp(h M) per mode,
 
@@ -57,7 +58,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .besov import BesovSpec, EnergyFunctionals, besov_norm, energy_functionals, negative_norm
+from .besov import BesovSpec, EnergyFunctionals, besov_norm, energy_functionals, kernel_convolution, negative_norm
 from .decay_kernel import euler_maxwell_rate
 from .equilibrium import EquilibriumState
 from .errors import ConfigError, DensityError, SolverInstabilityError
@@ -122,9 +123,9 @@ class _SpectralOps:
         self.grid = grid
         n, d = grid.points_per_axis, grid.dim
         self.axes = tuple(range(1, d + 1))
-        full = 2.0 * math.pi * np.fft.fftfreq(n, d=grid.spacing)
-        half = 2.0 * math.pi * np.fft.rfftfreq(n, d=grid.spacing)
-        xi = np.meshgrid(*([full] * (d - 1) + [half]), indexing="ij")
+        # the rfftn half of the lattice; its last column k = N/2 has the opposite
+        # sign to rfftfreq's, which the Nyquist zeroing below makes moot
+        xi = [c[..., : n // 2 + 1] for c in grid.frequency_vectors]
         keep = n // 3  # integer mode cutoff of the 2/3 rule
         self.band_edge = 2.0 * math.pi * keep / grid.box_length
         self.dealias_mask = reduce(np.logical_and, [np.abs(c) <= self.band_edge + 1e-12 for c in xi])
@@ -132,9 +133,8 @@ class _SpectralOps:
         # there: coefficients of a real field then stay those of a real field
         xi = [np.where(np.isclose(np.abs(c), grid.xi_max), 0.0, c) for c in xi]
         self.ik = [1j * c for c in xi] + [0.0] * (3 - d)
-        self.modes = np.zeros((xi[0].size, 3))  # (n_modes, 3), in the order of a flattened coefficient
-        for j, c in enumerate(xi):
-            self.modes[:, j] = c.ravel()
+        # (n_modes, 3), in the order of a flattened coefficient
+        self.modes = np.stack([c.ravel() for c in xi] + [np.zeros(xi[0].size)] * (3 - d), axis=1)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         import scipy.fft  # deferred: set-up that never transforms here skips its import
@@ -235,30 +235,29 @@ class SimState:
     def l2(self) -> float:
         return math.sqrt(float(np.sum(self.z**2)) * self.grid.cell_volume)
 
-    def fields(self) -> tuple[PhysicalField, PhysicalField, PhysicalField, PhysicalField]:
-        return tuple(PhysicalField(self.grid, self.z[a:b]) for a, b in ((0, 1), (1, 4), (4, 7), (7, 10)))
-
     def as_field(self) -> PhysicalField:
         return PhysicalField(self.grid, self.z)
 
 
-def nonlinear_fluxes(state: SimState) -> tuple[np.ndarray, np.ndarray]:
-    """(q2, r2) evaluated pointwise in physical space.
+def nonlinear_fluxes(state: SimState) -> np.ndarray:
+    """The packed fluxes (q2, r2) evaluated pointwise in physical space, shape (9, *grid).
 
-    q2 has shape (3, 3, grid) (symmetric), r2 has shape (3, grid).
+    Rows 0-5 are the six distinct entries of the symmetric q2, in _UPPER
+    order (q2[i, j] is row _PACKED[i][j]); rows 6-8 are r2.
     """
     eq = state.eq
     n = state.total_density()
     vel = state.velocity
     weight = -(eq.n_inf**2) / n
-    q2 = np.empty((3, 3) + state.grid.shape)
-    for i, j in _UPPER:
-        q2[i, j] = q2[j, i] = weight * vel[i] * vel[j]
+    packed = np.empty((9,) + state.grid.shape)
+    for k, (i, j) in enumerate(_UPPER):
+        packed[k] = weight * vel[i] * vel[j]
     rem = eq.pressure.quadratic_remainder(n, eq.n_inf)
     for i in range(3):
-        q2[i, i] -= rem
-    r2 = -state.density * state.electric - eq.n_inf * _cross(vel, state.magnetic)
-    return q2, r2
+        packed[_PACKED[i][i]] -= rem
+    r2 = np.multiply(-state.density, state.electric, out=packed[6:])  # formed in place: no 3-row temporary
+    r2 -= eq.n_inf * _cross(vel, state.magnetic)
+    return packed
 
 
 def _positive_density(state: SimState) -> np.ndarray:
@@ -276,9 +275,8 @@ def _quadratic(z_hat: np.ndarray, grid: TorusGrid, eq: EquilibriumState, time: f
     ops = _ops(grid)
     state = SimState.from_coefficients(grid, eq, time, z_hat)
     _positive_density(state)
-    q2, r2 = nonlinear_fluxes(state)
-    packed = np.stack([q2[i, j] for i, j in _UPPER] + list(r2))
-    del state, q2, r2  # the transform below is the peak of a step
+    packed = nonlinear_fluxes(state)
+    del state  # the transform below is the peak of a step
     packed_hat = ops.forward(packed)
     if dealias:
         packed_hat *= ops.dealias_mask
@@ -313,8 +311,6 @@ def _flow_speed(state: SimState, n: np.ndarray) -> float:
 
 def cfl_dt(state: SimState, cfg: StepperConfig) -> float:
     """C_cfl / (xi_max (max|u| + max sound speed + 1)); the +1 covers light speed."""
-    if cfg.dt is not None:
-        return cfg.dt
     n = state.total_density()
     c_s = float(np.max(np.sqrt(state.eq.pressure.dp(n))))
     return cfg.cfl / (state.grid.xi_max * (_flow_speed(state, n) + c_s + 1.0))
@@ -370,9 +366,6 @@ def step(state: SimState, dt: float, *, dealias: bool = True) -> SimState:
 class SimulationSeries:
     times: np.ndarray
     states: list[SimState]
-
-    def samples(self):
-        return [s.fields() for s in self.states]
 
 
 def integrate(
@@ -458,16 +451,13 @@ def constraint_monitor(series: SimulationSeries) -> ConstraintReport:
 @dataclass(frozen=True)
 class InitialData:
     state: SimState
-    seed: int
-    amplitude: float
-    regularity_norm: float  # inhomogeneous s=5/2 norm of the state (== amplitude)
+    amplitude: float  # inhomogeneous s=5/2 norm of the state
     low_order_norm: float  # homogeneous negative-order (3/2) norm
-    profile: SpectralProfile
 
     @property
     def i1(self) -> float:
         """Size of the data in the intersection space driving the decay theory."""
-        return self.regularity_norm + self.low_order_norm
+        return self.amplitude + self.low_order_norm
 
 
 def initial_data_gen(
@@ -526,14 +516,7 @@ def initial_data_gen(
         raise ConfigError("generated data is identically zero; widen the profile")
     state.z *= amplitude / base
     low = negative_norm(state.as_field(), 1.5)
-    return InitialData(
-        state=state,
-        seed=seed,
-        amplitude=amplitude,
-        regularity_norm=amplitude,
-        low_order_norm=low,
-        profile=profile,
-    )
+    return InitialData(state=state, amplitude=amplitude, low_order_norm=low)
 
 
 # ---------------------------------------------------------------------------
@@ -552,23 +535,6 @@ class DuhamelReport:
     modes: tuple[tuple[tuple[int, ...], int, float], ...]  # (k-vector, q, |xi|)
     c1: float
     c_bound: float
-
-
-def kernel_convolution(times: np.ndarray, source: np.ndarray, decay) -> np.ndarray:
-    """Trapezoid rule for int_{t_0}^{t_i} exp(-decay (t_i - tau)) source(tau) dtau at every t_i.
-
-    Exact recursive form, O(len(times)) for any (non-uniform) grid:
-    conv_i = e_i conv_{i-1} + h_i / 2 (source_i + e_i source_{i-1}) with
-    e_i = exp(-decay h_i).  decay may be an array; the result has shape
-    times.shape + decay.shape.
-    """
-    decay = np.asarray(decay, dtype=float)
-    conv = np.zeros((len(times),) + decay.shape)
-    for i in range(1, len(times)):
-        h = times[i] - times[i - 1]
-        e = np.exp(-decay * h)
-        conv[i] = e * conv[i - 1] + 0.5 * h * (source[i] + e * source[i - 1])
-    return conv
 
 
 def _mode_coefficients(values: np.ndarray, kvecs) -> np.ndarray:
@@ -613,12 +579,11 @@ def duhamel_check(series: SimulationSeries) -> DuhamelReport:
     times = series.times
     lhs = np.zeros((len(modes), times.size))
     src = np.zeros((len(modes), times.size))
-    frob_w = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])  # upper-triangle multiplicities
+    frob_w = np.array([1.0 if i == j else 2.0 for i, j in _UPPER])  # multiplicities in |q2|_F^2
     phi2 = np.array([float(DEFAULT_CUTOFFS.phi(mag / 2.0**q)) ** 2 for _, q, mag in modes])
     mags = np.array([mag for _, _, mag in modes])
     for i, s in enumerate(series.states):
-        q2, r2 = nonlinear_fluxes(s)
-        packed = np.stack([q2[a, b] for a, b in _UPPER] + list(r2))
+        packed = nonlinear_fluxes(s)
         z_power = np.abs(_mode_coefficients(s.z, mode_indices) * grid.cell_volume) ** 2
         flux_power = np.abs(_mode_coefficients(packed, mode_indices) * grid.cell_volume) ** 2
         lhs[:, i] = phi2 * np.sum(z_power, axis=0)
@@ -675,7 +640,7 @@ def decay_experiment(
     stepper = stepper or StepperConfig()
     init = initial_data_gen(grid, eq, seed, amplitude, profile)
     series = integrate(init.state, stepper, t_end, sample_stride=sample_stride)
-    functionals = energy_functionals(series.samples(), series.times)
+    functionals = energy_functionals([s.as_field() for s in series.states], series.times)
     constraints = constraint_monitor(series)
     saturation = 1.0 / float(euler_maxwell_rate().eta(grid.xi_min))
     fit = fit_decay_exponent(

@@ -283,22 +283,16 @@ class TestProbes:
         assert all(0.05 < x < 20.0 for x in rep.ratios)
 
 
-def _state_sample(grid: TorusGrid, rng, scale: float = 1.0):
-    rho = random_band_limited_field(grid, 1, rng)
-    vel = random_band_limited_field(grid, 3, rng)
-    e = random_band_limited_field(grid, 3, rng)
-    h = random_band_limited_field(grid, 3, rng)
-    return tuple(
-        PhysicalField(grid, scale * f.values) for f in (rho, vel, e, h)
-    )
+def _state_sample(grid: TorusGrid, rng) -> PhysicalField:
+    """A 10-component (rho, velocity, E, h) state, drawn group by group."""
+    groups = [random_band_limited_field(grid, c, rng) for c in (1, 3, 3, 3)]
+    return PhysicalField(grid, np.concatenate([f.values for f in groups]))
 
 
 class TestEnergyFunctionals:
     def test_zero_state(self):
         grid = TorusGrid(dim=3, box_length=5.0, points_per_axis=8)
-        zeros = tuple(
-            PhysicalField(grid, np.zeros((c,) + grid.shape)) for c in (1, 3, 3, 3)
-        )
+        zeros = PhysicalField(grid, np.zeros((10,) + grid.shape))
         times = np.linspace(0, 1, 4)
         out = energy_functionals([zeros] * 4, times)
         for arr in (out.l2, out.n, out.d, out.n0, out.d0):
@@ -308,10 +302,7 @@ class TestEnergyFunctionals:
         grid = TorusGrid(dim=3, box_length=5.0, points_per_axis=8)
         base = _state_sample(grid, rng)
         times = np.linspace(0.0, 3.0, 7)
-        samples = [
-            tuple(PhysicalField(grid, (1 + t) ** -0.75 * f.values) for f in base)
-            for t in times
-        ]
+        samples = [PhysicalField(grid, (1 + t) ** -0.75 * base.values) for t in times]
         out = energy_functionals(samples, times)
         assert np.allclose(out.n, out.n[0], rtol=1e-12)
         assert out.n[0] == pytest.approx(out.l2[0], rel=1e-12)

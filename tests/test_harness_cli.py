@@ -39,6 +39,17 @@ NON_INTEGERS = [(k, v + 0.5) for k, v in INTEGER_KEYS.items()] + [
     (k, str(v)) for k, v in INTEGER_KEYS.items()
 ]
 
+# for each number key a value that is not a finite number, and the key path its error names
+NON_FINITE = [
+    ("equilibrium.B_inf", ["a", 0, 0], "equilibrium.B_inf.0"),
+    ("equilibrium.B_inf", [float("nan"), 0, 0], "equilibrium.B_inf.0"),
+    ("experiment.fit_window", [0.5, "x"], "experiment.fit_window.1"),
+    ("experiment.T", float("nan"), "experiment.T"),
+    ("stepper.cfl", float("inf"), "stepper.cfl"),
+    ("grid.box_length", float("inf"), "grid.box_length"),
+    ("experiment.T", 10**400, "experiment.T"),
+]
+
 
 def write_config(tmp_path: Path, overrides=None) -> Path:
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -222,6 +233,14 @@ class TestCli:
         (["linear", "decay", "--data", "highpass", "--cutoff", "-2"], "--cutoff"),
         (["lp", "check", "--seed", "-1"], "--seed"),
         (["linear", "gap", "--xi-range", "1:inf:5"], "--xi-range"),
+        (["kernel", "verify", "--rate", "1,nan"], "--rate"),
+        (["kernel", "verify", "--rate", "1,inf"], "--rate"),
+        (["kernel", "verify", "--params", "0,2,1.5,2,nan"], "--params"),
+        (["kernel", "verify", "--input", "gaussian:inf"], "--input"),
+        (["kernel", "verify", "--q0", "2000"], "--q0"),
+        (["linear", "decay", "--width", "nan"], "--width"),
+        (["linear", "decay", "--data", "highpass", "--budget", "nan"], "--budget"),
+        (["linear", "gap", "--binf", "inf,0,0"], "--binf"),
     ])
     def test_bad_option_value_exits_2_and_names_it(self, tmp_path, capsys, argv, option):
         assert main(argv + ["--out", str(tmp_path / "run")]) == 2
@@ -232,6 +251,13 @@ class TestCli:
         cfg = write_config(tmp_path, {"init.seed": -3})
         assert main(["nonlinear", "run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert "error: init.seed: must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key,value,named", NON_FINITE)
+    def test_non_finite_config_number_exits_2_and_names_it(self, tmp_path, capsys, key, value, named):
+        cfg = write_config(tmp_path, {key: value})
+        assert main(["nonlinear", "run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert f"error: {named}: expected a finite number" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_kernel_hypothesis_violation_exits_2(self, tmp_path):
@@ -269,6 +295,24 @@ class TestCli:
 
     def test_report_without_inputs_exits_2(self):
         assert main(["report"]) == 2
+
+    @pytest.mark.parametrize("summary,error", [
+        ({"kind": "nonlinear_decay", "fit": {"r_squared": 0.99}}, "fit.exponent: missing"),
+        ({"kind": "linear_decay", "fits": {"0": {"target": -0.75, "r_squared": 0.99}}}, "fits.0.exponent: missing"),
+        ({"kind": "linear_decay", "fits": {"1": {"exponent": -1.2, "r_squared": 0.9}}}, "fits.1.target: missing"),
+        ({"kind": "nonlinear_decay", "fit": {"exponent": None, "r_squared": 0.9}}, "fit.exponent: expected a finite"),
+    ])
+    def test_report_on_summary_without_exponent_exits_2(self, tmp_path, capsys, summary, error):
+        path = write_json(tmp_path / "summary.json", summary)
+        assert main(["report", str(path), "--out", str(tmp_path / "rep")]) == 2
+        assert f"error: report: {path}: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    def test_report_on_non_object_summary_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "summary.json", [{"kind": "nonlinear_decay"}])
+        assert main(["report", str(path), "--out", str(tmp_path / "rep")]) == 2
+        assert f"error: report: {path}: expected a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     def test_malformed_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

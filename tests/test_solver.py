@@ -160,8 +160,9 @@ class TestRhs:
         z[0] = 0.02 * np.sin(k * x)
         z[1] = 0.01 * np.sin(k * x)
         state = SimState(grid=grid16, eq=eq, time=0.0, z=z)
-        q2, r2 = nonlinear_fluxes(state)
-        assert np.all(r2 == 0.0)
+        packed = nonlinear_fluxes(state)  # six distinct q2 entries, then r2
+        assert packed.shape == (9,) + grid16.shape
+        assert np.all(packed[6:] == 0.0)
         pts = [(0, 0, 0), (3, 1, 2), (7, 7, 7), (10, 0, 5), (15, 4, 9)]
         for pt in pts:
             rho = z[0][pt]
@@ -172,7 +173,7 @@ class TestRhs:
             for i in range(3):
                 for j in range(3):
                     expected = -(eq.n_inf**2) * vel[i] * vel[j] / n - (rem if i == j else 0.0)
-                    assert q2[i, j][pt] == pytest.approx(expected, abs=1e-15)
+                    assert packed[solver._PACKED[i][j]][pt] == pytest.approx(expected, abs=1e-15)
 
     def test_density_violation_names_location(self, eq, grid16):
         z = np.zeros((10,) + grid16.shape)
@@ -453,6 +454,18 @@ class TestDuhamel:
             for c, rate in enumerate(decay):
                 direct = float(np.trapezoid(np.exp(-rate * (times[i] - tau)) * source[: i + 1], tau))
                 assert abs(got[i, c] - direct) <= 1e-12 * max(abs(direct), 1.0)
+
+    def test_zero_decay_is_the_cumulative_trapezoid(self):
+        # an array-valued source on a non-uniform grid: with decay 0 every
+        # factor is exactly 1, so the recursion reproduces the cumsum form bit for bit
+        rng = np.random.default_rng(3)
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.5, 24))])
+        source = rng.uniform(0.0, 3.0, (times.size, 7))
+        want = np.zeros_like(source)
+        want[1:] = np.cumsum(0.5 * (source[1:] + source[:-1]) * np.diff(times)[:, None], axis=0)
+        got = kernel_convolution(times, source, 0.0)
+        assert got.shape == source.shape
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_direct_mode_sums_match_rfftn(self, dim):
