@@ -21,6 +21,7 @@ import numpy as np
 from . import harness
 from .besov import BesovSpec, besov_norm
 from .decay_kernel import (
+    SPLIT_GRID,
     DecayParams,
     DissipRate,
     tail_divergence_scan,
@@ -178,8 +179,9 @@ def cmd_kernel_verify(args) -> int:
     rate_vals = _finite("--rate", _parse_floats(args.rate, 2, "--rate"))
     rate = DissipRate.from_ab(rate_vals[0], rate_vals[1])
     s, ell, rho, r, alpha = _parse_floats(args.params, 5, "--params")
-    if not -1074 <= args.q0 <= 1023:  # 2^q0 is a positive finite double
-        raise ConfigError(f"--q0: 2^{args.q0} is not a positive finite float")
+    lo, hi = SPLIT_GRID
+    if not math.log2(lo) <= args.q0 <= math.log2(hi):  # compared in logs: 2^q0 may overflow
+        raise ConfigError(f"--q0: 2^{args.q0} lies outside the split-constant grid [{lo:g}, {hi:g}]")
     params = DecayParams(s=s, ell=ell, rho=rho, r=r, alpha=alpha, q0=args.q0)
     times = _parse_times(args.times)
     grid = _load_grid(args.grid, TorusGrid(dim=3, box_length=64.0, points_per_axis=48))
@@ -225,7 +227,10 @@ def cmd_linear_gap(args) -> int:
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= lo or n < 2:
         raise ConfigError(f"--xi-range: invalid range {args.xi_range!r}")
     b_inf = tuple(_finite("--binf", _parse_floats(args.binf, 3, "--binf"))) if args.binf else (0.0, 0.0, 0.0)
-    eq = EquilibriumState(b_inf=b_inf)
+    try:
+        eq = EquilibriumState(b_inf=b_inf)
+    except ConfigError as exc:
+        raise ConfigError(f"--binf: {exc}") from None
     mags = np.geomspace(lo, hi, n)
     sweep = gap_sweep(mags, eq)
     header = ["xi", "gap", "gap_over_eta0"]

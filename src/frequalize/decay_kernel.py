@@ -46,6 +46,7 @@ from .littlewood_paley import BlockIndexRange, block_profiles
 
 SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 _TAIL_R_MAXES = (1e1, 1e2, 1e3, 1e4)  # domain extensions of the tail divergence scan
+SPLIT_GRID = (1e-8, 1e8)  # |xi| range on which split_constants measures, split radius included
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +83,8 @@ class DissipRate:
     def split_constants(self, r0: float) -> tuple[float, float]:
         """(c_low, c_high) with eta >= c_low |xi|^sigma1 below r0 and
         eta >= c_high |xi|^-sigma2 above r0, measured on a log grid."""
-        lo = np.geomspace(1e-8, r0, 4001)
-        hi = np.geomspace(r0, 1e8, 4001)
+        lo = np.geomspace(SPLIT_GRID[0], r0, 4001)
+        hi = np.geomspace(r0, SPLIT_GRID[1], 4001)
         c_low = float(np.min(self.eta(lo) / lo**self.sigma1))
         c_high = float(np.min(self.eta(hi) * hi**self.sigma2))
         return c_low, c_high
@@ -376,7 +377,6 @@ def tail_integral(
 
 @dataclass(frozen=True)
 class TailScan:
-    r_maxes: tuple[float, ...]
     values: tuple[float, ...]
     growth_exponent: float
     diverging: bool
@@ -403,7 +403,6 @@ def tail_divergence_scan(
     vals = [tail_integral(ell, r, rate, t, n, r0=r0, r_max=rm) for rm in _TAIL_R_MAXES]
     slope = math.log(vals[-1] / vals[-2]) / math.log(_TAIL_R_MAXES[-1] / _TAIL_R_MAXES[-2])
     return TailScan(
-        r_maxes=_TAIL_R_MAXES,
         values=tuple(vals),
         growth_exponent=slope,
         diverging=slope > 0.05,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,8 @@ class EquilibriumState:
         object.__setattr__(self, "b_inf", tuple(float(b) for b in self.b_inf))
         if len(self.b_inf) != 3:
             raise ConfigError("background magnetic field must have 3 components")
+        if not math.isfinite(sum(b * b for b in self.b_inf)):
+            raise ConfigError(f"B_inf: |B_inf|^2 is not finite for {self.b_inf}")
 
     @property
     def a_inf(self) -> float:

@@ -92,14 +92,16 @@ class ExperimentConfig:
         b_inf = _get(raw, "equilibrium.B_inf", default=[0.0, 0.0, 0.0])
         if not isinstance(b_inf, (list, tuple)) or len(b_inf) != 3:
             raise ConfigError("equilibrium.B_inf: expected a 3-vector")
-        self.equilibrium = EquilibriumState(
-            n_inf=_number(raw, "equilibrium.n_inf", default=1.0, positive=True),
-            b_inf=tuple(_number(raw, f"equilibrium.B_inf.{i}", default=0.0) for i in range(3)),
-            pressure=PressureLaw(
-                coefficient=_number(raw, "equilibrium.K", default=1.0, positive=True),
-                gamma=_number(raw, "equilibrium.gamma", default=5.0 / 3.0, positive=True),
-            ),
+        n_inf = _number(raw, "equilibrium.n_inf", default=1.0, positive=True)
+        b_inf = tuple(_number(raw, f"equilibrium.B_inf.{i}", default=0.0) for i in range(3))
+        pressure = PressureLaw(
+            coefficient=_number(raw, "equilibrium.K", default=1.0, positive=True),
+            gamma=_number(raw, "equilibrium.gamma", default=5.0 / 3.0, positive=True),
         )
+        try:
+            self.equilibrium = EquilibriumState(n_inf=n_inf, b_inf=b_inf, pressure=pressure)
+        except ConfigError as exc:  # the one check left to the state: an overflowing |B_inf|^2
+            raise ConfigError(f"equilibrium.{exc}") from None
         self.seed = _number(raw, "init.seed", default=0, integer=True)
         if self.seed < 0:
             raise ConfigError(f"init.seed: must be non-negative, got {self.seed}")

@@ -29,16 +29,28 @@ for a whole batch of frequencies; `system_matrices` and
 `assemble_mode_matrix` read them back from it.  exp(t M(xi)) is computed in
 one place too: a private batched propagator makes one `np.linalg.eig` call
 for its whole batch and falls back to `scipy.linalg.expm` for modes whose
-eigenbasis is ill-conditioned.  `ModePropagator` (a batch of one),
-`GridModePropagator` (a lattice), `ContinuumEvolver` (all quadrature nodes)
-and `pointwise_decay_check` (the distinct sample frequencies) all use it.
+eigenbasis is ill-conditioned.
 
-With D = diag(1, i I6, I3) every generator is real in the form D^-1 M(xi) D:
-each entry coupling a velocity or electric row to a density or magnetic
-column, or the reverse, is i times a real number.  `real_mode_matrices`
-returns that form and `mode_exponentials` the table D^-1 exp(t M(xi)) D over
-a batch of frequencies, built chunk by chunk through the same propagator.
-The nonlinear solver propagates its linear part with that table.
+With D = diag(1, i I6, I3) every generator is real in the form
+R(xi) = D^-1 M(xi) D: each entry coupling a velocity or electric row to a
+density or magnetic column, or the reverse, is i times a real number.
+`real_mode_matrices` returns that form and `mode_exponentials` the table
+D^-1 exp(t M(xi)) D over a batch of frequencies, built chunk by chunk
+through the same propagator.  The nonlinear solver propagates its linear
+part with that table.
+
+The propagators decompose:
+- `ModePropagator` (a batch of one) and `pointwise_decay_check` (the
+  distinct sample frequencies): M(xi) itself;
+- `ContinuumEvolver`: R(xi) at every quadrature node, with V^-1 D^-1 z0
+  formed once for all times;
+- `GridModePropagator`: R(xi) on the half lattice whose last-axis index is
+  at most N//2, plus the modes whose negated frequency is off the lattice
+  (an even N puts -N/2 on it but not +N/2).  Every other mode is the
+  mirror -xi of a decomposed one.  A and L are real, so M(-xi) =
+  conj(M(xi)) and R(-xi) = S R(xi) S with S = D^2 = diag(1, -I6, I3),
+  hence exp(t M(-xi)) z = D^-1 exp(t R(xi)) D z, while exp(t M(xi)) z =
+  D exp(t R(xi)) D^-1 z.
 
 Whole-space decay experiments avoid the torus infrared cutoff by radial
 quadrature over continuum modes; lattice evolution is available for
@@ -162,14 +174,13 @@ def system_matrices(eq: EquilibriumState) -> tuple[np.ndarray, Callable[[np.ndar
 class ModeMatrix:
     """Generator M(xi) of one Fourier mode."""
 
-    xi: np.ndarray
     eq: EquilibriumState
     matrix: np.ndarray
 
 
 def assemble_mode_matrix(xi: Sequence[float], eq: EquilibriumState) -> ModeMatrix:
     xi = _pad_xi(xi)
-    return ModeMatrix(xi=xi, eq=eq, matrix=mode_matrices(xi, eq))
+    return ModeMatrix(eq=eq, matrix=mode_matrices(xi, eq))
 
 
 def constraint_matrix(xi: Sequence[float]) -> np.ndarray:
@@ -237,6 +248,17 @@ class _EigenPropagator:
             out[r] = scipy.linalg.expm(t[r] * matrices[r]) @ z[r]
         return out
 
+    def orbit(self, z: np.ndarray, times: Sequence[float]):
+        """exp(t M) z for z[n, 10] at each of times in turn; V^-1 z is formed once."""
+        coeff = np.einsum("nij,nj->ni", self.vinv, z)
+        for t in times:
+            if t < 0:
+                raise ConfigError(f"propagation time must be nonnegative, got {t}")
+            out = np.einsum("nij,nj->ni", self.v, coeff * np.exp(self.w * t))
+            for r in np.flatnonzero(self.ill_conditioned):
+                out[r] = scipy.linalg.expm(t * self.matrices[r]) @ z[r]
+            yield out
+
     def exponentials(self, t: float) -> np.ndarray:
         """exp(t M) for every generator of the batch, shape (n, 10, 10)."""
         if t < 0:
@@ -253,7 +275,6 @@ class ModePropagator:
     def __init__(self, xi: Sequence[float], eq: EquilibriumState):
         self.mode = assemble_mode_matrix(xi, eq)
         self._prop = _EigenPropagator(self.mode.matrix[None])
-        self.eigenvalues = self._prop.w[0]
 
     def matrix_at(self, t: float) -> np.ndarray:
         return self._prop.exponentials(t)[0]
@@ -385,26 +406,54 @@ def pointwise_decay_check(
 
 
 class GridModePropagator:
-    """The batched propagator over every mode of a full lattice."""
+    """The batched propagator over every mode of a full lattice.
+
+    Only the real forms R(xi) of the modes that are not a mirror are
+    decomposed (see the module docstring).  They are ordered mirror sources
+    first, so the mirrored modes are served by one leading slice of the
+    batch.  Any coefficients are accepted, Hermitian or not.
+    """
 
     def __init__(self, grid: TorusGrid, eq: EquilibriumState):
-        self.grid = grid
-        self.eq = eq
-        self._xi = np.zeros((grid.points_per_axis**grid.dim, 3))  # (n_modes, 3)
+        n = grid.points_per_axis
+        self._xi = np.zeros((n**grid.dim, 3))  # (n_modes, 3)
         for j, comp in enumerate(grid.frequency_vectors):
             self._xi[:, j] = comp.ravel()
-        self._prop = _EigenPropagator(mode_matrices(self._xi, eq))
+        index = np.indices(grid.shape).reshape(grid.dim, -1)
+        # -xi sits at index (-k) mod n unless some component of k is n/2
+        mirrored = (index[-1] > n // 2) & ~np.any(2 * index == n, axis=0)
+        sources = np.ravel_multi_index(-index[:, mirrored] % n, grid.shape)
+        others = ~mirrored
+        others[sources] = False
+        # mode order of the batch: sources, other decomposed modes, mirrored modes
+        self._order = np.concatenate([sources, np.flatnonzero(others), np.flatnonzero(mirrored)])
+        self._n_mirrored = len(sources)
+        decomposed = self._order[: len(self._order) - len(sources)]
+        self._prop = _EigenPropagator(real_mode_matrices(self._xi[decomposed], eq))
+
+    def _per_mode(self, zhat: np.ndarray, real_op: Callable[[np.ndarray, slice], np.ndarray]) -> np.ndarray:
+        """A modewise operator on every lattice mode of zhat (10, *grid.shape).
+
+        real_op(y, rows) applies the real-form operator of the decomposed
+        modes `rows` to the real-form coefficients y[n, 10].
+        """
+        flat = zhat.reshape(STATE_DIM, -1).T[self._order]  # (n_modes, 10) in batch order
+        n_decomposed = len(flat) - self._n_mirrored
+        out = np.empty(flat.shape, dtype=complex)
+        phases = REAL_FORM_PHASES
+        out[:n_decomposed] = real_op(flat[:n_decomposed] * phases.conj(), slice(None)) * phases
+        out[n_decomposed:] = real_op(flat[n_decomposed:] * phases, slice(0, self._n_mirrored)) * phases.conj()
+        result = np.empty_like(out)
+        result[self._order] = out
+        return result.T.reshape(zhat.shape)
 
     def apply(self, zhat: np.ndarray, t: float) -> np.ndarray:
         """Propagate stacked coefficients (10, *grid.shape) by time t."""
-        flat = zhat.reshape(STATE_DIM, -1).T  # (n_modes, 10)
-        return self._prop.apply(flat, t).T.reshape(zhat.shape)
+        return self._per_mode(zhat, lambda y, rows: self._prop.apply(y, t, rows))
 
     def generator_apply(self, zhat: np.ndarray) -> np.ndarray:
         """Apply M(xi) modewise (the exact linear right-hand side)."""
-        flat = zhat.reshape(STATE_DIM, -1).T
-        out = np.einsum("nij,nj->ni", self._prop.matrices, flat)
-        return out.T.reshape(zhat.shape)
+        return self._per_mode(zhat, lambda y, rows: np.einsum("nij,nj->ni", self._prop.matrices[rows], y))
 
     def constraint_residual(self, zhat: np.ndarray) -> float:
         flat = zhat.reshape(STATE_DIM, -1)
@@ -572,20 +621,25 @@ class ContinuumEvolver:
             ang_w = np.array([4.0 * math.pi])
         else:
             nodes, ang_w = _sphere_nodes(n_polar, n_azimuth)
-        self.ang_nodes, self.ang_weights = nodes, ang_w
+        self.ang_nodes = nodes
 
         frames = [_orthonormal_frame(np.asarray(omega)) for omega in nodes]
         xi = np.concatenate([self.rho[:, None] * frame[0] for frame in frames])
-        self._z0 = np.concatenate([data.mode_vector(self.rho, frame) for frame in frames])
+        z0 = np.concatenate([data.mode_vector(self.rho, frame) for frame in frames])
+        self._y0 = z0 * REAL_FORM_PHASES.conj()  # D^-1 z0
         self._node_rho = np.tile(self.rho, len(frames))
         self._node_weights = np.outer(ang_w, self.w_rho).ravel()
-        self._prop = _EigenPropagator(mode_matrices(xi, eq))
+        self._prop = _EigenPropagator(real_mode_matrices(xi, eq))
 
     def norms(self, times: Sequence[float], orders: Sequence[int] = (0, 1, 2)) -> dict[int, np.ndarray]:
-        """Derivative-weighted L^2 norms: (2 pi)^-3 integral of |xi|^2k |z|^2."""
+        """Derivative-weighted L^2 norms: (2 pi)^-3 integral of |xi|^2k |z|^2.
+
+        |exp(t M) z0| = |exp(t R) D^-1 z0| because D is diagonal with
+        unit-modulus entries, so the real-form orbit needs no re-phasing.
+        """
         power = np.array(
-            [np.sum(np.abs(self._prop.apply(self._z0, t)) ** 2, axis=1) for t in times]
-        ).reshape(-1, self._z0.shape[0])  # (times, nodes)
+            [np.sum(np.abs(y) ** 2, axis=1) for y in self._prop.orbit(self._y0, times)]
+        ).reshape(-1, self._y0.shape[0])  # (times, nodes)
         scale = (2.0 * math.pi) ** -3
         return {
             k: np.sqrt(scale * (power @ (self._node_weights * self._node_rho ** (2 + 2 * k))))

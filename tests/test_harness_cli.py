@@ -241,6 +241,10 @@ class TestCli:
         (["linear", "decay", "--width", "nan"], "--width"),
         (["linear", "decay", "--data", "highpass", "--budget", "nan"], "--budget"),
         (["linear", "gap", "--binf", "inf,0,0"], "--binf"),
+        (["linear", "gap", "--binf", "1e308,1e308,0", "--xi-range", "1e-2:1e2:5"], "--binf"),  # |B|^2 overflows
+        (["kernel", "verify", "--q0", "1000", "--times", "0:10:3"], "--q0"),  # 2^q0 above the 1e8 grid end
+        (["kernel", "verify", "--q0", "27"], "--q0"),
+        (["kernel", "verify", "--q0", "-27"], "--q0"),  # 2^q0 below the 1e-8 grid end
     ])
     def test_bad_option_value_exits_2_and_names_it(self, tmp_path, capsys, argv, option):
         assert main(argv + ["--out", str(tmp_path / "run")]) == 2
@@ -251,6 +255,12 @@ class TestCli:
         cfg = write_config(tmp_path, {"init.seed": -3})
         assert main(["nonlinear", "run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert "error: init.seed: must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_overflowing_config_background_field_exits_2_and_names_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"equilibrium.B_inf": [1e308, 1e308, 0.0]})
+        assert main(["nonlinear", "run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "error: equilibrium.B_inf: |B_inf|^2 is not finite" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("key,value,named", NON_FINITE)

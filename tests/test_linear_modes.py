@@ -265,6 +265,13 @@ class TestPointwiseDecay:
             pointwise_decay_check([(xi, z0, 1.0)], eq)
 
 
+class AnyNGrid(TorusGrid):
+    """A TorusGrid without the even-n check, for propagator rules written for any n."""
+
+    def __post_init__(self) -> None:
+        pass
+
+
 def compatible_lattice_state(grid: TorusGrid, rng) -> SpectralField:
     """Random smooth 10-component data obeying the lattice Gauss constraints."""
     from frequalize.grid import solenoidal_projection
@@ -296,17 +303,31 @@ class TestGridEvolution:
         sol = linear_evolve_grid(z0, np.linspace(0.0, 20.0, 5), eq, keep_states=False)
         assert sol.norms[0][-1] < sol.norms[0][0]
 
-    def test_matches_single_mode_propagator(self, eq, rng):
-        grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)
-        z0 = compatible_lattice_state(grid, rng)
-        prop = GridModePropagator(grid, eq)
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "general"])
+    @pytest.mark.parametrize("b_inf", [(0.0, 0.0, 0.0), (0.0, 0.0, 0.5)], ids=["b0", "b05"])
+    @pytest.mark.parametrize("dim,n", [(3, 8), (3, 7), (2, 8)], ids=["8^3", "7^3", "8^2"])
+    def test_every_mode_matches_expm(self, dim, n, b_inf, hermitian):
+        # an even n puts the Nyquist planes and the modes with an off-lattice
+        # mirror on the grid, an odd n has neither
+        eq_b = EquilibriumState(b_inf=b_inf)
+        grid = (TorusGrid if n % 2 == 0 else AnyNGrid)(dim=dim, box_length=20.0, points_per_axis=n)
+        rng = np.random.default_rng(n)
+        axes = tuple(range(1, dim + 1))
+        z0 = np.fft.fftn(rng.standard_normal((10,) + grid.shape), axes=axes)
+        if not hermitian:
+            z0 = z0 + rng.standard_normal(z0.shape) + 1j * rng.standard_normal(z0.shape)
+        prop = GridModePropagator(grid, eq_b)
         t = 2.5
-        out = prop.apply(z0.coefficients, t)
-        idx = (2, 3, 1)
-        xi = [grid.frequency_vectors[j][idx] for j in range(3)]
-        expected = propagate_mode(z0.coefficients[(slice(None),) + idx], xi, t, eq)
-        got = out[(slice(None),) + idx]
-        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+        out, gen = prop.apply(z0, t), prop.generator_apply(z0)
+        xi = np.zeros(grid.shape + (3,))
+        xi[..., :dim] = np.stack(grid.frequency_vectors, axis=-1)
+        for idx in np.ndindex(*grid.shape):
+            m = mode_matrices(xi[idx], eq_b)
+            start = z0[(slice(None),) + idx]
+            scale = np.linalg.norm(start)
+            want = scipy.linalg.expm(t * m) @ start
+            assert np.linalg.norm(out[(slice(None),) + idx] - want) <= 1e-12 * scale, idx
+            assert np.linalg.norm(gen[(slice(None),) + idx] - m @ start) <= 1e-14 * np.linalg.norm(m) * scale, idx
 
     def test_incompatible_data_rejected(self, eq, rng):
         grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)

@@ -1,4 +1,4 @@
-"""Every module-level name of the package is read somewhere besides its definition.
+"""Every module-level name and every attribute of the package is read somewhere.
 
 A name bound at module level in a package module (by def, class or
 assignment; dunders excepted) must be read in src/, tests/ or perfbench/:
@@ -6,6 +6,11 @@ as a loaded name, as an attribute, or as a name imported from a module.
 The definition itself does not count, and neither do mentions in strings,
 comments or docstrings.  A re-export in `__init__.py` counts as a read, so
 the public API passes as long as it is exported.
+
+Likewise every instance attribute a package class stores (`self.x = ...`)
+and every dataclass field must be read in src/, tests/ or perfbench/: as an
+attribute load, or as a string constant passed to `getattr`.  Stores,
+constructor keywords and `object.__setattr__` do not count.
 """
 
 from __future__ import annotations
@@ -44,6 +49,53 @@ def reads(source: str) -> Counter:
     return out
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Decorated with @dataclass or @dataclass(...)."""
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def attribute_names(source: str) -> list[str]:
+    """'Class.attr' for each dataclass field and each attribute stored on self in a method."""
+    names = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if _is_dataclass(cls):
+            names += [f"{cls.name}.{node.target.id}" for node in cls.body
+                      if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+        for method in cls.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(method):
+                targets = node.targets if isinstance(node, ast.Assign) else (
+                    [node.target] if isinstance(node, ast.AnnAssign) else [])
+                names += [f"{cls.name}.{t.attr}" for target in targets for t in ast.walk(target)
+                          if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                          and t.value.id == "self"]
+    return list(dict.fromkeys(names))
+
+
+def attribute_reads(source: str) -> Counter:
+    """How often each attribute is read: attribute loads and string constants passed to getattr."""
+    out: Counter = Counter()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out[node.attr] += 1
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr"
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str)):
+            out[node.args[1].value] += 1
+    return out
+
+
+def unread_attributes(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """'module: Class.attr' for each attribute of modules that no source in readers reads."""
+    read = sum((attribute_reads(source) for source in readers), Counter())
+    return [f"{mod}: {name}" for mod, source in modules.items() for name in attribute_names(source)
+            if not read[name.split(".")[1]]]
+
+
 def unreferenced(modules: dict[str, str], readers: list[str]) -> list[str]:
     """'module: name' for each module-level name of modules that no source in readers reads."""
     read = sum((reads(source) for source in readers), Counter())
@@ -70,3 +122,31 @@ def test_checker_flags_a_dead_constant():
     assert module_names(source) == ["LIMIT", "DEAD", "f", "Box"]
     user = "from m import f\nimport m\nprint(m.Box)\nm.DEAD = 5\n"  # a store is not a read
     assert unreferenced({"m.py": source}, [source, user]) == ["m.py: DEAD"]
+
+
+def test_every_attribute_is_read():
+    modules = {p.name: p.read_text() for p in MODULES}
+    assert unread_attributes(modules, [p.read_text() for p in READERS]) == []
+
+
+def test_checker_flags_a_dead_attribute():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    value: float\n"
+        "    unused: float\n"
+        "    LIMIT = 3\n"
+        "class Box:\n"
+        "    def __init__(self, a):\n"
+        "        self.a, self._b = a, 2 * a\n"
+        "        self.dead = a\n"
+        "        self.dead = 3 * a\n"
+        "    def size(self):\n"
+        "        local = Box(1)\n"
+        "        local.dead = 4\n"  # a store through another name is not an attribute of self
+        "        return self._b\n"
+    )
+    assert attribute_names(source) == ["Report.value", "Report.unused", "Box.a", "Box._b", "Box.dead"]
+    user = "r = Report(value=1.0, unused=2.0)\nprint(r.value, getattr(Box(1), 'a'))\nBox(1).dead = 5\n"
+    assert unread_attributes({"m.py": source}, [source, user]) == ["m.py: Report.unused", "m.py: Box.dead"]
