@@ -34,6 +34,7 @@ from .errors import (
     HypothesisError,
     IncompatibleDataError,
     NumericalError,
+    prefixed,
 )
 from .grid import TorusGrid, forward_transform, gaussian_bump, random_band_limited_field
 from .harness import ExperimentConfig, merge_reports, write_csv, write_json, write_plot_script
@@ -43,48 +44,41 @@ from .littlewood_paley import bernstein_extremes, partition_defect
 from .solver import decay_experiment
 
 
-def _parse_times(spec: str) -> np.ndarray:
-    try:
-        t0_s, t1_s, n_s = spec.split(":")
-        t0, t1, n = float(t0_s), float(t1_s), int(n_s)
-    except ValueError:
-        raise ConfigError(f"--times: expected t0:t1:n, got {spec!r}") from None
-    if n < 1 or t1 < t0 or t0 < 0 or (n > 1 and t1 <= 0):
+def _numbers(name: str, sep: str, count: int | None, integer: bool):
+    """type= converter of option `name`: `count` entries (None: any number) joined by `sep`.
+
+    Every entry must be a finite number, an integer when `integer` is set.  A
+    single-entry option yields the number, the others a tuple; a bad value is
+    a ConfigError naming the option.
+    """
+
+    def convert(spec: str):
+        parts = spec.split(sep)
+        if count is not None and len(parts) != count:
+            raise ConfigError(f"{name}: expected {count} value(s) separated by {sep!r}, got {spec!r}")
+        try:
+            values = [int(p) if integer else float(p) for p in parts]
+        except ValueError:
+            kind = "integers" if integer else "numbers"
+            raise ConfigError(f"{name}: expected {kind}, got {spec!r}") from None
+        if not integer and not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"{name}: expected finite values, got {spec!r}")
+        return values[0] if count == 1 else tuple(values)
+
+    return convert
+
+
+def _times(spec: str) -> np.ndarray:
+    """--times t0:t1:n: geometric from t0 > 0, or 0 followed by a geometric tail."""
+    t0, t1, n = _numbers("--times", ":", 3, False)(spec)
+    if not n.is_integer() or n < 1 or t1 < t0 or t0 < 0 or (n > 1 and t1 <= 0):
         raise ConfigError(f"--times: invalid range {spec!r}")
     if t0 > 0:
-        return np.geomspace(t0, t1, n)
+        return np.geomspace(t0, t1, int(n))
     if n == 1:
         return np.array([t0])
-    tail = np.geomspace(max(t1 * 1e-3, 1e-3), t1, n - 1)
+    tail = np.geomspace(max(t1 * 1e-3, 1e-3), t1, int(n) - 1)
     return np.concatenate([[0.0], tail])
-
-
-def _parse_floats(spec: str, count: int, name: str) -> list[float]:
-    parts = spec.split(",")
-    if len(parts) != count:
-        raise ConfigError(f"{name}: expected {count} comma-separated values, got {spec!r}")
-    try:
-        values = [float(p) for p in parts]
-    except ValueError:
-        raise ConfigError(f"{name}: non-numeric entry in {spec!r}") from None
-    if any(math.isnan(v) for v in values):
-        raise ConfigError(f"{name}: NaN entry in {spec!r}")
-    return values
-
-
-def _finite(name: str, values: list[float]) -> list[float]:
-    """values, or a ConfigError naming the option when one of them is infinite or NaN."""
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"{name}: expected finite values, got {values}")
-    return values
-
-
-def _parse_window(spec: str) -> tuple[float, float]:
-    try:
-        a, b = (float(x) for x in spec.split(":"))
-    except ValueError:
-        raise ConfigError(f"--window: expected a:b, got {spec!r}") from None
-    return a, b
 
 
 def _load_grid(path: str | None, default: TorusGrid) -> TorusGrid:
@@ -139,25 +133,22 @@ def cmd_lp_check(args) -> int:
 
 
 def _parse_besov_spec(spec: str) -> BesovSpec:
+    """--spec s,p,r[,hom|inhom]: finite numbers, except that p and r accept inf."""
     parts = spec.split(",")
     if len(parts) not in (3, 4):
         raise ConfigError(f"--spec: expected s,p,r[,hom|inhom], got {spec!r}")
-    try:
-        s = float(parts[0])
-        p = math.inf if parts[1] in ("inf", "Inf") else float(parts[1])
-        r = math.inf if parts[2] in ("inf", "Inf") else float(parts[2])
-    except ValueError:
-        raise ConfigError(f"--spec: non-numeric entry in {spec!r}") from None
-    hom = True
-    if len(parts) == 4:
-        if parts[3] not in ("hom", "inhom"):
-            raise ConfigError(f"--spec: homogeneity must be hom or inhom, got {parts[3]!r}")
-        hom = parts[3] == "hom"
-    return BesovSpec(s, p, r, hom)
+    number = _numbers("--spec", ",", 1, False)
+    s = number(parts[0])
+    p, r = (math.inf if x in ("inf", "Inf") else number(x) for x in parts[1:3])
+    flag = parts[3] if len(parts) == 4 else "hom"
+    if flag not in ("hom", "inhom"):
+        raise ConfigError(f"--spec: homogeneity must be hom or inhom, got {flag!r}")
+    with prefixed("--spec: "):
+        return BesovSpec(s, p, r, flag == "hom")
 
 
 def cmd_besov_norm(args) -> int:
-    spec = _parse_besov_spec(args.spec)
+    spec = args.spec
     field = load_field(args.input)
     report = besov_norm(field, spec)
     qs = sorted(report.contributions)
@@ -176,22 +167,23 @@ def cmd_besov_norm(args) -> int:
 
 
 def cmd_kernel_verify(args) -> int:
-    rate_vals = _finite("--rate", _parse_floats(args.rate, 2, "--rate"))
-    rate = DissipRate.from_ab(rate_vals[0], rate_vals[1])
-    s, ell, rho, r, alpha = _parse_floats(args.params, 5, "--params")
+    with prefixed("--rate: "):
+        rate = DissipRate.from_ab(*args.rate)
+    s, ell, rho, r, alpha = args.params
     lo, hi = SPLIT_GRID
     if not math.log2(lo) <= args.q0 <= math.log2(hi):  # compared in logs: 2^q0 may overflow
         raise ConfigError(f"--q0: 2^{args.q0} lies outside the split-constant grid [{lo:g}, {hi:g}]")
     params = DecayParams(s=s, ell=ell, rho=rho, r=r, alpha=alpha, q0=args.q0)
-    times = _parse_times(args.times)
     grid = _load_grid(args.grid, TorusGrid(dim=3, box_length=64.0, points_per_axis=48))
-    if args.input.startswith("gaussian"):
-        width = args.input.split(":")[1] if ":" in args.input else "1.0"
-        field = gaussian_bump(grid, _finite("--input", _parse_floats(width, 1, "--input"))[0])
+    kind, sep, width = args.input.partition(":")
+    if kind == "gaussian":
+        width = _numbers("--input", ":", 1, False)(width) if sep else 1.0
+        with prefixed("--input: "):
+            field = gaussian_bump(grid, width)
     else:
         field = load_field(args.input)
     params.check(field.grid.dim)
-    report = verify_inequality(field, times, params, rate)
+    report = verify_inequality(field, args.times, params, rate)
     scan = tail_divergence_scan(ell, r, rate, t=4.0, n=field.grid.dim, r0=params.r_split)
     header = ["t", "lhs", "low", "high", "ratio"]
     rows = [
@@ -219,22 +211,14 @@ def cmd_kernel_verify(args) -> int:
 
 
 def cmd_linear_gap(args) -> int:
-    try:
-        lo_s, hi_s, n_s = args.xi_range.split(":")
-        lo, hi, n = float(lo_s), float(hi_s), int(n_s)
-    except ValueError:
-        raise ConfigError(f"--xi-range: expected a:b:n, got {args.xi_range!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= lo or n < 2:
-        raise ConfigError(f"--xi-range: invalid range {args.xi_range!r}")
-    b_inf = tuple(_finite("--binf", _parse_floats(args.binf, 3, "--binf"))) if args.binf else (0.0, 0.0, 0.0)
-    try:
-        eq = EquilibriumState(b_inf=b_inf)
-    except ConfigError as exc:
-        raise ConfigError(f"--binf: {exc}") from None
-    mags = np.geomspace(lo, hi, n)
-    sweep = gap_sweep(mags, eq)
+    lo, hi, n = args.xi_range
+    if lo <= 0 or hi <= lo or n < 2 or not n.is_integer():
+        raise ConfigError(f"--xi-range: invalid range {lo:g}:{hi:g}:{n:g}")
+    with prefixed("--binf: "):
+        eq = EquilibriumState(b_inf=args.binf)
+    sweep = gap_sweep(np.geomspace(lo, hi, int(n)), eq)
     header = ["xi", "gap", "gap_over_eta0"]
-    rows = [[sweep.magnitudes[i], sweep.gaps[i], sweep.rate_ratios[i]] for i in range(n)]
+    rows = [list(row) for row in zip(sweep.magnitudes, sweep.gaps, sweep.rate_ratios)]
     summary = {
         "kind": "linear_gap",
         "run_id": "linear_gap",
@@ -242,31 +226,22 @@ def cmd_linear_gap(args) -> int:
         "slope_high": sweep.loglog_slope(max(hi / 100.0, lo), hi),
         "ratio_min": float(sweep.rate_ratios.min()),
         "ratio_max": float(sweep.rate_ratios.max()),
-        "B_inf": list(b_inf),
+        "B_inf": list(eq.b_inf),
     }
     _emit(args, "linear_gap", header, rows, summary)
     return 0
 
 
 def cmd_linear_decay(args) -> int:
-    try:
-        orders = tuple(int(k) for k in args.orders.split(","))
-    except ValueError:
-        raise ConfigError(f"--orders: expected integers, got {args.orders!r}") from None
-    _finite("--width", [args.width])
-    _finite("--budget", [args.budget])
-    if args.data == "gaussian":
-        data = ContinuumData(kind="gaussian", width=args.width)
-    elif args.data == "highpass":
-        if not (math.isfinite(args.cutoff) and args.cutoff > 0):
-            raise ConfigError(f"--cutoff: must be positive and finite, got {args.cutoff}")
-        data = ContinuumData(kind="highpass", cutoff=args.cutoff, budget=args.budget)
-    else:
-        raise ConfigError(f"--data: expected gaussian or highpass, got {args.data!r}")
-    times = _parse_times(args.times) if args.times else None
-    window = _parse_window(args.window) if args.window else None
-    eq = EquilibriumState()
-    exp = linear_decay_experiment(eq, data, times=times, orders=orders, window=window)
+    orders = args.orders
+    with prefixed("--"):  # a ContinuumData error names its field, which is also the option
+        if args.data == "gaussian":
+            data = ContinuumData(kind="gaussian", width=args.width)
+        else:
+            data = ContinuumData(kind="highpass", cutoff=args.cutoff, budget=args.budget)
+    exp = linear_decay_experiment(
+        EquilibriumState(), data, times=args.times, orders=orders, window=args.window
+    )
     header = ["t"] + [f"l2_d{k}" for k in orders]
     rows = [
         [exp.times[i]] + [exp.norms[k][i] for k in orders] for i in range(exp.times.size)
@@ -368,21 +343,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="output directory for CSV + summary JSON")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed override")
+        p.add_argument("--seed", type=_numbers("--seed", ",", 1, True), help="RNG seed override")
 
     lp = sub.add_parser("lp", help="dyadic partition diagnostics")
     lp_sub = lp.add_subparsers(dest="subcommand", required=True)
     lp_check = lp_sub.add_parser("check", help="partition-of-unity defect and derivative ratios")
     common(lp_check)
     lp_check.add_argument("--grid", help="JSON file with grid settings")
-    lp_check.add_argument("--fields", type=int, default=20, help="number of random probe fields")
+    lp_check.add_argument("--fields", type=_numbers("--fields", ",", 1, True), default=20,
+                          help="number of random probe fields")
     lp_check.set_defaults(func=cmd_lp_check)
 
     besov = sub.add_parser("besov", help="Besov norm evaluation")
     besov_sub = besov.add_subparsers(dest="subcommand", required=True)
     bn = besov_sub.add_parser("norm", help="norm of a dumped field")
     common(bn)
-    bn.add_argument("--spec", required=True, help="s,p,r[,hom|inhom] (p, r accept inf)")
+    bn.add_argument("--spec", type=_parse_besov_spec, required=True, help="s,p,r[,hom|inhom] (p, r accept inf)")
     bn.add_argument("--input", required=True, help="field dump (.fqlz)")
     bn.set_defaults(func=cmd_besov_norm)
 
@@ -390,30 +366,38 @@ def build_parser() -> argparse.ArgumentParser:
     kernel_sub = kernel.add_subparsers(dest="subcommand", required=True)
     kv = kernel_sub.add_parser("verify", help="evaluate both sides on a time grid")
     common(kv)
-    kv.add_argument("--rate", default="1,2", help="a,b of the dissipative rate")
-    kv.add_argument("--params", default="0,2,1.5,2,2", help="s,ell,rho,r,alpha")
-    kv.add_argument("--times", default="0:1000:25", help="t0:t1:n (geometric, 0 allowed)")
+    kv.add_argument("--rate", type=_numbers("--rate", ",", 2, False), default="1,2",
+                    help="a,b of the dissipative rate")
+    kv.add_argument("--params", type=_numbers("--params", ",", 5, False), default="0,2,1.5,2,2",
+                    help="s,ell,rho,r,alpha")
+    kv.add_argument("--times", type=_times, default="0:1000:25", help="t0:t1:n (geometric, 0 allowed)")
     kv.add_argument("--input", default="gaussian:1.0", help="gaussian[:width] or field dump")
     kv.add_argument("--grid", help="JSON file with grid settings")
-    kv.add_argument("--q0", type=int, default=0, help="low/high split block index")
+    kv.add_argument("--q0", type=_numbers("--q0", ",", 1, True), default=0, help="low/high split block index")
     kv.set_defaults(func=cmd_kernel_verify)
 
     linear = sub.add_parser("linear", help="linearized mode analysis")
     linear_sub = linear.add_subparsers(dest="subcommand", required=True)
     lg = linear_sub.add_parser("gap", help="constrained spectral gap sweep")
     common(lg)
-    lg.add_argument("--xi-range", default="1e-3:1e3:61", help="a:b:n geometric sweep")
-    lg.add_argument("--binf", help="background magnetic field bx,by,bz")
+    lg.add_argument("--xi-range", type=_numbers("--xi-range", ":", 3, False), default="1e-3:1e3:61",
+                    help="a:b:n geometric sweep")
+    lg.add_argument("--binf", type=_numbers("--binf", ",", 3, False), default="0,0,0",
+                    help="background magnetic field bx,by,bz")
     lg.set_defaults(func=cmd_linear_gap)
     ld = linear_sub.add_parser("decay", help="whole-space decay fits (continuum quadrature)")
     common(ld)
-    ld.add_argument("--data", default="gaussian", help="gaussian or highpass")
-    ld.add_argument("--width", type=float, default=2.5, help="gaussian spectral width")
-    ld.add_argument("--cutoff", type=float, default=10.0, help="highpass support edge")
-    ld.add_argument("--budget", type=float, default=1.5, help="highpass derivative budget")
-    ld.add_argument("--times", help="t0:t1:n sample times")
-    ld.add_argument("--orders", default="0,1", help="derivative orders, comma separated")
-    ld.add_argument("--window", help="fit window a:b")
+    ld.add_argument("--data", choices=("gaussian", "highpass"), default="gaussian")
+    ld.add_argument("--width", type=_numbers("--width", ",", 1, False), default=2.5,
+                    help="gaussian spectral width")
+    ld.add_argument("--cutoff", type=_numbers("--cutoff", ",", 1, False), default=10.0,
+                    help="highpass support edge")
+    ld.add_argument("--budget", type=_numbers("--budget", ",", 1, False), default=1.5,
+                    help="highpass derivative budget")
+    ld.add_argument("--times", type=_times, help="t0:t1:n sample times")
+    ld.add_argument("--orders", type=_numbers("--orders", ",", None, True), default="0,1",
+                    help="derivative orders, comma separated")
+    ld.add_argument("--window", type=_numbers("--window", ":", 2, False), help="fit window a:b")
     ld.add_argument("--plot", action="store_true", help="emit a plotting script")
     ld.set_defaults(func=cmd_linear_decay)
 
@@ -451,8 +435,8 @@ def _attach_list_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else list(argv)))
-    try:
+    try:  # an option's converter raises ConfigError, argparse's own usage errors SystemExit(2)
+        args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else list(argv)))
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError(f"--seed: must be a non-negative integer, got {args.seed}")
         return args.func(args)

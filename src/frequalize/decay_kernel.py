@@ -45,7 +45,7 @@ from .grid import PhysicalField, SpectralField, forward_transform, shell_l2_norm
 from .littlewood_paley import BlockIndexRange, block_profiles
 
 SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
-_TAIL_R_MAXES = (1e1, 1e2, 1e3, 1e4)  # domain extensions of the tail divergence scan
+_TAIL_EXTENSIONS = (1e1, 1e2, 1e3, 1e4)  # tail domain ends r_max of the divergence scan, in units of r0
 SPLIT_GRID = (1e-8, 1e8)  # |xi| range on which split_constants measures, split radius included
 
 
@@ -54,6 +54,8 @@ class DissipRate:
     """Positive continuous radial rate with prescribed asymptotics.
 
     kernel weight applied to spectral coefficients is exp(-c0 * eta * t).
+    Both exponents are positive: sigma2 > 0 is the regularity-loss shape the
+    inequality is stated for.
     """
 
     sigma1: float
@@ -62,10 +64,14 @@ class DissipRate:
     c0: float = 1.0
     label: str = "custom"
 
+    def __post_init__(self) -> None:
+        if not (self.sigma1 > 0 and self.sigma2 > 0):
+            raise ConfigError(f"rate needs sigma1, sigma2 > 0, got {self.sigma1}, {self.sigma2}")
+
     @classmethod
     def from_ab(cls, a: float, b: float, c0: float = 1.0) -> "DissipRate":
-        if a <= 0 or b <= 0:
-            raise ConfigError(f"rate exponents must be positive, got a={a}, b={b}")
+        if not 0 < a < b:
+            raise ConfigError(f"rate exponents need 0 < a < b, got a={a}, b={b}")
 
         def profile(r: np.ndarray) -> np.ndarray:
             r = np.asarray(r, dtype=float)
@@ -364,6 +370,8 @@ def tail_integral(
     """
     if not 1.0 <= r <= 2.0:
         raise HypothesisError(f"requires 1 <= r <= 2, got r={r}")
+    if not r_max > r0:
+        raise ConfigError(f"tail domain needs r_max > r0, got r0={r0:g}, r_max={r_max:g}")
     _, c_high_raw = rate.split_constants(r0)
     c = rate.c0 * c_high_raw
     rho = np.geomspace(r0, r_max, 4000)
@@ -391,7 +399,7 @@ def tail_divergence_scan(
     *,
     r0: float = 1.0,
 ) -> TailScan:
-    """Extend the tail domain over r_max = 1e1, 1e2, 1e3, 1e4 and flag divergence.
+    """Extend the tail domain over r_max = r0 * (1e1, 1e2, 1e3, 1e4) and flag divergence.
 
     Below the ell threshold the integrand has a nonintegrable power tail and
     the value grows like a positive power of the cutoff; above it the values
@@ -400,8 +408,8 @@ def tail_divergence_scan(
     like a root of log(r_max) and is reported as diverging, matching the
     marginal character of the hypothesis.
     """
-    vals = [tail_integral(ell, r, rate, t, n, r0=r0, r_max=rm) for rm in _TAIL_R_MAXES]
-    slope = math.log(vals[-1] / vals[-2]) / math.log(_TAIL_R_MAXES[-1] / _TAIL_R_MAXES[-2])
+    vals = [tail_integral(ell, r, rate, t, n, r0=r0, r_max=r0 * k) for k in _TAIL_EXTENSIONS]
+    slope = math.log(vals[-1] / vals[-2]) / math.log(_TAIL_EXTENSIONS[-1] / _TAIL_EXTENSIONS[-2])
     return TailScan(
         values=tuple(vals),
         growth_exponent=slope,

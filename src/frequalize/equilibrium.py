@@ -18,11 +18,10 @@ class PressureLaw:
     gamma: float = 5.0 / 3.0
 
     def __post_init__(self) -> None:
-        if self.coefficient <= 0 or self.gamma < 1:
-            raise ConfigError(
-                f"pressure law needs K > 0 and gamma >= 1, got K={self.coefficient}, "
-                f"gamma={self.gamma}"
-            )
+        if not self.coefficient > 0:
+            raise ConfigError(f"K: must be positive, got {self.coefficient}")
+        if not self.gamma >= 1:
+            raise ConfigError(f"gamma: must be at least 1, got {self.gamma}")
 
     def p(self, n: np.ndarray | float) -> np.ndarray:
         return self.coefficient * np.asarray(n, dtype=float) ** self.gamma
@@ -46,8 +45,8 @@ class EquilibriumState:
     pressure: PressureLaw = field(default_factory=PressureLaw)
 
     def __post_init__(self) -> None:
-        if self.n_inf <= 0:
-            raise ConfigError(f"background density must be positive, got {self.n_inf}")
+        if not self.n_inf > 0:
+            raise ConfigError(f"n_inf: must be positive, got {self.n_inf}")
         if float(self.pressure.dp(self.n_inf)) <= 0:
             raise ConfigError("pressure law must have positive derivative at n_inf")
         object.__setattr__(self, "b_inf", tuple(float(b) for b in self.b_inf))

@@ -4,6 +4,8 @@ Two branches matter for the CLI exit-code contract: configuration or
 hypothesis violations (exit code 2) and numerical failures (exit code 3).
 """
 
+from contextlib import contextmanager
+
 
 class FrequalizeError(Exception):
     """Base class for all toolkit errors."""
@@ -11,6 +13,15 @@ class FrequalizeError(Exception):
 
 class ConfigError(FrequalizeError):
     """Invalid configuration; message names the offending key path."""
+
+
+@contextmanager
+def prefixed(prefix: str):
+    """Re-raise a ConfigError of the block with prefix (a key path or an option) before its message."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 class HypothesisError(FrequalizeError):

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .equilibrium import EquilibriumState, PressureLaw
-from .errors import ConfigError
+from .errors import ConfigError, prefixed
 from .grid import TorusGrid
 from .solver import SpectralProfile, StepperConfig
 
@@ -92,25 +92,21 @@ class ExperimentConfig:
         b_inf = _get(raw, "equilibrium.B_inf", default=[0.0, 0.0, 0.0])
         if not isinstance(b_inf, (list, tuple)) or len(b_inf) != 3:
             raise ConfigError("equilibrium.B_inf: expected a 3-vector")
-        n_inf = _number(raw, "equilibrium.n_inf", default=1.0, positive=True)
+        n_inf = _number(raw, "equilibrium.n_inf", default=1.0)
         b_inf = tuple(_number(raw, f"equilibrium.B_inf.{i}", default=0.0) for i in range(3))
-        pressure = PressureLaw(
-            coefficient=_number(raw, "equilibrium.K", default=1.0, positive=True),
-            gamma=_number(raw, "equilibrium.gamma", default=5.0 / 3.0, positive=True),
-        )
-        try:
+        coefficient = _number(raw, "equilibrium.K", default=1.0)
+        gamma = _number(raw, "equilibrium.gamma", default=5.0 / 3.0)
+        with prefixed("equilibrium."):  # the state and its pressure law own their ranges
+            pressure = PressureLaw(coefficient=coefficient, gamma=gamma)
             self.equilibrium = EquilibriumState(n_inf=n_inf, b_inf=b_inf, pressure=pressure)
-        except ConfigError as exc:  # the one check left to the state: an overflowing |B_inf|^2
-            raise ConfigError(f"equilibrium.{exc}") from None
         self.seed = _number(raw, "init.seed", default=0, integer=True)
         if self.seed < 0:
             raise ConfigError(f"init.seed: must be non-negative, got {self.seed}")
         self.amplitude = _number(raw, "init.amplitude", default=1e-2, positive=True)
+        xi_width = _number(raw, "init.profile.xi_width", default=0.3)
         band = _number(raw, "init.profile.band_limit", default=None)
-        self.profile = SpectralProfile(
-            xi_width=_number(raw, "init.profile.xi_width", default=0.3, positive=True),
-            band_limit=band,
-        )
+        with prefixed("init.profile."):
+            self.profile = SpectralProfile(xi_width=xi_width, band_limit=band)
         dealias = _get(raw, "stepper.dealias", default=True)
         if not isinstance(dealias, bool):
             raise ConfigError(f"stepper.dealias: expected a boolean, got {dealias!r}")

@@ -542,6 +542,12 @@ class ContinuumData:
     cutoff: float = 10.0
     budget: float = 1.5
 
+    def __post_init__(self) -> None:
+        for key in ("width", "cutoff"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{key}: must be positive and finite, got {value}")
+
     def envelope(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
         if self.kind == "gaussian":

@@ -107,6 +107,12 @@ class SpectralProfile:
     xi_width: float = 0.3
     band_limit: float | None = None
 
+    def __post_init__(self) -> None:
+        if not self.xi_width > 0:
+            raise ConfigError(f"xi_width: must be positive, got {self.xi_width}")
+        if self.band_limit is not None and not self.band_limit > 0:
+            raise ConfigError(f"band_limit: must be positive, got {self.band_limit}")
+
     def envelope(self, mag: np.ndarray, band_edge: float) -> np.ndarray:
         out = np.exp(-0.5 * (mag / self.xi_width) ** 2)
         return np.where(mag <= band_edge, out, 0.0)
@@ -311,7 +317,7 @@ def _flow_speed(state: SimState, n: np.ndarray) -> float:
 
 def cfl_dt(state: SimState, cfg: StepperConfig) -> float:
     """C_cfl / (xi_max (max|u| + max sound speed + 1)); the +1 covers light speed."""
-    n = state.total_density()
+    n = _positive_density(state)
     c_s = float(np.max(np.sqrt(state.eq.pressure.dp(n))))
     return cfg.cfl / (state.grid.xi_max * (_flow_speed(state, n) + c_s + 1.0))
 
@@ -484,7 +490,7 @@ def initial_data_gen(
             f"init.profile: band limit {profile.band_limit:g} exceeds the dealiasing "
             f"cutoff {ops.band_edge:g}"
         )
-    edge = min(profile.band_limit or ops.band_edge, ops.band_edge)
+    edge = ops.band_edge if profile.band_limit is None else min(profile.band_limit, ops.band_edge)
     rng = np.random.default_rng(seed)
     axes = tuple(range(1, grid.dim + 1))
     mag = grid.frequency_magnitude

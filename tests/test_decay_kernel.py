@@ -50,10 +50,16 @@ class TestRates:
         assert rate.eta(10.0) == pytest.approx(100.0 / 101.0**2)
         assert rate.eta(10.0) == pytest.approx(9.80e-3, rel=1e-3)
 
-    def test_no_loss_edge(self):
-        rate = DissipRate.from_ab(1.0, 1.0)
-        assert rate.sigma2 == 0.0
-        assert rate.eta(1e6) == pytest.approx(1.0, rel=1e-5)
+    @pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.0, 0.5), (0.0, 2.0)])
+    def test_rate_outside_regularity_loss_family_rejected(self, a, b):
+        # b = a is the no-loss edge (sigma2 = 0) and b < a a rate growing at high frequency
+        with pytest.raises(ConfigError, match="0 < a < b"):
+            DissipRate.from_ab(a, b)
+
+    def test_non_positive_sigma_rejected(self):
+        flat = lambda r: np.ones_like(np.asarray(r, float))  # noqa: E731
+        with pytest.raises(ConfigError, match="sigma2 > 0"):
+            DissipRate(sigma1=2.0, sigma2=0.0, profile=flat)
 
     def test_split_constants_em(self):
         rate = euler_maxwell_rate()
@@ -275,6 +281,17 @@ class TestTailIntegral:
         # power-law growth: integrand tail rho^(n - 1 - ell m) with m=2
         assert scan.growth_exponent == pytest.approx(0.5, abs=0.05)
         assert scan.values[-1] > 2.0 * scan.values[-2]
+
+    def test_raised_split_index_scans_above_it(self):
+        # the tail domains start at r0 = 2^q0 and end at r0 * 10^k, so none is reversed
+        rate = euler_maxwell_rate()
+        scan = tail_divergence_scan(1.5, 1.0, rate, t=4.0, n=3, r0=2.0**4)
+        assert all(math.isfinite(v) for v in scan.values)
+        assert all(b > a for a, b in zip(scan.values, scan.values[1:]))
+
+    def test_reversed_tail_domain_rejected(self):
+        with pytest.raises(ConfigError, match="r_max > r0"):
+            tail_integral(2.0, 1.0, euler_maxwell_rate(), 4.0, 3, r0=16.0, r_max=10.0)
 
     def test_r2_sup_norm_decay_rate(self):
         # for r=2 the tail value is a sup norm decaying like t^(-ell/sigma2)

@@ -1,5 +1,6 @@
 """Config validation, artifact determinism, report merging and the CLI."""
 
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frequalize.cli import main
+from frequalize.cli import build_parser, main
 from frequalize.errors import ConfigError
 from frequalize.grid import PhysicalField, TorusGrid
 from frequalize.harness import (
@@ -49,6 +50,44 @@ NON_FINITE = [
     ("grid.box_length", float("inf"), "grid.box_length"),
     ("experiment.T", 10**400, "experiment.T"),
 ]
+
+
+# options whose value is a path or a choice, not numbers
+UNCONVERTED_OPTIONS = {"--out", "--config", "--grid", "--input", "--data"}
+
+# for each subcommand and numeric option: a command line giving it a value with an inf entry
+INF_VALUES = [
+    (["lp", "check", "--seed", "inf"], "--seed"),
+    (["lp", "check", "--fields", "inf"], "--fields"),
+    (["besov", "norm", "--seed", "inf", "--input", "f.fqlz", "--spec", "1,2,2"], "--seed"),
+    (["besov", "norm", "--spec", "inf,2,2", "--input", "f.fqlz"], "--spec"),
+    (["kernel", "verify", "--seed", "inf"], "--seed"),
+    (["kernel", "verify", "--rate", "inf,2"], "--rate"),
+    (["kernel", "verify", "--params", "inf,2,1.5,2,2"], "--params"),
+    (["kernel", "verify", "--times", "0:inf:3"], "--times"),
+    (["kernel", "verify", "--q0", "inf"], "--q0"),
+    (["linear", "gap", "--seed", "inf"], "--seed"),
+    (["linear", "gap", "--xi-range", "1e-3:inf:5"], "--xi-range"),
+    (["linear", "gap", "--binf", "0,inf,0"], "--binf"),
+    (["linear", "decay", "--seed", "inf"], "--seed"),
+    (["linear", "decay", "--width", "inf"], "--width"),
+    (["linear", "decay", "--cutoff", "inf"], "--cutoff"),
+    (["linear", "decay", "--budget", "inf"], "--budget"),
+    (["linear", "decay", "--times", "0:inf:5"], "--times"),
+    (["linear", "decay", "--orders", "0,inf"], "--orders"),
+    (["linear", "decay", "--window", "10:inf"], "--window"),
+    (["nonlinear", "run", "--seed", "inf", "--config", "cfg.json"], "--seed"),
+]
+
+
+def value_options(parser: argparse.ArgumentParser, command=()):
+    """(subcommand words, action) of every option that takes a value, through all subparsers."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from value_options(sub, command + (name,))
+        elif action.option_strings and action.nargs != 0:
+            yield command, action
 
 
 def write_config(tmp_path: Path, overrides=None) -> Path:
@@ -245,10 +284,45 @@ class TestCli:
         (["kernel", "verify", "--q0", "1000", "--times", "0:10:3"], "--q0"),  # 2^q0 above the 1e8 grid end
         (["kernel", "verify", "--q0", "27"], "--q0"),
         (["kernel", "verify", "--q0", "-27"], "--q0"),  # 2^q0 below the 1e-8 grid end
-    ])
+        (["kernel", "verify", "--rate", "1,1", "--times", "0:10:3"], "--rate"),  # sigma2 = 0
+        (["kernel", "verify", "--rate", "1,0.5"], "--rate"),  # eta grows at high frequency
+        (["kernel", "verify", "--rate", "0,2"], "--rate"),
+        (["linear", "decay", "--width", "0"], "--width"),
+        (["linear", "decay", "--width", "-1"], "--width"),
+        (["kernel", "verify", "--input", "gaussian:0"], "--input"),
+    ] + INF_VALUES)
     def test_bad_option_value_exits_2_and_names_it(self, tmp_path, capsys, argv, option):
         assert main(argv + ["--out", str(tmp_path / "run")]) == 2
         assert f"error: {option}:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_every_valued_option_has_a_converter(self):
+        untyped = [(" ".join(command), action.option_strings[0])
+                   for command, action in value_options(build_parser())
+                   if action.type is None and action.option_strings[0] not in UNCONVERTED_OPTIONS]
+        assert untyped == []
+
+    def test_inf_cases_cover_every_converted_option(self):
+        converted = {(" ".join(command), action.option_strings[0])
+                     for command, action in value_options(build_parser()) if action.type is not None}
+        assert converted == {(" ".join(argv[:2]), option) for argv, option in INF_VALUES}
+
+    @pytest.mark.parametrize("key,value,error", [
+        ("init.profile.band_limit", 0, "init.profile.band_limit: must be positive"),
+        ("init.profile.band_limit", -1, "init.profile.band_limit: must be positive"),
+        ("equilibrium.gamma", 0.5, "equilibrium.gamma: must be at least 1"),
+    ])
+    def test_constructor_range_exits_2_and_names_key(self, tmp_path, capsys, key, value, error):
+        cfg = write_config(tmp_path, {key: value})
+        assert main(["nonlinear", "run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_initial_density_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"init.amplitude": 50})
+        assert main(["nonlinear", "run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: total density reached" in err and "(t=0)" in err
         assert not (tmp_path / "run").exists()
 
     def test_negative_config_seed_exits_2_and_names_it(self, tmp_path, capsys):

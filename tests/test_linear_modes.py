@@ -351,6 +351,11 @@ class TestContinuumDecay:
         exp2 = linear_decay_experiment(eq, data2, orders=(0,))
         assert exp2.fits[0].exponent == pytest.approx(-1.0, abs=0.15)
 
+    @pytest.mark.parametrize("key,value", [("width", 0.0), ("width", -1.0), ("cutoff", 0.0), ("cutoff", math.inf)])
+    def test_continuum_data_range_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key}: must be positive and finite"):
+            ContinuumData(**{key: value})
+
     def test_continuum_data_is_compatible(self, eq, rng):
         data = ContinuumData(kind="gaussian", width=1.0)
         from frequalize.linear_modes import _orthonormal_frame

@@ -400,6 +400,11 @@ class TestInitialData:
         rep = constraint_monitor(series)
         assert rep.electric_residual[0] <= 1e-12
 
+    @pytest.mark.parametrize("key,value", [("xi_width", 0.0), ("band_limit", 0.0), ("band_limit", -1.0)])
+    def test_profile_range_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key}: must be positive"):
+            SpectralProfile(**{key: value})
+
     def test_band_limit_enforced(self, eq, grid16):
         with pytest.raises(ConfigError, match="cutoff"):
             initial_data_gen(
