@@ -69,7 +69,6 @@ from .linear_modes import (
     linear_decay_experiment,
     linear_evolve_grid,
     pointwise_decay_check,
-    propagate_mode,
     spectral_gap,
 )
 from .littlewood_paley import (

@@ -43,6 +43,8 @@ from .linear_modes import ContinuumData, gap_sweep, linear_decay_experiment
 from .littlewood_paley import bernstein_extremes, partition_defect
 from .solver import decay_experiment
 
+MAX_SWEEP_POINTS = 10**5  # largest `linear gap` sweep: one 10x10 eigensolve per point
+
 
 def _numbers(name: str, sep: str, count: int | None, integer: bool):
     """type= converter of option `name`: `count` entries (None: any number) joined by `sep`.
@@ -149,7 +151,8 @@ def _parse_besov_spec(spec: str) -> BesovSpec:
 
 def cmd_besov_norm(args) -> int:
     spec = args.spec
-    field = load_field(args.input)
+    with prefixed("--input: "):
+        field = load_field(args.input)
     report = besov_norm(field, spec)
     qs = sorted(report.contributions)
     header = ["spec", "value", "mean_magnitude"] + [f"q{q}" for q in qs]
@@ -181,7 +184,8 @@ def cmd_kernel_verify(args) -> int:
         with prefixed("--input: "):
             field = gaussian_bump(grid, width)
     else:
-        field = load_field(args.input)
+        with prefixed("--input: "):
+            field = load_field(args.input)
     params.check(field.grid.dim)
     report = verify_inequality(field, args.times, params, rate)
     scan = tail_divergence_scan(ell, r, rate, t=4.0, n=field.grid.dim, r0=params.r_split)
@@ -214,6 +218,8 @@ def cmd_linear_gap(args) -> int:
     lo, hi, n = args.xi_range
     if lo <= 0 or hi <= lo or n < 2 or not n.is_integer():
         raise ConfigError(f"--xi-range: invalid range {lo:g}:{hi:g}:{n:g}")
+    if n > MAX_SWEEP_POINTS:
+        raise ConfigError(f"--xi-range: at most {MAX_SWEEP_POINTS} points, got {n:g}")
     with prefixed("--binf: "):
         eq = EquilibriumState(b_inf=args.binf)
     sweep = gap_sweep(np.geomspace(lo, hi, int(n)), eq)

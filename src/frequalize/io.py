@@ -41,7 +41,11 @@ def dump_field(field: PhysicalField, path: str | Path) -> None:
 
 
 def load_field(path: str | Path) -> PhysicalField:
-    raw = Path(path).read_bytes()
+    """The field of a dump; a missing file or a malformed container is a ConfigError."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"field dump {path} does not exist")
+    raw = path.read_bytes()
     if len(raw) < HEADER_SIZE:
         raise ConfigError(f"{path}: truncated header ({len(raw)} bytes)")
     magic, version, dim, n, length, components = _HEADER.unpack(raw[:HEADER_SIZE])

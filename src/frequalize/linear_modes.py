@@ -26,24 +26,27 @@ regularity loss.
 
 A0, A(xi) and L are written once, in `mode_matrices`, which builds M(xi)
 for a whole batch of frequencies; `system_matrices` and
-`assemble_mode_matrix` read them back from it.  exp(t M(xi)) is computed in
-one place too: a private batched propagator makes one `np.linalg.eig` call
-for its whole batch and falls back to `scipy.linalg.expm` for modes whose
-eigenbasis is ill-conditioned.
+`assemble_mode_matrix` read them back from it.
 
 With D = diag(1, i I6, I3) every generator is real in the form
 R(xi) = D^-1 M(xi) D: each entry coupling a velocity or electric row to a
-density or magnetic column, or the reverse, is i times a real number.
-`real_mode_matrices` returns that form and `mode_exponentials` the table
-D^-1 exp(t M(xi)) D over a batch of frequencies, built chunk by chunk
-through the same propagator.  The nonlinear solver propagates its linear
-part with that table.
+density or magnetic column, or the reverse, is i times a real number, so
+exp(t M(xi)) = D exp(t R(xi)) D^-1.  `real_mode_matrices` returns that form,
+and only real forms are decomposed.  exp(t R(xi)) is evaluated in one
+place: a private batched propagator makes one eigendecomposition for its
+batch, and its one method, `orbit`, carries vectors or column blocks y
+through a sequence of times with V^-1 y formed once, falling back to
+scaling-and-squaring for modes whose eigenbasis is ill-conditioned.
 
-The propagators decompose:
-- `ModePropagator` (a batch of one) and `pointwise_decay_check` (the
-  distinct sample frequencies): M(xi) itself;
-- `ContinuumEvolver`: R(xi) at every quadrature node, with V^-1 D^-1 z0
-  formed once for all times;
+Every caller reads that orbit:
+- `mode_exponentials`: the orbit of the identity, the real table
+  D^-1 exp(t M(xi)) D with which the nonlinear solver propagates its
+  linear part, built chunk by chunk;
+- `ModePropagator` (a batch of one): D^-1 before and D after;
+- `pointwise_decay_check`: R(xi) at the distinct sample frequencies, one
+  time per sample; its ratios are read in real form, as |D y| = |y|;
+- `ContinuumEvolver`: R(xi) at every quadrature node, with y0 = D^-1 z0
+  carried through all times;
 - `GridModePropagator`: R(xi) on the half lattice whose last-axis index is
   at most N//2, plus the modes whose negated frequency is off the lattice
   (an even N puts -N/2 on it but not +N/2).  Every other mode is the
@@ -145,14 +148,15 @@ def real_mode_matrices(xi: np.ndarray, eq: EquilibriumState) -> np.ndarray:
 def mode_exponentials(xi: np.ndarray, eq: EquilibriumState, t: float) -> np.ndarray:
     """The real table D^-1 exp(t M(xi)) D for xi[n, 3], shape (n, 10, 10).
 
-    Built _TABLE_CHUNK modes at a time, each chunk one batched propagator
-    (one real eigendecomposition, the expm fallback for ill-conditioned
-    rows), so the temporaries stay a fixed size.
+    Built _TABLE_CHUNK modes at a time, each chunk the orbit of the identity
+    under one batched propagator, so the temporaries stay a fixed size.
     """
     table = np.empty((len(xi), STATE_DIM, STATE_DIM))
     for start in range(0, len(xi), _TABLE_CHUNK):
-        rows = slice(start, start + _TABLE_CHUNK)
-        table[rows] = _EigenPropagator(real_mode_matrices(xi[rows], eq)).exponentials(t).real
+        chunk = xi[start : start + _TABLE_CHUNK]
+        identity = np.broadcast_to(np.eye(STATE_DIM), (len(chunk), STATE_DIM, STATE_DIM))
+        prop = _EigenPropagator(real_mode_matrices(chunk, eq))
+        table[start : start + len(chunk)] = next(prop.orbit(identity, [t])).real
     return table
 
 
@@ -170,17 +174,9 @@ def system_matrices(eq: EquilibriumState) -> tuple[np.ndarray, Callable[[np.ndar
     return a0, symbol, damping
 
 
-@dataclass(frozen=True)
-class ModeMatrix:
-    """Generator M(xi) of one Fourier mode."""
-
-    eq: EquilibriumState
-    matrix: np.ndarray
-
-
-def assemble_mode_matrix(xi: Sequence[float], eq: EquilibriumState) -> ModeMatrix:
-    xi = _pad_xi(xi)
-    return ModeMatrix(eq=eq, matrix=mode_matrices(xi, eq))
+def assemble_mode_matrix(xi: Sequence[float], eq: EquilibriumState) -> np.ndarray:
+    """Generator M(xi) of one Fourier mode, xi padded to three components."""
+    return mode_matrices(_pad_xi(xi), eq)
 
 
 def constraint_matrix(xi: Sequence[float]) -> np.ndarray:
@@ -218,11 +214,11 @@ def constraint_residual(z: np.ndarray, xi: Sequence[float]) -> float:
 
 
 class _EigenPropagator:
-    """exp(t M) for a batch of generators m[n, 10, 10] from one eigendecomposition.
+    """exp(t R) for a batch of real generators r[n, 10, 10] from one eigendecomposition.
 
     The eigenvector route is used where the eigenbasis is well conditioned;
     elsewhere (near eigenvalue collisions the generator can be defective)
-    each application falls back to scaling-and-squaring.
+    each exponential falls back to scaling-and-squaring.
     """
 
     def __init__(self, matrices: np.ndarray):
@@ -235,49 +231,35 @@ class _EigenPropagator:
         cond = np.linalg.norm(self.v, axis=(-2, -1)) * np.linalg.norm(self.vinv, axis=(-2, -1))
         self.ill_conditioned = ~(cond < _COND_LIMIT)
 
-    def apply(self, z: np.ndarray, t: float | np.ndarray, rows: slice | np.ndarray = slice(None)) -> np.ndarray:
-        """exp(t_r M_rows[r]) z[r] for every row r of z[n, 10]; t is one time or one per row."""
-        t = np.broadcast_to(np.asarray(t, dtype=float), z.shape[:1])
-        if np.any(t < 0):
-            raise ConfigError(f"propagation time must be nonnegative, got {t.min()}")
-        coeff = np.einsum("nij,nj->ni", self.vinv[rows], z)
-        coeff *= np.exp(self.w[rows] * t[:, None])
-        out = np.einsum("nij,nj->ni", self.v[rows], coeff)
-        matrices = self.matrices[rows]
-        for r in np.flatnonzero(self.ill_conditioned[rows]):
-            out[r] = scipy.linalg.expm(t[r] * matrices[r]) @ z[r]
-        return out
+    def orbit(self, y: np.ndarray, times: Sequence, rows: slice | np.ndarray = slice(None)):
+        """exp(t R_rows[r]) y[r] for every row r of y, at each t of times in turn.
 
-    def orbit(self, z: np.ndarray, times: Sequence[float]):
-        """exp(t M) z for z[n, 10] at each of times in turn; V^-1 z is formed once."""
-        coeff = np.einsum("nij,nj->ni", self.vinv, z)
+        y holds vectors (n, 10) or column blocks (n, 10, k); each t is one
+        time or one time per row.  V^-1 y is formed once.
+        """
+        blocks = y if y.ndim == 3 else y[..., None]
+        coeff = self.vinv[rows] @ blocks
+        v, w, matrices = self.v[rows], self.w[rows], self.matrices[rows]
+        fallback = np.flatnonzero(self.ill_conditioned[rows])
         for t in times:
-            if t < 0:
-                raise ConfigError(f"propagation time must be nonnegative, got {t}")
-            out = np.einsum("nij,nj->ni", self.v, coeff * np.exp(self.w * t))
-            for r in np.flatnonzero(self.ill_conditioned):
-                out[r] = scipy.linalg.expm(t * self.matrices[r]) @ z[r]
-            yield out
-
-    def exponentials(self, t: float) -> np.ndarray:
-        """exp(t M) for every generator of the batch, shape (n, 10, 10)."""
-        if t < 0:
-            raise ConfigError(f"propagation time must be nonnegative, got {t}")
-        out = (self.v * np.exp(self.w * t)[:, None, :]) @ self.vinv
-        for r in np.flatnonzero(self.ill_conditioned):
-            out[r] = scipy.linalg.expm(t * self.matrices[r])
-        return out
+            t = np.broadcast_to(np.asarray(t, dtype=float), y.shape[:1])
+            if np.any(t < 0):
+                raise ConfigError(f"propagation time must be nonnegative, got {t.min()}")
+            out = v @ (coeff * np.exp(w * t[:, None])[..., None])
+            for r in fallback:
+                out[r] = scipy.linalg.expm(t[r] * matrices[r]) @ blocks[r]
+            yield out if y.ndim == 3 else out[..., 0]
 
 
 class ModePropagator:
-    """exp(t M(xi)) of one Fourier mode: the batched propagator on a batch of one."""
+    """exp(t M(xi)) = D exp(t R(xi)) D^-1 of one Fourier mode: the batched propagator on a batch of one."""
 
     def __init__(self, xi: Sequence[float], eq: EquilibriumState):
-        self.mode = assemble_mode_matrix(xi, eq)
-        self._prop = _EigenPropagator(self.mode.matrix[None])
+        self._prop = _EigenPropagator(real_mode_matrices(_pad_xi(xi)[None], eq))
 
     def matrix_at(self, t: float) -> np.ndarray:
-        return self._prop.exponentials(t)[0]
+        real = next(self._prop.orbit(np.eye(STATE_DIM)[None], [t]))[0]
+        return REAL_FORM_PHASES[:, None] * real * REAL_FORM_PHASES.conj()
 
     def apply(self, z0: np.ndarray, t: float) -> np.ndarray:
         z0 = np.asarray(z0, dtype=complex)
@@ -292,10 +274,6 @@ class ModePropagator:
         return float(np.linalg.norm(half @ half - full) / max(np.linalg.norm(full), 1e-300))
 
 
-def propagate_mode(z0: Sequence[complex], xi: Sequence[float], t: float, eq: EquilibriumState) -> np.ndarray:
-    return ModePropagator(xi, eq).apply(np.asarray(z0, dtype=complex), t)
-
-
 def spectral_gap(xi: Sequence[float], eq: EquilibriumState) -> float:
     """Negated largest real part of the generator on the constraint subspace.
 
@@ -304,7 +282,7 @@ def spectral_gap(xi: Sequence[float], eq: EquilibriumState) -> float:
     conserved there).
     """
     xi = _pad_xi(xi)
-    m = assemble_mode_matrix(xi, eq).matrix
+    m = assemble_mode_matrix(xi, eq)
     if np.allclose(xi, 0.0):
         sub = m[1:7, 1:7]
         w = np.linalg.eigvals(sub)
@@ -383,8 +361,9 @@ def pointwise_decay_check(
         raise ConfigError("no nonzero samples supplied")
     xis, z0s, times = np.array(xis), np.array(z0s), np.array(times, dtype=float)
     distinct, rows = np.unique(xis, axis=0, return_inverse=True)
-    zt = _EigenPropagator(mode_matrices(distinct, eq)).apply(z0s, times, rows=rows.ravel())
-    ratios_arr = np.linalg.norm(zt, axis=1) / np.linalg.norm(z0s, axis=1)
+    y0 = z0s * REAL_FORM_PHASES.conj()  # |D y| = |y|, so the ratios are read in real form
+    yt = next(_EigenPropagator(real_mode_matrices(distinct, eq)).orbit(y0, [times], rows=rows.ravel()))
+    ratios_arr = np.linalg.norm(yt, axis=1) / np.linalg.norm(y0, axis=1)
     exps = rate.eta(np.linalg.norm(xis, axis=1)) * times
     best_c0, best_c = 0.0, float(np.max(ratios_arr))
     for c0 in np.linspace(0.0, 1.5, 301):
@@ -449,7 +428,7 @@ class GridModePropagator:
 
     def apply(self, zhat: np.ndarray, t: float) -> np.ndarray:
         """Propagate stacked coefficients (10, *grid.shape) by time t."""
-        return self._per_mode(zhat, lambda y, rows: self._prop.apply(y, t, rows))
+        return self._per_mode(zhat, lambda y, rows: next(self._prop.orbit(y, [t], rows)))
 
     def generator_apply(self, zhat: np.ndarray) -> np.ndarray:
         """Apply M(xi) modewise (the exact linear right-hand side)."""

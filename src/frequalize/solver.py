@@ -69,6 +69,7 @@ from .littlewood_paley import DEFAULT_CUTOFFS
 
 STATE_DIM = 10
 MAX_STEP = 2.0  # cap on the CFL-default step: the largest step measured accurate on the desk run
+MAX_STEPS = 10**6  # most steps one run may take: about a day at 32^3, where a step costs about 0.09 s
 _APPLY_CHUNK = 2048  # modes per real matmul when a table is applied
 _VELOCITY = slice(1, 4)  # the rows where the quadratic part is nonzero
 
@@ -388,17 +389,25 @@ def integrate(
     input state is the first sample.  Each sample is one inverse transform
     and is checked for positive density and the advective bound.  Aborts
     with diagnostics when the L^2 norm grows past 10 times its initial
-    value (spectral blowup).
+    value (spectral blowup).  A run of more than MAX_STEPS steps is refused
+    with a ConfigError naming stepper.dt, or stepper.cfl when dt is not given.
     """
     if t_end <= state.time:
         raise ConfigError("t_end must exceed the initial time")
     span = t_end - state.time
     if cfg.dt is None:
-        intervals = math.ceil(span / (sample_stride * cfl_dt(state, cfg)))
+        key, dt = "stepper.cfl", sample_stride * cfl_dt(state, cfg)
+    else:
+        key, dt = "stepper.dt", cfg.dt
+    # ceil(span / dt), saturated past MAX_STEPS so that a tiny dt neither overflows nor divides by 0
+    intervals = math.ceil(span / dt) if span <= MAX_STEPS * dt else MAX_STEPS + 1
+    if cfg.dt is None:
         stride = math.ceil(span / intervals / MAX_STEP)
         n_steps = intervals * stride
     else:
-        n_steps, stride = max(1, math.ceil(span / cfg.dt)), sample_stride
+        n_steps, stride = max(1, intervals), sample_stride
+    if n_steps > MAX_STEPS:
+        raise ConfigError(f"{key}: the run to t={t_end:g} needs more than {MAX_STEPS} steps")
     h = span / n_steps
     _check_sample(state, h, cfg.cfl)
     grid, eq, ops = state.grid, state.eq, _ops(state.grid)

@@ -290,7 +290,11 @@ class TestCli:
         (["linear", "decay", "--width", "0"], "--width"),
         (["linear", "decay", "--width", "-1"], "--width"),
         (["kernel", "verify", "--input", "gaussian:0"], "--input"),
-    ] + INF_VALUES)
+    ] + INF_VALUES + [
+        (["besov", "norm", "--spec", "1,2,2", "--input", "missing.fqlz"], "--input"),
+        (["kernel", "verify", "--input", "missing.fqlz"], "--input"),
+        (["linear", "gap", "--xi-range", "1e-3:1e3:100000000000"], "--xi-range"),  # 745 GiB of sweep
+    ])
     def test_bad_option_value_exits_2_and_names_it(self, tmp_path, capsys, argv, option):
         assert main(argv + ["--out", str(tmp_path / "run")]) == 2
         assert f"error: {option}:" in capsys.readouterr().err
@@ -316,6 +320,13 @@ class TestCli:
         cfg = write_config(tmp_path, {key: value})
         assert main(["nonlinear", "run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert f"error: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", ["stepper.dt", "stepper.cfl"])
+    def test_step_count_past_max_steps_exits_2_and_names_key(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, {key: 1e-300})
+        assert main(["nonlinear", "run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert f"error: {key}: the run to t=4 needs more than 1000000 steps" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_negative_initial_density_exits_3(self, tmp_path, capsys):

@@ -30,7 +30,6 @@ from frequalize.linear_modes import (
     mode_matrices,
     omega_matrix,
     pointwise_decay_check,
-    propagate_mode,
     spectral_gap,
     system_matrices,
 )
@@ -100,7 +99,7 @@ class TestStructure:
         # (density and magnetic) and the damped velocity-electric oscillator
         # with lambda^2 + lambda + 1 = 0, threefold each
         eq_unit = EquilibriumState(pressure=PressureLaw(1.0, 1.0))
-        m = assemble_mode_matrix([0.0, 0.0, 0.0], eq_unit).matrix
+        m = assemble_mode_matrix([0.0, 0.0, 0.0], eq_unit)
         w = np.sort_complex(np.linalg.eigvals(m))
         expected = np.sort_complex(
             np.array([0.0] * 4 + [(-1 + 1j * math.sqrt(3)) / 2] * 3 + [(-1 - 1j * math.sqrt(3)) / 2] * 3)
@@ -110,13 +109,13 @@ class TestStructure:
     def test_all_eigenvalues_nonpositive_real(self, eq, rng):
         for _ in range(10):
             xi = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(3)
-            w = np.linalg.eigvals(assemble_mode_matrix(xi, eq).matrix)
+            w = np.linalg.eigvals(assemble_mode_matrix(xi, eq))
             assert w.real.max() < 1e-12
 
     def test_constraint_rows_annihilate_generator(self, eq, rng):
         for _ in range(5):
             xi = rng.standard_normal(3)
-            m = assemble_mode_matrix(xi, eq).matrix
+            m = assemble_mode_matrix(xi, eq)
             c = constraint_matrix(xi)
             assert np.max(np.abs(c @ m)) < 1e-13
 
@@ -144,18 +143,18 @@ class TestPropagation:
     def test_identity_at_t_zero(self, eq, rng):
         xi = [0.5, 0.1, -0.2]
         z0 = random_compatible_mode(xi, rng)
-        assert np.allclose(propagate_mode(z0, xi, 0.0, eq), z0, atol=1e-13)
+        assert np.allclose(ModePropagator(xi, eq).apply(z0, 0.0), z0, atol=1e-13)
 
     def test_density_mean_is_stationary(self, eq):
         z0 = np.zeros(10, dtype=complex)
         z0[0] = 1.0
         for t in (1.0, 10.0):
-            assert np.allclose(propagate_mode(z0, [0.0, 0.0, 0.0], t, eq), z0, atol=1e-13)
+            assert np.allclose(ModePropagator([0.0, 0.0, 0.0], eq).apply(z0, t), z0, atol=1e-13)
 
     def test_constraint_transport_against_ode_oracle(self, eq, rng):
         xi = [1.0, 0.0, 0.0]
         z0 = random_compatible_mode(xi, rng)
-        m = assemble_mode_matrix(xi, eq).matrix
+        m = assemble_mode_matrix(xi, eq)
         t_end = 5.0
 
         def real_rhs(_, y):
@@ -170,7 +169,7 @@ class TestPropagation:
             atol=1e-13,
         )
         z_oracle = sol.y[:10, -1] + 1j * sol.y[10:, -1]
-        z_fast = propagate_mode(z0, xi, t_end, eq)
+        z_fast = ModePropagator(xi, eq).apply(z0, t_end)
         assert np.linalg.norm(z_fast - z_oracle) <= 1e-8 * np.linalg.norm(z_oracle)
         assert constraint_residual(z_fast, xi) <= 1e-12
 
@@ -190,10 +189,21 @@ class TestPropagation:
             assert cur <= prev * (1 + 1e-12)
             prev = cur
 
+    @pytest.mark.parametrize("xi", [(0.0, 0.0, 0.0), (0.8, -0.4, 0.3), (30.0, 0.0, 0.0)])
+    def test_matches_expm_of_complex_generator(self, rng, xi):
+        # incompatible complex data, so every phase of D and D^-1 is exercised
+        eq_b = EquilibriumState(b_inf=(0.0, 0.4, 0.3))
+        z0 = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        prop = ModePropagator(xi, eq_b)
+        for t in (0.5, 50.0):
+            want = scipy.linalg.expm(t * reference_generator(xi, eq_b))
+            assert np.linalg.norm(prop.matrix_at(t) - want) <= 1e-10 * np.linalg.norm(want)
+            assert np.linalg.norm(prop.apply(z0, t) - want @ z0) <= 1e-10 * np.linalg.norm(want @ z0)
+
     def test_non_finite_rejected(self, eq):
         z0 = np.full(10, np.nan, dtype=complex)
         with pytest.raises(ConfigError):
-            propagate_mode(z0, [1.0, 0.0, 0.0], 1.0, eq)
+            ModePropagator([1.0, 0.0, 0.0], eq).apply(z0, 1.0)
 
 
 class TestSpectralGap:
