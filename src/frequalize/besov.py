@@ -10,6 +10,10 @@ Chemin-Lerner (tilde) norms take the time integrability inside the block
 sum: per block an L^theta quadrature over [0, T] of the block L^p norms,
 then the l^r aggregation.  Time quadrature is trapezoidal.
 
+Block L^2 norms come from the shell spectrum.  Every other block L^p norm
+takes one inverse transform per block: an irfftn of the block's half-lattice
+coefficients (the field is real, so the half holds every mirror pair once).
+
 Implied constants of the classical embedding and product inequalities
 are those of the one fixed cutoff profile; they are measured by the probe
 helpers and tracked for refinement stability, never asserted against fixed
@@ -29,11 +33,11 @@ from .grid import (
     PhysicalField,
     SpectralField,
     forward_transform,
-    inverse_transform,
+    half_lattice_inverse,
     lp_norm,
     shell_l2_norms,
 )
-from .littlewood_paley import BlockIndexRange, block, block_profiles
+from .littlewood_paley import BlockIndexRange, block_profiles
 
 
 @dataclass(frozen=True)
@@ -90,20 +94,30 @@ def _to_spectral(f: PhysicalField | SpectralField) -> SpectralField:
 
 
 def _block_lp(g: SpectralField, qs: np.ndarray, p: float, homogeneous: bool) -> np.ndarray:
-    """Block L^p norms of g for every q in qs: shell spectrum at p = 2, inverse transforms otherwise."""
+    """Block L^p norms of g for every q in qs.
+
+    At p = 2 a dot product with the shell spectrum; otherwise one half-lattice
+    irfftn per block.  A block of a real field is real (its multiplier is real
+    and radial), so no symmetry gate is applied: on roundoff-level blocks it
+    would be meaningless.
+    """
+    grid = g.grid
+    profiles = block_profiles(grid, qs, homogeneous=homogeneous)
     if p == 2.0:
-        profiles = block_profiles(g.grid, qs, homogeneous=homogeneous)
         return shell_l2_norms(g.shell_spectrum(), profiles)
-    # blocks of real fields are real by construction (real radial multiplier);
-    # skip the symmetry gate, which is meaningless on roundoff-level blocks
-    return np.array([
-        lp_norm(inverse_transform(block(g, int(q), homogeneous=homogeneous), require_real=False), p)
-        for q in qs
-    ])
+    columns = grid.points_per_axis // 2 + 1
+    half = g.coefficients[..., :columns]
+    shells = grid.shell_index[..., :columns]
+    # one block at a time: every block's coefficients at once would raise the memory peak
+    return np.array([lp_norm(half_lattice_inverse(grid, half * row[shells]), p) for row in profiles])
 
 
 def besov_norm(f: PhysicalField | SpectralField, spec: BesovSpec) -> NormReport:
-    """Block-weighted norm: l^r over q of 2^(q s) ||block_q f||_Lp."""
+    """Block-weighted norm: l^r over q of 2^(q s) ||block_q f||_Lp.
+
+    At p != 2 a SpectralField must hold the coefficients of a real field, as
+    `forward_transform` returns them: only its half lattice is read.
+    """
     g = _to_spectral(f)
     qs = BlockIndexRange.for_grid(g.grid).indices(spec.homogeneous)
     raw = dict(zip(qs.tolist(), _block_lp(g, qs, spec.p, spec.homogeneous).tolist()))

@@ -16,6 +16,11 @@ with the field's shell spectrum (its power binned by m):
     || w(|D|) f ||_L2^2 = sum_m w(xi_min sqrt(m))^2 E_m,
     E_m = L^-dim sum_{|k|^2 = m} |f_hat_k|^2 .
 
+There is one inverse, for real fields: the coefficients of a real field are
+Hermitian symmetric, so its half lattice coefficients[..., :N//2+1] holds
+every mirror pair once, and one calibrated irfftn of that half
+(`half_lattice_inverse`) returns the samples.
+
 All operations are pure; reductions run in a fixed index order so repeated
 evaluations are bit-identical.
 """
@@ -220,29 +225,38 @@ def hermitian_defect(field: SpectralField) -> tuple[float, tuple[int, ...]]:
     return float(diff[idx]), idx
 
 
-def inverse_transform(field: SpectralField, *, require_real: bool = True) -> PhysicalField:
+def half_lattice_inverse(grid: TorusGrid, half: np.ndarray) -> PhysicalField:
+    """Calibrated inverse of :func:`forward_transform` for a real field, from its half lattice.
+
+    half is coefficients[..., :N//2+1]; the rest of the lattice mirrors it,
+    so one irfftn over the grid axes returns the samples.
+    """
+    import scipy.fft  # deferred: importing the package never loads scipy.fft
+
+    axes = tuple(range(1, grid.dim + 1))
+    return PhysicalField(grid, scipy.fft.irfftn(half, s=grid.shape, axes=axes) / grid.cell_volume)
+
+
+def inverse_transform(field: SpectralField) -> PhysicalField:
     """Exact inverse of :func:`forward_transform`.
 
-    When a real field is requested the coefficients must be Hermitian
-    symmetric; a violation above 1e-10 (relative to the largest coefficient)
-    is rejected, naming the worst offending mode.
+    The coefficients must be Hermitian symmetric, as those of a real field
+    are; a violation above 1e-10 (relative to the largest coefficient) is
+    rejected, naming the worst offending mode.
     """
     grid = field.grid
-    axes = tuple(range(1, grid.dim + 1))
-    if require_real:
-        scale = float(np.max(np.abs(field.coefficients)))
-        defect, idx = hermitian_defect(field)
-        if scale > 0 and defect > 1e-10 * scale:
-            k = tuple(
-                int(i if i <= grid.points_per_axis // 2 else i - grid.points_per_axis)
-                for i in idx[1:]
-            )
-            raise ConfigError(
-                f"coefficients are not Hermitian symmetric: defect {defect:.3e} "
-                f"(relative {defect / scale:.3e}) at component {idx[0]}, mode k={k}"
-            )
-    values = np.fft.ifftn(field.coefficients, axes=axes) / grid.cell_volume
-    return PhysicalField(grid, values.real)
+    scale = float(np.max(np.abs(field.coefficients)))
+    defect, idx = hermitian_defect(field)
+    if scale > 0 and defect > 1e-10 * scale:
+        k = tuple(
+            int(i if i <= grid.points_per_axis // 2 else i - grid.points_per_axis)
+            for i in idx[1:]
+        )
+        raise ConfigError(
+            f"coefficients are not Hermitian symmetric: defect {defect:.3e} "
+            f"(relative {defect / scale:.3e}) at component {idx[0]}, mode k={k}"
+        )
+    return half_lattice_inverse(grid, field.coefficients[..., : grid.points_per_axis // 2 + 1])
 
 
 def spectral_derivative(field: SpectralField, op: str, axis: int | None = None) -> SpectralField:

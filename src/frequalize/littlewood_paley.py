@@ -13,9 +13,10 @@ shells overlapping any point, and they telescope:
 The profiles are radial, so they are evaluated once per shell of the
 lattice (see `grid`).  Block L^2 norms (p = 2) are dot products of the
 squared shell profiles with the field's shell spectrum and never touch the
-full lattice; a full-lattice multiplier is gathered from the shell values
-only where a block itself is needed (block extraction, decomposition, and
-the inverse-transform route to block L^p norms with p != 2).  On the
+lattice.  A lattice multiplier is gathered from the shell values only where
+a block itself is needed: on the full lattice for block extraction and
+decomposition, and on the half lattice [..., :N//2+1] for the
+inverse-transform route to block L^p norms with p != 2 (`besov`).  On the
 torus the homogeneous family never touches the zero mode, so homogeneous
 sums reconstruct a field up to its mean; that mean is the only polynomial
 the torus can represent, which realizes the usual quotient convention.

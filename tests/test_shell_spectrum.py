@@ -1,10 +1,14 @@
-"""Property tests: shell-spectrum block norms and the partition of unity on random grids."""
+"""Property tests: shell-spectrum block norms, half-lattice block L^p norms and the
+partition of unity on random grids."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frequalize.grid import SpectralField, TorusGrid
+from frequalize.besov import BesovSpec, CheminLernerSpec, besov_norm, chemin_lerner_norm
+from frequalize.grid import PhysicalField, SpectralField, TorusGrid, forward_transform, lp_norm
 from frequalize.littlewood_paley import (
     DEFAULT_CUTOFFS,
     BlockIndexRange,
@@ -37,15 +41,42 @@ def band_limited_fields(draw) -> SpectralField:
     return SpectralField(grid, coeffs * grid.volume)
 
 
-def lattice_block_norm(field: SpectralField, q: int, homogeneous: bool) -> float:
-    """sqrt(sum_k profile(|xi_k|)^2 |f_hat_k|^2 / L^dim) over the full lattice."""
-    grid = field.grid
+@st.composite
+def white_noise_fields(draw) -> PhysicalField:
+    """Real white noise: every mode is occupied, the Nyquist planes included."""
+    grid = draw(cubic_grids())
+    components = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return PhysicalField(grid, rng.standard_normal((components,) + grid.shape))
+
+
+LP_EXPONENTS = st.sampled_from([1.0, 1.5, 3.0, math.inf])
+
+
+def lattice_profile(grid: TorusGrid, q: int, homogeneous: bool) -> np.ndarray:
+    """Block-q multiplier on the full lattice, straight from |xi|: chi(|xi|) or phi(2^-q |xi|)."""
     mag = grid.frequency_magnitude
     if not homogeneous and q == -1:
-        profile = DEFAULT_CUTOFFS.chi(mag)
-    else:
-        profile = DEFAULT_CUTOFFS.phi(mag / 2.0**q)
-    return float(np.sqrt(np.sum(profile**2 * field.power()) / grid.volume))
+        return DEFAULT_CUTOFFS.chi(mag)
+    return DEFAULT_CUTOFFS.phi(mag / 2.0**q)
+
+
+def lattice_block_norm(field: SpectralField, q: int, homogeneous: bool) -> float:
+    """sqrt(sum_k profile(|xi_k|)^2 |f_hat_k|^2 / L^dim) over the full lattice."""
+    profile = lattice_profile(field.grid, q, homogeneous)
+    return float(np.sqrt(np.sum(profile**2 * field.power()) / field.grid.volume))
+
+
+def lattice_block_lp(field: PhysicalField, p: float, homogeneous: bool) -> dict[int, float]:
+    """Every block L^p norm by a full complex inverse transform of the full lattice."""
+    grid = field.grid
+    coeffs = forward_transform(field).coefficients
+    axes = tuple(range(1, grid.dim + 1))
+    out = {}
+    for q in BlockIndexRange.for_grid(grid).indices(homogeneous).tolist():
+        values = np.fft.ifftn(coeffs * lattice_profile(grid, q, homogeneous), axes=axes).real
+        out[q] = lp_norm(PhysicalField(grid, values / grid.cell_volume), p)
+    return out
 
 
 class TestShellSpectrum:
@@ -62,6 +93,38 @@ class TestShellSpectrum:
     def test_spectrum_sums_to_parseval(self, field):
         total = np.sum(field.power()) / field.grid.volume
         assert abs(np.sum(field.shell_spectrum()) - total) <= 1e-12 * total
+
+
+class TestHalfLatticeBlocks:
+    @PROPERTY
+    @given(white_noise_fields(), LP_EXPONENTS, st.booleans())
+    def test_block_lp_norms_match_full_lattice_oracle(self, field, p, homogeneous):
+        want = lattice_block_lp(field, p, homogeneous)
+        got = besov_norm(field, BesovSpec(0.0, p, 1.0, homogeneous)).contributions
+        top = max(want.values())
+        for q, w in want.items():
+            if w > 1e-10 * top:
+                assert abs(got[q] - w) <= 1e-12 * w, (q, got[q], w)
+
+    @PROPERTY
+    @given(white_noise_fields(), LP_EXPONENTS, st.booleans(),
+           st.sampled_from([1.0, 2.0, math.inf]), st.sampled_from([1.0, 2.0, math.inf]))
+    def test_chemin_lerner_is_time_quadrature_of_besov_blocks(self, field, p, homogeneous, theta, r):
+        # four samples of one field, each component decaying at its own rate
+        times = np.array([0.0, 0.5, 1.5, 4.0])
+        rates = np.arange(1, field.components + 1).reshape((-1,) + (1,) * field.grid.dim)
+        series = [PhysicalField(field.grid, field.values * np.exp(-rates * t)) for t in times]
+        s = 0.75
+        blocks = [besov_norm(f, BesovSpec(0.0, p, 1.0, homogeneous)).contributions for f in series]
+        per_block = {}
+        for q in set().union(*blocks):
+            row = np.array([b.get(q, 0.0) for b in blocks])
+            in_time = row.max() if math.isinf(theta) else np.trapezoid(row**theta, times) ** (1 / theta)
+            per_block[q] = 2.0 ** (q * s) * in_time
+        vals = np.array(list(per_block.values()))
+        want = vals.max() if math.isinf(r) else np.sum(vals**r) ** (1 / r)
+        got = chemin_lerner_norm(series, times, CheminLernerSpec(BesovSpec(s, p, r, homogeneous), theta))
+        assert abs(got - want) <= 1e-12 * want
 
 
 class TestPartitionOfUnity:
