@@ -21,18 +21,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
+import scipy
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
-
-
-def library_versions() -> dict[str, str]:
-    """Versions as the benchmark's workers see them (same interpreter, no frequalize import)."""
-    code = "import json, numpy, scipy; print(json.dumps({'numpy': numpy.__version__, 'scipy': scipy.__version__}))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
-    return {"python": platform.python_version(), **json.loads(out)}
 
 
 def run_once(workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -64,7 +60,9 @@ def main() -> int:
         "seed": args.seed,
         "seconds": args.seconds,
         "nproc": len(os.sched_getaffinity(0)),  # the CPUs this process may use, as nproc counts
-        "versions": library_versions(),
+        # the workers run this same interpreter
+        "versions": {"python": platform.python_version(), "numpy": numpy.__version__,
+                     "scipy": scipy.__version__},
         "workloads": {},
     }
     for workload in args.workload or names:
