@@ -1,19 +1,19 @@
 """Record one benchmark file: every workload once untraced and once traced.
 
-    python3 scripts/bench_record.py --tag NAME [--seed 2024] [--seconds S] [--workload W ...]
+    python3 scripts/bench_record.py
 
-Run from anywhere; it benchmarks the checkout it lives in.  For each
-workload of BENCHMARK.json it runs ``perfbench/run.py`` twice, with
-``--trace 0`` and ``--trace 1``, one after the other, and keeps the round-count
-line and the last line (the JSON result) of each.  It writes
-``BENCH_<tag>.json`` at the root of the checkout, with the seed, the
-``--seconds`` value, the git sha and whether the tree had uncommitted
-changes, ``nproc``, and the Python, numpy and scipy versions.
+Run from anywhere; it benchmarks the checkout it lives in, at seed 2024 and
+for the ``run_seconds`` of BENCHMARK.json.  For each workload it runs
+``perfbench/run.py`` twice, with ``--trace 0`` and ``--trace 1``, one after
+the other, and keeps the round-count line and the last line (the JSON
+result) of each.  It writes ``BENCH_<sha>.json`` at the root of the
+checkout, named by the short git sha of HEAD, with the seed, the seconds,
+the full sha and whether the tree had uncommitted changes, ``nproc``, and
+the Python, numpy and scipy versions.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -25,15 +25,16 @@ import numpy
 import scipy
 
 ROOT = Path(__file__).resolve().parents[1]
+SEED = 2024
 
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
-def run_once(workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(workload: str, trace: int) -> dict:
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(SEED), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd[1:])} exited {proc.returncode}:\n{proc.stderr[-4000:]}")
@@ -44,34 +45,26 @@ def run_once(workload: str, seed: int, seconds: float, trace: int) -> dict:
 
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in spec["workloads"]]
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--tag", required=True, help="file name part: BENCH_<tag>.json")
-    parser.add_argument("--seed", type=int, default=2024)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    parser.add_argument("--workload", action="append", choices=names,
-                        help="repeat for several; default: every workload")
-    args = parser.parse_args()
-
+    tag = git("rev-parse", "--short", "HEAD")
     record = {
-        "tag": args.tag,
+        "tag": tag,
         "git_sha": git("rev-parse", "HEAD"),
         "tree_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": spec["run_seconds"],  # run.py's default --seconds
         "nproc": len(os.sched_getaffinity(0)),  # the CPUs this process may use, as nproc counts
         # the workers run this same interpreter
         "versions": {"python": platform.python_version(), "numpy": numpy.__version__,
                      "scipy": scipy.__version__},
         "workloads": {},
     }
-    for workload in args.workload or names:
+    for workload in (w["name"] for w in spec["workloads"]):
         record["workloads"][workload] = {
-            "untraced": run_once(workload, args.seed, args.seconds, 0),
-            "traced": run_once(workload, args.seed, args.seconds, 1),
+            "untraced": run_once(workload, 0),
+            "traced": run_once(workload, 1),
         }
         print(record["workloads"][workload]["untraced"]["rounds"], file=sys.stderr)
-    out = ROOT / f"BENCH_{args.tag}.json"
+    out = ROOT / f"BENCH_{tag}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(out)
     return 0

@@ -35,6 +35,7 @@ from .grid import (
     forward_transform,
     half_lattice_inverse,
     lp_norm,
+    require_hermitian,
     shell_l2_norms,
 )
 from .littlewood_paley import BlockIndexRange, block_profiles
@@ -89,8 +90,14 @@ def ell_r(values: Sequence[float], r: float) -> float:
     return float(np.sum(arr**r) ** (1.0 / r))
 
 
-def _to_spectral(f: PhysicalField | SpectralField) -> SpectralField:
-    return f if isinstance(f, SpectralField) else forward_transform(f)
+def _to_spectral(f: PhysicalField | SpectralField, p: float) -> SpectralField:
+    """The coefficients of f.  At p != 2 only their half lattice is read, so a
+    SpectralField handed in must be a real field's (`require_hermitian`)."""
+    if not isinstance(f, SpectralField):
+        return forward_transform(f)
+    if p != 2.0:
+        require_hermitian(f)
+    return f
 
 
 def _block_lp(g: SpectralField, qs: np.ndarray, p: float, homogeneous: bool) -> np.ndarray:
@@ -98,8 +105,8 @@ def _block_lp(g: SpectralField, qs: np.ndarray, p: float, homogeneous: bool) -> 
 
     At p = 2 a dot product with the shell spectrum; otherwise one half-lattice
     irfftn per block.  A block of a real field is real (its multiplier is real
-    and radial), so no symmetry gate is applied: on roundoff-level blocks it
-    would be meaningless.
+    and radial), so no symmetry gate is applied per block (on roundoff-level
+    blocks it would be meaningless); `_to_spectral` gates the input once.
     """
     grid = g.grid
     profiles = block_profiles(grid, qs, homogeneous=homogeneous)
@@ -116,9 +123,10 @@ def besov_norm(f: PhysicalField | SpectralField, spec: BesovSpec) -> NormReport:
     """Block-weighted norm: l^r over q of 2^(q s) ||block_q f||_Lp.
 
     At p != 2 a SpectralField must hold the coefficients of a real field, as
-    `forward_transform` returns them: only its half lattice is read.
+    `forward_transform` returns them: only its half lattice is read, so other
+    coefficients raise ConfigError.
     """
-    g = _to_spectral(f)
+    g = _to_spectral(f, spec.p)
     qs = BlockIndexRange.for_grid(g.grid).indices(spec.homogeneous)
     raw = dict(zip(qs.tolist(), _block_lp(g, qs, spec.p, spec.homogeneous).tolist()))
     # blocks at the transform's roundoff floor are artifacts, not content
@@ -150,7 +158,7 @@ def _block_norm_series(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(qs, matrix[t_index, q_index]) of block L^p norms for a field series."""
     qs = BlockIndexRange.for_grid(series[0].grid).indices(spec.homogeneous)
-    rows = [_block_lp(_to_spectral(f), qs, spec.p, spec.homogeneous) for f in series]
+    rows = [_block_lp(_to_spectral(f, spec.p), qs, spec.p, spec.homogeneous) for f in series]
     return qs, np.array(rows)
 
 

@@ -19,7 +19,9 @@ with the field's shell spectrum (its power binned by m):
 There is one inverse, for real fields: the coefficients of a real field are
 Hermitian symmetric, so its half lattice coefficients[..., :N//2+1] holds
 every mirror pair once, and one calibrated irfftn of that half
-(`half_lattice_inverse`) returns the samples.
+(`half_lattice_inverse`) returns the samples.  `require_hermitian` rejects
+coefficients that are not a real field's before anything reads only their
+half lattice.
 
 All operations are pure; reductions run in a fixed index order so repeated
 evaluations are bit-identical.
@@ -237,12 +239,11 @@ def half_lattice_inverse(grid: TorusGrid, half: np.ndarray) -> PhysicalField:
     return PhysicalField(grid, scipy.fft.irfftn(half, s=grid.shape, axes=axes) / grid.cell_volume)
 
 
-def inverse_transform(field: SpectralField) -> PhysicalField:
-    """Exact inverse of :func:`forward_transform`.
+def require_hermitian(field: SpectralField) -> None:
+    """Reject coefficients that are not those of a real field.
 
-    The coefficients must be Hermitian symmetric, as those of a real field
-    are; a violation above 1e-10 (relative to the largest coefficient) is
-    rejected, naming the worst offending mode.
+    A Hermitian defect above 1e-10 (relative to the largest coefficient)
+    raises ConfigError, naming the worst offending mode.
     """
     grid = field.grid
     scale = float(np.max(np.abs(field.coefficients)))
@@ -256,6 +257,12 @@ def inverse_transform(field: SpectralField) -> PhysicalField:
             f"coefficients are not Hermitian symmetric: defect {defect:.3e} "
             f"(relative {defect / scale:.3e}) at component {idx[0]}, mode k={k}"
         )
+
+
+def inverse_transform(field: SpectralField) -> PhysicalField:
+    """Exact inverse of :func:`forward_transform`, behind :func:`require_hermitian`."""
+    require_hermitian(field)
+    grid = field.grid
     return half_lattice_inverse(grid, field.coefficients[..., : grid.points_per_axis // 2 + 1])
 
 

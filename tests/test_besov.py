@@ -17,6 +17,7 @@ from frequalize.besov import (
     mixed_time_norm,
     negative_norm,
 )
+from frequalize.equilibrium import EquilibriumState
 from frequalize.errors import ConfigError, HypothesisError
 from frequalize.grid import (
     PhysicalField,
@@ -28,6 +29,7 @@ from frequalize.grid import (
     mean_removed,
     random_band_limited_field,
 )
+from frequalize.linear_modes import GridModePropagator
 from frequalize.littlewood_paley import DEFAULT_CUTOFFS
 
 
@@ -61,6 +63,21 @@ class TestBesovNorm:
                 rep = besov_norm(f, BesovSpec(s, p, 1.0, True))
                 assert list(rep.contributions) == [2]
                 assert rep.value == pytest.approx(2.0 ** (2 * s) * lp_norm(f, p), rel=1e-12)
+
+    def test_non_hermitian_coefficients_rejected_off_p2(self, rng):
+        # the lattice propagator turns real data with Nyquist content into
+        # coefficients that are not a real field's; at p != 2 only the half
+        # lattice would be read, so they must be refused, not silently halved
+        grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)
+        z0 = forward_transform(PhysicalField(grid, rng.standard_normal((10,) + grid.shape)))
+        state = SpectralField(grid, GridModePropagator(grid, EquilibriumState()).apply(z0.coefficients, 1.0))
+        for p in (1.0, 3.0, math.inf):
+            with pytest.raises(ConfigError, match="not Hermitian"):
+                besov_norm(state, BesovSpec(0.0, p, 1.0, True))
+            with pytest.raises(ConfigError, match="not Hermitian"):
+                chemin_lerner_norm([z0, state], [0.0, 1.0], CheminLernerSpec(BesovSpec(0.0, p, 1.0, True), 1.0))
+        assert besov_norm(state, BesovSpec(0.0, 2.0, 1.0, True)).value > 0  # p = 2 reads the whole lattice
+        assert besov_norm(z0, BesovSpec(0.0, 1.0, 1.0, True)).value > 0
 
     def test_summation_monotonicity(self, rng):
         grid = TorusGrid(dim=2, box_length=5.0, points_per_axis=32)
@@ -175,11 +192,12 @@ class TestCheminLerner:
         f = random_band_limited_field(grid, 1, rng)
         times = np.linspace(0.0, 2.0, 9)
         series = [f] * times.size
-        base = besov_norm(f, BesovSpec(1.0, 2.0, 1.0, True)).value
-        for theta in (1.0, 2.0, math.inf):
-            spec = CheminLernerSpec(BesovSpec(1.0, 2.0, 1.0, True), theta)
-            expected = base * (2.0 ** (1.0 / theta) if not math.isinf(theta) else 1.0)
-            assert chemin_lerner_norm(series, times, spec) == pytest.approx(expected, rel=1e-12)
+        for p in (2.0, 1.0, math.inf):
+            base = besov_norm(f, BesovSpec(1.0, p, 1.0, True)).value
+            for theta in (1.0, 2.0, math.inf):
+                spec = CheminLernerSpec(BesovSpec(1.0, p, 1.0, True), theta)
+                expected = base * (2.0 ** (1.0 / theta) if not math.isinf(theta) else 1.0)
+                assert chemin_lerner_norm(series, times, spec) == pytest.approx(expected, rel=1e-12)
 
     def test_minkowski_orderings(self, rng):
         grid = TorusGrid(dim=2, box_length=5.0, points_per_axis=16)
@@ -197,10 +215,11 @@ class TestCheminLerner:
         f = single_shell_field(grid, 2, (5, 2, 1))
         times = np.linspace(0.0, 1.0, 9)
         series = [PhysicalField(grid, math.exp(-t) * f.values) for t in times]
-        spec_t = CheminLernerSpec(BesovSpec(0.5, 2.0, 1.0, True), 2.0)
-        assert chemin_lerner_norm(series, times, spec_t) == pytest.approx(
-            mixed_time_norm(series, times, spec_t), rel=1e-12
-        )
+        for p in (2.0, 1.0, math.inf):
+            spec_t = CheminLernerSpec(BesovSpec(0.5, p, 1.0, True), 2.0)
+            assert chemin_lerner_norm(series, times, spec_t) == pytest.approx(
+                mixed_time_norm(series, times, spec_t), rel=1e-12
+            )
 
     def test_needs_two_samples(self, rng):
         grid = TorusGrid(dim=1, box_length=4.0, points_per_axis=16)

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frequalize.besov import BesovSpec, CheminLernerSpec, besov_norm, chemin_lerner_norm
+from frequalize.besov import BesovSpec, besov_norm
 from frequalize.grid import PhysicalField, SpectralField, TorusGrid, forward_transform, lp_norm
 from frequalize.littlewood_paley import (
     DEFAULT_CUTOFFS,
@@ -105,26 +105,6 @@ class TestHalfLatticeBlocks:
         for q, w in want.items():
             if w > 1e-10 * top:
                 assert abs(got[q] - w) <= 1e-12 * w, (q, got[q], w)
-
-    @PROPERTY
-    @given(white_noise_fields(), LP_EXPONENTS, st.booleans(),
-           st.sampled_from([1.0, 2.0, math.inf]), st.sampled_from([1.0, 2.0, math.inf]))
-    def test_chemin_lerner_is_time_quadrature_of_besov_blocks(self, field, p, homogeneous, theta, r):
-        # four samples of one field, each component decaying at its own rate
-        times = np.array([0.0, 0.5, 1.5, 4.0])
-        rates = np.arange(1, field.components + 1).reshape((-1,) + (1,) * field.grid.dim)
-        series = [PhysicalField(field.grid, field.values * np.exp(-rates * t)) for t in times]
-        s = 0.75
-        blocks = [besov_norm(f, BesovSpec(0.0, p, 1.0, homogeneous)).contributions for f in series]
-        per_block = {}
-        for q in set().union(*blocks):
-            row = np.array([b.get(q, 0.0) for b in blocks])
-            in_time = row.max() if math.isinf(theta) else np.trapezoid(row**theta, times) ** (1 / theta)
-            per_block[q] = 2.0 ** (q * s) * in_time
-        vals = np.array(list(per_block.values()))
-        want = vals.max() if math.isinf(r) else np.sum(vals**r) ** (1 / r)
-        got = chemin_lerner_norm(series, times, CheminLernerSpec(BesovSpec(s, p, r, homogeneous), theta))
-        assert abs(got - want) <= 1e-12 * want
 
 
 class TestPartitionOfUnity:
