@@ -12,7 +12,8 @@ then the l^r aggregation.  Time quadrature is trapezoidal.
 
 Block L^2 norms come from the shell spectrum.  Every other block L^p norm
 takes one inverse transform per block: an irfftn of the block's half-lattice
-coefficients (the field is real, so the half holds every mirror pair once).
+coefficients (the field is real, so the half holds every mirror pair once;
+coefficients handed in as a SpectralField must pass `require_hermitian`).
 
 Implied constants of the classical embedding and product inequalities
 are those of the one fixed cutoff profile; they are measured by the probe
