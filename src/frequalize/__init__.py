@@ -54,7 +54,6 @@ from .grid import (
     lp_norm,
     random_band_limited_field,
     solenoidal_projection,
-    spectral_derivative,
     spectral_l2_norm,
 )
 from .io import dump_field, load_field

@@ -113,11 +113,12 @@ def _block_lp(g: SpectralField, qs: np.ndarray, p: float, homogeneous: bool) -> 
     profiles = block_profiles(grid, qs, homogeneous=homogeneous)
     if p == 2.0:
         return shell_l2_norms(g.shell_spectrum(), profiles)
-    columns = grid.points_per_axis // 2 + 1
-    half = g.coefficients[..., :columns]
-    shells = grid.shell_index[..., :columns]
+    half = g.coefficients[..., : grid.half_width]
+    shells = grid.shell_index[..., : grid.half_width]
     # one block at a time: every block's coefficients at once would raise the memory peak
-    return np.array([lp_norm(half_lattice_inverse(grid, half * row[shells]), p) for row in profiles])
+    return np.array([
+        lp_norm(PhysicalField(grid, half_lattice_inverse(grid, half * row[shells])), p) for row in profiles
+    ])
 
 
 def besov_norm(f: PhysicalField | SpectralField, spec: BesovSpec) -> NormReport:

@@ -16,12 +16,21 @@ with the field's shell spectrum (its power binned by m):
     || w(|D|) f ||_L2^2 = sum_m w(xi_min sqrt(m))^2 E_m,
     E_m = L^-dim sum_{|k|^2 = m} |f_hat_k|^2 .
 
-There is one inverse, for real fields: the coefficients of a real field are
-Hermitian symmetric, so its half lattice coefficients[..., :N//2+1] holds
-every mirror pair once, and one calibrated irfftn of that half
-(`half_lattice_inverse`) returns the samples.  `require_hermitian` rejects
-coefficients that are not a real field's before anything reads only their
-half lattice.
+The grid owns the half lattice, the one place where the Nyquist planes are
+decided.  The coefficients of a real field are Hermitian symmetric, so the
+half lattice coefficients[..., :N//2+1] (`half_width` columns) holds every
+mirror pair once.  `half_lattice_forward` (an rfftn) and
+`half_lattice_inverse` (an irfftn) are its calibrated transform pair, and
+`half_lattice_l2` is its Parseval norm.  `half_modes` holds xi of every
+half-lattice mode with xi_j zeroed on the Nyquist planes |k_j| = N/2: i xi_j
+is even in k there, so zeroing it keeps real fields real under odd
+derivatives (S. G. Johnson, Notes on FFT-based differentiation, MIT 2011),
+and it makes the mirror -xi of every mode a mode of the lattice.
+
+`forward_transform` and `inverse_transform` are the calibrated full-lattice
+pair of `SpectralField`; they use numpy's transforms, so that generating
+data never loads scipy.fft.  `require_hermitian` rejects coefficients that
+are not a real field's before anything reads only their half lattice.
 
 All operations are pure; reductions run in a fixed index order so repeated
 evaluations are bit-identical.
@@ -122,6 +131,23 @@ class TorusGrid:
     def shell_radii(self) -> np.ndarray:
         """|xi| of shell m = xi_min sqrt(m), for every m from 0 to the largest |k|^2."""
         return self.xi_min * np.sqrt(np.arange(self.dim * (self.points_per_axis // 2) ** 2 + 1))
+
+    @property
+    def half_width(self) -> int:
+        """N//2+1, the last-axis length of the half lattice."""
+        return self.points_per_axis // 2 + 1
+
+    @cached_property
+    def half_modes(self) -> np.ndarray:
+        """xi of every half-lattice mode, (n_modes, 3) in the order of a flattened half-lattice array.
+
+        xi_j is zero on the Nyquist planes |k_j| = N/2, and so are the
+        components past dim.
+        """
+        n = self.points_per_axis
+        axis = np.where(2 * np.arange(n) == n, 0.0, self.axis_frequencies)
+        xi = np.meshgrid(*([axis] * (self.dim - 1) + [axis[: self.half_width]]), indexing="ij")
+        return np.stack([c.ravel() for c in xi] + [np.zeros(xi[0].size)] * (3 - self.dim), axis=1)
 
     @cached_property
     def coordinates(self) -> tuple[np.ndarray, ...]:
@@ -227,16 +253,35 @@ def hermitian_defect(field: SpectralField) -> tuple[float, tuple[int, ...]]:
     return float(diff[idx]), idx
 
 
-def half_lattice_inverse(grid: TorusGrid, half: np.ndarray) -> PhysicalField:
-    """Calibrated inverse of :func:`forward_transform` for a real field, from its half lattice.
-
-    half is coefficients[..., :N//2+1]; the rest of the lattice mirrors it,
-    so one irfftn over the grid axes returns the samples.
-    """
+def half_lattice_forward(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Half lattice of the calibrated coefficients of real samples values[..., *grid.shape]: one rfftn."""
     import scipy.fft  # deferred: importing the package never loads scipy.fft
 
-    axes = tuple(range(1, grid.dim + 1))
-    return PhysicalField(grid, scipy.fft.irfftn(half, s=grid.shape, axes=axes) / grid.cell_volume)
+    half = scipy.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)))
+    half *= grid.cell_volume
+    return half
+
+
+def half_lattice_inverse(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
+    """Samples of the real field whose half-lattice coefficients are half: one irfftn.
+
+    The inverse of `half_lattice_forward`; the rest of the lattice mirrors half.
+    """
+    import scipy.fft
+
+    values = scipy.fft.irfftn(half, s=grid.shape, axes=tuple(range(-grid.dim, 0)))
+    values /= grid.cell_volume
+    return values
+
+
+def half_lattice_l2(grid: TorusGrid, half: np.ndarray) -> float:
+    """L^2 norm of the real field with half-lattice coefficients half, by Parseval.
+
+    Interior columns count twice: their mirrors are off the half lattice.
+    """
+    edges = half[..., [0, -1]]
+    power = 2.0 * np.vdot(half, half).real - np.vdot(edges, edges).real
+    return math.sqrt(power / grid.volume)
 
 
 def require_hermitian(field: SpectralField) -> None:
@@ -263,47 +308,8 @@ def inverse_transform(field: SpectralField) -> PhysicalField:
     """Exact inverse of :func:`forward_transform`, behind :func:`require_hermitian`."""
     require_hermitian(field)
     grid = field.grid
-    return half_lattice_inverse(grid, field.coefficients[..., : grid.points_per_axis // 2 + 1])
-
-
-def spectral_derivative(field: SpectralField, op: str, axis: int | None = None) -> SpectralField:
-    """Differential operators as Fourier multipliers.
-
-    op is one of "partial" (requires axis), "gradient" (scalar input),
-    "divergence" (dim components) or "curl" (3 components, dim 3).  Exact for
-    band-limited fields.
-    """
-    grid = field.grid
-    xi = grid.frequency_vectors
-    c = field.coefficients
-    if op == "partial":
-        if axis is None or not 0 <= axis < grid.dim:
-            raise ConfigError(f"partial derivative axis must be in [0, {grid.dim}), got {axis}")
-        return SpectralField(grid, 1j * xi[axis] * c)
-    if op == "gradient":
-        if field.components != 1:
-            raise ConfigError(f"gradient expects a scalar field, got {field.components} components")
-        out = np.stack([1j * xi[j] * c[0] for j in range(grid.dim)])
-        return SpectralField(grid, out)
-    if op == "divergence":
-        if field.components != grid.dim:
-            raise ConfigError(
-                f"divergence expects {grid.dim} components, got {field.components}"
-            )
-        out = sum(1j * xi[j] * c[j] for j in range(grid.dim))
-        return SpectralField(grid, out[np.newaxis, ...])
-    if op == "curl":
-        if grid.dim != 3 or field.components != 3:
-            raise ConfigError("curl requires a 3-component field on a 3-d grid")
-        out = np.stack(
-            [
-                1j * (xi[1] * c[2] - xi[2] * c[1]),
-                1j * (xi[2] * c[0] - xi[0] * c[2]),
-                1j * (xi[0] * c[1] - xi[1] * c[0]),
-            ]
-        )
-        return SpectralField(grid, out)
-    raise ConfigError(f"unknown derivative op {op!r}")
+    axes = tuple(range(1, grid.dim + 1))
+    return PhysicalField(grid, np.fft.ifftn(field.coefficients, axes=axes).real / grid.cell_volume)
 
 
 def solenoidal_projection(field: SpectralField) -> SpectralField:
@@ -389,7 +395,3 @@ def gaussian_bump(grid: TorusGrid, width: float) -> PhysicalField:
     values = np.exp(-r_sq / (2.0 * width**2)) / (2.0 * math.pi * width**2) ** (grid.dim / 2.0)
     return PhysicalField(grid, values)
 
-
-def mean_removed(field: PhysicalField) -> PhysicalField:
-    means = field.component_means()
-    return PhysicalField(field.grid, field.values - means.reshape((-1,) + (1,) * field.grid.dim))

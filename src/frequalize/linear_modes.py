@@ -47,13 +47,13 @@ Every caller reads that orbit:
   time per sample; its ratios are read in real form, as |D y| = |y|;
 - `ContinuumEvolver`: R(xi) at every quadrature node, with y0 = D^-1 z0
   carried through all times;
-- `GridModePropagator`: R(xi) on the half lattice whose last-axis index is
-  at most N//2, plus the modes whose negated frequency is off the lattice
-  (an even N puts -N/2 on it but not +N/2).  Every other mode is the
-  mirror -xi of a decomposed one.  A and L are real, so M(-xi) =
+- `GridModePropagator`: R(xi) at the grid's half-lattice modes
+  (`TorusGrid.half_modes`, xi_j zeroed on the Nyquist planes), the
+  frequencies of the solver's table.  Every lattice mode is a half-lattice
+  mode or the mirror -xi of one.  A and L are real, so M(-xi) =
   conj(M(xi)) and R(-xi) = S R(xi) S with S = D^2 = diag(1, -I6, I3),
   hence exp(t M(-xi)) z = D^-1 exp(t R(xi)) D z, while exp(t M(xi)) z =
-  D exp(t R(xi)) D^-1 z.
+  D exp(t R(xi)) D^-1 z: one orbit carries both, as two columns.
 
 Whole-space decay experiments avoid the torus infrared cutoff by radial
 quadrature over continuum modes; lattice evolution is available for
@@ -73,7 +73,7 @@ from .decay_kernel import euler_maxwell_rate
 from .equilibrium import EquilibriumState
 from .errors import ConfigError, IncompatibleDataError, NumericalError
 from .fitting import DecayFit, fit_decay_exponent
-from .grid import SpectralField, TorusGrid, shell_l2_norms
+from .grid import SpectralField, TorusGrid, _reflected, shell_l2_norms
 
 STATE_DIM = 10
 _COND_LIMIT = 1e8
@@ -135,6 +135,8 @@ def mode_matrices(xi: np.ndarray, eq: EquilibriumState) -> np.ndarray:
 
 # D = diag(1, i I6, I3): D^-1 M(xi) D is real for every xi and B_inf
 REAL_FORM_PHASES = np.array([1.0] + [1j] * 6 + [1.0] * 3)
+# columns (D, D^-1): the phases of a mode and of its mirror in GridModePropagator
+_PAIR_PHASES = np.stack([REAL_FORM_PHASES, REAL_FORM_PHASES.conj()], axis=1)
 
 
 def real_mode_matrices(xi: np.ndarray, eq: EquilibriumState) -> np.ndarray:
@@ -387,61 +389,63 @@ def pointwise_decay_check(
 class GridModePropagator:
     """The batched propagator over every mode of a full lattice.
 
-    Only the real forms R(xi) of the modes that are not a mirror are
-    decomposed (see the module docstring).  They are ordered mirror sources
-    first, so the mirrored modes are served by one leading slice of the
-    batch.  Any coefficients are accepted, Hermitian or not.
+    Only the real forms R(xi) of the grid's half-lattice modes are
+    decomposed; the other modes are their mirrors -xi (see the module
+    docstring).  Any coefficients are accepted, Hermitian or not.
     """
 
     def __init__(self, grid: TorusGrid, eq: EquilibriumState):
-        n = grid.points_per_axis
-        self._xi = np.zeros((n**grid.dim, 3))  # (n_modes, 3)
-        for j, comp in enumerate(grid.frequency_vectors):
-            self._xi[:, j] = comp.ravel()
-        index = np.indices(grid.shape).reshape(grid.dim, -1)
-        # -xi sits at index (-k) mod n unless some component of k is n/2
-        mirrored = (index[-1] > n // 2) & ~np.any(2 * index == n, axis=0)
-        sources = np.ravel_multi_index(-index[:, mirrored] % n, grid.shape)
-        others = ~mirrored
-        others[sources] = False
-        # mode order of the batch: sources, other decomposed modes, mirrored modes
-        self._order = np.concatenate([sources, np.flatnonzero(others), np.flatnonzero(mirrored)])
-        self._n_mirrored = len(sources)
-        decomposed = self._order[: len(self._order) - len(sources)]
-        self._prop = _EigenPropagator(real_mode_matrices(self._xi[decomposed], eq))
+        self._grid = grid
+        # flat lattice index of the mirror -k of every half-lattice mode k
+        lattice = np.arange(grid.points_per_axis**grid.dim).reshape((1,) + grid.shape)
+        self._mirrors = _reflected(lattice, grid.dim)[..., : grid.half_width].ravel()
+        self._prop = _EigenPropagator(real_mode_matrices(grid.half_modes, eq))
 
-    def _per_mode(self, zhat: np.ndarray, real_op: Callable[[np.ndarray, slice], np.ndarray]) -> np.ndarray:
+    def _pairs(self, zhat: np.ndarray) -> np.ndarray:
+        """y[n, 10, 2] of zhat (10, *grid.shape): D^-1 zhat at every half-lattice mode xi, D zhat at -xi."""
+        y = np.empty((len(self._mirrors), STATE_DIM, 2), dtype=complex)
+        y[..., 0] = zhat[..., : self._grid.half_width].reshape(STATE_DIM, -1).T
+        y[..., 1] = zhat.reshape(STATE_DIM, -1)[:, self._mirrors].T
+        y *= _PAIR_PHASES.conj()
+        return y
+
+    def _per_mode(self, zhat: np.ndarray, real_op: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """A modewise operator on every lattice mode of zhat (10, *grid.shape).
 
-        real_op(y, rows) applies the real-form operator of the decomposed
-        modes `rows` to the real-form coefficients y[n, 10].
+        real_op(y) applies the real-form operator of every half-lattice mode
+        xi to both columns of y = `_pairs(zhat)`.  They come back through D
+        and D^-1: the second onto the mirrors, then the first onto the half
+        lattice.
         """
-        flat = zhat.reshape(STATE_DIM, -1).T[self._order]  # (n_modes, 10) in batch order
-        n_decomposed = len(flat) - self._n_mirrored
-        out = np.empty(flat.shape, dtype=complex)
-        phases = REAL_FORM_PHASES
-        out[:n_decomposed] = real_op(flat[:n_decomposed] * phases.conj(), slice(None)) * phases
-        out[n_decomposed:] = real_op(flat[n_decomposed:] * phases, slice(0, self._n_mirrored)) * phases.conj()
-        result = np.empty_like(out)
-        result[self._order] = out
-        return result.T.reshape(zhat.shape)
+        out = (real_op(self._pairs(zhat)) * _PAIR_PHASES).transpose(1, 0, 2)
+        result = np.empty(zhat.shape, dtype=complex)
+        result.reshape(STATE_DIM, -1)[:, self._mirrors] = out[..., 1]
+        half = result[..., : self._grid.half_width]
+        half[...] = out[..., 0].reshape(half.shape)
+        return result
 
     def apply(self, zhat: np.ndarray, t: float) -> np.ndarray:
         """Propagate stacked coefficients (10, *grid.shape) by time t."""
-        return self._per_mode(zhat, lambda y, rows: next(self._prop.orbit(y, [t], rows)))
+        return self._per_mode(zhat, lambda y: next(self._prop.orbit(y, [t])))
 
     def generator_apply(self, zhat: np.ndarray) -> np.ndarray:
         """Apply M(xi) modewise (the exact linear right-hand side)."""
-        return self._per_mode(zhat, lambda y, rows: np.einsum("nij,nj->ni", self._prop.matrices[rows], y))
+        return self._per_mode(zhat, lambda y: self._prop.matrices @ y)
 
     def constraint_residual(self, zhat: np.ndarray) -> float:
-        flat = zhat.reshape(STATE_DIM, -1)
-        xi = self._xi.T  # (3, n_modes)
-        gauss_e = flat[0] + 1j * np.sum(xi * flat[4:7], axis=0)
-        gauss_h = 1j * np.sum(xi * flat[7:10], axis=0)
-        num = math.sqrt(float(np.sum(np.abs(gauss_e) ** 2 + np.abs(gauss_h) ** 2)))
-        den = math.sqrt(float(np.sum(np.abs(flat) ** 2)))
-        return num / den if den > 0 else 0.0
+        """|(rho + i xi.E, i xi.h)| over |zhat|, summed over every lattice mode.
+
+        In real form the two rows read rho - xi.E and xi.h, up to a unit
+        phase, at xi and at -xi alike.  A mirror that lies on the half
+        lattice is counted there.
+        """
+        y, xi = self._pairs(zhat), self._grid.half_modes
+        gauss_e = y[:, 0] - sum(xi[:, j, None] * y[:, 4 + j] for j in range(3))
+        gauss_h = sum(xi[:, j, None] * y[:, 7 + j] for j in range(3))
+        power = np.abs(gauss_e) ** 2 + np.abs(gauss_h) ** 2  # (n, 2): at xi and at -xi
+        off_half = self._mirrors % self._grid.points_per_axis >= self._grid.half_width
+        den = float(np.linalg.norm(zhat))
+        return math.sqrt(float(np.sum(power[:, 0]) + np.sum(power[off_half, 1]))) / den if den > 0 else 0.0
 
 
 @dataclass(frozen=True)

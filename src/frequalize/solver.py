@@ -15,10 +15,13 @@ with the quadratic flux and source
     q2 = -n_inf^2 (velocity @ velocity) / n - [p(n) - p(n_inf) - p'(n_inf) rho] I
     r2 = -rho E - n_inf velocity x magnetic ,      n = rho + n_inf .
 
-The state is marched as its half-lattice (rfftn) coefficients from the first
-step to the last.  Per mode the right-hand side is M(xi) z + N(z): the
-linear generator of `linear_modes.mode_matrices` plus the quadratic part N,
-which is nonzero in the three velocity rows only.  N takes one 10-component
+The state is marched as its calibrated half-lattice coefficients from the
+first step to the last, through the grid's transform pair
+(`grid.half_lattice_forward` and `grid.half_lattice_inverse`), with the
+grid's Parseval norm (`grid.half_lattice_l2`) watching for blow-up.  Per
+mode the right-hand side is M(xi) z + N(z): the linear generator of
+`linear_modes.mode_matrices` plus the quadratic part N, which is nonzero in
+the three velocity rows only.  N takes one 10-component
 inverse transform (the physical fields for the density check and the
 products) and one 9-component forward transform of the packed fluxes (the
 six distinct entries of the symmetric q2, then r2; `nonlinear_fluxes`),
@@ -39,9 +42,11 @@ E(h/2) twice; grouped as E(h/2) [E(h/2) u + h/6 E(h/2) k1 + h/3 (k2 + k3)]
 + h/6 k4, a step applies the table four times.  Each sample costs one
 inverse transform.
 
-The derivative multipliers i xi_j, in N and in the generator, vanish on the
-Nyquist planes |k_j| = N/2, so the coefficients stay those of a real field
-even without dealiasing; band-limited, dealiased data carries nothing there.
+Every frequency of the march is `TorusGrid.half_modes`: the generator's
+table and the derivative multipliers i xi_j of N read it.  Its xi_j vanishes
+on the Nyquist planes |k_j| = N/2, so the coefficients stay those of a real
+field even without dealiasing; band-limited, dealiased data carries nothing
+there.
 
 The Gauss functionals div E + rho and div h are annihilated by the
 right-hand side for any state (curl terms are divergence-free and the
@@ -63,7 +68,17 @@ from .decay_kernel import euler_maxwell_rate
 from .equilibrium import EquilibriumState
 from .errors import ConfigError, DensityError, SolverInstabilityError
 from .fitting import DecayFit, fit_decay_exponent
-from .grid import PhysicalField, SpectralField, TorusGrid, solenoidal_projection
+from .grid import (
+    PhysicalField,
+    SpectralField,
+    TorusGrid,
+    forward_transform,
+    half_lattice_forward,
+    half_lattice_inverse,
+    half_lattice_l2,
+    inverse_transform,
+    solenoidal_projection,
+)
 from .linear_modes import REAL_FORM_PHASES, mode_exponentials, real_mode_matrices
 from .littlewood_paley import DEFAULT_CUTOFFS
 
@@ -124,40 +139,17 @@ _PACKED = ((0, 1, 2), (1, 3, 4), (2, 4, 5))  # packed index of q2[i, j]
 
 
 class _SpectralOps:
-    """Half-lattice (rfftn) workspace: frequencies, derivative multipliers and the 2/3-rule mask."""
+    """Half-lattice derivative multipliers i xi_j of `TorusGrid.half_modes` and the 2/3-rule mask."""
 
     def __init__(self, grid: TorusGrid):
         self.grid = grid
-        n, d = grid.points_per_axis, grid.dim
-        self.axes = tuple(range(1, d + 1))
-        # the rfftn half of the lattice; its last column k = N/2 has the opposite
-        # sign to rfftfreq's, which the Nyquist zeroing below makes moot
-        xi = [c[..., : n // 2 + 1] for c in grid.frequency_vectors]
-        keep = n // 3  # integer mode cutoff of the 2/3 rule
+        half_shape = grid.shape[:-1] + (grid.half_width,)
+        keep = grid.points_per_axis // 3  # integer mode cutoff of the 2/3 rule
         self.band_edge = 2.0 * math.pi * keep / grid.box_length
-        self.dealias_mask = reduce(np.logical_and, [np.abs(c) <= self.band_edge + 1e-12 for c in xi])
-        # i xi_j is even in k on the Nyquist planes |k_j| = N/2, so xi_j is zeroed
-        # there: coefficients of a real field then stay those of a real field
-        xi = [np.where(np.isclose(np.abs(c), grid.xi_max), 0.0, c) for c in xi]
-        self.ik = [1j * c for c in xi] + [0.0] * (3 - d)
-        # (n_modes, 3), in the order of a flattened coefficient
-        self.modes = np.stack([c.ravel() for c in xi] + [np.zeros(xi[0].size)] * (3 - d), axis=1)
-
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        import scipy.fft  # deferred: set-up that never transforms here skips its import
-
-        return scipy.fft.rfftn(values, axes=self.axes)
-
-    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        import scipy.fft
-
-        return scipy.fft.irfftn(coeffs, s=self.grid.shape, axes=self.axes)
-
-    def l2(self, coeffs: np.ndarray) -> float:
-        """L^2 norm of the real field with these coefficients: interior columns count twice."""
-        edges = coeffs[..., [0, -1]]
-        power = 2.0 * np.vdot(coeffs, coeffs).real - np.vdot(edges, edges).real
-        return math.sqrt(power * self.grid.cell_volume / self.grid.points_per_axis**self.grid.dim)
+        self.dealias_mask = reduce(np.logical_and, [
+            np.abs(c[..., : grid.half_width]) <= self.band_edge + 1e-12 for c in grid.frequency_vectors
+        ])
+        self.ik = [1j * c.reshape(half_shape) for c in grid.half_modes.T[: grid.dim]]
 
     def divergence(self, vec_hat) -> np.ndarray:
         return sum(self.ik[j] * vec_hat[j] for j in range(self.grid.dim))
@@ -214,11 +206,11 @@ class SimState:
     @classmethod
     def from_coefficients(cls, grid, eq, time: float, z_hat: np.ndarray) -> "SimState":
         """The physical state whose half-lattice coefficients are z_hat."""
-        return cls(grid=grid, eq=eq, time=time, z=_ops(grid).inverse(z_hat))
+        return cls(grid=grid, eq=eq, time=time, z=half_lattice_inverse(grid, z_hat))
 
     def coefficients(self) -> np.ndarray:
-        """Half-lattice (rfftn) coefficients of the state array."""
-        return _ops(self.grid).forward(self.z)
+        """Half-lattice coefficients of the state array (`grid.half_lattice_forward`)."""
+        return half_lattice_forward(self.grid, self.z)
 
     @property
     def density(self) -> np.ndarray:
@@ -284,7 +276,7 @@ def _quadratic(z_hat: np.ndarray, grid: TorusGrid, eq: EquilibriumState, time: f
     _positive_density(state)
     packed = nonlinear_fluxes(state)
     del state  # the transform below is the peak of a step
-    packed_hat = ops.forward(packed)
+    packed_hat = half_lattice_forward(grid, packed)
     if dealias:
         packed_hat *= ops.dealias_mask
     return np.stack([
@@ -297,7 +289,7 @@ def coefficient_rhs(
     z_hat: np.ndarray, grid: TorusGrid, eq: EquilibriumState, *, time: float = 0.0, dealias: bool = True
 ) -> np.ndarray:
     """Time derivative M(xi) z_hat + N(z_hat) of the half-lattice coefficients (N dealiased)."""
-    dz = _apply_table(real_mode_matrices(_ops(grid).modes, eq), z_hat)
+    dz = _apply_table(real_mode_matrices(grid.half_modes, eq), z_hat)
     dz[_VELOCITY] += _quadratic(z_hat, grid, eq, time, dealias)
     return dz
 
@@ -307,7 +299,7 @@ def rhs_eval(state: SimState, *, dealias: bool = True) -> np.ndarray:
     dz_hat = coefficient_rhs(
         state.coefficients(), state.grid, state.eq, time=state.time, dealias=dealias
     )
-    return _ops(state.grid).inverse(dz_hat)
+    return half_lattice_inverse(state.grid, dz_hat)
 
 
 def _flow_speed(state: SimState, n: np.ndarray) -> float:
@@ -364,7 +356,7 @@ def _lawson(
 
 def step(state: SimState, dt: float, *, dealias: bool = True) -> SimState:
     """One Lawson step, taken on the state's coefficients with a table built for dt."""
-    half = mode_exponentials(_ops(state.grid).modes, state.eq, 0.5 * dt)
+    half = mode_exponentials(state.grid.half_modes, state.eq, 0.5 * dt)
     z_hat = _lawson(state.coefficients(), half, state.grid, state.eq, state.time, dt, dealias)
     return SimState.from_coefficients(state.grid, state.eq, state.time + dt, z_hat)
 
@@ -410,17 +402,17 @@ def integrate(
         raise ConfigError(f"{key}: the run to t={t_end:g} needs more than {MAX_STEPS} steps")
     h = span / n_steps
     _check_sample(state, h, cfg.cfl)
-    grid, eq, ops = state.grid, state.eq, _ops(state.grid)
-    half = mode_exponentials(ops.modes, eq, 0.5 * h)
+    grid, eq = state.grid, state.eq
+    half = mode_exponentials(grid.half_modes, eq, 0.5 * h)
     z_hat = state.coefficients()
-    base = ops.l2(z_hat)
+    base = half_lattice_l2(grid, z_hat)
     states = [state]
     for k in range(1, n_steps + 1):
         z_hat = _lawson(z_hat, half, grid, eq, state.time + (k - 1) * h, h, cfg.dealias)
         t = state.time + k * h
         if not np.all(np.isfinite(z_hat)):
             raise SolverInstabilityError(f"non-finite state at t={t:g} (step {k})")
-        norm = ops.l2(z_hat)
+        norm = half_lattice_l2(grid, z_hat)
         if base > 0 and norm > 10.0 * base:
             raise SolverInstabilityError(
                 f"norm grew {norm / base:.2f}x past the abort threshold at t={t:g}"
@@ -443,10 +435,10 @@ class ConstraintReport:
 def constraint_monitor(series: SimulationSeries) -> ConstraintReport:
     res_e, res_b, rel = [], [], []
     for s in series.states:
-        ops = _ops(s.grid)
-        rho_hat, eh_hat = ops.forward(s.z[0:1])[0], ops.forward(s.z[4:10])
-        norm_e = ops.l2(ops.divergence(eh_hat[0:3]) + rho_hat)
-        norm_b = ops.l2(ops.divergence(eh_hat[3:6]))
+        grid, ops = s.grid, _ops(s.grid)
+        rho_hat, eh_hat = half_lattice_forward(grid, s.z[0]), half_lattice_forward(grid, s.z[4:10])
+        norm_e = half_lattice_l2(grid, ops.divergence(eh_hat[0:3]) + rho_hat)
+        norm_b = half_lattice_l2(grid, ops.divergence(eh_hat[3:6]))
         res_e.append(norm_e)
         res_b.append(norm_b)
         scale = s.l2()
@@ -501,14 +493,13 @@ def initial_data_gen(
         )
     edge = ops.band_edge if profile.band_limit is None else min(profile.band_limit, ops.band_edge)
     rng = np.random.default_rng(seed)
-    axes = tuple(range(1, grid.dim + 1))
     mag = grid.frequency_magnitude
     env = profile.envelope(mag, edge)
     zero = (slice(None),) + (0,) * grid.dim
 
     def smooth(ncomp: int) -> np.ndarray:
-        white = rng.standard_normal((ncomp,) + grid.shape)
-        coeffs = np.fft.fftn(white, axes=axes) * env
+        white = PhysicalField(grid, rng.standard_normal((ncomp,) + grid.shape))
+        coeffs = forward_transform(white).coefficients * env
         coeffs[zero] = 0.0
         return coeffs
 
@@ -524,8 +515,7 @@ def initial_data_gen(
     h_hat = solenoidal_projection(SpectralField(grid, smooth(3))).coefficients
 
     z_hat = np.concatenate([rho_hat, vel_hat, e_hat, h_hat])
-    values = np.fft.ifftn(z_hat, axes=axes).real
-    state = SimState(grid=grid, eq=eq, time=0.0, z=values)
+    state = SimState(grid=grid, eq=eq, time=0.0, z=inverse_transform(SpectralField(grid, z_hat)).values)
     base = besov_norm(state.as_field(), BesovSpec(2.5, 2.0, 1.0, False)).value
     if base == 0.0:
         raise ConfigError("generated data is identically zero; widen the profile")

@@ -5,7 +5,9 @@ for any state, constraint-violating or not, because curl terms are
 divergence-free and the velocity sources cancel.  So every Runge-Kutta stage
 transports the constraints exactly up to roundoff.  The derivative
 multipliers here are built from the FFT frequency tables, with i xi_j zeroed
-on the Nyquist planes |k_j| = N/2 as the solver docstring specifies.
+on the Nyquist planes |k_j| = N/2 as the solver docstring specifies, and
+the coefficients are the calibrated ones the solver marches (rfftn times the
+cell volume).
 """
 
 import math
@@ -47,7 +49,7 @@ def test_rhs_annihilates_gauss_functionals(n, length, b_inf, dealias, seed):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((10,) + grid.shape)
     z[0] = rng.uniform(-0.5, 0.5, grid.shape)  # keeps the total density positive
-    z_hat = scipy.fft.rfftn(z, axes=(1, 2, 3))
+    z_hat = scipy.fft.rfftn(z, axes=(1, 2, 3)) * grid.cell_volume
     ik = half_lattice_ik(grid)
 
     def div(v):

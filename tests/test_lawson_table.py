@@ -1,7 +1,8 @@
 """Property tests of the nonlinear march's blow-up norm and its exponential table.
 
-`_SpectralOps.l2` is the norm the march watches for blow-up: by half-lattice
-Parseval it must equal the L^2 norm of the real field.  `mode_exponentials`
+`grid.half_lattice_l2` is the norm the march watches for blow-up: by
+half-lattice Parseval it must equal the L^2 norm of the real field whose
+calibrated half-lattice coefficients (rfftn times the cell volume) it reads.  `mode_exponentials`
 is the table that propagates the linear part: it must be the real form
 D^-1 exp(t M) D with D = diag(1, i I6, I3), and, because A(xi) is symmetric
 and the symmetric part of L is positive semidefinite, it never increases the
@@ -17,9 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frequalize.equilibrium import EquilibriumState
-from frequalize.grid import TorusGrid
+from frequalize.grid import TorusGrid, half_lattice_l2
 from frequalize.linear_modes import mode_exponentials, mode_matrices, system_matrices
-from frequalize.solver import _ops
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 PHASES = np.array([1.0] + [1j] * 6 + [1.0] * 3)
@@ -35,9 +35,9 @@ PHASES = np.array([1.0] + [1j] * 6 + [1.0] * 3)
 def test_half_lattice_parseval(dim, n, length, seed):
     grid = TorusGrid(dim=dim, box_length=length, points_per_axis=n)
     values = np.random.default_rng(seed).standard_normal((3,) + grid.shape)
-    coeffs = scipy.fft.rfftn(values, axes=tuple(range(1, dim + 1)))
+    coeffs = scipy.fft.rfftn(values, axes=tuple(range(1, dim + 1))) * grid.cell_volume
     want = math.sqrt(float(np.sum(values**2)) * grid.cell_volume)
-    assert abs(_ops(grid).l2(coeffs) - want) <= 1e-12 * want
+    assert abs(half_lattice_l2(grid, coeffs) - want) <= 1e-12 * want
 
 
 def random_modes(rng, count):

@@ -317,8 +317,8 @@ class TestGridEvolution:
     @pytest.mark.parametrize("b_inf", [(0.0, 0.0, 0.0), (0.0, 0.0, 0.5)], ids=["b0", "b05"])
     @pytest.mark.parametrize("dim,n", [(3, 8), (3, 7), (2, 8)], ids=["8^3", "7^3", "8^2"])
     def test_every_mode_matches_expm(self, dim, n, b_inf, hermitian):
-        # an even n puts the Nyquist planes and the modes with an off-lattice
-        # mirror on the grid, an odd n has neither
+        # an even n puts the Nyquist planes on the grid, an odd n has none; the
+        # oracle's xi_j is zeroed on the Nyquist planes, as lawson_oracle's is
         eq_b = EquilibriumState(b_inf=b_inf)
         grid = (TorusGrid if n % 2 == 0 else AnyNGrid)(dim=dim, box_length=20.0, points_per_axis=n)
         rng = np.random.default_rng(n)
@@ -329,8 +329,10 @@ class TestGridEvolution:
         prop = GridModePropagator(grid, eq_b)
         t = 2.5
         out, gen = prop.apply(z0, t), prop.generator_apply(z0)
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        axis = np.where(2 * np.abs(k) == n, 0.0, 2 * np.pi * k / grid.box_length)
         xi = np.zeros(grid.shape + (3,))
-        xi[..., :dim] = np.stack(grid.frequency_vectors, axis=-1)
+        xi[..., :dim] = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1)
         for idx in np.ndindex(*grid.shape):
             m = mode_matrices(xi[idx], eq_b)
             start = z0[(slice(None),) + idx]
@@ -338,6 +340,28 @@ class TestGridEvolution:
             want = scipy.linalg.expm(t * m) @ start
             assert np.linalg.norm(out[(slice(None),) + idx] - want) <= 1e-12 * scale, idx
             assert np.linalg.norm(gen[(slice(None),) + idx] - m @ start) <= 1e-14 * np.linalg.norm(m) * scale, idx
+
+    def test_decomposes_exactly_the_half_lattice_modes(self, eq, monkeypatch):
+        # 8 * 8 * 5 = 320 modes; with xi_j = -pi N / L kept on the Nyquist
+        # planes, 45 more modes had their mirror off the lattice (365 in all)
+        sizes = []
+        eig = np.linalg.eig
+
+        def counting(a):
+            sizes.append(len(a))
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting)
+        GridModePropagator(TorusGrid(dim=3, box_length=20.0, points_per_axis=8), eq)
+        assert sum(sizes) == 320
+
+    @pytest.mark.parametrize("b_inf", [(0.0, 0.0, 0.0), (0.0, 0.0, 0.5)], ids=["b0", "b05"])
+    def test_real_data_with_nyquist_content_stays_real(self, b_inf):
+        grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)
+        z0 = np.fft.fftn(np.random.default_rng(8).standard_normal((10,) + grid.shape), axes=(1, 2, 3))
+        zt = GridModePropagator(grid, EquilibriumState(b_inf=b_inf)).apply(z0, 2.5)
+        field = np.fft.ifftn(zt, axes=(1, 2, 3))
+        assert np.linalg.norm(field.imag) <= 1e-14 * np.linalg.norm(field.real)
 
     def test_incompatible_data_rejected(self, eq, rng):
         grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)
@@ -426,7 +450,7 @@ class TestConditioningFallback:
         want = GridModePropagator(grid, eq_b).apply(z0, 2.5)
         calls = all_modes_fall_back()
         self.assert_close(GridModePropagator(grid, eq_b).apply(z0, 2.5), want)
-        assert len(calls) == 8**3
+        assert len(calls) == 8 * 8 * 5  # one per half-lattice mode: its orbit also carries the mirror
 
     def test_mode_exponentials(self, rng, all_modes_fall_back):
         eq_b = EquilibriumState(b_inf=(0.0, 0.0, 0.5))

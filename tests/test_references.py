@@ -11,6 +11,10 @@ Likewise every instance attribute a package class stores (`self.x = ...`)
 and every dataclass field must be read in src/, tests/ or perfbench/: as an
 attribute load, or as a string constant passed to `getattr`.  Stores,
 constructor keywords and `object.__setattr__` do not count.
+
+Only `grid.py` calls an FFT (fftn, ifftn, rfftn or irfftn, under any
+module): the grid decides the lattice, its calibration and its Nyquist
+planes, and every other module reads them through its transforms.
 """
 
 from __future__ import annotations
@@ -150,3 +154,35 @@ def test_checker_flags_a_dead_attribute():
     assert attribute_names(source) == ["Report.value", "Report.unused", "Box.a", "Box._b", "Box.dead"]
     user = "r = Report(value=1.0, unused=2.0)\nprint(r.value, getattr(Box(1), 'a'))\nBox(1).dead = 5\n"
     assert unread_attributes({"m.py": source}, [source, user]) == ["m.py: Report.unused", "m.py: Box.dead"]
+
+
+FFT_CALLS = {"fftn", "ifftn", "rfftn", "irfftn"}
+
+
+def fft_calls(source: str) -> list[str]:
+    """'line: name' for each call of an FFT in FFT_CALLS, by bare name or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in FFT_CALLS:
+                found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_only_the_grid_calls_an_fft():
+    calls = {p.name: fft_calls(p.read_text()) for p in MODULES if p.name != "grid.py"}
+    assert {name: found for name, found in calls.items() if found} == {}
+
+
+def test_checker_flags_an_fft_call():
+    source = (
+        "import numpy as np\n"
+        "import scipy.fft\n"
+        "from scipy.fft import irfftn\n"
+        "def f(x):\n"
+        "    \"\"\"rfftn in a docstring is no call.\"\"\"\n"
+        "    y = np.fft.fftn(x) + scipy.fft.rfftn(x)\n"
+        "    return irfftn(y), np.fft.fftfreq(4), np.fft.ifftn\n"
+    )
+    assert fft_calls(source) == ["6: fftn", "6: rfftn", "7: irfftn"]
