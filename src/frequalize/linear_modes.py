@@ -32,16 +32,20 @@ With D = diag(1, i I6, I3) every generator is real in the form
 R(xi) = D^-1 M(xi) D: each entry coupling a velocity or electric row to a
 density or magnetic column, or the reverse, is i times a real number, so
 exp(t M(xi)) = D exp(t R(xi)) D^-1.  `real_mode_matrices` returns that form,
-and only real forms are decomposed.  exp(t R(xi)) is evaluated in one
-place: a private batched propagator makes one eigendecomposition for its
-batch, and its one method, `orbit`, carries vectors or column blocks y
-through a sequence of times with V^-1 y formed once, falling back to
-scaling-and-squaring for modes whose eigenbasis is ill-conditioned.
+and only real forms are exponentiated, by one of two evaluators:
 
-Every caller reads that orbit:
-- `mode_exponentials`: the orbit of the identity, the real table
-  D^-1 exp(t M(xi)) D with which the nonlinear solver propagates its
-  linear part, built chunk by chunk;
+- `mode_exponentials`, the single-time evaluator: the real table
+  exp(t R(xi)) = D^-1 exp(t M(xi)) D with which the nonlinear solver
+  propagates its linear part.  One time needs no eigenvectors: chunk by
+  chunk, t R(xi) goes through one batched scaling-and-squaring of a Taylor
+  polynomial, matrix products only.
+- the multi-time evaluator, a private batched propagator that makes one
+  eigendecomposition for its batch.  Its one method, `orbit`, carries
+  vectors or column blocks y through a sequence of times with V^-1 y formed
+  once, falling back to `scipy.linalg.expm` for modes whose eigenbasis is
+  ill-conditioned.
+
+Every other caller reads that orbit:
 - `ModePropagator` (a batch of one): D^-1 before and D after;
 - `pointwise_decay_check`: R(xi) at the distinct sample frequencies, one
   time per sample; its ratios are read in real form, as |D y| = |y|;
@@ -77,7 +81,23 @@ from .grid import SpectralField, TorusGrid, _reflected, shell_l2_norms
 
 STATE_DIM = 10
 _COND_LIMIT = 1e8
-_TABLE_CHUNK = 2048  # modes per eigendecomposition in mode_exponentials
+_TABLE_CHUNK = 2048  # modes per batched Taylor evaluation in mode_exponentials
+# mode_exponentials takes exp(A) as the degree-40 Taylor polynomial of A / 2^s
+# squared s times, s the fewest halvings that bring ||A||_1 to <= 6 (scaling
+# and squaring: Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009; with
+# a Taylor polynomial: Bader, Blanes & Casas, Mathematics 7, 2019).  The
+# Taylor remainder is then below 3e-18 in the 1-norm.  Of the bounds tried, 6
+# kept the table's A0-weighted norm closest to 1: smaller bounds lose more to
+# the squarings, larger ones to cancellation.  The polynomial is evaluated by
+# Paterson-Stockmeyer: blocks of degree < 7 in A, combined by Horner's rule
+# in A^7, 11 products in all.
+_TAYLOR_THETA = 6.0
+_TAYLOR_DEGREE = 40
+_PS_BLOCK = 7
+_TAYLOR_COEFFS = np.array(
+    [1.0 / math.factorial(k) if k <= _TAYLOR_DEGREE else 0.0
+     for k in range(_PS_BLOCK * math.ceil((_TAYLOR_DEGREE + 1) / _PS_BLOCK))]
+).reshape(-1, _PS_BLOCK)  # row i: the coefficients of A^(7i) .. A^(7i+6)
 _RESIDUAL_TOL = 1e-8  # largest Gauss-constraint residual pointwise_decay_check accepts
 _COMPAT_TOL = 1e-10  # largest constraint residual and mean linear_evolve_grid accepts
 
@@ -147,18 +167,52 @@ def real_mode_matrices(xi: np.ndarray, eq: EquilibriumState) -> np.ndarray:
     return np.ascontiguousarray(m.real)
 
 
-def mode_exponentials(xi: np.ndarray, eq: EquilibriumState, t: float) -> np.ndarray:
-    """The real table D^-1 exp(t M(xi)) D for xi[n, 3], shape (n, 10, 10).
+def _require_times(t: np.ndarray) -> None:
+    """Refuse a propagation time that is not finite and nonnegative."""
+    bad = t[~np.isfinite(t)]
+    if bad.size:
+        raise ConfigError(f"propagation time must be finite, got {bad.flat[0]}")
+    if np.any(t < 0):
+        raise ConfigError(f"propagation time must be nonnegative, got {t.min()}")
 
-    Built _TABLE_CHUNK modes at a time, each chunk the orbit of the identity
-    under one batched propagator, so the temporaries stay a fixed size.
+
+def _taylor_exponentials(a: np.ndarray) -> np.ndarray:
+    """exp(a[r]) for every real a[r] of a[n, 10, 10], by scaling and squaring.
+
+    Each a[r] is scaled by its own 2^-s_r, the table's Taylor polynomial is
+    evaluated on the whole batch, and only the rows with s_r >= k take the
+    k-th squaring.
     """
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    squarings = np.ceil(np.log2(np.maximum(norms / _TAYLOR_THETA, 1.0))).astype(int)
+    powers = np.empty((_PS_BLOCK + 1,) + a.shape)  # I, A, .., A^7 of the scaled A
+    powers[0] = np.eye(STATE_DIM)
+    powers[1] = np.ldexp(a, -squarings[:, None, None])
+    for j in range(2, _PS_BLOCK + 1):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    blocks = (_TAYLOR_COEFFS @ powers[:_PS_BLOCK].reshape(_PS_BLOCK, -1)).reshape((-1,) + a.shape)
+    out = blocks[-1]
+    for block in blocks[-2::-1]:
+        out = out @ powers[_PS_BLOCK]
+        out += block
+    for k in range(1, squarings.max(initial=0) + 1):
+        rows = np.flatnonzero(squarings >= k)
+        square = out[rows]
+        out[rows] = square @ square
+    return out
+
+
+def mode_exponentials(xi: np.ndarray, eq: EquilibriumState, t: float) -> np.ndarray:
+    """The real table D^-1 exp(t M(xi)) D = exp(t R(xi)) for xi[n, 3], shape (n, 10, 10).
+
+    Built _TABLE_CHUNK modes at a time, each chunk one batched Taylor
+    scaling-and-squaring evaluation, so the temporaries stay a fixed size.
+    """
+    _require_times(np.asarray(t, dtype=float))
     table = np.empty((len(xi), STATE_DIM, STATE_DIM))
     for start in range(0, len(xi), _TABLE_CHUNK):
         chunk = xi[start : start + _TABLE_CHUNK]
-        identity = np.broadcast_to(np.eye(STATE_DIM), (len(chunk), STATE_DIM, STATE_DIM))
-        prop = _EigenPropagator(real_mode_matrices(chunk, eq))
-        table[start : start + len(chunk)] = next(prop.orbit(identity, [t])).real
+        table[start : start + len(chunk)] = _taylor_exponentials(t * real_mode_matrices(chunk, eq))
     return table
 
 
@@ -245,8 +299,7 @@ class _EigenPropagator:
         fallback = np.flatnonzero(self.ill_conditioned[rows])
         for t in times:
             t = np.broadcast_to(np.asarray(t, dtype=float), y.shape[:1])
-            if np.any(t < 0):
-                raise ConfigError(f"propagation time must be nonnegative, got {t.min()}")
+            _require_times(t)
             out = v @ (coeff * np.exp(w * t[:, None])[..., None])
             for r in fallback:
                 out[r] = scipy.linalg.expm(t[r] * matrices[r]) @ blocks[r]

@@ -37,9 +37,10 @@ The march is Lawson's integrating-factor RK4: with E(h) = exp(h M) per mode,
 
 so the linear waves and their damping are propagated exactly and RK4 only
 integrates N.  One table of E(h/2) is built per run
-(`linear_modes.mode_exponentials`, in the real form D^-1 E D) and E(h) is
-E(h/2) twice; grouped as E(h/2) [E(h/2) u + h/6 E(h/2) k1 + h/3 (k2 + k3)]
-+ h/6 k4, a step applies the table four times.  Each sample costs one
+(`linear_modes.mode_exponentials`: the real form D^-1 E D, by batched Taylor
+scaling and squaring, with no eigendecomposition) and E(h) is E(h/2) twice;
+grouped as E(h/2) [E(h/2) u + h/6 E(h/2) k1 + h/3 (k2 + k3)] + h/6 k4, a
+step applies the table four times.  Each sample costs one
 inverse transform.
 
 Every frequency of the march is `TorusGrid.half_modes`: the generator's

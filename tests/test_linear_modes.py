@@ -205,6 +205,57 @@ class TestPropagation:
         with pytest.raises(ConfigError):
             ModePropagator([1.0, 0.0, 0.0], eq).apply(z0, 1.0)
 
+    @pytest.mark.parametrize("t", [-1.0, math.inf, math.nan], ids=["negative", "inf", "nan"])
+    @pytest.mark.parametrize("route", ["mode_exponentials", "ModePropagator", "GridModePropagator"])
+    def test_time_must_be_finite_and_nonnegative(self, eq, route, t):
+        grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)
+        propagate = {
+            "mode_exponentials": lambda: mode_exponentials(np.ones((2, 3)), eq, t),
+            "ModePropagator": lambda: ModePropagator([1.0, 0.0, 0.0], eq).apply(np.ones(10), t),
+            "GridModePropagator": lambda: GridModePropagator(grid, eq).apply(
+                np.ones((10,) + grid.shape, dtype=complex), t
+            ),
+        }[route]
+        with pytest.raises(ConfigError, match="nonnegative, got -1.0" if t < 0 else "finite"):
+            propagate()
+
+
+class TestTable:
+    def test_taylor_scaling_and_squaring_needs_no_eigenvectors(self, monkeypatch):
+        """The table calls neither eig nor expm, matches expm, and is I at t = 0.
+
+        One batch mixes |xi| from 1e-2 to 1e2 with t from 0 to 100, so rows
+        that take no squaring and rows that take more than ten share it.
+        Pairs with t |xi| > 2500 are left out: there exp(tR) is so sensitive
+        to the roundoff of tR that scipy's expm itself is about 1e-12 from a
+        long-double evaluation.
+        """
+        eq_b = EquilibriumState(b_inf=(0.0, 0.0, 0.5))
+        mags, times = np.meshgrid(np.geomspace(1e-2, 1e2, 9), [0.0, 0.5, 5.0, 25.0, 100.0])
+        keep = mags * times <= 2500.0
+        direction = np.random.default_rng(7).standard_normal((int(keep.sum()), 3))
+        xi = mags[keep][:, None] * direction / np.linalg.norm(direction, axis=1, keepdims=True)
+        t = times[keep]
+        batch = t[:, None, None] * linear_modes.real_mode_matrices(xi, eq_b)
+        one_norms = np.abs(batch).sum(axis=1).max(axis=1)
+        assert one_norms.min() <= 6.0 and one_norms.max() > 6.0 * 2**10
+        phases = linear_modes.REAL_FORM_PHASES
+        want = np.array([scipy.linalg.expm(s * m) for s, m in zip(t, mode_matrices(xi, eq_b))])
+        want = (want * phases * phases.conj()[:, None]).real
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the table took an eigendecomposition or expm")
+
+        for name in ("eig", "inv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        assert np.max(np.abs(linear_modes._taylor_exponentials(batch) - want)) <= 1e-12
+        for time in np.unique(t):
+            rows = t == time
+            assert np.max(np.abs(mode_exponentials(xi[rows], eq_b, time) - want[rows])) <= 1e-12
+        table = mode_exponentials(xi, eq_b, 0.0)
+        assert np.array_equal(table, np.broadcast_to(np.eye(10), table.shape))
+
 
 class TestSpectralGap:
     def test_positive_at_unit_frequency(self):
@@ -451,14 +502,6 @@ class TestConditioningFallback:
         calls = all_modes_fall_back()
         self.assert_close(GridModePropagator(grid, eq_b).apply(z0, 2.5), want)
         assert len(calls) == 8 * 8 * 5  # one per half-lattice mode: its orbit also carries the mirror
-
-    def test_mode_exponentials(self, rng, all_modes_fall_back):
-        eq_b = EquilibriumState(b_inf=(0.0, 0.0, 0.5))
-        xi = rng.standard_normal((5, 3))
-        want = mode_exponentials(xi, eq_b, 2.5)
-        calls = all_modes_fall_back()
-        self.assert_close(mode_exponentials(xi, eq_b, 2.5), want)
-        assert len(calls) == 5
 
     def test_continuum_evolver(self, all_modes_fall_back):
         eq_b = EquilibriumState(b_inf=(0.0, 0.0, 0.5))
