@@ -240,14 +240,14 @@ def cmd_linear_gap(args) -> int:
 
 def cmd_linear_decay(args) -> int:
     orders = args.orders
-    with prefixed("--"):  # a ContinuumData error names its field, which is also the option
+    with prefixed("--"):  # ContinuumData and the experiment name a parameter, which is also the option
         if args.data == "gaussian":
             data = ContinuumData(kind="gaussian", width=args.width)
         else:
             data = ContinuumData(kind="highpass", cutoff=args.cutoff, budget=args.budget)
-    exp = linear_decay_experiment(
-        EquilibriumState(), data, times=args.times, orders=orders, window=args.window
-    )
+        exp = linear_decay_experiment(
+            EquilibriumState(), data, times=args.times, orders=orders, window=args.window
+        )
     header = ["t"] + [f"l2_d{k}" for k in orders]
     rows = [
         [exp.times[i]] + [exp.norms[k][i] for k in orders] for i in range(exp.times.size)

@@ -24,15 +24,14 @@ it grows like |xi|^2 at low frequency and collapses like |xi|^-2 at high
 frequency, where the weakly damped electromagnetic wave pair carries the
 regularity loss.
 
-A0, A(xi) and L are written once, in `mode_matrices`, which builds M(xi)
-for a whole batch of frequencies; `system_matrices` and
-`assemble_mode_matrix` read them back from it.
-
-With D = diag(1, i I6, I3) every generator is real in the form
-R(xi) = D^-1 M(xi) D: each entry coupling a velocity or electric row to a
-density or magnetic column, or the reverse, is i times a real number, so
-exp(t M(xi)) = D exp(t R(xi)) D^-1.  `real_mode_matrices` returns that form,
-and only real forms are exponentiated, by one of two evaluators:
+A0, A(xi) and L are written once, in `real_mode_matrices`, which builds the
+real form R(xi) = D^-1 M(xi) D, D = diag(1, i I6, I3), for a whole batch of
+frequencies: each entry coupling a velocity or electric row to a density or
+magnetic column, or the reverse, is i times a real number in M(xi), so R is
+real and exp(t M(xi)) = D exp(t R(xi)) D^-1.  `mode_matrices` returns
+D R(xi) D^-1, and `system_matrices` and `assemble_mode_matrix` read A0, A
+and L back from it.  Only real forms are exponentiated, by one of two
+evaluators:
 
 - `mode_exponentials`, the single-time evaluator: the real table
   exp(t R(xi)) = D^-1 exp(t M(xi)) D with which the nonlinear solver
@@ -40,23 +39,38 @@ and only real forms are exponentiated, by one of two evaluators:
   chunk, t R(xi) goes through one batched scaling-and-squaring of a Taylor
   polynomial, matrix products only.
 - the multi-time evaluator, a private batched propagator that makes one
-  eigendecomposition for its batch.  Its one method, `orbit`, carries
-  vectors or column blocks y through a sequence of times with V^-1 y formed
-  once, falling back to `scipy.linalg.expm` for modes whose eigenbasis is
-  ill-conditioned.
+  eigendecomposition per symmetry class of its batch (below).  Its method
+  `orbit` carries vectors or column blocks y through a sequence of times
+  with V^-1 y formed once, and `powers` sums weighted |exp(t R) y|^2 over
+  each class; both fall back to `scipy.linalg.expm`, once per class and
+  time, for classes whose eigenbasis is ill-conditioned.
 
-Every other caller reads that orbit:
+Symmetry classes.  Let b = B_inf / |B_inf|, or e_z when B_inf = 0.  For an
+orthogonal Q with det(Q) Q b = b (the rotations about b, and those
+rotations times -I: B_inf is a pseudovector) and
+P = diag(1, Q, Q, det(Q) Q),
+
+    R(Q xi) = P R(xi) P^T,  so  exp(t R(Q xi)) = P exp(t R(xi)) P^T.
+
+So R(xi) is fixed, up to that rotation, by the key (|xi.b|, |xi x b|), and
+the modes of a batch are grouped by it: keys that agree to a few ulps of |xi|
+form one class, whose representative is one of its members.  `eig`, `inv`
+and the condition number are taken once per class; cond(P V) = cond(V), so
+the fallback flag is exact for every member.
+
+Every other caller reads that propagator:
 - `ModePropagator` (a batch of one): D^-1 before and D after;
-- `pointwise_decay_check`: R(xi) at the distinct sample frequencies, one
-  time per sample; its ratios are read in real form, as |D y| = |y|;
-- `ContinuumEvolver`: R(xi) at every quadrature node, with y0 = D^-1 z0
-  carried through all times;
-- `GridModePropagator`: R(xi) at the grid's half-lattice modes
+- `pointwise_decay_check`: one row per sample, P V and V^-1 P^T of its
+  class, one time per sample; its ratios are read in real form, as
+  |D y| = |y|;
+- `ContinuumEvolver`: the quadrature nodes' classes, through `powers` with
+  y0 = D^-1 z0 and the quadrature weights (|P y| = |y|);
+- `GridModePropagator`: one row per half-lattice mode
   (`TorusGrid.half_modes`, xi_j zeroed on the Nyquist planes), the
-  frequencies of the solver's table.  Every lattice mode is a half-lattice
-  mode or the mirror -xi of one.  A and L are real, so M(-xi) =
-  conj(M(xi)) and R(-xi) = S R(xi) S with S = D^2 = diag(1, -I6, I3),
-  hence exp(t M(-xi)) z = D^-1 exp(t R(xi)) D z, while exp(t M(xi)) z =
+  frequencies of the solver's table, with P V and V^-1 P^T of its class.
+  Every lattice mode is a half-lattice mode or the mirror -xi of one.
+  Q = -I gives R(-xi) = S R(xi) S with S = D^2 = diag(1, -I6, I3), hence
+  exp(t M(-xi)) z = D^-1 exp(t R(xi)) D z, while exp(t M(xi)) z =
   D exp(t R(xi)) D^-1 z: one orbit carries both, as two columns.
 
 Whole-space decay experiments avoid the torus infrared cutoff by radial
@@ -66,6 +80,7 @@ cross-validation of the nonlinear solver.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -75,12 +90,13 @@ import scipy.linalg
 
 from .decay_kernel import euler_maxwell_rate
 from .equilibrium import EquilibriumState
-from .errors import ConfigError, IncompatibleDataError, NumericalError
+from .errors import ConfigError, IncompatibleDataError, NumericalError, prefixed
 from .fitting import DecayFit, fit_decay_exponent
 from .grid import SpectralField, TorusGrid, _reflected, shell_l2_norms
 
 STATE_DIM = 10
 _COND_LIMIT = 1e8
+_KEY_ULPS = 8  # class keys within this many ulps of |xi| are joined
 _TABLE_CHUNK = 2048  # modes per batched Taylor evaluation in mode_exponentials
 # mode_exponentials takes exp(A) as the degree-40 Taylor polynomial of A / 2^s
 # squared s times, s the fewest halvings that bring ||A||_1 to <= 6 (scaling
@@ -125,34 +141,6 @@ def _a0_diagonal(eq: EquilibriumState) -> np.ndarray:
     return np.array([eq.a_inf] + [eq.n_inf] * 3 + [1.0] * 6)
 
 
-def mode_matrices(xi: np.ndarray, eq: EquilibriumState) -> np.ndarray:
-    """Generators M(xi) = -A0^-1 (i A(xi) + L) for xi[..., 3], shape [..., 10, 10].
-
-    The one place where A0, A(xi) and L are written.  The batch is filled
-    and scaled in place, so a full lattice needs no temporaries of its size.
-    The steps follow the formula as written: the eigensolver's roundoff
-    depends on the signs of the zero entries that this order produces.
-    """
-    xi = np.asarray(xi, dtype=float)
-    m = np.zeros(xi.shape[:-1] + (STATE_DIM, STATE_DIM), dtype=complex)
-    # A(xi): acoustic coupling p'(n_inf) xi and the Maxwell rotation blocks
-    m[..., 0, 1:4] = eq.dp_inf * xi
-    m[..., 1:4, 0] = m[..., 0, 1:4]
-    om = omega_matrix(xi)
-    m[..., 4:7, 7:10] = -om
-    m[..., 7:10, 4:7] = om
-    # L: velocity relaxation with the background rotation, velocity<->E exchange
-    damping = np.zeros((STATE_DIM, STATE_DIM))
-    damping[1:4, 1:4] = eq.n_inf * (np.eye(3) - omega_matrix(eq.b_inf_vector))
-    damping[1:4, 4:7] = eq.n_inf * np.eye(3)
-    damping[4:7, 1:4] = -eq.n_inf * np.eye(3)
-    m *= 1j
-    m += damping
-    np.negative(m, out=m)
-    m /= _a0_diagonal(eq)[:, None]
-    return m
-
-
 # D = diag(1, i I6, I3): D^-1 M(xi) D is real for every xi and B_inf
 REAL_FORM_PHASES = np.array([1.0] + [1j] * 6 + [1.0] * 3)
 # columns (D, D^-1): the phases of a mode and of its mirror in GridModePropagator
@@ -160,11 +148,37 @@ _PAIR_PHASES = np.stack([REAL_FORM_PHASES, REAL_FORM_PHASES.conj()], axis=1)
 
 
 def real_mode_matrices(xi: np.ndarray, eq: EquilibriumState) -> np.ndarray:
-    """D^-1 M(xi) D for xi[..., 3], shape [..., 10, 10], real (the products by +-i are exact)."""
-    m = mode_matrices(xi, eq)
-    m *= REAL_FORM_PHASES
-    m *= REAL_FORM_PHASES.conj()[:, None]
-    return np.ascontiguousarray(m.real)
+    """Real forms R(xi) = D^-1 M(xi) D = -A0^-1 (D^-1 i A(xi) D + L) for xi[..., 3], shape [..., 10, 10].
+
+    The one place where A0, A(xi) and L are written.  D commutes with L,
+    and D^-1 i A(xi) D is real and skew: -p'(n_inf) xi in the density row,
+    +p'(n_inf) xi in the density column and -Omega_xi in both Maxwell
+    blocks.  The batch is filled and scaled in place, so a full lattice
+    needs no temporaries of its size.  Every nonzero entry equals the real
+    part of D^-1 M(xi) D formed in complex arithmetic bit for bit; only
+    the signs of some zero entries differ, and an eigensolver's roundoff
+    can depend on those.
+    """
+    xi = np.asarray(xi, dtype=float)
+    r = np.zeros(xi.shape[:-1] + (STATE_DIM, STATE_DIM))
+    # D^-1 i A(xi) D: acoustic coupling p'(n_inf) xi and the Maxwell rotation blocks
+    coupling = eq.dp_inf * xi
+    r[..., 0, 1:4] = -coupling
+    r[..., 1:4, 0] = coupling
+    r[..., 4:7, 7:10] = -omega_matrix(xi)
+    r[..., 7:10, 4:7] = r[..., 4:7, 7:10]
+    # L: velocity relaxation with the background rotation, velocity<->E exchange
+    r[..., 1:4, 1:4] = eq.n_inf * (np.eye(3) - omega_matrix(eq.b_inf_vector))
+    r[..., 1:4, 4:7] = eq.n_inf * np.eye(3)
+    r[..., 4:7, 1:4] = -eq.n_inf * np.eye(3)
+    np.negative(r, out=r)
+    r /= _a0_diagonal(eq)[:, None]
+    return r
+
+
+def mode_matrices(xi: np.ndarray, eq: EquilibriumState) -> np.ndarray:
+    """Generators M(xi) = -A0^-1 (i A(xi) + L) = D R(xi) D^-1 for xi[..., 3], shape [..., 10, 10]."""
+    return real_mode_matrices(xi, eq) * REAL_FORM_PHASES[:, None] * REAL_FORM_PHASES.conj()
 
 
 def _require_times(t: np.ndarray) -> None:
@@ -269,48 +283,171 @@ def constraint_residual(z: np.ndarray, xi: Sequence[float]) -> float:
     return float(np.linalg.norm(constraint_matrix(xi) @ z)) / scale
 
 
-class _EigenPropagator:
-    """exp(t R) for a batch of real generators r[n, 10, 10] from one eigendecomposition.
+def _cluster(values: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Labels of values[n]: sorted neighbours within _KEY_ULPS ulps of scale[n] share one."""
+    order = np.argsort(values, kind="stable")
+    steps = np.diff(values[order]) > _KEY_ULPS * np.spacing(scale[order][1:])
+    labels = np.empty(len(values), dtype=np.intp)
+    labels[order] = np.concatenate([[0], np.cumsum(steps)])
+    return labels
 
-    The eigenvector route is used where the eigenbasis is well conditioned;
-    elsewhere (near eigenvalue collisions the generator can be defective)
-    each exponential falls back to scaling-and-squaring.
+
+@dataclass(frozen=True)
+class _ModeClasses:
+    """The symmetry classes of a batch of frequencies xi[n, 3] (see the module docstring).
+
+    Mode r is carried onto its class's representative xi[first[index[r]]]
+    by Q_r = signs[r] turns[r], where turns[r] is a rotation about b, and
+    P_r = diag(1, Q_r, Q_r, det(Q_r) Q_r) = diag(1, Q_r, Q_r, turns[r]).
+    A representative's own Q is the identity, exactly.
     """
 
-    def __init__(self, matrices: np.ndarray):
-        self.matrices = matrices
-        self.w, self.v = np.linalg.eig(matrices)
+    index: np.ndarray  # (n,) the class of every mode
+    first: np.ndarray  # (k,) one member of every class: its representative
+    turns: np.ndarray  # (n, 3, 3)
+    signs: np.ndarray  # (n,) det(Q_r)
+
+    def rotate(self, y: np.ndarray, modes: slice | np.ndarray = slice(None), inverse: bool = False):
+        """y overwritten by P y, or P^T y, with the P of each of the modes.
+
+        y holds y[modes, 10] or y[modes, 10, k] and is returned.
+        """
+        blocks = y if y.ndim == 3 else y[..., None]
+        turns = self.turns[modes].swapaxes(-1, -2) if inverse else self.turns[modes]
+        signs = self.signs[modes][:, None, None]
+        for rows, sign in ((slice(1, 4), signs), (slice(4, 7), signs), (slice(7, 10), 1.0)):
+            blocks[:, rows] = sign * (turns @ blocks[:, rows])
+        return y
+
+
+def _mode_classes(xi: np.ndarray, eq: EquilibriumState) -> _ModeClasses:
+    """Group xi[n, 3] by (|xi.b|, |xi x b|), and find each mode's rotation from its representative."""
+    b_inf = eq.b_inf_vector
+    field = math.sqrt(float(b_inf @ b_inf))
+    b = b_inf / field if field > 0 else np.array([0.0, 0.0, 1.0])
+    along = xi @ b
+    scale = np.hypot.reduce(xi, axis=1)  # |xi|, without overflow in the squares
+    across = np.hypot.reduce(np.cross(xi, b), axis=1)
+    keys = _cluster(np.abs(along), scale) * len(xi) + _cluster(across, scale)
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    index = index.ravel()
+    rep = first[index]
+    # Q = s T with T the rotation about b that takes the representative's perp to s times the mode's
+    signs = np.where(np.sign(along) * np.sign(along[rep]) < 0, -1.0, 1.0)
+    perp = (xi - along[:, None] * b) / np.where(scale > 0, scale, 1.0)[:, None]
+    cos = np.einsum("ij,ij->i", perp[rep], signs[:, None] * perp)
+    sin = np.cross(perp[rep], signs[:, None] * perp) @ b
+    size = np.hypot(cos, sin)
+    on_axis = size == 0  # xi on the b axis (cos = sin = 0): no turn
+    cos = np.where(on_axis, 1.0, cos) / np.where(on_axis, 1.0, size)
+    sin = sin / np.where(on_axis, 1.0, size)
+    turns = (
+        cos[:, None, None] * np.eye(3)
+        + sin[:, None, None] * omega_matrix(b)
+        + (1.0 - cos)[:, None, None] * np.outer(b, b)
+    )
+    return _ModeClasses(index=index, first=first, turns=turns, signs=signs)
+
+
+class _EigenPropagator:
+    """exp(t R(xi)) for a batch of frequencies xi[n, 3], one eigendecomposition per class.
+
+    The rows of the propagator are the classes' representatives, or, after
+    `for_each_mode`, the modes themselves.  The eigenvector route is used
+    where the eigenbasis is well conditioned; elsewhere (near eigenvalue
+    collisions the generator can be defective) the class's exponential falls
+    back to scaling-and-squaring, once per class and time.
+    """
+
+    def __init__(self, xi: np.ndarray, eq: EquilibriumState):
+        self.classes = _mode_classes(xi, eq)
+        self.matrices = real_mode_matrices(xi[self.classes.first], eq)
+        self.w, self.v = np.linalg.eig(self.matrices)
         try:
             self.vinv = np.linalg.inv(self.v)
         except np.linalg.LinAlgError:
             self.vinv = np.full_like(self.v, np.nan)  # every row takes the fallback
         cond = np.linalg.norm(self.v, axis=(-2, -1)) * np.linalg.norm(self.vinv, axis=(-2, -1))
-        self.ill_conditioned = ~(cond < _COND_LIMIT)
+        self.ill_conditioned = ~(cond < _COND_LIMIT)  # cond(P V) = cond(V): exact for every member
+        self.modes = self.classes.first  # the mode each row stands for
 
-    def orbit(self, y: np.ndarray, times: Sequence, rows: slice | np.ndarray = slice(None)):
-        """exp(t R_rows[r]) y[r] for every row r of y, at each t of times in turn.
+    def for_each_mode(self) -> _EigenPropagator:
+        """This propagator with one row per mode: w, P V and V^-1 P^T of the mode's class."""
+        c = self.classes
+        out = copy.copy(self)
+        out.w, out.ill_conditioned = self.w[c.index], self.ill_conditioned[c.index]
+        out.v = c.rotate(self.v[c.index])
+        out.vinv = c.rotate(self.vinv[c.index].swapaxes(-1, -2)).swapaxes(-1, -2)
+        out.modes = np.arange(len(c.index))
+        return out
 
-        y holds vectors (n, 10) or column blocks (n, 10, k); each t is one
-        time or one time per row.  V^-1 y is formed once.
+    def orbit(self, y: np.ndarray, times: Sequence):
+        """exp(t R(xi)) y[r] for the frequency xi of every row r, at each t of times in turn.
+
+        y holds vectors (rows, 10) or column blocks (rows, 10, k); each t is
+        one time or one time per row.  V^-1 y is formed once.
         """
         blocks = y if y.ndim == 3 else y[..., None]
-        coeff = self.vinv[rows] @ blocks
-        v, w, matrices = self.v[rows], self.w[rows], self.matrices[rows]
-        fallback = np.flatnonzero(self.ill_conditioned[rows])
+        coeff = self.vinv @ blocks
+        fallback = np.flatnonzero(self.ill_conditioned)
         for t in times:
             t = np.broadcast_to(np.asarray(t, dtype=float), y.shape[:1])
             _require_times(t)
-            out = v @ (coeff * np.exp(w * t[:, None])[..., None])
-            for r in fallback:
-                out[r] = scipy.linalg.expm(t[r] * matrices[r]) @ blocks[r]
+            out = self.v @ (coeff * np.exp(self.w * t[:, None])[..., None])
+            if fallback.size:
+                self._fall_back(out, blocks, fallback, t)
             yield out if y.ndim == 3 else out[..., 0]
+
+    def powers(self, y: np.ndarray, weights: np.ndarray, times: Sequence):
+        """sum_r weights[r] |exp(t R(xi_r)) y[r]|^2 over the modes r of each class, at each t in turn.
+
+        y[n, 10] holds one vector per mode of the batch; the rows must be the
+        classes.  |P z| = |z|, so mode r of class k adds
+        |exp(t R_k) P_r^T y[r]|^2, and with the eigen-coordinates
+        c_r = V_k^-1 P_r^T y[r] the class's sum is
+        sum_ij (G_k)_ij (C_k)_ji exp((conj(w_i) + w_j) t), where G_k = V_k^H V_k
+        and C_k = sum_r weights[r] c_r c_r^H, the moment matrix
+        S_k = sum_r weights[r] (P_r^T y[r]) (P_r^T y[r])^H taken to
+        eigen-coordinates, V_k^-1 S_k V_k^-H.  C_k is summed after the
+        projection, so each eigencomponent keeps the relative accuracy of its
+        own coefficients, as in |V_k exp(t w) c_r|^2 mode by mode.  A class
+        whose eigenbasis is ill-conditioned sums |exp(t R_k) P_r^T y[r]|^2
+        with `scipy.linalg.expm` instead, one call per class and time.
+        """
+        c = self.classes
+        y = c.rotate(y.copy(), inverse=True)
+        coords = (self.vinv[c.index] @ y[..., None])[..., 0]
+        moments = np.zeros(self.v.shape, dtype=complex)
+        np.add.at(moments, c.index, weights[:, None, None] * coords[:, :, None] * coords.conj()[:, None, :])
+        terms = (self.v.conj().swapaxes(-1, -2) @ self.v) * moments.swapaxes(-1, -2)
+        fallback = np.flatnonzero(self.ill_conditioned)
+        for t in times:
+            _require_times(np.asarray(t, dtype=float))
+            decay = np.exp(self.w * t)  # exp((conj(w_i) + w_j) t) = conj(decay_i) decay_j
+            out = np.einsum("ki,ki->k", decay.conj(), (terms @ decay[..., None])[..., 0]).real
+            for k in fallback:
+                members = c.index == k
+                states = scipy.linalg.expm(t * self.matrices[k]) @ y[members].T
+                out[k] = weights[members] @ np.sum(np.abs(states) ** 2, axis=0)
+            yield out
+
+    def _fall_back(self, out: np.ndarray, blocks: np.ndarray, rows: np.ndarray, t: np.ndarray) -> None:
+        """out[rows] = P exp(t R_k) P^T blocks[rows] by `scipy.linalg.expm`, one call per class k and time."""
+        modes = self.modes[rows]
+        pairs = np.stack([self.classes.index[modes], t[rows]], axis=1)
+        keys, which = np.unique(pairs, axis=0, return_inverse=True)
+        for j, (k, time) in enumerate(keys):
+            pick = which.ravel() == j
+            exp = scipy.linalg.expm(time * self.matrices[int(k)])
+            start = self.classes.rotate(blocks[rows[pick]], modes[pick], inverse=True)
+            out[rows[pick]] = self.classes.rotate(exp @ start, modes[pick])
 
 
 class ModePropagator:
     """exp(t M(xi)) = D exp(t R(xi)) D^-1 of one Fourier mode: the batched propagator on a batch of one."""
 
     def __init__(self, xi: Sequence[float], eq: EquilibriumState):
-        self._prop = _EigenPropagator(real_mode_matrices(_pad_xi(xi)[None], eq))
+        self._prop = _EigenPropagator(_pad_xi(xi)[None], eq)
 
     def matrix_at(self, t: float) -> np.ndarray:
         real = next(self._prop.orbit(np.eye(STATE_DIM)[None], [t]))[0]
@@ -415,9 +552,8 @@ def pointwise_decay_check(
     if not z0s:
         raise ConfigError("no nonzero samples supplied")
     xis, z0s, times = np.array(xis), np.array(z0s), np.array(times, dtype=float)
-    distinct, rows = np.unique(xis, axis=0, return_inverse=True)
     y0 = z0s * REAL_FORM_PHASES.conj()  # |D y| = |y|, so the ratios are read in real form
-    yt = next(_EigenPropagator(real_mode_matrices(distinct, eq)).orbit(y0, [times], rows=rows.ravel()))
+    yt = next(_EigenPropagator(xis, eq).for_each_mode().orbit(y0, [times]))
     ratios_arr = np.linalg.norm(yt, axis=1) / np.linalg.norm(y0, axis=1)
     exps = rate.eta(np.linalg.norm(xis, axis=1)) * times
     best_c0, best_c = 0.0, float(np.max(ratios_arr))
@@ -442,9 +578,10 @@ def pointwise_decay_check(
 class GridModePropagator:
     """The batched propagator over every mode of a full lattice.
 
-    Only the real forms R(xi) of the grid's half-lattice modes are
-    decomposed; the other modes are their mirrors -xi (see the module
-    docstring).  Any coefficients are accepted, Hermitian or not.
+    Only the classes of the grid's half-lattice modes are decomposed; every
+    half-lattice mode takes its class's eigenvectors rotated by its P, and
+    the other modes are their mirrors -xi (see the module docstring).  Any
+    coefficients are accepted, Hermitian or not.
     """
 
     def __init__(self, grid: TorusGrid, eq: EquilibriumState):
@@ -452,7 +589,7 @@ class GridModePropagator:
         # flat lattice index of the mirror -k of every half-lattice mode k
         lattice = np.arange(grid.points_per_axis**grid.dim).reshape((1,) + grid.shape)
         self._mirrors = _reflected(lattice, grid.dim)[..., : grid.half_width].ravel()
-        self._prop = _EigenPropagator(real_mode_matrices(grid.half_modes, eq))
+        self._prop = _EigenPropagator(grid.half_modes, eq).for_each_mode()
 
     def _pairs(self, zhat: np.ndarray) -> np.ndarray:
         """y[n, 10, 2] of zhat (10, *grid.shape): D^-1 zhat at every half-lattice mode xi, D zhat at -xi."""
@@ -482,8 +619,9 @@ class GridModePropagator:
         return self._per_mode(zhat, lambda y: next(self._prop.orbit(y, [t])))
 
     def generator_apply(self, zhat: np.ndarray) -> np.ndarray:
-        """Apply M(xi) modewise (the exact linear right-hand side)."""
-        return self._per_mode(zhat, lambda y: self._prop.matrices @ y)
+        """Apply M(xi) modewise (the exact linear right-hand side): R(xi) = P R_k P^T of its class k."""
+        c, matrices = self._prop.classes, self._prop.matrices
+        return self._per_mode(zhat, lambda y: c.rotate(matrices[c.index] @ c.rotate(y, inverse=True)))
 
     def constraint_residual(self, zhat: np.ndarray) -> float:
         """|(rho + i xi.E, i xi.h)| over |zhat|, summed over every lattice mode.
@@ -579,7 +717,7 @@ class ContinuumData:
     budget: float = 1.5
 
     def __post_init__(self) -> None:
-        for key in ("width", "cutoff"):
+        for key in ("width", "cutoff", "budget"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{key}: must be positive and finite, got {value}")
@@ -634,8 +772,12 @@ class ContinuumEvolver:
 
     With an isotropic background (B_inf = 0) the frame-built data makes the
     per-mode norm independent of direction, so a single angular node is
-    exact; a genuine spherical rule is used otherwise.  All nodes share one
-    batched propagator.
+    exact; a genuine spherical rule is used otherwise.  The nodes are grouped
+    into the propagator's classes.  All nodes of a class share |xi|, so a
+    class enters the norms only through the weighted sum of its nodes'
+    |exp(t M(xi)) z0|^2, which the propagator's `powers` evaluates from one
+    moment matrix per class: tr(E_k S_k E_k^H) with E_k = exp(t R_k) and
+    S_k = sum_n w_n y_n y_n^H over y_n = P_n^T D^-1 z0_n.
     """
 
     def __init__(
@@ -667,11 +809,14 @@ class ContinuumEvolver:
 
         frames = [_orthonormal_frame(np.asarray(omega)) for omega in nodes]
         xi = np.concatenate([self.rho[:, None] * frame[0] for frame in frames])
-        z0 = np.concatenate([data.mode_vector(self.rho, frame) for frame in frames])
+        with np.errstate(over="ignore", invalid="ignore"):
+            z0 = np.concatenate([data.mode_vector(self.rho, frame) for frame in frames])
+        if not np.all(np.isfinite(z0)):
+            raise NumericalError(f"the mode data overflow on |xi| in [{rho_range[0]:g}, {rho_range[1]:g}]")
         self._y0 = z0 * REAL_FORM_PHASES.conj()  # D^-1 z0
-        self._node_rho = np.tile(self.rho, len(frames))
         self._node_weights = np.outer(ang_w, self.w_rho).ravel()
-        self._prop = _EigenPropagator(real_mode_matrices(xi, eq))
+        self._prop = _EigenPropagator(xi, eq)
+        self._class_rho = np.tile(self.rho, len(frames))[self._prop.classes.first]
 
     def norms(self, times: Sequence[float], orders: Sequence[int] = (0, 1, 2)) -> dict[int, np.ndarray]:
         """Derivative-weighted L^2 norms: (2 pi)^-3 integral of |xi|^2k |z|^2.
@@ -679,14 +824,19 @@ class ContinuumEvolver:
         |exp(t M) z0| = |exp(t R) D^-1 z0| because D is diagonal with
         unit-modulus entries, so the real-form orbit needs no re-phasing.
         """
-        power = np.array(
-            [np.sum(np.abs(y) ** 2, axis=1) for y in self._prop.orbit(self._y0, times)]
-        ).reshape(-1, self._y0.shape[0])  # (times, nodes)
         scale = (2.0 * math.pi) ** -3
-        return {
-            k: np.sqrt(scale * (power @ (self._node_weights * self._node_rho ** (2 + 2 * k))))
-            for k in orders
-        }
+        out = {}
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a norm that is not finite
+            power = np.array(list(self._prop.powers(self._y0, self._node_weights, times))).reshape(
+                -1, len(self._class_rho)
+            )  # (times, classes)
+            for k in orders:
+                out[k] = np.sqrt(scale * (power @ self._class_rho ** (2 + 2 * k)))
+                if not np.all(np.isfinite(out[k])):
+                    raise NumericalError(
+                        f"the order-{k} norm overflows on |xi| up to {self._class_rho.max():g}"
+                    )
+        return out
 
 
 @dataclass(frozen=True)
@@ -715,23 +865,32 @@ def linear_decay_experiment(
     data targets the regularity-loss exponent -budget/2; power-law behavior
     there only starts once the surviving modes sit well above the support
     edge, hence the later default window.
+
+    Every ConfigError names its parameter.  Mode data or a norm that
+    overflows is charged to the cutoff of high-pass data, whose quadrature
+    spans [cutoff, 40 cutoff], and to the orders of Gaussian data, whose
+    quadrature is fixed.
     """
     data = data or ContinuumData(kind="gaussian", width=2.5)
-    if data.kind == "gaussian":
-        times = np.asarray(times if times is not None else np.geomspace(1.0, 1500.0, 36))
-        window = window or (10.0, 1000.0)
-        evolver = ContinuumEvolver(eq, data)
-        targets = {k: -0.75 - k / 2.0 for k in orders}
-    else:
-        times = np.asarray(times if times is not None else np.geomspace(100.0, 25000.0, 36))
-        window = window or (500.0, 20000.0)
-        evolver = ContinuumEvolver(
-            eq, data, rho_range=(data.cutoff, 40.0 * data.cutoff), n_radial=500
-        )
-        targets = {k: -data.budget / 2.0 for k in orders}
-    norms = evolver.norms(times, orders=orders)
-    fits = {
-        k: fit_decay_exponent(times, norms[k], window, series_id=f"linear_k{k}_{data.kind}")
-        for k in orders
-    }
+    try:
+        if data.kind == "gaussian":
+            times = np.asarray(times if times is not None else np.geomspace(1.0, 1500.0, 36))
+            window = window or (10.0, 1000.0)
+            evolver = ContinuumEvolver(eq, data)
+            targets = {k: -0.75 - k / 2.0 for k in orders}
+        else:
+            times = np.asarray(times if times is not None else np.geomspace(100.0, 25000.0, 36))
+            window = window or (500.0, 20000.0)
+            evolver = ContinuumEvolver(
+                eq, data, rho_range=(data.cutoff, 40.0 * data.cutoff), n_radial=500
+            )
+            targets = {k: -data.budget / 2.0 for k in orders}
+        norms = evolver.norms(times, orders=orders)
+    except NumericalError as exc:
+        raise ConfigError(f"{'cutoff' if data.kind == 'highpass' else 'orders'}: {exc}") from None
+    with prefixed("window: "):
+        fits = {
+            k: fit_decay_exponent(times, norms[k], window, series_id=f"linear_k{k}_{data.kind}")
+            for k in orders
+        }
     return LinearDecayExperiment(data=data, times=times, norms=norms, fits=fits, targets=targets)

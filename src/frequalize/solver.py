@@ -20,7 +20,7 @@ first step to the last, through the grid's transform pair
 (`grid.half_lattice_forward` and `grid.half_lattice_inverse`), with the
 grid's Parseval norm (`grid.half_lattice_l2`) watching for blow-up.  Per
 mode the right-hand side is M(xi) z + N(z): the linear generator of
-`linear_modes.mode_matrices` plus the quadratic part N, which is nonzero in
+`linear_modes.real_mode_matrices` plus the quadratic part N, which is nonzero in
 the three velocity rows only.  N takes one 10-component
 inverse transform (the physical fields for the density check and the
 products) and one 9-component forward transform of the packed fluxes (the

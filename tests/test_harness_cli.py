@@ -294,6 +294,10 @@ class TestCli:
         (["besov", "norm", "--spec", "1,2,2", "--input", "missing.fqlz"], "--input"),
         (["kernel", "verify", "--input", "missing.fqlz"], "--input"),
         (["linear", "gap", "--xi-range", "1e-3:1e3:100000000000"], "--xi-range"),  # 745 GiB of sweep
+        (["linear", "decay", "--data", "highpass", "--cutoff", "1e300"], "--cutoff"),  # |xi|^2 overflows
+        (["linear", "decay", "--data", "highpass", "--cutoff", "1e-300"], "--cutoff"),  # the data overflow
+        (["linear", "decay", "--data", "highpass", "--budget", "-3"], "--budget"),
+        (["linear", "decay", "--data", "highpass", "--budget", "0"], "--budget"),
     ])
     def test_bad_option_value_exits_2_and_names_it(self, tmp_path, capsys, argv, option):
         assert main(argv + ["--out", str(tmp_path / "run")]) == 2

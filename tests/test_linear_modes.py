@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import frequalize.linear_modes as linear_modes
@@ -129,6 +131,39 @@ class TestStructure:
             want = reference_generator(x, eq_b)
             assert np.max(np.abs(m - want)) <= 1e-15 * np.max(np.abs(want))
         assert np.array_equal(mode_matrices(xi.reshape(2, 3, 3), eq_b), got.reshape(2, 3, 10, 10))
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        b_inf=st.sampled_from([(0.0, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.4, 0.3)]),
+        xi=st.tuples(*[st.floats(-50.0, 50.0, allow_nan=False)] * 3),
+        angle=st.floats(0.0, 2.0 * math.pi),
+        flip=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_real_form_is_covariant_under_the_stabilizer_of_b(self, b_inf, xi, angle, flip, seed):
+        """R(Q xi) = P R(xi) P^T with P = diag(1, Q, Q, det(Q) Q) for every Q that fixes B_inf.
+
+        B_inf is a pseudovector, so Q fixes it when det(Q) Q B_inf = B_inf:
+        for B_inf = 0 every orthogonal Q, otherwise the rotations about B_inf
+        and those rotations times -I.
+        """
+        eq_b = EquilibriumState(b_inf=b_inf)
+        b = np.asarray(b_inf)
+        if b.any():
+            b = b / np.linalg.norm(b)
+            turn = (
+                math.cos(angle) * np.eye(3) + math.sin(angle) * omega_matrix(b)
+                + (1.0 - math.cos(angle)) * np.outer(b, b)
+            )
+        else:
+            turn, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+        q = -turn if flip else turn
+        assert np.allclose(np.linalg.det(q) * q @ np.asarray(b_inf), b_inf, atol=1e-15)
+        p = scipy.linalg.block_diag(1.0, q, q, np.linalg.det(q) * q)
+        xi = np.asarray(xi)
+        want = p @ linear_modes.real_mode_matrices(xi, eq_b) @ p.T
+        got = linear_modes.real_mode_matrices(q @ xi, eq_b)
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
     def test_projector_idempotent_hermitian(self, rng):
         xi = np.array([0.7, -0.3, 1.1])
@@ -365,7 +400,9 @@ class TestGridEvolution:
         assert sol.norms[0][-1] < sol.norms[0][0]
 
     @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "general"])
-    @pytest.mark.parametrize("b_inf", [(0.0, 0.0, 0.0), (0.0, 0.0, 0.5)], ids=["b0", "b05"])
+    @pytest.mark.parametrize(
+        "b_inf", [(0.0, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.4, 0.3)], ids=["b0", "b05", "b_off_axis"]
+    )
     @pytest.mark.parametrize("dim,n", [(3, 8), (3, 7), (2, 8)], ids=["8^3", "7^3", "8^2"])
     def test_every_mode_matches_expm(self, dim, n, b_inf, hermitian):
         # an even n puts the Nyquist planes on the grid, an odd n has none; the
@@ -392,9 +429,14 @@ class TestGridEvolution:
             assert np.linalg.norm(out[(slice(None),) + idx] - want) <= 1e-12 * scale, idx
             assert np.linalg.norm(gen[(slice(None),) + idx] - m @ start) <= 1e-14 * np.linalg.norm(m) * scale, idx
 
-    def test_decomposes_exactly_the_half_lattice_modes(self, eq, monkeypatch):
-        # 8 * 8 * 5 = 320 modes; with xi_j = -pi N / L kept on the Nyquist
-        # planes, 45 more modes had their mirror off the lattice (365 in all)
+    def test_decomposes_one_matrix_per_class(self, monkeypatch):
+        """One eig matrix per class of the 8 * 8 * 5 = 320 half-lattice modes.
+
+        With b = e_z (B_inf = 0 or along z) a class is one |k_z| in {0, .., 3}
+        (the Nyquist k = -4 counts as 0) and one k_x^2 + k_y^2 over
+        |k_x|, |k_y| <= 3, which takes 10 values: 40 classes.  Each mode is its
+        representative carried by its class's Q.
+        """
         sizes = []
         eig = np.linalg.eig
 
@@ -403,8 +445,15 @@ class TestGridEvolution:
             return eig(a)
 
         monkeypatch.setattr(np.linalg, "eig", counting)
-        GridModePropagator(TorusGrid(dim=3, box_length=20.0, points_per_axis=8), eq)
-        assert sum(sizes) == 320
+        grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)
+        for b_inf in ((0.0, 0.0, 0.0), (0.0, 0.0, 0.5)):
+            GridModePropagator(grid, EquilibriumState(b_inf=b_inf))
+            c = linear_modes._mode_classes(grid.half_modes, EquilibriumState(b_inf=b_inf))
+            rep = grid.half_modes[c.first[c.index]]
+            q = c.signs[:, None, None] * c.turns
+            assert np.max(np.abs(np.einsum("nij,nj->ni", q, rep) - grid.half_modes)) <= 1e-15
+            assert np.array_equal(c.first[c.index[c.first]], c.first)
+        assert sizes == [40, 40]
 
     @pytest.mark.parametrize("b_inf", [(0.0, 0.0, 0.0), (0.0, 0.0, 0.5)], ids=["b0", "b05"])
     def test_real_data_with_nyquist_content_stays_real(self, b_inf):
@@ -436,7 +485,10 @@ class TestContinuumDecay:
         exp2 = linear_decay_experiment(eq, data2, orders=(0,))
         assert exp2.fits[0].exponent == pytest.approx(-1.0, abs=0.15)
 
-    @pytest.mark.parametrize("key,value", [("width", 0.0), ("width", -1.0), ("cutoff", 0.0), ("cutoff", math.inf)])
+    @pytest.mark.parametrize("key,value", [
+        ("width", 0.0), ("width", -1.0), ("cutoff", 0.0), ("cutoff", math.inf),
+        ("budget", -3.0), ("budget", 0.0), ("budget", math.nan),
+    ])
     def test_continuum_data_range_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key}: must be positive and finite"):
             ContinuumData(**{key: value})
@@ -458,6 +510,27 @@ class TestContinuumDecay:
         assert ev.ang_nodes.shape[0] == 16
         norms = ev.norms([1.0, 10.0], orders=(0,))[0]
         assert norms[1] < norms[0]
+
+    def test_anisotropic_norms_match_per_node_expm(self):
+        """The class moments give the norms that per-node expm and the quadrature sum give."""
+        eq_b = EquilibriumState(b_inf=(0.0, 0.4, 0.3))
+        data = ContinuumData(kind="gaussian", width=2.0)
+        times = [0.0, 0.7, 5.0, 40.0]
+        ev = ContinuumEvolver(eq_b, data, n_radial=12, n_polar=4, n_azimuth=4)
+        got = ev.norms(times, orders=(0, 1, 2))
+        _, ang_w = linear_modes._sphere_nodes(4, 4)
+        power = np.zeros((len(times), 3))
+        for omega, w_ang in zip(ev.ang_nodes, ang_w):
+            frame = linear_modes._orthonormal_frame(omega)
+            for rho, w_rho in zip(ev.rho, ev.w_rho):
+                z0 = data.mode_vector(rho, frame)
+                m = reference_generator(rho * frame[0], eq_b)
+                for i, t in enumerate(times):
+                    sq = np.linalg.norm(scipy.linalg.expm(t * m) @ z0) ** 2
+                    power[i] += w_ang * w_rho * sq * rho ** (2 + 2 * np.arange(3))
+        for k in range(3):
+            want = np.sqrt(power[:, k] / (2.0 * math.pi) ** 3)
+            np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=0.0)
 
 
 class TestConditioningFallback:
@@ -501,7 +574,20 @@ class TestConditioningFallback:
         want = GridModePropagator(grid, eq_b).apply(z0, 2.5)
         calls = all_modes_fall_back()
         self.assert_close(GridModePropagator(grid, eq_b).apply(z0, 2.5), want)
-        assert len(calls) == 8 * 8 * 5  # one per half-lattice mode: its orbit also carries the mirror
+        assert len(calls) == 40  # one per class of the 320 half-lattice modes; orbits carry the mirrors
+
+    def test_pointwise_decay_check(self, rng, all_modes_fall_back):
+        # xi and its rotation about B_inf share a class; the repeated (xi, t) pair takes one expm
+        eq_b = EquilibriumState(b_inf=(0.0, 0.0, 0.5))
+        xi, turned = np.array([0.8, -0.4, 0.3]), np.array([0.4, 0.8, 0.3])
+        pairs = [(xi, 1.0), (turned, 1.0), (xi, 7.0), (xi, 7.0)]
+        samples = [(x, random_compatible_mode(x, rng), t) for x, t in pairs]
+        want = pointwise_decay_check(samples, eq_b)
+        calls = all_modes_fall_back()
+        got = pointwise_decay_check(samples, eq_b)
+        assert got.c0 == want.c0
+        assert got.c_bound == pytest.approx(want.c_bound, rel=1e-10)
+        assert len(calls) == 2  # one per (class, time): t = 1 and t = 7
 
     def test_continuum_evolver(self, all_modes_fall_back):
         eq_b = EquilibriumState(b_inf=(0.0, 0.0, 0.5))
@@ -517,4 +603,4 @@ class TestConditioningFallback:
         got = norms()
         for k in (0, 1):
             np.testing.assert_allclose(got[k], want[k], rtol=1e-10, atol=0.0)
-        assert len(calls) == len(times) * 20 * 16
+        assert len(calls) == len(times) * 20 * 2  # per radius, the 16 nodes form 2 classes: +-mu of 2 |mu|
