@@ -402,17 +402,15 @@ class _EigenPropagator:
         """sum_r weights[r] |exp(t R(xi_r)) y[r]|^2 over the modes r of each class, at each t in turn.
 
         y[n, 10] holds one vector per mode of the batch; the rows must be the
-        classes.  |P z| = |z|, so mode r of class k adds
-        |exp(t R_k) P_r^T y[r]|^2, and with the eigen-coordinates
-        c_r = V_k^-1 P_r^T y[r] the class's sum is
-        sum_ij (G_k)_ij (C_k)_ji exp((conj(w_i) + w_j) t), where G_k = V_k^H V_k
-        and C_k = sum_r weights[r] c_r c_r^H, the moment matrix
-        S_k = sum_r weights[r] (P_r^T y[r]) (P_r^T y[r])^H taken to
-        eigen-coordinates, V_k^-1 S_k V_k^-H.  C_k is summed after the
-        projection, so each eigencomponent keeps the relative accuracy of its
-        own coefficients, as in |V_k exp(t w) c_r|^2 mode by mode.  A class
-        whose eigenbasis is ill-conditioned sums |exp(t R_k) P_r^T y[r]|^2
-        with `scipy.linalg.expm` instead, one call per class and time.
+        classes.  |P z| = |z|, so mode r of class k adds |exp(t R_k) P_r^T y[r]|^2,
+        and the class's sum is tr(E S_k E^H), E = exp(t R_k), with the moment
+        matrix S_k = sum_r weights[r] (P_r^T y[r]) (P_r^T y[r])^H.  S_k is
+        summed in eigen-coordinates, C_k = V_k^-1 S_k V_k^-H from
+        c_r = V_k^-1 P_r^T y[r], so that a slow eigencomponent keeps the
+        relative accuracy of its own coefficients; then, with G_k = V_k^H V_k,
+        the sum is sum_ij (G_k)_ij (C_k)_ji exp((conj(w_i) + w_j) t).  A class
+        with an ill-conditioned eigenbasis sums |E P_r^T y[r]|^2 by
+        `scipy.linalg.expm` instead, one call per class and time.
         """
         c = self.classes
         y = c.rotate(y.copy(), inverse=True)
@@ -772,12 +770,9 @@ class ContinuumEvolver:
 
     With an isotropic background (B_inf = 0) the frame-built data makes the
     per-mode norm independent of direction, so a single angular node is
-    exact; a genuine spherical rule is used otherwise.  The nodes are grouped
-    into the propagator's classes.  All nodes of a class share |xi|, so a
-    class enters the norms only through the weighted sum of its nodes'
-    |exp(t M(xi)) z0|^2, which the propagator's `powers` evaluates from one
-    moment matrix per class: tr(E_k S_k E_k^H) with E_k = exp(t R_k) and
-    S_k = sum_n w_n y_n y_n^H over y_n = P_n^T D^-1 z0_n.
+    exact; a genuine spherical rule is used otherwise.  All nodes of one
+    propagator class share |xi|, so a class enters the norms only through the
+    weighted sum of its nodes' |exp(t M(xi)) z0|^2, the propagator's `powers`.
     """
 
     def __init__(
@@ -822,7 +817,7 @@ class ContinuumEvolver:
         """Derivative-weighted L^2 norms: (2 pi)^-3 integral of |xi|^2k |z|^2.
 
         |exp(t M) z0| = |exp(t R) D^-1 z0| because D is diagonal with
-        unit-modulus entries, so the real-form orbit needs no re-phasing.
+        unit-modulus entries, so the real forms need no re-phasing.
         """
         scale = (2.0 * math.pi) ** -3
         out = {}
