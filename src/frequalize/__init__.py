@@ -10,14 +10,10 @@ cli).
 
 from .besov import (
     BesovSpec,
-    CheminLernerSpec,
     EnergyFunctionals,
     NormReport,
     besov_norm,
-    chemin_lerner_norm,
     energy_functionals,
-    inequality_probe,
-    mixed_time_norm,
     negative_norm,
 )
 from .decay_kernel import (
@@ -26,8 +22,6 @@ from .decay_kernel import (
     InequalityReport,
     euler_maxwell_rate,
     gamma_factor,
-    lhs_norm,
-    rhs_bound,
     tail_divergence_scan,
     verify_inequality,
 )

@@ -7,18 +7,16 @@ of working modulo polynomials).  Inhomogeneous norms start at the low-pass
 block q = -1 and therefore see the mean.
 
 Chemin-Lerner (tilde) norms take the time integrability inside the block
-sum: per block an L^theta quadrature over [0, T] of the block L^p norms,
-then the l^r aggregation.  Time quadrature is trapezoidal.
+sum.  `running_time_norm` is the one time reduction: given a [time, block]
+matrix of block norms it returns, per block, the L^theta norm over every
+prefix [t_0, t_i] (a running max at theta = inf, the cumulative trapezoid
+rule otherwise).  The l^r aggregation of its rows is the tilde norm; applied
+to one column, the aggregated Besov values, it is the plain mixed norm.
 
 Block L^2 norms come from the shell spectrum.  Every other block L^p norm
 takes one inverse transform per block: an irfftn of the block's half-lattice
 coefficients (the field is real, so the half holds every mirror pair once;
 coefficients handed in as a SpectralField must pass `require_hermitian`).
-
-Implied constants of the classical embedding and product inequalities
-are those of the one fixed cutoff profile; they are measured by the probe
-helpers and tracked for refinement stability, never asserted against fixed
-values.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, HypothesisError
+from .errors import ConfigError
 from .grid import (
     PhysicalField,
     SpectralField,
@@ -58,18 +56,6 @@ class BesovSpec:
     def label(self) -> str:
         dot = "hom" if self.homogeneous else "inhom"
         return f"B[s={self.s:g},p={self.p:g},r={self.r:g},{dot}]"
-
-
-@dataclass(frozen=True)
-class CheminLernerSpec:
-    """A Besov spec plus the time integrability theta on [0, T]."""
-
-    space: BesovSpec
-    theta: float
-
-    def __post_init__(self) -> None:
-        if self.theta < 1:
-            raise ConfigError(f"time integrability theta must be >= 1, got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -149,166 +135,6 @@ def negative_norm(f: PhysicalField | SpectralField, varrho: float) -> float:
     return besov_norm(f, BesovSpec(-varrho, 2.0, math.inf, True)).value
 
 
-def _time_lp(values: np.ndarray, times: np.ndarray, theta: float) -> float:
-    if math.isinf(theta):
-        return float(np.max(values))
-    return float(np.trapezoid(values**theta, times) ** (1.0 / theta))
-
-
-def _block_norm_series(
-    series: Sequence[PhysicalField | SpectralField], spec: BesovSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """(qs, matrix[t_index, q_index]) of block L^p norms for a field series."""
-    qs = BlockIndexRange.for_grid(series[0].grid).indices(spec.homogeneous)
-    rows = [_block_lp(_to_spectral(f, spec.p), qs, spec.p, spec.homogeneous) for f in series]
-    return qs, np.array(rows)
-
-
-def chemin_lerner_norm(
-    series: Sequence[PhysicalField | SpectralField],
-    times: Sequence[float],
-    spec: CheminLernerSpec,
-) -> float:
-    """Tilde norm: per block the time L^theta of the L^p norms, then l^r."""
-    times = np.asarray(times, dtype=float)
-    if len(series) < 2 or times.size != len(series):
-        raise ConfigError("time series needs at least 2 time-stamped samples")
-    qs, mat = _block_norm_series(series, spec.space)
-    per_block = np.array([_time_lp(mat[:, i], times, spec.theta) for i in range(qs.size)])
-    weighted = 2.0 ** (qs * spec.space.s) * per_block
-    return ell_r(weighted, spec.space.r)
-
-
-def mixed_time_norm(
-    series: Sequence[PhysicalField | SpectralField],
-    times: Sequence[float],
-    spec: CheminLernerSpec,
-) -> float:
-    """Plain mixed norm: time L^theta of the full Besov values."""
-    times = np.asarray(times, dtype=float)
-    vals = np.array([besov_norm(f, spec.space).value for f in series])
-    return _time_lp(vals, times, spec.theta)
-
-
-def chemin_lerner_report(
-    series: Sequence[PhysicalField | SpectralField],
-    times: Sequence[float],
-    spec: CheminLernerSpec,
-) -> tuple[float, bool]:
-    """(value, under_resolved): flags when halving the sampling moves the value >= 1%."""
-    value = chemin_lerner_norm(series, times, spec)
-    if len(series) >= 5:
-        idx = list(range(0, len(series), 2))
-        if idx[-1] != len(series) - 1:
-            idx.append(len(series) - 1)
-        coarse = chemin_lerner_norm([series[i] for i in idx], np.asarray(times)[idx], spec)
-        under = abs(coarse - value) >= 0.01 * max(value, 1e-300)
-    else:
-        under = True
-    return value, under
-
-
-# ---------------------------------------------------------------------------
-# measured-constant probes for the classical inequalities
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    kind: str
-    ratios: tuple[float, ...]
-    max_ratio: float
-
-
-def _safe_ratio(lhs: float, rhs: float) -> float:
-    if lhs == 0.0:
-        return 0.0
-    if rhs == 0.0:
-        return math.inf
-    return lhs / rhs
-
-
-def inequality_probe(
-    kind: str,
-    samples: Sequence,
-    *,
-    s: float = 1.0,
-    p: float = 2.0,
-    r: float = 1.0,
-    p_dst: float = 2.0,
-    holder: tuple[float, float, float, float] | None = None,
-) -> ProbeReport:
-    """Max measured LHS/RHS over samples for one of the classical estimates.
-
-    kind:
-      "embedding_lp"     lower-p to higher-p embedding with regularity drop
-                         n(1/p - 1/p_dst); samples are fields
-      "embedding_sup"    sup-norm domination by the critical-regularity norm;
-                         samples are fields
-      "product_algebra"  sup-norm/Besov product bound (s > 0); samples are
-                         (f, g) pairs
-      "product_holder"   Hoelder-split product bound (s > 0) with exponents
-                         holder=(p1, p2, p3, p4); samples are (f, g) pairs
-      "norm_split"       two-sided comparability of the inhomogeneous norm
-                         with L^p plus the homogeneous norm (s > 0); samples
-                         are fields and the ratio is inhomogeneous / split
-    """
-    ratios: list[float] = []
-    if kind == "embedding_lp":
-        if p > p_dst:
-            raise HypothesisError(
-                f"embedding requires source integrability <= target (p={p} > p_dst={p_dst})"
-            )
-        for f in samples:
-            n = f.grid.dim
-            s_dst = s - n * (1.0 / p - 1.0 / p_dst)
-            lhs = besov_norm(f, BesovSpec(s_dst, p_dst, r, True)).value
-            rhs = besov_norm(f, BesovSpec(s, p, r, True)).value
-            ratios.append(_safe_ratio(lhs, rhs))
-    elif kind == "embedding_sup":
-        for f in samples:
-            n = f.grid.dim
-            lhs = lp_norm(f, math.inf)
-            rhs = besov_norm(f, BesovSpec(n / p, p, 1.0, True)).value
-            ratios.append(_safe_ratio(lhs, rhs))
-    elif kind == "product_algebra":
-        if s <= 0:
-            raise HypothesisError(f"product estimate requires s > 0, got s={s}")
-        for f, g in samples:
-            prod = PhysicalField(f.grid, f.values * g.values)
-            lhs = besov_norm(prod, BesovSpec(s, p, r, True)).value
-            rhs = lp_norm(f, math.inf) * besov_norm(g, BesovSpec(s, p, r, True)).value
-            rhs += lp_norm(g, math.inf) * besov_norm(f, BesovSpec(s, p, r, True)).value
-            ratios.append(_safe_ratio(lhs, rhs))
-    elif kind == "product_holder":
-        if s <= 0:
-            raise HypothesisError(f"product estimate requires s > 0, got s={s}")
-        if holder is None:
-            raise ConfigError("product_holder needs holder=(p1, p2, p3, p4)")
-        p1, p2, p3, p4 = holder
-        for pair in ((p1, p2), (p3, p4)):
-            if abs(1.0 / pair[0] + 1.0 / pair[1] - 1.0 / p) > 1e-12:
-                raise HypothesisError(
-                    f"integrability split 1/{pair[0]} + 1/{pair[1]} != 1/{p}"
-                )
-        for f, g in samples:
-            prod = PhysicalField(f.grid, f.values * g.values)
-            lhs = besov_norm(prod, BesovSpec(s, p, r, True)).value
-            rhs = lp_norm(f, p1) * besov_norm(g, BesovSpec(s, p2, r, True)).value
-            rhs += lp_norm(g, p3) * besov_norm(f, BesovSpec(s, p4, r, True)).value
-            ratios.append(_safe_ratio(lhs, rhs))
-    elif kind == "norm_split":
-        if s <= 0:
-            raise HypothesisError(f"norm split requires s > 0, got s={s}")
-        for f in samples:
-            lhs = besov_norm(f, BesovSpec(s, p, r, False)).value
-            rhs = lp_norm(f, p) + besov_norm(f, BesovSpec(s, p, r, True)).value
-            ratios.append(_safe_ratio(lhs, rhs))
-    else:
-        raise ConfigError(f"unknown probe kind {kind!r}")
-    finite = [x for x in ratios if math.isfinite(x)]
-    return ProbeReport(kind=kind, ratios=tuple(ratios), max_ratio=max(finite) if finite else 0.0)
-
-
 # ---------------------------------------------------------------------------
 # runtime energy functionals for perturbation states
 
@@ -357,6 +183,18 @@ def kernel_convolution(times: np.ndarray, source: np.ndarray, decay) -> np.ndarr
     return conv
 
 
+def running_time_norm(times: np.ndarray, blocks: np.ndarray, theta: float) -> np.ndarray:
+    """Per block, the L^theta_t norm over every prefix [t_0, t_i] (theta >= 1).
+
+    blocks holds one row of block norms per time, or one norm per time;
+    the result has its shape.  theta = inf is the running max, any other
+    theta the cumulative trapezoid rule of blocks^theta to the power 1/theta.
+    """
+    if math.isinf(theta):
+        return np.maximum.accumulate(blocks, axis=0)
+    return kernel_convolution(times, blocks**theta, 0.0) ** (1.0 / theta)
+
+
 def _group_spectra(sample: PhysicalField) -> np.ndarray:
     """Shell spectra of z and of each _DISSIPATION_NORMS group (magnetic gradient: |xi|^2 h)."""
     g = forward_transform(sample)
@@ -378,16 +216,16 @@ def energy_functionals(samples: Sequence[PhysicalField], times: Sequence[float])
     l2 = np.sqrt(spectra[:, 0].sum(axis=1))
     blocks = shell_l2_norms(spectra, profiles)  # [t, group, q]
 
-    n_func = np.maximum.accumulate((1.0 + times) ** 0.75 * l2)
+    n_func = running_time_norm(times, (1.0 + times) ** 0.75 * l2, math.inf)
 
     w_state = 2.0 ** (qs * STATE_REGULARITY)
-    n0 = np.maximum.accumulate(blocks[:, 0], axis=0) @ w_state
+    n0 = running_time_norm(times, blocks[:, 0], math.inf) @ w_state
 
     d = np.zeros(times.size)
     d0 = np.zeros(times.size)
     for j, (_, s_val) in enumerate(_DISSIPATION_NORMS):
         group = blocks[:, 1 + j]
         w = 2.0 ** (qs * s_val)
-        d += np.sqrt(kernel_convolution(times, (group @ w) ** 2, 0.0))
-        d0 += np.sqrt(kernel_convolution(times, group**2, 0.0)) @ w
+        d += running_time_norm(times, group @ w, 2.0)
+        d0 += running_time_norm(times, group, 2.0) @ w
     return EnergyFunctionals(times=times, l2=l2, n=n_func, d=d, n0=n0, d0=d0)

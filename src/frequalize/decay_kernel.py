@@ -157,24 +157,6 @@ def _damped_blocks(spectrum: np.ndarray, radii: np.ndarray, profiles: np.ndarray
     return shell_l2_norms(damp**2 * spectrum, profiles)
 
 
-def lhs_norm(
-    f: PhysicalField | SpectralField,
-    t: float,
-    s: float,
-    alpha: float,
-    rate: DissipRate,
-) -> float:
-    """Blockwise kernel-damped norm at time t (reduces to the Besov norm at t=0)."""
-    if t < 0:
-        raise ConfigError(f"time must be nonnegative, got {t}")
-    g = f if isinstance(f, SpectralField) else forward_transform(f)
-    grid = g.grid
-    qs = BlockIndexRange.for_grid(grid).indices()
-    profiles = block_profiles(grid, qs)
-    raw = _damped_blocks(g.shell_spectrum(), grid.shell_radii, profiles, np.array([t]), rate)[0]
-    return ell_r((2.0 ** (qs * s) * raw)[raw > 1e-13 * raw.max()], alpha)
-
-
 @dataclass(frozen=True)
 class RhsNorms:
     low: float  # negative-order norm of the data
@@ -191,36 +173,11 @@ def _rhs_norms(g: SpectralField, params: DecayParams) -> tuple[RhsNorms, dict[in
     return RhsNorms(low=low, high=high), lr_blocks
 
 
-def rhs_norms(f: PhysicalField | SpectralField, params: DecayParams) -> RhsNorms:
-    return _rhs_norms(f if isinstance(f, SpectralField) else forward_transform(f), params)[0]
-
-
 def rhs_time_factors(t: float, params: DecayParams, rate: DissipRate, n: int) -> tuple[float, float]:
     gamma = gamma_factor(n, rate.sigma2, params.r)
     low = (1.0 + t) ** (-(params.s + params.rho) / rate.sigma1)
     high = (1.0 + t) ** (-params.ell / rate.sigma2 + gamma)
     return low, high
-
-
-def rhs_bound(
-    f: PhysicalField | SpectralField,
-    t: float,
-    params: DecayParams,
-    rate: DissipRate,
-) -> tuple[float, float]:
-    """(low term, high term) of the decay bound at time t."""
-    grid = f.grid
-    params.check(grid.dim)
-    norms = rhs_norms(f, params)
-    lo_t, hi_t = rhs_time_factors(t, params, rate, grid.dim)
-    return lo_t * norms.low, hi_t * norms.high
-
-
-def profile_peak(power: float, sigma: float, c: float) -> float:
-    """max over x > 0 of x^power exp(-c x^sigma) (requires power > 0)."""
-    if power <= 0 or sigma <= 0 or c <= 0:
-        raise ConfigError("profile peak needs positive power, sigma, c")
-    return (power / (c * sigma * math.e)) ** (power / sigma)
 
 
 def profile_lattice_sup(

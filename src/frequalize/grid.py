@@ -190,10 +190,6 @@ class PhysicalField:
             return np.abs(self.values[0])
         return np.sqrt(np.sum(self.values**2, axis=0))
 
-    def component_means(self) -> np.ndarray:
-        axes = tuple(range(1, self.values.ndim))
-        return self.values.mean(axis=axes)
-
 
 @dataclass(frozen=True)
 class SpectralField:

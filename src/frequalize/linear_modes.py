@@ -457,12 +457,6 @@ class ModePropagator:
             raise ConfigError("mode data must be finite")
         return self.matrix_at(t) @ z0
 
-    def self_check(self, t: float) -> float:
-        """Relative defect of the halved-step identity exp(tM) = exp(tM/2)^2."""
-        full = self.matrix_at(t)
-        half = self.matrix_at(t / 2.0)
-        return float(np.linalg.norm(half @ half - full) / max(np.linalg.norm(full), 1e-300))
-
 
 def spectral_gap(xi: Sequence[float], eq: EquilibriumState) -> float:
     """Negated largest real part of the generator on the constraint subspace.
@@ -817,7 +811,9 @@ class ContinuumEvolver:
         """Derivative-weighted L^2 norms: (2 pi)^-3 integral of |xi|^2k |z|^2.
 
         |exp(t M) z0| = |exp(t R) D^-1 z0| because D is diagonal with
-        unit-modulus entries, so the real forms need no re-phasing.
+        unit-modulus entries, so the real forms need no re-phasing.  A norm
+        that overflows where the order-0 norm does not raises ConfigError
+        naming the orders; any other overflow raises NumericalError.
         """
         scale = (2.0 * math.pi) ** -3
         out = {}
@@ -828,9 +824,10 @@ class ContinuumEvolver:
             for k in orders:
                 out[k] = np.sqrt(scale * (power @ self._class_rho ** (2 + 2 * k)))
                 if not np.all(np.isfinite(out[k])):
-                    raise NumericalError(
-                        f"the order-{k} norm overflows on |xi| up to {self._class_rho.max():g}"
-                    )
+                    message = f"the order-{k} norm overflows on |xi| up to {self._class_rho.max():g}"
+                    if np.all(np.isfinite(power @ self._class_rho**2)):
+                        raise ConfigError(f"orders: {message}")
+                    raise NumericalError(message)
         return out
 
 
@@ -861,10 +858,13 @@ def linear_decay_experiment(
     there only starts once the surviving modes sit well above the support
     edge, hence the later default window.
 
-    Every ConfigError names its parameter.  Mode data or a norm that
-    overflows is charged to the cutoff of high-pass data, whose quadrature
-    spans [cutoff, 40 cutoff], and to the orders of Gaussian data, whose
-    quadrature is fixed.
+    Every ConfigError names its parameter.  A norm that overflows where the
+    order-0 norm does not is charged to the orders.  Any other overflow of
+    mode data or norm is charged to the cutoff of high-pass data, whose
+    quadrature spans [cutoff, 40 cutoff], and to the orders of Gaussian
+    data, whose quadrature is fixed.  Data that underflow to 0 at every node
+    are charged to the parameter that decays them: the budget of high-pass
+    data and the width of Gaussian data.
     """
     data = data or ContinuumData(kind="gaussian", width=2.5)
     try:
@@ -883,6 +883,9 @@ def linear_decay_experiment(
         norms = evolver.norms(times, orders=orders)
     except NumericalError as exc:
         raise ConfigError(f"{'cutoff' if data.kind == 'highpass' else 'orders'}: {exc}") from None
+    if not any(np.any(norm) for norm in norms.values()):
+        raise ConfigError(f"{'budget' if data.kind == 'highpass' else 'width'}: "
+                          "the mode data underflow to 0 at every quadrature node")
     with prefixed("window: "):
         fits = {
             k: fit_decay_exponent(times, norms[k], window, series_id=f"linear_k{k}_{data.kind}")

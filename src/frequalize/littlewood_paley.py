@@ -132,12 +132,6 @@ def block(field: SpectralField, q: int, *, homogeneous: bool = True) -> Spectral
     return SpectralField(field.grid, field.coefficients * mult)
 
 
-def block_l2_norm(field: SpectralField, q: int, *, homogeneous: bool = True) -> float:
-    """L^2 norm of one block, from the field's shell spectrum."""
-    profile = block_profiles(field.grid, [q], homogeneous=homogeneous)
-    return float(shell_l2_norms(field.shell_spectrum(), profile)[0])
-
-
 @dataclass(frozen=True)
 class LPDecomposition:
     """Indexed dyadic blocks of one spectral field."""

@@ -1,4 +1,4 @@
-"""Besov / Chemin-Lerner norms, inequality probes and energy functionals."""
+"""Besov / Chemin-Lerner norms and energy functionals."""
 
 import math
 
@@ -7,17 +7,14 @@ import pytest
 
 from frequalize.besov import (
     BesovSpec,
-    CheminLernerSpec,
     EnergyFunctionals,
     besov_norm,
-    chemin_lerner_norm,
-    chemin_lerner_report,
+    ell_r,
     energy_functionals,
-    inequality_probe,
-    mixed_time_norm,
     negative_norm,
+    running_time_norm,
 )
-from frequalize.errors import ConfigError, HypothesisError
+from frequalize.errors import ConfigError
 from frequalize.grid import (
     PhysicalField,
     SpectralField,
@@ -71,8 +68,6 @@ class TestBesovNorm:
         for p in (1.0, 3.0, math.inf):
             with pytest.raises(ConfigError, match="not Hermitian"):
                 besov_norm(state, BesovSpec(0.0, p, 1.0, True))
-            with pytest.raises(ConfigError, match="not Hermitian"):
-                chemin_lerner_norm([z0, state], [0.0, 1.0], CheminLernerSpec(BesovSpec(0.0, p, 1.0, True), 1.0))
         assert besov_norm(state, BesovSpec(0.0, 2.0, 1.0, True)).value > 0  # p = 2 reads the whole lattice
         assert besov_norm(z0, BesovSpec(0.0, 1.0, 1.0, True)).value > 0
 
@@ -87,7 +82,7 @@ class TestBesovNorm:
         for _ in range(5):
             f = random_band_limited_field(grid, 1, rng, zero_mean=False)
             v = besov_norm(f, BesovSpec(0.0, 2.0, 2.0, True)).value
-            base = lp_norm(PhysicalField(grid, f.values - f.component_means()[:, None, None]), 2.0)
+            base = lp_norm(PhysicalField(grid, f.values - f.values.mean(axis=(1, 2))[:, None, None]), 2.0)
             assert base / math.sqrt(2) <= v <= base * math.sqrt(2)
 
     def test_triangle_and_homogeneity(self, rng):
@@ -183,6 +178,21 @@ class TestLowOrderEmbedding:
         assert c_measured == pytest.approx(c_oracle, rel=0.2)
 
 
+def block_matrix(series, spec: BesovSpec) -> np.ndarray:
+    """[time, block] matrix of the weighted block norms 2^(q s) ||block_q f||_Lp of a field series."""
+    rows = [besov_norm(f, spec).contributions for f in series]
+    qs = sorted(set().union(*rows))
+    return np.array([[row.get(q, 0.0) for q in qs] for row in rows])
+
+
+def tilde_and_plain(series, times, spec: BesovSpec, theta: float) -> tuple[float, float]:
+    """Over [t_0, T]: the tilde norm (time norm per block, then l^r) and the plain mixed norm
+    (the time norm of the one column of Besov values)."""
+    tilde = ell_r(running_time_norm(times, block_matrix(series, spec), theta)[-1], spec.r)
+    values = np.array([besov_norm(f, spec).value for f in series])
+    return tilde, float(running_time_norm(times, values, theta)[-1])
+
+
 class TestCheminLerner:
     def test_time_constant_factorizes(self, rng):
         grid = TorusGrid(dim=2, box_length=5.0, points_per_axis=16)
@@ -190,21 +200,22 @@ class TestCheminLerner:
         times = np.linspace(0.0, 2.0, 9)
         series = [f] * times.size
         for p in (2.0, 1.0, math.inf):
-            base = besov_norm(f, BesovSpec(1.0, p, 1.0, True)).value
+            spec = BesovSpec(1.0, p, 1.0, True)
+            base = besov_norm(f, spec).value
+            blocks = block_matrix(series, spec)
             for theta in (1.0, 2.0, math.inf):
-                spec = CheminLernerSpec(BesovSpec(1.0, p, 1.0, True), theta)
-                expected = base * (2.0 ** (1.0 / theta) if not math.isinf(theta) else 1.0)
-                assert chemin_lerner_norm(series, times, spec) == pytest.approx(expected, rel=1e-12)
+                # every prefix [0, t_i]: the time norm of a constant is t_i^(1/theta) times it
+                expected = base * times ** (1.0 / theta)
+                tilde = [ell_r(row, 1.0) for row in running_time_norm(times, blocks, theta)]
+                assert tilde == pytest.approx(expected, rel=1e-12)
 
     def test_minkowski_orderings(self, rng):
         grid = TorusGrid(dim=2, box_length=5.0, points_per_axis=16)
         times = np.linspace(0.0, 1.0, 7)
         series = [random_band_limited_field(grid, 1, rng) for _ in times]
-        tilde_hi = chemin_lerner_norm(series, times, CheminLernerSpec(BesovSpec(1.0, 2.0, 2.0, True), 1.0))
-        plain_hi = mixed_time_norm(series, times, CheminLernerSpec(BesovSpec(1.0, 2.0, 2.0, True), 1.0))
+        tilde_hi, plain_hi = tilde_and_plain(series, times, BesovSpec(1.0, 2.0, 2.0, True), 1.0)
         assert tilde_hi <= plain_hi * (1 + 1e-12)  # r >= theta
-        tilde_lo = chemin_lerner_norm(series, times, CheminLernerSpec(BesovSpec(1.0, 2.0, 1.0, True), 2.0))
-        plain_lo = mixed_time_norm(series, times, CheminLernerSpec(BesovSpec(1.0, 2.0, 1.0, True), 2.0))
+        tilde_lo, plain_lo = tilde_and_plain(series, times, BesovSpec(1.0, 2.0, 1.0, True), 2.0)
         assert tilde_lo >= plain_lo * (1 - 1e-12)  # r <= theta
 
     def test_single_shell_series_collapses(self):
@@ -213,90 +224,10 @@ class TestCheminLerner:
         times = np.linspace(0.0, 1.0, 9)
         series = [PhysicalField(grid, math.exp(-t) * f.values) for t in times]
         for p in (2.0, 1.0, math.inf):
-            spec_t = CheminLernerSpec(BesovSpec(0.5, p, 1.0, True), 2.0)
-            assert chemin_lerner_norm(series, times, spec_t) == pytest.approx(
-                mixed_time_norm(series, times, spec_t), rel=1e-12
-            )
-
-    def test_needs_two_samples(self, rng):
-        grid = TorusGrid(dim=1, box_length=4.0, points_per_axis=16)
-        f = random_band_limited_field(grid, 1, rng)
-        with pytest.raises(ConfigError):
-            chemin_lerner_norm([f], [0.0], CheminLernerSpec(BesovSpec(1.0), 2.0))
-
-    def test_resolution_flag(self, rng):
-        grid = TorusGrid(dim=1, box_length=4.0, points_per_axis=32)
-        f = random_band_limited_field(grid, 1, rng)
-        times = np.linspace(0.0, 1.0, 33)
-        smooth = [PhysicalField(grid, math.exp(-t) * f.values) for t in times]
-        _, under = chemin_lerner_report(smooth, times, CheminLernerSpec(BesovSpec(1.0), 2.0))
-        assert not under
-        jumpy = [
-            PhysicalField(grid, (1.0 + 0.9 * math.sin(40 * t)) * f.values) for t in times
-        ]
-        _, under = chemin_lerner_report(jumpy, times, CheminLernerSpec(BesovSpec(1.0), 2.0))
-        assert under
-
-
-class TestProbes:
-    def test_algebra_probe_single_shell(self):
-        grid = TorusGrid(dim=3, box_length=2 * np.pi, points_per_axis=32)
-        f = single_shell_field(grid, 2, (5, 2, 1))
-        rep = inequality_probe("product_algebra", [(f, f)], s=1.0, p=2.0, r=1.0)
-        assert math.isfinite(rep.max_ratio)
-        assert rep.max_ratio > 0
-
-    def test_lp_embedding_on_gaussians(self):
-        length = 24.0
-        grid = TorusGrid(dim=3, box_length=length, points_per_axis=32)
-        centered = [c - length / 2 for c in grid.coordinates]
-        r2 = sum(c**2 for c in centered)
-        fields = [
-            PhysicalField(grid, np.exp(-r2 / (2 * w**2))) for w in (1.0, 1.5, 2.0)
-        ]
-        rep = inequality_probe("embedding_lp", fields, s=2.0, p=1.0, p_dst=2.0, r=1.0)
-        assert math.isfinite(rep.max_ratio) and rep.max_ratio > 0
-
-    def test_sup_embedding(self, rng):
-        grid = TorusGrid(dim=2, box_length=5.0, points_per_axis=32)
-        fields = [random_band_limited_field(grid, 1, rng) for _ in range(3)]
-        rep = inequality_probe("embedding_sup", fields, p=2.0)
-        assert math.isfinite(rep.max_ratio) and rep.max_ratio > 0
-
-    def test_zero_sample_gives_zero_ratio(self):
-        grid = TorusGrid(dim=2, box_length=5.0, points_per_axis=16)
-        z = PhysicalField(grid, np.zeros(grid.shape))
-        rep = inequality_probe("product_algebra", [(z, z)], s=1.0)
-        assert rep.ratios == (0.0,)
-
-    def test_hypothesis_violations_named(self, rng):
-        grid = TorusGrid(dim=1, box_length=4.0, points_per_axis=16)
-        f = random_band_limited_field(grid, 1, rng)
-        with pytest.raises(HypothesisError, match="s > 0"):
-            inequality_probe("product_algebra", [(f, f)], s=-1.0)
-        with pytest.raises(HypothesisError, match="integrability"):
-            inequality_probe("embedding_lp", [f], s=1.0, p=2.0, p_dst=1.0)
-        with pytest.raises(HypothesisError, match="split"):
-            inequality_probe("product_holder", [(f, f)], s=1.0, p=1.0, holder=(2.0, 3.0, 2.0, 2.0))
-
-    def test_holder_split_probe(self, rng):
-        grid = TorusGrid(dim=2, box_length=5.0, points_per_axis=32)
-        pairs = [
-            (random_band_limited_field(grid, 1, rng), random_band_limited_field(grid, 1, rng))
-            for _ in range(3)
-        ]
-        rep = inequality_probe(
-            "product_holder", pairs, s=1.0, p=1.0, r=2.0, holder=(2.0, 2.0, 2.0, 2.0)
-        )
-        assert math.isfinite(rep.max_ratio) and rep.max_ratio > 0
-
-    def test_norm_split_two_sided(self, rng):
-        # the inhomogeneous norm is comparable with L^p plus the homogeneous
-        # norm: both direction constants stay in a moderate window
-        grid = TorusGrid(dim=2, box_length=5.0, points_per_axis=32)
-        fields = [random_band_limited_field(grid, 1, rng, zero_mean=False) for _ in range(5)]
-        rep = inequality_probe("norm_split", fields, s=1.5, p=2.0, r=1.0)
-        assert all(0.05 < x < 20.0 for x in rep.ratios)
+            spec = BesovSpec(0.5, p, 1.0, True)
+            assert block_matrix(series, spec).shape == (times.size, 1)
+            tilde, plain = tilde_and_plain(series, times, spec, 2.0)
+            assert tilde == pytest.approx(plain, rel=1e-12)
 
 
 def _state_sample(grid: TorusGrid, rng) -> PhysicalField:

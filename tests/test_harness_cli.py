@@ -298,6 +298,9 @@ class TestCli:
         (["linear", "decay", "--data", "highpass", "--cutoff", "1e-300"], "--cutoff"),  # the data overflow
         (["linear", "decay", "--data", "highpass", "--budget", "-3"], "--budget"),
         (["linear", "decay", "--data", "highpass", "--budget", "0"], "--budget"),
+        (["linear", "decay", "--data", "highpass", "--budget", "1e300"], "--budget"),  # the data underflow to 0
+        (["linear", "decay", "--width", "1e200"], "--width"),  # the data underflow to 0
+        (["linear", "decay", "--data", "highpass", "--orders", "0,200"], "--orders"),  # |xi|^402 overflows
     ])
     def test_bad_option_value_exits_2_and_names_it(self, tmp_path, capsys, argv, option):
         assert main(argv + ["--out", str(tmp_path / "run")]) == 2

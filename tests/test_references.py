@@ -12,6 +12,12 @@ and every dataclass field must be read in src/, tests/ or perfbench/: as an
 attribute load, or as a string constant passed to `getattr`.  Stores,
 constructor keywords and `object.__setattr__` do not count.
 
+Every module-level name must also be reached by a paper check: read in
+`cli.py`, `tests/test_acceptance.py` or `perfbench/`, or in the definition
+(def, class or assignment) of a name so reached.  `__init__.py` re-exports
+and the other unit tests do not count, so a name only unit tests call is
+flagged; the few kept for their tests alone are listed with their reasons.
+
 Only `grid.py` calls an FFT (fftn, ifftn, rfftn or irfftn, under any
 module): the grid decides the lattice, its calibration and its Nyquist
 planes, and every other module reads them through its transforms.
@@ -28,22 +34,27 @@ MODULES = sorted((ROOT / "src" / "frequalize").glob("*.py"))
 READERS = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
 
 
-def module_names(source: str) -> list[str]:
-    """Names bound by the top-level def, class and assignment statements, dunders excepted."""
-    names = []
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.append(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+def bound_names(node: ast.stmt) -> list[str]:
+    """Names a top-level def, class or assignment statement binds, dunders excepted."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
-def reads(source: str) -> Counter:
+def module_names(source: str) -> list[str]:
+    """Names bound by the top-level def, class and assignment statements, dunders excepted."""
+    return [name for node in ast.parse(source).body for name in bound_names(node)]
+
+
+def reads(source: str | ast.AST) -> Counter:
     """How often each identifier is read: loaded names, loaded attributes, imported names."""
     out: Counter = Counter()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(ast.parse(source) if isinstance(source, str) else source):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out[node.id] += 1
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -51,6 +62,27 @@ def reads(source: str) -> Counter:
         elif isinstance(node, ast.ImportFrom):
             out.update(alias.name for alias in node.names)
     return out
+
+
+def unreached(modules: dict[str, str], roots: list[str]) -> list[str]:
+    """'module: name' for each module-level name of modules that roots do not reach.
+
+    A name is reached when a source in roots reads it, or when the definition
+    of a reached name does.  Names are matched by identifier, as in `reads`.
+    """
+    uses: dict[str, set[str]] = {}
+    for source in modules.values():
+        for node in ast.parse(source).body:
+            for name in bound_names(node):
+                uses.setdefault(name, set()).update(reads(node))
+    frontier = set().union(*(reads(source) for source in roots)) & uses.keys()
+    reached: set[str] = set()
+    while frontier:
+        name = frontier.pop()
+        reached.add(name)
+        frontier |= (uses[name] & uses.keys()) - reached
+    return [f"{mod}: {name}" for mod, source in modules.items() for name in module_names(source)
+            if name not in reached]
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -126,6 +158,44 @@ def test_checker_flags_a_dead_constant():
     assert module_names(source) == ["LIMIT", "DEAD", "f", "Box"]
     user = "from m import f\nimport m\nprint(m.Box)\nm.DEAD = 5\n"  # a store is not a read
     assert unreferenced({"m.py": source}, [source, user]) == ["m.py: DEAD"]
+
+
+PAPER_CHECKS = [ROOT / "src" / "frequalize" / "cli.py", ROOT / "tests" / "test_acceptance.py",
+                *sorted((ROOT / "perfbench").rglob("*.py"))]
+TEST_ONLY = {  # names that only unit tests reach, each kept for the check it serves
+    "linear_modes.py: ModePropagator": "the single-mode propagator the structure tests drive "
+                                       "against a per-mode ODE oracle and the A0-weighted norm",
+    "linear_modes.py: system_matrices": "the A0 / A / L split of the generator that the structure "
+                                        "tests check for symmetry, damping and the constraint",
+}
+
+
+def test_every_module_level_name_is_reached_by_a_paper_check():
+    modules = {p.name: p.read_text() for p in MODULES if p.name != "__init__.py"}
+    assert sorted(unreached(modules, [p.read_text() for p in PAPER_CHECKS])) == sorted(TEST_ONLY)
+
+
+def test_checker_flags_an_unreached_name():
+    source = (
+        "LIMIT = 2\n"
+        "SCALE = LIMIT * 3\n"
+        "def helper(x):\n"
+        "    return min(x, SCALE)\n"
+        "def entry(x):\n"
+        "    return helper(x)\n"
+        "def tested_only(x):\n"
+        "    return helper(x) + ORPHAN\n"
+        "ORPHAN = 1\n"
+        "class Box:\n"
+        "    def size(self):\n"
+        "        return LIMIT\n"
+    )
+    init = "from .m import LIMIT, SCALE, helper, entry, tested_only, ORPHAN, Box\n"
+    check = "from frequalize.m import entry\nimport frequalize.m as m\nprint(m.Box)\n"
+    unit_test = "from frequalize.m import tested_only\n"  # reaches both names only if counted as a root
+    assert unreached({"m.py": source, "__init__.py": init}, [check]) == [
+        "m.py: tested_only", "m.py: ORPHAN"]
+    assert unreached({"m.py": source}, [check, unit_test]) == []
 
 
 def test_every_attribute_is_read():

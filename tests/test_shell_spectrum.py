@@ -8,11 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frequalize.besov import BesovSpec, besov_norm
-from frequalize.grid import PhysicalField, SpectralField, TorusGrid, forward_transform, lp_norm
+from frequalize.grid import (
+    PhysicalField,
+    SpectralField,
+    TorusGrid,
+    forward_transform,
+    lp_norm,
+    shell_l2_norms,
+)
 from frequalize.littlewood_paley import (
     DEFAULT_CUTOFFS,
     BlockIndexRange,
-    block_l2_norm,
     block_profiles,
 )
 
@@ -85,7 +91,8 @@ class TestShellSpectrum:
     def test_block_norms_match_lattice_oracle(self, field, homogeneous):
         for q in BlockIndexRange.for_grid(field.grid).indices(homogeneous).tolist():
             want = lattice_block_norm(field, q, homogeneous)
-            got = block_l2_norm(field, q, homogeneous=homogeneous)
+            profile = block_profiles(field.grid, [q], homogeneous=homogeneous)
+            got = shell_l2_norms(field.shell_spectrum(), profile)[0]
             assert abs(got - want) <= 1e-12 * want
 
     @PROPERTY
