@@ -31,8 +31,10 @@ from .errors import ConfigError
 from .grid import (
     PhysicalField,
     SpectralField,
+    TorusGrid,
     forward_transform,
     half_lattice_inverse,
+    half_lattice_spectrum,
     lp_norm,
     require_hermitian,
     shell_l2_norms,
@@ -195,24 +197,18 @@ def running_time_norm(times: np.ndarray, blocks: np.ndarray, theta: float) -> np
     return kernel_convolution(times, blocks**theta, 0.0) ** (1.0 / theta)
 
 
-def _group_spectra(sample: PhysicalField) -> np.ndarray:
-    """Shell spectra of z and of each _DISSIPATION_NORMS group (magnetic gradient: |xi|^2 h)."""
-    g = forward_transform(sample)
-    groups = [SpectralField(g.grid, g.coefficients[sl]).shell_spectrum()
-              for sl in (slice(0, 1), slice(1, 4), slice(4, 7), slice(7, 10))]
-    return np.array([sum(groups)] + groups[:3] + [g.grid.shell_radii**2 * groups[3]])
-
-
-def energy_functionals(samples: Sequence[PhysicalField], times: Sequence[float]) -> EnergyFunctionals:
-    """The runtime functionals of a series of 10-component (rho, velocity, E, h) states."""
+def energy_functionals(grid: TorusGrid, samples: list[np.ndarray], times: Sequence[float]) -> EnergyFunctionals:
+    """The runtime functionals of 10-component (rho, velocity, E, h) states given by half-lattice coefficients."""
     times = np.asarray(times, dtype=float)
     if times.size != len(samples):
         raise ConfigError("times and samples length mismatch")
-    grid = samples[0].grid
     qs = BlockIndexRange.for_grid(grid).indices(homogeneous=False)
     profiles = block_profiles(grid, qs, homogeneous=False)
 
-    spectra = np.array([_group_spectra(sample) for sample in samples])  # [t, group, shell]
+    # [t, group, shell]: z, then each _DISSIPATION_NORMS group (magnetic gradient: |xi|^2 h)
+    groups = np.array([[half_lattice_spectrum(grid, g) for g in np.split(z, [1, 4, 7])] for z in samples])
+    spectra = np.concatenate([groups.sum(axis=1, keepdims=True), groups], axis=1)
+    spectra[:, 4] *= grid.shell_radii**2
     l2 = np.sqrt(spectra[:, 0].sum(axis=1))
     blocks = shell_l2_norms(spectra, profiles)  # [t, group, q]
 

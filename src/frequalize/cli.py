@@ -41,7 +41,7 @@ from .harness import ExperimentConfig, merge_reports, write_csv, write_json, wri
 from .io import dump_field, load_field
 from .linear_modes import ContinuumData, gap_sweep, linear_decay_experiment
 from .littlewood_paley import bernstein_extremes, partition_defect
-from .solver import decay_experiment
+from .solver import SimState, decay_experiment
 
 MAX_SWEEP_POINTS = 10**5  # largest `linear gap` sweep: one 10x10 eigensolve per point
 
@@ -319,7 +319,8 @@ def cmd_nonlinear_run(args) -> int:
         }
     _emit(args, "nonlinear_run", header, rows, summary)
     if args.out and args.dump:
-        dump_field(result.series.states[-1].as_field(), Path(args.out) / "final_state.fqlz")
+        final = SimState.from_coefficients(cfg.grid, cfg.equilibrium, f.times[-1], result.series.states[-1])
+        dump_field(final.as_field(), Path(args.out) / "final_state.fqlz")
     if args.out and args.plot:
         write_plot_script(
             Path(args.out) / "plot_nonlinear_run.py", "nonlinear_run.csv", "t",

@@ -20,12 +20,13 @@ The grid owns the half lattice, the one place where the Nyquist planes are
 decided.  The coefficients of a real field are Hermitian symmetric, so the
 half lattice coefficients[..., :N//2+1] (`half_width` columns) holds every
 mirror pair once.  `half_lattice_forward` (an rfftn) and
-`half_lattice_inverse` (an irfftn) are its calibrated transform pair, and
-`half_lattice_l2` is its Parseval norm.  `half_modes` holds xi of every
-half-lattice mode with xi_j zeroed on the Nyquist planes |k_j| = N/2: i xi_j
-is even in k there, so zeroing it keeps real fields real under odd
-derivatives (S. G. Johnson, Notes on FFT-based differentiation, MIT 2011),
-and it makes the mirror -xi of every mode a mode of the lattice.
+`half_lattice_inverse` (an irfftn) are its calibrated transform pair,
+`half_lattice_spectrum` is its shell spectrum and `half_lattice_l2` its
+Parseval norm.  `half_modes` holds xi of every half-lattice mode with xi_j
+zeroed on the Nyquist planes |k_j| = N/2: i xi_j is even in k there, so
+zeroing it keeps real fields real under odd derivatives (S. G. Johnson,
+Notes on FFT-based differentiation, MIT 2011), and it makes the mirror -xi
+of every mode a mode of the lattice.
 
 `forward_transform` and `inverse_transform` are the calibrated full-lattice
 pair of `SpectralField`; they use numpy's transforms, so that generating
@@ -270,14 +271,20 @@ def half_lattice_inverse(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
     return values
 
 
-def half_lattice_l2(grid: TorusGrid, half: np.ndarray) -> float:
-    """L^2 norm of the real field with half-lattice coefficients half, by Parseval.
+def half_lattice_spectrum(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
+    """`SpectralField.shell_spectrum` of the real field with half-lattice coefficients half[..., *half lattice].
 
-    Interior columns count twice: their mirrors are off the half lattice.
+    Interior columns count twice: their mirrors, in the same shell, are off the half lattice.
     """
-    edges = half[..., [0, -1]]
-    power = 2.0 * np.vdot(half, half).real - np.vdot(edges, edges).real
-    return math.sqrt(power / grid.volume)
+    power = (half.real**2 + half.imag**2).reshape((-1,) + half.shape[-grid.dim:]).sum(axis=0)
+    power[..., 1:-1] *= 2.0
+    shells = grid.shell_index[..., : grid.half_width]
+    return np.bincount(shells.ravel(), weights=power.ravel(), minlength=grid.shell_radii.size) / grid.volume
+
+
+def half_lattice_l2(grid: TorusGrid, half: np.ndarray) -> float:
+    """L^2 norm of the real field with half-lattice coefficients half, by Parseval."""
+    return math.sqrt(float(np.sum(half_lattice_spectrum(grid, half))))
 
 
 def require_hermitian(field: SpectralField) -> None:

@@ -40,8 +40,8 @@ integrates N.  One table of E(h/2) is built per run
 (`linear_modes.mode_exponentials`: the real form D^-1 E D, by batched Taylor
 scaling and squaring, with no eigendecomposition) and E(h) is E(h/2) twice;
 grouped as E(h/2) [E(h/2) u + h/6 E(h/2) k1 + h/3 (k2 + k3)] + h/6 k4, a
-step applies the table four times.  Each sample costs one
-inverse transform.
+step applies the table four times.  A sample copies the coefficients: no
+diagnostic forward-transforms it, and checking it costs one inverse transform.
 
 Every frequency of the march is `TorusGrid.half_modes`: the generator's
 table and the derivative multipliers i xi_j of N read it.  Its xi_j vanishes
@@ -209,10 +209,6 @@ class SimState:
         """The physical state whose half-lattice coefficients are z_hat."""
         return cls(grid=grid, eq=eq, time=time, z=half_lattice_inverse(grid, z_hat))
 
-    def coefficients(self) -> np.ndarray:
-        """Half-lattice coefficients of the state array (`grid.half_lattice_forward`)."""
-        return half_lattice_forward(self.grid, self.z)
-
     @property
     def density(self) -> np.ndarray:
         return self.z[0]
@@ -231,9 +227,6 @@ class SimState:
 
     def total_density(self) -> np.ndarray:
         return self.density + self.eq.n_inf
-
-    def l2(self) -> float:
-        return math.sqrt(float(np.sum(self.z**2)) * self.grid.cell_volume)
 
     def as_field(self) -> PhysicalField:
         return PhysicalField(self.grid, self.z)
@@ -298,7 +291,7 @@ def coefficient_rhs(
 def rhs_eval(state: SimState, *, dealias: bool = True) -> np.ndarray:
     """Time derivative of the physical state array (quadratic terms dealiased)."""
     dz_hat = coefficient_rhs(
-        state.coefficients(), state.grid, state.eq, time=state.time, dealias=dealias
+        half_lattice_forward(state.grid, state.z), state.grid, state.eq, time=state.time, dealias=dealias
     )
     return half_lattice_inverse(state.grid, dz_hat)
 
@@ -358,14 +351,18 @@ def _lawson(
 def step(state: SimState, dt: float, *, dealias: bool = True) -> SimState:
     """One Lawson step, taken on the state's coefficients with a table built for dt."""
     half = mode_exponentials(state.grid.half_modes, state.eq, 0.5 * dt)
-    z_hat = _lawson(state.coefficients(), half, state.grid, state.eq, state.time, dt, dealias)
+    z_hat = _lawson(half_lattice_forward(state.grid, state.z), half, state.grid, state.eq, state.time, dt, dealias)
     return SimState.from_coefficients(state.grid, state.eq, state.time + dt, z_hat)
 
 
 @dataclass
 class SimulationSeries:
+    """states[i] holds the (10, *half lattice) coefficients (`grid.half_lattice_forward`) at times[i]."""
+
+    grid: TorusGrid
+    eq: EquilibriumState
     times: np.ndarray
-    states: list[SimState]
+    states: list[np.ndarray]
 
 
 def integrate(
@@ -379,8 +376,8 @@ def integrate(
 
     Without cfg.dt every step ends a sample interval (see StepperConfig);
     with it, every sample_stride-th step and the last one are sampled.  The
-    input state is the first sample.  Each sample is one inverse transform
-    and is checked for positive density and the advective bound.  Aborts
+    input state is the first sample.  A sample copies the coefficients and is
+    checked for positive density and the advective bound.  Aborts
     with diagnostics when the L^2 norm grows past 10 times its initial
     value (spectral blowup).  A run of more than MAX_STEPS steps is refused
     with a ConfigError naming stepper.dt, or stepper.cfl when dt is not given.
@@ -405,9 +402,9 @@ def integrate(
     _check_sample(state, h, cfg.cfl)
     grid, eq = state.grid, state.eq
     half = mode_exponentials(grid.half_modes, eq, 0.5 * h)
-    z_hat = state.coefficients()
+    z_hat = half_lattice_forward(grid, state.z)
     base = half_lattice_l2(grid, z_hat)
-    states = [state]
+    times, states = [state.time], [z_hat.copy()]  # _lawson overwrites its input
     for k in range(1, n_steps + 1):
         z_hat = _lawson(z_hat, half, grid, eq, state.time + (k - 1) * h, h, cfg.dealias)
         t = state.time + k * h
@@ -419,10 +416,10 @@ def integrate(
                 f"norm grew {norm / base:.2f}x past the abort threshold at t={t:g}"
             )
         if k % stride == 0 or k == n_steps:
-            sample = SimState.from_coefficients(grid, eq, t, z_hat)
-            _check_sample(sample, h, cfg.cfl)
-            states.append(sample)
-    return SimulationSeries(times=np.array([s.time for s in states]), states=states)
+            _check_sample(SimState.from_coefficients(grid, eq, t, z_hat), h, cfg.cfl)
+            times.append(t)
+            states.append(z_hat.copy())
+    return SimulationSeries(grid=grid, eq=eq, times=np.array(times), states=states)
 
 
 @dataclass(frozen=True)
@@ -434,15 +431,14 @@ class ConstraintReport:
 
 
 def constraint_monitor(series: SimulationSeries) -> ConstraintReport:
+    grid, ops = series.grid, _ops(series.grid)
     res_e, res_b, rel = [], [], []
-    for s in series.states:
-        grid, ops = s.grid, _ops(s.grid)
-        rho_hat, eh_hat = half_lattice_forward(grid, s.z[0]), half_lattice_forward(grid, s.z[4:10])
-        norm_e = half_lattice_l2(grid, ops.divergence(eh_hat[0:3]) + rho_hat)
-        norm_b = half_lattice_l2(grid, ops.divergence(eh_hat[3:6]))
+    for z_hat in series.states:
+        norm_e = half_lattice_l2(grid, ops.divergence(z_hat[4:7]) + z_hat[0])
+        norm_b = half_lattice_l2(grid, ops.divergence(z_hat[7:10]))
         res_e.append(norm_e)
         res_b.append(norm_b)
-        scale = s.l2()
+        scale = half_lattice_l2(grid, z_hat)
         rel.append(max(norm_e, norm_b) / scale if scale > 0 else 0.0)
     return ConstraintReport(
         times=series.times,
@@ -562,11 +558,11 @@ def _mode_coefficients(values: np.ndarray, kvecs) -> np.ndarray:
 def duhamel_check(series: SimulationSeries) -> DuhamelReport:
     """Scan c1 up linspace(0, 1, 101) and keep the last c1 whose constant C is <= 100.
 
-    The modes are k = (2, 0, 0), (0, 0, min(6, N/3)) and (1, 1, min(3, N/3)) in 3-d;
-    their coefficients are direct sums over the lattice, not full transforms.
+    The modes are k = (2, 0, 0), (0, 0, min(6, N/3)) and (1, 1, min(3, N/3)) in 3-d, all on
+    the half lattice, where z is read by index; the fluxes' coefficients there are direct
+    sums over the lattice (one inverse transform per sample), not full transforms.
     """
-    first = series.states[0]
-    grid, eq = first.grid, first.eq
+    grid, eq = series.grid, series.eq
     rate = euler_maxwell_rate()
     n = grid.points_per_axis
     mode_indices = [
@@ -588,9 +584,9 @@ def duhamel_check(series: SimulationSeries) -> DuhamelReport:
     frob_w = np.array([1.0 if i == j else 2.0 for i, j in _UPPER])  # multiplicities in |q2|_F^2
     phi2 = np.array([float(DEFAULT_CUTOFFS.phi(mag / 2.0**q)) ** 2 for _, q, mag in modes])
     mags = np.array([mag for _, _, mag in modes])
-    for i, s in enumerate(series.states):
-        packed = nonlinear_fluxes(s)
-        z_power = np.abs(_mode_coefficients(s.z, mode_indices) * grid.cell_volume) ** 2
+    for i, z_hat in enumerate(series.states):
+        packed = nonlinear_fluxes(SimState.from_coefficients(grid, eq, times[i], z_hat))
+        z_power = np.abs(np.stack([z_hat[(slice(None),) + kvec] for kvec in mode_indices], axis=-1)) ** 2
         flux_power = np.abs(_mode_coefficients(packed, mode_indices) * grid.cell_volume) ** 2
         lhs[:, i] = phi2 * np.sum(z_power, axis=0)
         qf = frob_w @ flux_power[:6]
@@ -646,7 +642,7 @@ def decay_experiment(
     stepper = stepper or StepperConfig()
     init = initial_data_gen(grid, eq, seed, amplitude, profile)
     series = integrate(init.state, stepper, t_end, sample_stride=sample_stride)
-    functionals = energy_functionals([s.as_field() for s in series.states], series.times)
+    functionals = energy_functionals(grid, series.states, series.times)
     constraints = constraint_monitor(series)
     saturation = 1.0 / float(euler_maxwell_rate().eta(grid.xi_min))
     fit = fit_decay_exponent(

@@ -25,6 +25,7 @@ from frequalize.grid import (
     TorusGrid,
     forward_transform,
     gaussian_bump,
+    half_lattice_inverse,
     lp_norm,
     random_band_limited_field,
 )
@@ -246,7 +247,8 @@ def test_criterion_8_solver_validity(desk_run):
     init = initial_data_gen(grid, eq, seed=3, amplitude=5e-2)
 
     def terminal(dt):
-        return integrate(init.state, StepperConfig(dt=dt), 2.0, sample_stride=10**6).states[-1].z
+        series = integrate(init.state, StepperConfig(dt=dt), 2.0, sample_stride=10**6)
+        return half_lattice_inverse(grid, series.states[-1])
 
     z1, z2, zref = terminal(0.4), terminal(0.2), terminal(0.05)
     e1 = math.sqrt(float(np.sum((z1 - zref) ** 2)) * grid.cell_volume)

@@ -20,6 +20,7 @@ from frequalize.grid import (
     SpectralField,
     TorusGrid,
     forward_transform,
+    half_lattice_forward,
     inverse_transform,
     lp_norm,
     random_band_limited_field,
@@ -239,9 +240,9 @@ def _state_sample(grid: TorusGrid, rng) -> PhysicalField:
 class TestEnergyFunctionals:
     def test_zero_state(self):
         grid = TorusGrid(dim=3, box_length=5.0, points_per_axis=8)
-        zeros = PhysicalField(grid, np.zeros((10,) + grid.shape))
+        zeros = half_lattice_forward(grid, np.zeros((10,) + grid.shape))
         times = np.linspace(0, 1, 4)
-        out = energy_functionals([zeros] * 4, times)
+        out = energy_functionals(grid, [zeros] * 4, times)
         for arr in (out.l2, out.n, out.d, out.n0, out.d0):
             assert np.all(arr == 0.0)
 
@@ -249,16 +250,16 @@ class TestEnergyFunctionals:
         grid = TorusGrid(dim=3, box_length=5.0, points_per_axis=8)
         base = _state_sample(grid, rng)
         times = np.linspace(0.0, 3.0, 7)
-        samples = [PhysicalField(grid, (1 + t) ** -0.75 * base.values) for t in times]
-        out = energy_functionals(samples, times)
+        samples = [half_lattice_forward(grid, (1 + t) ** -0.75 * base.values) for t in times]
+        out = energy_functionals(grid, samples, times)
         assert np.allclose(out.n, out.n[0], rtol=1e-12)
         assert out.n[0] == pytest.approx(out.l2[0], rel=1e-12)
 
     def test_monotone_prefix_functionals(self, rng):
         grid = TorusGrid(dim=3, box_length=5.0, points_per_axis=8)
         times = np.linspace(0.0, 1.0, 5)
-        samples = [_state_sample(grid, rng) for _ in times]
-        out = energy_functionals(samples, times)
+        samples = [half_lattice_forward(grid, _state_sample(grid, rng).values) for _ in times]
+        out = energy_functionals(grid, samples, times)
         for arr in (out.n, out.d, out.n0, out.d0):
             assert np.all(np.diff(arr) >= -1e-14)
         # tilde dissipation dominates the plain one blockwise (Minkowski)

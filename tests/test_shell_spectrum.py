@@ -4,6 +4,7 @@ partition of unity on random grids."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,9 @@ from frequalize.grid import (
     SpectralField,
     TorusGrid,
     forward_transform,
+    half_lattice_forward,
+    half_lattice_l2,
+    half_lattice_spectrum,
     lp_norm,
     shell_l2_norms,
 )
@@ -100,6 +104,19 @@ class TestShellSpectrum:
     def test_spectrum_sums_to_parseval(self, field):
         total = np.sum(field.power()) / field.grid.volume
         assert abs(np.sum(field.shell_spectrum()) - total) <= 1e-12 * total
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_half_lattice_spectrum_matches_full_lattice(self, dim, n):
+        # real white noise keeps the Nyquist planes, where the columns count once
+        grid = TorusGrid(dim=dim, box_length=7.0, points_per_axis=n)
+        values = np.random.default_rng(100 * dim + n).standard_normal((2,) + grid.shape)
+        half = half_lattice_forward(grid, values)
+        want = forward_transform(PhysicalField(grid, values)).shell_spectrum()
+        got = half_lattice_spectrum(grid, half)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        assert abs(np.sum(got) - half_lattice_l2(grid, half) ** 2) <= 1e-13 * np.sum(got)
 
 
 class TestHalfLatticeBlocks:

@@ -10,12 +10,22 @@ import numpy as np
 import pytest
 
 import frequalize
-from frequalize import solver
-from frequalize.besov import BesovSpec, besov_norm
+from frequalize import besov, solver
+from frequalize import grid as grid_module
+from frequalize.besov import BesovSpec, besov_norm, energy_functionals
 from frequalize.equilibrium import EquilibriumState
 from frequalize.errors import ConfigError, DensityError, SolverInstabilityError
-from frequalize.grid import TorusGrid
+from frequalize.grid import (
+    PhysicalField,
+    SpectralField,
+    TorusGrid,
+    forward_transform,
+    half_lattice_inverse,
+    half_lattice_l2,
+    shell_l2_norms,
+)
 from frequalize.linear_modes import GridModePropagator
+from frequalize.littlewood_paley import BlockIndexRange, block_profiles
 from frequalize.solver import (
     SimState,
     SpectralProfile,
@@ -187,14 +197,15 @@ class TestStepping:
     def test_zero_data_stays_zero(self, eq, grid16):
         state = SimState(grid=grid16, eq=eq, time=0.0, z=np.zeros((10,) + grid16.shape))
         out = integrate(state, StepperConfig(dt=0.25), 2.0, sample_stride=4)
-        assert all(np.all(s.z == 0.0) for s in out.states)
+        assert all(np.all(s == 0.0) for s in out.states)
 
     def test_rk4_convergence_order(self, eq, grid16):
         init = initial_data_gen(grid16, eq, seed=3, amplitude=5e-2)
         t_end, base_dt = 2.0, 0.4
 
         def terminal(dt):
-            return integrate(init.state, StepperConfig(dt=dt), t_end, sample_stride=10**6).states[-1].z
+            series = integrate(init.state, StepperConfig(dt=dt), t_end, sample_stride=10**6)
+            return half_lattice_inverse(grid16, series.states[-1])
 
         z1, z2, zref = terminal(base_dt), terminal(base_dt / 2), terminal(base_dt / 8)
         e1 = math.sqrt(float(np.sum((z1 - zref) ** 2)) * grid16.cell_volume)
@@ -210,7 +221,8 @@ class TestStepping:
         prop = GridModePropagator(grid, eq)
         zhat0 = np.fft.fftn(init.state.z, axes=(1, 2, 3))
         zlin = np.fft.ifftn(prop.apply(zhat0, 1.0), axes=(1, 2, 3)).real
-        rel = math.sqrt(float(np.sum((series.states[-1].z - zlin) ** 2) / np.sum(zlin**2)))
+        z = half_lattice_inverse(grid, series.states[-1])
+        rel = math.sqrt(float(np.sum((z - zlin) ** 2) / np.sum(zlin**2)))
         assert rel <= 1e-8
 
     def test_tiny_amplitude_run_tracks_linear_decay_exponent(self, eq):
@@ -219,7 +231,7 @@ class TestStepping:
         grid = TorusGrid(dim=3, box_length=50.0, points_per_axis=16)
         init = initial_data_gen(grid, eq, seed=21, amplitude=1e-6)
         series = integrate(init.state, StepperConfig(), 20.0, sample_stride=4)
-        l2_nl = np.array([s.l2() for s in series.states])
+        l2_nl = np.array([half_lattice_l2(grid, s) for s in series.states])
         prop = GridModePropagator(grid, eq)
         zhat0 = np.fft.fftn(init.state.z, axes=(1, 2, 3))
         scale = grid.cell_volume / grid.points_per_axis**grid.dim
@@ -300,7 +312,7 @@ class TestStepping:
         l2 = []
         for state in (init.state, fine_state):
             out = integrate(state, StepperConfig(dt=dt), 2.0, sample_stride=10**6)
-            l2.append(out.states[-1].l2())
+            l2.append(half_lattice_l2(state.grid, out.states[-1]))
         assert abs(l2[1] - l2[0]) < 0.01 * l2[0]
 
 
@@ -315,7 +327,7 @@ class TestCoefficientMarch:
         assert len(series.states) == 5
         for k, s in enumerate(series.states):
             ref = oracle[k * stride]
-            assert np.linalg.norm(s.z - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.linalg.norm(half_lattice_inverse(grid16, s) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("dealias", [True, False])
     def test_marched_coefficients_stay_those_of_a_real_field(self, eq, grid16, monkeypatch, dealias):
@@ -383,8 +395,9 @@ class TestConstraints:
         init = initial_data_gen(grid16, eq, seed=4, amplitude=3e-2)
         series = integrate(init.state, StepperConfig(), 10.0, sample_stride=10)
         for s in series.states:
-            assert abs(float(s.density.mean())) <= 1e-13
-            assert np.max(np.abs(s.magnetic.mean(axis=(1, 2, 3)))) <= 1e-13
+            z = half_lattice_inverse(grid16, s)
+            assert abs(float(z[0].mean())) <= 1e-13
+            assert np.max(np.abs(z[7:10].mean(axis=(1, 2, 3)))) <= 1e-13
 
 
 class TestInitialData:
@@ -491,3 +504,97 @@ class TestDuhamel:
         assert rep.c1 > 0
         assert rep.c_bound < 100.0
         assert len(rep.modes) == 3
+
+
+class TestCoefficientSamples:
+    """Every diagnostic reads the march's half-lattice samples; the physical-state definitions pin them."""
+
+    def test_diagnostics_match_physical_state_definitions(self, eq, grid16, monkeypatch):
+        grid = grid16
+        result = decay_experiment(grid, eq, seed=4, amplitude=2e-2, t_end=4.0, sample_stride=2,
+                                  fit_window=(0.5, 4.0), run_duhamel=True)
+        series, f = result.series, result.functionals
+        assert len(series.states) >= 3
+
+        transforms = []
+        for module in (grid_module, besov, solver):
+            for name in ("half_lattice_forward", "forward_transform", "half_lattice_inverse"):
+                if hasattr(module, name):
+                    def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                        transforms.append(_name)
+                        return _fn(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, counting)
+        again = energy_functionals(grid, series.states, series.times)
+        constraints = constraint_monitor(series)
+        assert transforms == []
+        assert np.array_equal(again.d0, f.d0)
+        assert np.array_equal(constraints.relative, result.constraints.relative)
+        duhamel_check(series)  # the counters see its one inverse transform per sample
+        assert transforms == ["half_lattice_inverse"] * len(series.states)
+        monkeypatch.undo()
+
+        # the definitions on the physical state: full-lattice transforms of each sample rebuilt
+        states = [half_lattice_inverse(grid, s) for s in series.states]
+        spectra = []
+        for z in states:
+            g = [forward_transform(PhysicalField(grid, z[sl])).shell_spectrum()
+                 for sl in (slice(0, 1), slice(1, 4), slice(4, 7), slice(7, 10))]
+            spectra.append([sum(g), g[0], g[1], g[2], grid.shell_radii**2 * g[3]])
+        spectra = np.array(spectra)
+        qs = BlockIndexRange.for_grid(grid).indices(homogeneous=False)
+        blocks = shell_l2_norms(spectra, block_profiles(grid, qs, homogeneous=False))  # [t, group, q]
+        t = series.times
+
+        def time_l2(v):  # sqrt of the cumulative trapezoid rule of v^2 along the first axis
+            dt = np.diff(t).reshape((-1,) + (1,) * (v.ndim - 1))
+            steps = np.cumsum(0.5 * dt * (v[1:] ** 2 + v[:-1] ** 2), axis=0)
+            return np.sqrt(np.concatenate([np.zeros((1,) + v.shape[1:]), steps]))
+
+        l2 = np.sqrt(spectra[:, 0].sum(axis=1))
+        want = {
+            "l2": l2,
+            "n": np.maximum.accumulate((1.0 + t) ** 0.75 * l2),
+            "n0": np.maximum.accumulate(blocks[:, 0], axis=0) @ 2.0 ** (2.5 * qs),
+            "d": sum(time_l2(blocks[:, 1 + j] @ 2.0 ** (s * qs)) for j, s in enumerate((2.5, 2.5, 1.5, 0.5))),
+            "d0": sum(time_l2(blocks[:, 1 + j]) @ 2.0 ** (s * qs) for j, s in enumerate((2.5, 2.5, 1.5, 0.5))),
+        }
+        for name, values in want.items():
+            assert np.allclose(getattr(f, name), values, rtol=1e-12, atol=0.0), name
+
+        # Gauss residuals with i xi_j zeroed on the Nyquist planes, as the march's multipliers are
+        xi = [np.where(np.abs(c) < grid.xi_max - 1e-9, c, 0.0) for c in grid.frequency_vectors]
+        for i, z in enumerate(states):
+            z_hat = forward_transform(PhysicalField(grid, z)).coefficients
+            div_e = sum(1j * xi[j] * z_hat[4 + j] for j in range(3)) + z_hat[0]
+            div_b = sum(1j * xi[j] * z_hat[7 + j] for j in range(3))
+            for got, div in ((result.constraints.electric_residual[i], div_e),
+                             (result.constraints.magnetic_residual[i], div_b)):
+                res = math.sqrt(float(np.sum(SpectralField(grid, div).shell_spectrum())))
+                assert abs(got - res) <= 1e-14 * l2[i]
+
+    def test_traced_run_counts_every_sample(self):
+        # the benchmark's wrappers replace numpy.fft and scipy.fft for the whole process, so
+        # the traced run gets its own interpreter.  The sample count is taken under the
+        # recorder's lock, which the wrapped transforms take too: reading series.states
+        # must not transform, or the run deadlocks.
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(root / 'perfbench')!r})\n"
+            "import tracing\n"
+            "rec = tracing.Recorder()\n"
+            "tracing.install_library_wrappers(rec)\n"
+            "import frequalize\n"
+            "tracing.install_layer_wrappers(rec)\n"
+            "from frequalize import EquilibriumState, TorusGrid\n"
+            "from frequalize.solver import decay_experiment\n"
+            "out = decay_experiment(TorusGrid(dim=3, box_length=20.0, points_per_axis=8), EquilibriumState(),\n"
+            "                       seed=0, t_end=4.0, sample_stride=2, fit_window=(0.5, 4.0), run_duhamel=True)\n"
+            "print(len(out.series.states), rec.counters['solver.integrate.samples_kept'])\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        samples, kept = (int(word) for word in done.stdout.split())
+        assert samples >= 3 and kept == samples
