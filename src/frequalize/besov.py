@@ -197,17 +197,21 @@ def running_time_norm(times: np.ndarray, blocks: np.ndarray, theta: float) -> np
     return kernel_convolution(times, blocks**theta, 0.0) ** (1.0 / theta)
 
 
-def energy_functionals(grid: TorusGrid, samples: list[np.ndarray], times: Sequence[float]) -> EnergyFunctionals:
-    """The runtime functionals of 10-component (rho, velocity, E, h) states given by half-lattice coefficients."""
+def group_spectra(grid: TorusGrid, z_hat: np.ndarray) -> np.ndarray:
+    """[group, shell]: the shell spectra of the (rho, velocity, E, h) groups of half-lattice coefficients z_hat."""
+    return np.array([half_lattice_spectrum(grid, g) for g in np.split(z_hat, [1, 4, 7])])
+
+
+def energy_functionals(grid: TorusGrid, spectra: np.ndarray, times: Sequence[float]) -> EnergyFunctionals:
+    """The runtime functionals of 10-component states given by their [time, group, shell] `group_spectra`."""
     times = np.asarray(times, dtype=float)
-    if times.size != len(samples):
-        raise ConfigError("times and samples length mismatch")
+    if times.size != len(spectra):
+        raise ConfigError("times and spectra length mismatch")
     qs = BlockIndexRange.for_grid(grid).indices(homogeneous=False)
     profiles = block_profiles(grid, qs, homogeneous=False)
 
     # [t, group, shell]: z, then each _DISSIPATION_NORMS group (magnetic gradient: |xi|^2 h)
-    groups = np.array([[half_lattice_spectrum(grid, g) for g in np.split(z, [1, 4, 7])] for z in samples])
-    spectra = np.concatenate([groups.sum(axis=1, keepdims=True), groups], axis=1)
+    spectra = np.concatenate([np.sum(spectra, axis=1, keepdims=True), spectra], axis=1)
     spectra[:, 4] *= grid.shell_radii**2
     l2 = np.sqrt(spectra[:, 0].sum(axis=1))
     blocks = shell_l2_norms(spectra, profiles)  # [t, group, q]

@@ -41,7 +41,7 @@ from .harness import ExperimentConfig, merge_reports, write_csv, write_json, wri
 from .io import dump_field, load_field
 from .linear_modes import ContinuumData, gap_sweep, linear_decay_experiment
 from .littlewood_paley import bernstein_extremes, partition_defect
-from .solver import SimState, decay_experiment
+from .solver import decay_experiment
 
 MAX_SWEEP_POINTS = 10**5  # largest `linear gap` sweep: one 10x10 eigensolve per point
 
@@ -290,8 +290,7 @@ def cmd_nonlinear_run(args) -> int:
         fit_window=cfg.fit_window,
         run_duhamel=cfg.duhamel,
     )
-    f = result.functionals
-    c = result.constraints
+    f, c = result.functionals, result.constraints
     header = ["t", "l2", "N", "D", "N0", "D0", "resE", "resB"]
     rows = [
         [f.times[i], f.l2[i], f.n[i], f.d[i], f.n0[i], f.d0[i],
@@ -319,8 +318,7 @@ def cmd_nonlinear_run(args) -> int:
         }
     _emit(args, "nonlinear_run", header, rows, summary)
     if args.out and args.dump:
-        final = SimState.from_coefficients(cfg.grid, cfg.equilibrium, f.times[-1], result.series.states[-1])
-        dump_field(final.as_field(), Path(args.out) / "final_state.fqlz")
+        dump_field(result.series.final.as_field(), Path(args.out) / "final_state.fqlz")
     if args.out and args.plot:
         write_plot_script(
             Path(args.out) / "plot_nonlinear_run.py", "nonlinear_run.csv", "t",

@@ -53,6 +53,8 @@ def load_field(path: str | Path) -> PhysicalField:
         raise ConfigError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise ConfigError(f"{path}: unsupported container version {version}")
+    if components == 0:
+        raise ConfigError(f"{path}: the header declares zero components")
     grid = TorusGrid(dim=dim, box_length=length, points_per_axis=n)
     expected = components * n**dim
     payload = np.frombuffer(raw, dtype="<f8", offset=HEADER_SIZE)

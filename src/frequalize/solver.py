@@ -40,8 +40,9 @@ integrates N.  One table of E(h/2) is built per run
 (`linear_modes.mode_exponentials`: the real form D^-1 E D, by batched Taylor
 scaling and squaring, with no eigendecomposition) and E(h) is E(h/2) twice;
 grouped as E(h/2) [E(h/2) u + h/6 E(h/2) k1 + h/3 (k2 + k3)] + h/6 k4, a
-step applies the table four times.  A sample copies the coefficients: no
-diagnostic forward-transforms it, and checking it costs one inverse transform.
+step applies the table four times.  A sample is reduced where it is taken:
+`integrate` checks it on its one inverse transform and hands the observer
+the coefficients and that physical state, so a run keeps no states.
 
 Every frequency of the march is `TorusGrid.half_modes`: the generator's
 table and the derivative multipliers i xi_j of N read it.  Its xi_j vanishes
@@ -61,10 +62,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import Any, Callable
 
 import numpy as np
 
-from .besov import BesovSpec, EnergyFunctionals, besov_norm, energy_functionals, kernel_convolution, negative_norm
+from .besov import BesovSpec, EnergyFunctionals, besov_norm, energy_functionals, group_spectra, negative_norm
+from .besov import kernel_convolution
 from .decay_kernel import euler_maxwell_rate
 from .equilibrium import EquilibriumState
 from .errors import ConfigError, DensityError, SolverInstabilityError
@@ -137,6 +140,7 @@ class SpectralProfile:
 
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # packed order of symmetric q2
 _PACKED = ((0, 1, 2), (1, 3, 4), (2, 4, 5))  # packed index of q2[i, j]
+_FROBENIUS_WEIGHTS = np.array([1.0 if i == j else 2.0 for i, j in _UPPER])  # multiplicities in |q2|_F^2
 
 
 class _SpectralOps:
@@ -357,27 +361,28 @@ def step(state: SimState, dt: float, *, dealias: bool = True) -> SimState:
 
 @dataclass
 class SimulationSeries:
-    """states[i] holds the (10, *half lattice) coefficients (`grid.half_lattice_forward`) at times[i]."""
+    """states[i] is the observer's value for the sample at times[i]; final is the last sample."""
 
-    grid: TorusGrid
-    eq: EquilibriumState
     times: np.ndarray
-    states: list[np.ndarray]
+    states: list
+    final: SimState
 
 
 def integrate(
     state: SimState,
     cfg: StepperConfig,
     t_end: float,
+    observe: Callable[[np.ndarray, SimState], Any],
     *,
     sample_stride: int = 1,
 ) -> SimulationSeries:
-    """March to t_end with fixed Lawson steps and return the samples.
+    """March to t_end with fixed Lawson steps and observe every sample.
 
     Without cfg.dt every step ends a sample interval (see StepperConfig);
     with it, every sample_stride-th step and the last one are sampled.  The
-    input state is the first sample.  A sample copies the coefficients and is
-    checked for positive density and the advective bound.  Aborts
+    input state is the first sample.  A sample's physical state is checked
+    for positive density and the advective bound, then observe(z_hat, state)
+    is kept; z_hat is the march's buffer, which the next step overwrites.  Aborts
     with diagnostics when the L^2 norm grows past 10 times its initial
     value (spectral blowup).  A run of more than MAX_STEPS steps is refused
     with a ConfigError naming stepper.dt, or stepper.cfl when dt is not given.
@@ -404,7 +409,7 @@ def integrate(
     half = mode_exponentials(grid.half_modes, eq, 0.5 * h)
     z_hat = half_lattice_forward(grid, state.z)
     base = half_lattice_l2(grid, z_hat)
-    times, states = [state.time], [z_hat.copy()]  # _lawson overwrites its input
+    times, states = [state.time], [observe(z_hat, state)]
     for k in range(1, n_steps + 1):
         z_hat = _lawson(z_hat, half, grid, eq, state.time + (k - 1) * h, h, cfg.dealias)
         t = state.time + k * h
@@ -412,40 +417,31 @@ def integrate(
             raise SolverInstabilityError(f"non-finite state at t={t:g} (step {k})")
         norm = half_lattice_l2(grid, z_hat)
         if base > 0 and norm > 10.0 * base:
-            raise SolverInstabilityError(
-                f"norm grew {norm / base:.2f}x past the abort threshold at t={t:g}"
-            )
+            raise SolverInstabilityError(f"norm grew {norm / base:.2f}x past the abort threshold at t={t:g}")
         if k % stride == 0 or k == n_steps:
-            _check_sample(SimState.from_coefficients(grid, eq, t, z_hat), h, cfg.cfl)
+            final = SimState.from_coefficients(grid, eq, t, z_hat)
+            _check_sample(final, h, cfg.cfl)
             times.append(t)
-            states.append(z_hat.copy())
-    return SimulationSeries(grid=grid, eq=eq, times=np.array(times), states=states)
+            states.append(observe(z_hat, final))
+            if k < n_steps:
+                del final  # no sample is held through the steps that follow
+    return SimulationSeries(times=np.array(times), states=states, final=final)
 
 
 @dataclass(frozen=True)
 class ConstraintReport:
-    times: np.ndarray
     electric_residual: np.ndarray  # ||div E + rho||_L2
     magnetic_residual: np.ndarray  # ||div h||_L2
     relative: np.ndarray  # max residual / ||z||_L2
 
 
-def constraint_monitor(series: SimulationSeries) -> ConstraintReport:
-    grid, ops = series.grid, _ops(series.grid)
-    res_e, res_b, rel = [], [], []
-    for z_hat in series.states:
-        norm_e = half_lattice_l2(grid, ops.divergence(z_hat[4:7]) + z_hat[0])
-        norm_b = half_lattice_l2(grid, ops.divergence(z_hat[7:10]))
-        res_e.append(norm_e)
-        res_b.append(norm_b)
-        scale = half_lattice_l2(grid, z_hat)
-        rel.append(max(norm_e, norm_b) / scale if scale > 0 else 0.0)
-    return ConstraintReport(
-        times=series.times,
-        electric_residual=np.asarray(res_e),
-        magnetic_residual=np.asarray(res_b),
-        relative=np.asarray(rel),
-    )
+def constraint_monitor(grid: TorusGrid, z_hat: np.ndarray) -> tuple[float, float, float]:
+    """(||div E + rho||_L2, ||div h||_L2, their max / ||z||_L2) of one sample's half-lattice coefficients."""
+    ops = _ops(grid)
+    norm_e = half_lattice_l2(grid, ops.divergence(z_hat[4:7]) + z_hat[0])
+    norm_b = half_lattice_l2(grid, ops.divergence(z_hat[7:10]))
+    scale = half_lattice_l2(grid, z_hat)
+    return norm_e, norm_b, max(norm_e, norm_b) / scale if scale > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -555,43 +551,37 @@ def _mode_coefficients(values: np.ndarray, kvecs) -> np.ndarray:
     return np.stack(out, axis=-1)
 
 
-def duhamel_check(series: SimulationSeries) -> DuhamelReport:
-    """Scan c1 up linspace(0, 1, 101) and keep the last c1 whose constant C is <= 100.
-
-    The modes are k = (2, 0, 0), (0, 0, min(6, N/3)) and (1, 1, min(3, N/3)) in 3-d, all on
-    the half lattice, where z is read by index; the fluxes' coefficients there are direct
-    sums over the lattice (one inverse transform per sample), not full transforms.
-    """
-    grid, eq = series.grid, series.eq
-    rate = euler_maxwell_rate()
-    n = grid.points_per_axis
-    mode_indices = [
-        (2,) + (0,) * (grid.dim - 1),
-        (0,) * (grid.dim - 1) + (min(6, n // 3),),
-        (1,) * (grid.dim - 1) + (min(3, n // 3),),
-    ]
+def _duhamel_modes(grid: TorusGrid) -> tuple[tuple[tuple[int, ...], int, float], ...]:
+    """(k-vector, q, |xi|) of k = (2, 0, 0), (0, 0, min(6, N/3)) and (1, 1, min(3, N/3)) in 3-d: each k is on
+    the half lattice, where z is read by index, and q is the block whose phi peaks at |xi|."""
+    n, pad = grid.points_per_axis, grid.dim - 1
     modes = []
-    for kvec in mode_indices:
-        xi_vec = np.array([grid.axis_frequencies[k] for k in kvec])
-        mag = float(np.linalg.norm(xi_vec))
-        qs = range(math.floor(math.log2(max(mag, 1e-12))) - 2, math.floor(math.log2(max(mag, 1e-12))) + 3)
-        q = max(qs, key=lambda qq: float(DEFAULT_CUTOFFS.phi(mag / 2.0**qq)))
-        modes.append((tuple(kvec), q, mag))
+    for kvec in ((2,) + (0,) * pad, (0,) * pad + (min(6, n // 3),), (1,) * pad + (min(3, n // 3),)):
+        mag = float(np.linalg.norm([grid.axis_frequencies[k] for k in kvec]))
+        top = math.floor(math.log2(max(mag, 1e-12)))
+        q = max(range(top - 2, top + 3), key=lambda qq: float(DEFAULT_CUTOFFS.phi(mag / 2.0**qq)))
+        modes.append((kvec, q, mag))
+    return tuple(modes)
 
-    times = series.times
-    lhs = np.zeros((len(modes), times.size))
-    src = np.zeros((len(modes), times.size))
-    frob_w = np.array([1.0 if i == j else 2.0 for i, j in _UPPER])  # multiplicities in |q2|_F^2
-    phi2 = np.array([float(DEFAULT_CUTOFFS.phi(mag / 2.0**q)) ** 2 for _, q, mag in modes])
-    mags = np.array([mag for _, _, mag in modes])
-    for i, z_hat in enumerate(series.states):
-        packed = nonlinear_fluxes(SimState.from_coefficients(grid, eq, times[i], z_hat))
-        z_power = np.abs(np.stack([z_hat[(slice(None),) + kvec] for kvec in mode_indices], axis=-1)) ** 2
-        flux_power = np.abs(_mode_coefficients(packed, mode_indices) * grid.cell_volume) ** 2
-        lhs[:, i] = phi2 * np.sum(z_power, axis=0)
-        qf = frob_w @ flux_power[:6]
-        rf = np.sum(flux_power[6:9], axis=0)
-        src[:, i] = phi2 * (mags**2 * qf + rf) / eq.n_inf**2
+
+def duhamel_sums(state: SimState, z_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One sample's phi^2 |z|^2 (lhs) and phi^2 (|xi|^2 |Q|^2 + |R|^2) / n_inf^2 (src) at `_duhamel_modes`: z is
+    read from z_hat, the fluxes of the physical state are direct sums over the lattice there."""
+    grid = state.grid
+    kvecs, qs, mags = zip(*_duhamel_modes(grid))
+    phi2 = np.array([float(DEFAULT_CUTOFFS.phi(mag / 2.0**q)) ** 2 for q, mag in zip(qs, mags)])
+    z_power = np.abs(np.stack([z_hat[(slice(None),) + kvec] for kvec in kvecs], axis=-1)) ** 2
+    flux_power = np.abs(_mode_coefficients(nonlinear_fluxes(state), kvecs) * grid.cell_volume) ** 2
+    qf = _FROBENIUS_WEIGHTS @ flux_power[:6]
+    rf = np.sum(flux_power[6:9], axis=0)
+    return phi2 * np.sum(z_power, axis=0), phi2 * (np.square(mags) * qf + rf) / state.eq.n_inf**2
+
+
+def duhamel_check(grid: TorusGrid, times: np.ndarray, sums) -> DuhamelReport:
+    """From the samples' `duhamel_sums`: scan c1 up linspace(0, 1, 101), keep the last c1 whose C is <= 100."""
+    rate = euler_maxwell_rate()
+    modes = _duhamel_modes(grid)
+    lhs, src = np.array(sums).transpose(1, 2, 0)  # [mode, time] each
 
     c1s = np.linspace(0.0, 1.0, 101)
     worst = np.zeros(c1s.size)  # per candidate: max over modes and times of lhs / envelope
@@ -607,7 +597,7 @@ def duhamel_check(series: SimulationSeries) -> DuhamelReport:
         if w > 100.0:
             break
         best_c1, best_c = float(c1), float(w)
-    return DuhamelReport(modes=tuple(modes), c1=best_c1, c_bound=best_c)
+    return DuhamelReport(modes=modes, c1=best_c1, c_bound=best_c)
 
 
 # ---------------------------------------------------------------------------
@@ -638,12 +628,18 @@ def decay_experiment(
     fit_window: tuple[float, float] = (5.0, 100.0),
     run_duhamel: bool = False,
 ) -> DecayExperimentResult:
-    """Nonlinear run with decay diagnostics and the saturation-guarded fit."""
+    """Nonlinear run with decay diagnostics and the saturation-guarded fit; each sample is reduced as it is taken."""
     stepper = stepper or StepperConfig()
     init = initial_data_gen(grid, eq, seed, amplitude, profile)
-    series = integrate(init.state, stepper, t_end, sample_stride=sample_stride)
-    functionals = energy_functionals(grid, series.states, series.times)
-    constraints = constraint_monitor(series)
+
+    def observe(z_hat: np.ndarray, state: SimState) -> tuple:
+        sums = duhamel_sums(state, z_hat) if run_duhamel else None
+        return group_spectra(grid, z_hat), constraint_monitor(grid, z_hat), sums
+
+    series = integrate(init.state, stepper, t_end, observe, sample_stride=sample_stride)
+    spectra, residuals, sums = zip(*series.states)
+    functionals = energy_functionals(grid, np.array(spectra), series.times)
+    constraints = ConstraintReport(*np.array(residuals).T)
     saturation = 1.0 / float(euler_maxwell_rate().eta(grid.xi_min))
     fit = fit_decay_exponent(
         functionals.times,
@@ -652,7 +648,7 @@ def decay_experiment(
         series_id=f"nonlinear_seed{seed}",
         saturation_time=saturation,
     )
-    report = duhamel_check(series) if run_duhamel else None
+    report = duhamel_check(grid, series.times, sums) if run_duhamel else None
     return DecayExperimentResult(
         series=series,
         functionals=functionals,

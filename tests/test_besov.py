@@ -11,6 +11,7 @@ from frequalize.besov import (
     besov_norm,
     ell_r,
     energy_functionals,
+    group_spectra,
     negative_norm,
     running_time_norm,
 )
@@ -242,7 +243,7 @@ class TestEnergyFunctionals:
         grid = TorusGrid(dim=3, box_length=5.0, points_per_axis=8)
         zeros = half_lattice_forward(grid, np.zeros((10,) + grid.shape))
         times = np.linspace(0, 1, 4)
-        out = energy_functionals(grid, [zeros] * 4, times)
+        out = energy_functionals(grid, [group_spectra(grid, zeros)] * 4, times)
         for arr in (out.l2, out.n, out.d, out.n0, out.d0):
             assert np.all(arr == 0.0)
 
@@ -251,7 +252,7 @@ class TestEnergyFunctionals:
         base = _state_sample(grid, rng)
         times = np.linspace(0.0, 3.0, 7)
         samples = [half_lattice_forward(grid, (1 + t) ** -0.75 * base.values) for t in times]
-        out = energy_functionals(grid, samples, times)
+        out = energy_functionals(grid, [group_spectra(grid, z) for z in samples], times)
         assert np.allclose(out.n, out.n[0], rtol=1e-12)
         assert out.n[0] == pytest.approx(out.l2[0], rel=1e-12)
 
@@ -259,7 +260,7 @@ class TestEnergyFunctionals:
         grid = TorusGrid(dim=3, box_length=5.0, points_per_axis=8)
         times = np.linspace(0.0, 1.0, 5)
         samples = [half_lattice_forward(grid, _state_sample(grid, rng).values) for _ in times]
-        out = energy_functionals(grid, samples, times)
+        out = energy_functionals(grid, [group_spectra(grid, z) for z in samples], times)
         for arr in (out.n, out.d, out.n0, out.d0):
             assert np.all(np.diff(arr) >= -1e-14)
         # tilde dissipation dominates the plain one blockwise (Minkowski)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -305,6 +306,16 @@ class TestCli:
     def test_bad_option_value_exits_2_and_names_it(self, tmp_path, capsys, argv, option):
         assert main(argv + ["--out", str(tmp_path / "run")]) == 2
         assert f"error: {option}:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", [["besov", "norm", "--spec", "1,2,2"], ["kernel", "verify"]])
+    def test_zero_component_dump_exits_2_and_names_input(self, tmp_path, capsys, command):
+        # a well-formed header that declares no components: its empty payload has the expected size
+        dump = tmp_path / "empty.fqlz"
+        dump.write_bytes(struct.pack("<4sIIIdI4x", b"FQLZ", 1, 2, 16, 6.0, 0))
+        assert main(command + ["--input", str(dump), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --input: {dump}: " in err and "zero components" in err
         assert not (tmp_path / "run").exists()
 
     def test_every_valued_option_has_a_converter(self):

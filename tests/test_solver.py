@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from frequalize.grid import (
 from frequalize.linear_modes import GridModePropagator
 from frequalize.littlewood_paley import BlockIndexRange, block_profiles
 from frequalize.solver import (
+    ConstraintReport,
     SimState,
     SpectralProfile,
     StepperConfig,
@@ -34,6 +36,7 @@ from frequalize.solver import (
     constraint_monitor,
     decay_experiment,
     duhamel_check,
+    duhamel_sums,
     initial_data_gen,
     integrate,
     kernel_convolution,
@@ -51,6 +54,22 @@ def eq():
 @pytest.fixture(scope="module")
 def grid16():
     return TorusGrid(dim=3, box_length=50.0, points_per_axis=16)
+
+
+def keep_coefficients(z_hat, state):
+    """`integrate` observer: a copy of the sample's half-lattice coefficients, which the next step overwrites."""
+    return z_hat.copy()
+
+
+def keep_nothing(z_hat, state):
+    return None
+
+
+def constraint_series(state: SimState, cfg: StepperConfig, t_end: float, stride: int):
+    """The run's samples and the ConstraintReport stacked from each sample's `constraint_monitor`."""
+    series = integrate(state, cfg, t_end, lambda z_hat, sample: constraint_monitor(sample.grid, z_hat),
+                       sample_stride=stride)
+    return series, ConstraintReport(*np.array(series.states).T)
 
 
 def lin_rhs_oracle(state: SimState) -> np.ndarray:
@@ -196,7 +215,7 @@ class TestRhs:
 class TestStepping:
     def test_zero_data_stays_zero(self, eq, grid16):
         state = SimState(grid=grid16, eq=eq, time=0.0, z=np.zeros((10,) + grid16.shape))
-        out = integrate(state, StepperConfig(dt=0.25), 2.0, sample_stride=4)
+        out = integrate(state, StepperConfig(dt=0.25), 2.0, keep_coefficients, sample_stride=4)
         assert all(np.all(s == 0.0) for s in out.states)
 
     def test_rk4_convergence_order(self, eq, grid16):
@@ -204,8 +223,7 @@ class TestStepping:
         t_end, base_dt = 2.0, 0.4
 
         def terminal(dt):
-            series = integrate(init.state, StepperConfig(dt=dt), t_end, sample_stride=10**6)
-            return half_lattice_inverse(grid16, series.states[-1])
+            return integrate(init.state, StepperConfig(dt=dt), t_end, keep_nothing, sample_stride=10**6).final.z
 
         z1, z2, zref = terminal(base_dt), terminal(base_dt / 2), terminal(base_dt / 8)
         e1 = math.sqrt(float(np.sum((z1 - zref) ** 2)) * grid16.cell_volume)
@@ -217,11 +235,11 @@ class TestStepping:
     def test_linear_regime_matches_mode_propagator(self, eq):
         grid = TorusGrid(dim=3, box_length=100.0, points_per_axis=16)
         init = initial_data_gen(grid, eq, seed=11, amplitude=1e-6)
-        series = integrate(init.state, StepperConfig(dt=0.02), 1.0, sample_stride=10**6)
+        series = integrate(init.state, StepperConfig(dt=0.02), 1.0, keep_nothing, sample_stride=10**6)
         prop = GridModePropagator(grid, eq)
         zhat0 = np.fft.fftn(init.state.z, axes=(1, 2, 3))
         zlin = np.fft.ifftn(prop.apply(zhat0, 1.0), axes=(1, 2, 3)).real
-        z = half_lattice_inverse(grid, series.states[-1])
+        z = series.final.z
         rel = math.sqrt(float(np.sum((z - zlin) ** 2) / np.sum(zlin**2)))
         assert rel <= 1e-8
 
@@ -230,7 +248,7 @@ class TestStepping:
 
         grid = TorusGrid(dim=3, box_length=50.0, points_per_axis=16)
         init = initial_data_gen(grid, eq, seed=21, amplitude=1e-6)
-        series = integrate(init.state, StepperConfig(), 20.0, sample_stride=4)
+        series = integrate(init.state, StepperConfig(), 20.0, keep_coefficients, sample_stride=4)
         l2_nl = np.array([half_lattice_l2(grid, s) for s in series.states])
         prop = GridModePropagator(grid, eq)
         zhat0 = np.fft.fftn(init.state.z, axes=(1, 2, 3))
@@ -260,7 +278,7 @@ class TestStepping:
         init = initial_data_gen(grid16, eq, seed=5, amplitude=1e-2)
         monkeypatch.setattr(solver, "_quadratic", lambda z_hat, grid, eq, time, dealias: 2.0 * z_hat[1:4])
         with pytest.raises(SolverInstabilityError, match="norm grew"):
-            integrate(init.state, StepperConfig(dt=2.5), 60.0, sample_stride=10)
+            integrate(init.state, StepperConfig(dt=2.5), 60.0, keep_nothing, sample_stride=10)
 
     def test_advective_bound_rechecked_at_samples(self, eq, grid16):
         # a flow of speed 1: the CFL-default step covers 5 CFL steps, so
@@ -269,7 +287,7 @@ class TestStepping:
         z[1] = np.sin(2 * math.pi * grid16.coordinates[1] / grid16.box_length)
         state = SimState(grid=grid16, eq=eq, time=0.0, z=z)
         with pytest.raises(SolverInstabilityError, match=r"at t=0: h xi_max max\|u\| = 0\.7\d* > cfl = 0\.5"):
-            integrate(state, StepperConfig(), 5.0, sample_stride=5)
+            integrate(state, StepperConfig(), 5.0, keep_nothing, sample_stride=5)
 
     @pytest.mark.parametrize("stride,steps_per_sample", [(5, 1), (20, 2)])
     def test_cfl_default_one_table_and_one_step_per_sample(self, eq, grid16, monkeypatch, stride, steps_per_sample):
@@ -281,7 +299,7 @@ class TestStepping:
 
             monkeypatch.setattr(solver, name, counting)
         init = initial_data_gen(grid16, eq, seed=1, amplitude=1e-2)
-        series = integrate(init.state, StepperConfig(), 20.0, sample_stride=stride)
+        series = integrate(init.state, StepperConfig(), 20.0, keep_nothing, sample_stride=stride)
         intervals = math.ceil(20.0 / (stride * cfl_dt(init.state, StepperConfig())))
         h = 20.0 / (intervals * steps_per_sample)
         assert h <= solver.MAX_STEP
@@ -311,7 +329,7 @@ class TestStepping:
         dt = 0.1
         l2 = []
         for state in (init.state, fine_state):
-            out = integrate(state, StepperConfig(dt=dt), 2.0, sample_stride=10**6)
+            out = integrate(state, StepperConfig(dt=dt), 2.0, keep_coefficients, sample_stride=10**6)
             l2.append(half_lattice_l2(state.grid, out.states[-1]))
         assert abs(l2[1] - l2[0]) < 0.01 * l2[0]
 
@@ -322,7 +340,8 @@ class TestCoefficientMarch:
         eq = EquilibriumState(b_inf=(0.0, 0.0, 0.5))
         init = initial_data_gen(grid16, eq, seed=3, amplitude=5e-2)
         dt, stride = 0.1, 5
-        series = integrate(init.state, StepperConfig(dt=dt, dealias=dealias), 2.0, sample_stride=stride)
+        series = integrate(init.state, StepperConfig(dt=dt, dealias=dealias), 2.0, keep_coefficients,
+                           sample_stride=stride)
         oracle = lawson_oracle(init.state.z, grid16, eq, dt, 20, dealias=dealias)
         assert len(series.states) == 5
         for k, s in enumerate(series.states):
@@ -342,7 +361,7 @@ class TestCoefficientMarch:
 
         monkeypatch.setattr(SimState, "from_coefficients", classmethod(recording))
         init = initial_data_gen(grid16, eq, seed=7, amplitude=5e-2)
-        integrate(init.state, StepperConfig(dt=0.25, dealias=dealias), 2.0, sample_stride=1)
+        integrate(init.state, StepperConfig(dt=0.25, dealias=dealias), 2.0, keep_nothing, sample_stride=1)
         assert len(seen) == 8 * 4 + 8
         axes = (1, 2, 3)
         for z_hat in seen:
@@ -366,16 +385,14 @@ class TestCoefficientMarch:
 class TestConstraints:
     def test_compatible_data_machine_zero(self, eq, grid16):
         init = initial_data_gen(grid16, eq, seed=9, amplitude=1e-2)
-        series = integrate(init.state, StepperConfig(), 5.0, sample_stride=5)
-        rep = constraint_monitor(series)
+        _, rep = constraint_series(init.state, StepperConfig(), 5.0, 5)
         assert rep.electric_residual[0] <= 1e-12
         assert rep.magnetic_residual[0] <= 1e-12
         assert np.all(rep.relative <= 1e-12)
 
     def test_residual_drift_rate(self, eq, grid16):
         init = initial_data_gen(grid16, eq, seed=9, amplitude=1e-2)
-        series = integrate(init.state, StepperConfig(), 10.0, sample_stride=10)
-        rep = constraint_monitor(series)
+        series, rep = constraint_series(init.state, StepperConfig(), 10.0, 10)
         drift = (rep.electric_residual[-1] - rep.electric_residual[0]) / series.times[-1]
         assert abs(drift) <= 1e-9
 
@@ -386,14 +403,13 @@ class TestConstraints:
         state = init.state
         x = grid16.coordinates[0]
         state.z[4] += 1e-3 * np.sin(2 * math.pi * x / grid16.box_length)
-        series = integrate(state, StepperConfig(), 5.0, sample_stride=5)
-        rep = constraint_monitor(series)
+        _, rep = constraint_series(state, StepperConfig(), 5.0, 5)
         assert rep.electric_residual[0] > 1e-6
         assert np.allclose(rep.electric_residual, rep.electric_residual[0], rtol=1e-10)
 
     def test_mass_and_magnetic_means_conserved(self, eq, grid16):
         init = initial_data_gen(grid16, eq, seed=4, amplitude=3e-2)
-        series = integrate(init.state, StepperConfig(), 10.0, sample_stride=10)
+        series = integrate(init.state, StepperConfig(), 10.0, keep_coefficients, sample_stride=10)
         for s in series.states:
             z = half_lattice_inverse(grid16, s)
             assert abs(float(z[0].mean())) <= 1e-13
@@ -409,8 +425,7 @@ class TestInitialData:
 
     def test_constraint_residuals_machine_zero(self, eq, grid16):
         init = initial_data_gen(grid16, eq, seed=0, amplitude=1e-2)
-        series = integrate(init.state, StepperConfig(dt=0.5), 0.5, sample_stride=1)
-        rep = constraint_monitor(series)
+        _, rep = constraint_series(init.state, StepperConfig(dt=0.5), 0.5, 1)
         assert rep.electric_residual[0] <= 1e-12
 
     @pytest.mark.parametrize("key,value", [("xi_width", 0.0), ("band_limit", 0.0), ("band_limit", -1.0)])
@@ -499,24 +514,20 @@ class TestDuhamel:
         # essentially the kernel times the initial block power
         grid = TorusGrid(dim=3, box_length=50.0, points_per_axis=16)
         init = initial_data_gen(grid, eq, seed=8, amplitude=1e-5)
-        series = integrate(init.state, StepperConfig(), 10.0, sample_stride=2)
-        rep = duhamel_check(series)
+        series = integrate(init.state, StepperConfig(), 10.0, lambda z_hat, state: duhamel_sums(state, z_hat),
+                           sample_stride=2)
+        rep = duhamel_check(grid, series.times, series.states)
         assert rep.c1 > 0
         assert rep.c_bound < 100.0
         assert len(rep.modes) == 3
 
 
 class TestCoefficientSamples:
-    """Every diagnostic reads the march's half-lattice samples; the physical-state definitions pin them."""
+    """Each sample is reduced in one pass where `integrate` checks it; the physical-state definitions pin the result."""
 
     def test_diagnostics_match_physical_state_definitions(self, eq, grid16, monkeypatch):
         grid = grid16
-        result = decay_experiment(grid, eq, seed=4, amplitude=2e-2, t_end=4.0, sample_stride=2,
-                                  fit_window=(0.5, 4.0), run_duhamel=True)
-        series, f = result.series, result.functionals
-        assert len(series.states) >= 3
-
-        transforms = []
+        transforms, steps, samples = [], [], []
         for module in (grid_module, besov, solver):
             for name in ("half_lattice_forward", "forward_transform", "half_lattice_inverse"):
                 if hasattr(module, name):
@@ -525,17 +536,44 @@ class TestCoefficientSamples:
                         return _fn(*args, **kwargs)
 
                     monkeypatch.setattr(module, name, counting)
-        again = energy_functionals(grid, series.states, series.times)
-        constraints = constraint_monitor(series)
+
+        def lawson(*args, _fn=solver._lawson):
+            steps.append(args[4])  # the step's start time
+            return _fn(*args)
+
+        def copying(state, cfg, t_end, observe, _fn=solver.integrate, **kwargs):
+            # the coefficients are copied only to rebuild the definitions below
+            def both(z_hat, sample):
+                samples.append(z_hat.copy())
+                return observe(z_hat, sample)
+
+            return _fn(state, cfg, t_end, both, **kwargs)
+
+        monkeypatch.setattr(solver, "_lawson", lawson)
+        monkeypatch.setattr(solver, "integrate", copying)
+        result = decay_experiment(grid, eq, seed=4, amplitude=2e-2, t_end=4.0, sample_stride=2,
+                                  fit_window=(0.5, 4.0), run_duhamel=True)
+        series, f = result.series, result.functionals
+        n_samples = len(series.states)
+        assert n_samples >= 3 and len(samples) == n_samples
+        # four quadratic evaluations per step and the check of every sample after the input: the
+        # Duhamel sums and the dump read the checked physical state, the other records its coefficients
+        assert transforms.count("half_lattice_inverse") == 4 * len(steps) + n_samples - 1
+
+        # the three reductions of the stacked records call no transform
+        transforms.clear()
+        spectra, residuals, sums = zip(*series.states)
+        again = energy_functionals(grid, np.array(spectra), series.times)
+        constraints = ConstraintReport(*np.array(residuals).T)
+        duhamel = duhamel_check(grid, series.times, sums)
         assert transforms == []
         assert np.array_equal(again.d0, f.d0)
         assert np.array_equal(constraints.relative, result.constraints.relative)
-        duhamel_check(series)  # the counters see its one inverse transform per sample
-        assert transforms == ["half_lattice_inverse"] * len(series.states)
+        assert duhamel == result.duhamel
         monkeypatch.undo()
 
         # the definitions on the physical state: full-lattice transforms of each sample rebuilt
-        states = [half_lattice_inverse(grid, s) for s in series.states]
+        states = [half_lattice_inverse(grid, s) for s in samples]
         spectra = []
         for z in states:
             g = [forward_transform(PhysicalField(grid, z[sl])).shell_spectrum()
@@ -572,6 +610,28 @@ class TestCoefficientSamples:
                              (result.constraints.magnetic_residual[i], div_b)):
                 res = math.sqrt(float(np.sum(SpectralField(grid, div).shell_spectrum())))
                 assert abs(got - res) <= 1e-14 * l2[i]
+
+    def test_memory_peak_does_not_grow_with_the_sample_count(self, eq, grid16):
+        # the peak is taken from the first sample on: the table of E(h/2), built before it, is
+        # larger than every sample of this run together
+        init = initial_data_gen(grid16, eq, seed=1, amplitude=1e-2)
+
+        def observe(z_hat, state):
+            if state.time == init.state.time:
+                tracemalloc.reset_peak()
+
+        integrate(init.state, StepperConfig(dt=0.25), 5.0, observe, sample_stride=20)  # warm the caches
+        peaks = {}
+        for stride in (20, 1):
+            tracemalloc.start()
+            try:
+                out = integrate(init.state, StepperConfig(dt=0.25), 5.0, observe, sample_stride=stride)
+                peaks[len(out.states)] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert sorted(peaks) == [2, 21]
+        sample_bytes = 10 * grid16.points_per_axis**2 * grid16.half_width * np.dtype(complex).itemsize
+        assert abs(peaks[21] - peaks[2]) < sample_bytes
 
     def test_traced_run_counts_every_sample(self):
         # the benchmark's wrappers replace numpy.fft and scipy.fft for the whole process, so
