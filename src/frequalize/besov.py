@@ -13,10 +13,11 @@ prefix [t_0, t_i] (a running max at theta = inf, the cumulative trapezoid
 rule otherwise).  The l^r aggregation of its rows is the tilde norm; applied
 to one column, the aggregated Besov values, it is the plain mixed norm.
 
-Block L^2 norms come from the shell spectrum.  Every other block L^p norm
-takes one inverse transform per block: an irfftn of the block's half-lattice
-coefficients (the field is real, so the half holds every mirror pair once;
-coefficients handed in as a SpectralField must pass `require_hermitian`).
+Every norm reads the half lattice of a real field through one core,
+`half_lattice_besov`, which callers holding half-lattice coefficients call
+directly.  Block L^2 norms come from its shell spectrum; every other block
+L^p norm takes one irfftn of the block's half-lattice coefficients.  Blocks
+below the roundoff floor (`littlewood_paley.ROUNDOFF_FLOOR`) are dropped.
 """
 
 from __future__ import annotations
@@ -32,14 +33,13 @@ from .grid import (
     PhysicalField,
     SpectralField,
     TorusGrid,
-    forward_transform,
+    half_lattice_coefficients,
     half_lattice_inverse,
     half_lattice_spectrum,
     lp_norm,
-    require_hermitian,
     shell_l2_norms,
 )
-from .littlewood_paley import BlockIndexRange, block_profiles
+from .littlewood_paley import ROUNDOFF_FLOOR, BlockIndexRange, block_profiles
 
 
 @dataclass(frozen=True)
@@ -79,29 +79,17 @@ def ell_r(values: Sequence[float], r: float) -> float:
     return float(np.sum(arr**r) ** (1.0 / r))
 
 
-def _to_spectral(f: PhysicalField | SpectralField, p: float) -> SpectralField:
-    """The coefficients of f.  At p != 2 only their half lattice is read, so a
-    SpectralField handed in must be a real field's (`require_hermitian`)."""
-    if not isinstance(f, SpectralField):
-        return forward_transform(f)
-    if p != 2.0:
-        require_hermitian(f)
-    return f
-
-
-def _block_lp(g: SpectralField, qs: np.ndarray, p: float, homogeneous: bool) -> np.ndarray:
-    """Block L^p norms of g for every q in qs.
+def _block_lp(grid: TorusGrid, half: np.ndarray, qs: np.ndarray, p: float, homogeneous: bool) -> np.ndarray:
+    """Block L^p norms, for every q in qs, of the real field with half-lattice coefficients half.
 
     At p = 2 a dot product with the shell spectrum; otherwise one half-lattice
     irfftn per block.  A block of a real field is real (its multiplier is real
     and radial), so no symmetry gate is applied per block (on roundoff-level
-    blocks it would be meaningless); `_to_spectral` gates the input once.
+    blocks it would be meaningless).
     """
-    grid = g.grid
     profiles = block_profiles(grid, qs, homogeneous=homogeneous)
     if p == 2.0:
-        return shell_l2_norms(g.shell_spectrum(), profiles)
-    half = g.coefficients[..., : grid.half_width]
+        return shell_l2_norms(half_lattice_spectrum(grid, half), profiles)
     shells = grid.shell_index[..., : grid.half_width]
     # one block at a time: every block's coefficients at once would raise the memory peak
     return np.array([
@@ -109,25 +97,27 @@ def _block_lp(g: SpectralField, qs: np.ndarray, p: float, homogeneous: bool) -> 
     ])
 
 
-def besov_norm(f: PhysicalField | SpectralField, spec: BesovSpec) -> NormReport:
-    """Block-weighted norm: l^r over q of 2^(q s) ||block_q f||_Lp.
-
-    At p != 2 a SpectralField must hold the coefficients of a real field, as
-    `forward_transform` returns them: only its half lattice is read, so other
-    coefficients raise ConfigError.
-    """
-    g = _to_spectral(f, spec.p)
-    qs = BlockIndexRange.for_grid(g.grid).indices(spec.homogeneous)
-    raw = dict(zip(qs.tolist(), _block_lp(g, qs, spec.p, spec.homogeneous).tolist()))
-    # blocks at the transform's roundoff floor are artifacts, not content
-    floor = 1e-13 * max(raw.values(), default=0.0)
+def half_lattice_besov(grid: TorusGrid, half: np.ndarray, spec: BesovSpec) -> NormReport:
+    """`besov_norm` of the real field with half-lattice coefficients half[components, *half lattice]."""
+    qs = BlockIndexRange.for_grid(grid).indices(spec.homogeneous)
+    raw = dict(zip(qs.tolist(), _block_lp(grid, half, qs, spec.p, spec.homogeneous).tolist()))
+    floor = ROUNDOFF_FLOOR * max(raw.values(), default=0.0)
     contributions = {q: 2.0 ** (q * spec.s) * b for q, b in raw.items() if b > floor}
     value = ell_r(list(contributions.values()), spec.r)
     mean_mag = 0.0
     if spec.homogeneous:
-        zero = (slice(None),) + (0,) * g.grid.dim
-        mean_mag = float(np.linalg.norm(g.coefficients[zero])) / g.grid.volume
+        zero = (slice(None),) + (0,) * grid.dim
+        mean_mag = float(np.linalg.norm(half[zero])) / grid.volume
     return NormReport(spec=spec, value=value, contributions=contributions, mean_magnitude=mean_mag)
+
+
+def besov_norm(f: PhysicalField | SpectralField, spec: BesovSpec) -> NormReport:
+    """Block-weighted norm: l^r over q of 2^(q s) ||block_q f||_Lp.
+
+    Only the half lattice is read, so a SpectralField must hold a real
+    field's coefficients; other coefficients raise ConfigError.
+    """
+    return half_lattice_besov(f.grid, half_lattice_coefficients(f), spec)
 
 
 def negative_norm(f: PhysicalField | SpectralField, varrho: float) -> float:

@@ -36,7 +36,7 @@ from .errors import (
     NumericalError,
     prefixed,
 )
-from .grid import TorusGrid, forward_transform, gaussian_bump, random_band_limited_field
+from .grid import TorusGrid, gaussian_bump, random_band_limited_field
 from .harness import ExperimentConfig, merge_reports, write_csv, write_json, write_plot_script
 from .io import dump_field, load_field
 from .linear_modes import ContinuumData, gap_sweep, linear_decay_experiment
@@ -114,7 +114,7 @@ def cmd_lp_check(args) -> int:
         raise ConfigError(f"--fields: need at least one probe field, got {args.fields}")
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed)
-    fields = [forward_transform(random_band_limited_field(grid, 1, rng)) for _ in range(args.fields)]
+    fields = [random_band_limited_field(grid, 1, rng) for _ in range(args.fields)]
     lo, hi = bernstein_extremes(grid, fields)
     defect_in = partition_defect(grid, homogeneous=False)
     defect_hom = partition_defect(grid, homogeneous=True)

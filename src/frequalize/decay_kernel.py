@@ -22,9 +22,10 @@ domain extension).
 
 At p = 2 every quantity here is a radial weight (block profile times kernel
 or its power-law bounds) against |f_hat|^2, so the LHS and both regime
-diagnostics are dot products with the field's shell spectrum for all times
-at once; the L^r block norms of the high-frequency data (r != 2) go through
-the inverse transform in `besov`.
+diagnostics are dot products with the shell spectrum of the field's half
+lattice, read once, for all times at once; the L^r block norms of the
+high-frequency data (r != 2) go through the inverse transform in `besov`.
+Blocks below the roundoff floor are left out of both sides.
 
 On a torus the block index is bounded below by the box size, so the
 l^alpha tail as q -> -infinity is unobservable below xi_min = 2 pi / L;
@@ -39,10 +40,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .besov import BesovSpec, besov_norm, ell_r
+from .besov import BesovSpec, ell_r, half_lattice_besov
 from .errors import ConfigError, HypothesisError
-from .grid import PhysicalField, SpectralField, forward_transform, shell_l2_norms
-from .littlewood_paley import BlockIndexRange, block_profiles
+from .grid import PhysicalField, SpectralField, TorusGrid, half_lattice_coefficients, half_lattice_spectrum
+from .grid import shell_l2_norms
+from .littlewood_paley import ROUNDOFF_FLOOR, BlockIndexRange, block_profiles
 
 SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 _TAIL_EXTENSIONS = (1e1, 1e2, 1e3, 1e4)  # tail domain ends r_max of the divergence scan, in units of r0
@@ -163,11 +165,11 @@ class RhsNorms:
     high: float  # high-regularity Besov norm of the data
 
 
-def _rhs_norms(g: SpectralField, params: DecayParams) -> tuple[RhsNorms, dict[int, float]]:
-    """The data norms and the block L^r norms above the roundoff floor (the B^0_(r,inf)
-    contributions), which the high norm weights exactly as besov_norm would."""
-    lr_blocks = besov_norm(g, BesovSpec(0.0, params.r, math.inf, True)).contributions
-    low = besov_norm(g, BesovSpec(-params.rho, 2.0, math.inf, True)).value
+def _rhs_norms(grid: TorusGrid, half: np.ndarray, params: DecayParams) -> tuple[RhsNorms, dict[int, float]]:
+    """The data norms of the field with half-lattice coefficients half, and its block L^r norms above
+    the roundoff floor (the B^0_(r,inf) contributions), which the high norm weights as besov_norm would."""
+    lr_blocks = half_lattice_besov(grid, half, BesovSpec(0.0, params.r, math.inf, True)).contributions
+    low = half_lattice_besov(grid, half, BesovSpec(-params.rho, 2.0, math.inf, True)).value
     s_high = params.s + params.ell
     high = ell_r([2.0 ** (q * s_high) * b for q, b in lr_blocks.items()], params.alpha)
     return RhsNorms(low=low, high=high), lr_blocks
@@ -239,22 +241,22 @@ def verify_inequality(
     times = np.asarray(sorted(times), dtype=float)
     if times.size == 0:
         raise ConfigError("time grid must be nonempty")
-    g = f if isinstance(f, SpectralField) else forward_transform(f)
-    grid = g.grid
+    grid = f.grid
     n = grid.dim
     params.check(n)
+    half = half_lattice_coefficients(f)
 
-    norms, lr_norms = _rhs_norms(g, params)
+    norms, lr_norms = _rhs_norms(grid, half, params)
     gamma = gamma_factor(n, rate.sigma2, params.r)
     c_low_raw, c_high_raw = rate.split_constants(params.r_split)
     c_low, c_high = rate.c0 * c_low_raw, rate.c0 * c_high_raw
 
-    spectrum = g.shell_spectrum()
+    spectrum = half_lattice_spectrum(grid, half)
     radii = grid.shell_radii
     qs = BlockIndexRange.for_grid(grid).indices()
     profiles = block_profiles(grid, qs)
     base_blocks = shell_l2_norms(spectrum, profiles)
-    active = base_blocks > 1e-13 * base_blocks.max()
+    active = base_blocks > ROUNDOFF_FLOOR * base_blocks.max()
     qs, profiles = qs[active], profiles[active]
     weight = 2.0 ** (qs * params.s)
 

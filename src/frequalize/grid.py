@@ -28,10 +28,12 @@ zeroing it keeps real fields real under odd derivatives (S. G. Johnson,
 Notes on FFT-based differentiation, MIT 2011), and it makes the mirror -xi
 of every mode a mode of the lattice.
 
-`forward_transform` and `inverse_transform` are the calibrated full-lattice
-pair of `SpectralField`; they use numpy's transforms, so that generating
-data never loads scipy.fft.  `require_hermitian` rejects coefficients that
-are not a real field's before anything reads only their half lattice.
+Every norm of a real field reads its half lattice, which
+`half_lattice_coefficients` takes from samples (one rfftn) or, behind
+`require_hermitian`, from full-lattice coefficients.  `forward_transform`
+and `inverse_transform` are the calibrated full-lattice pair of
+`SpectralField`; they use numpy's transforms, so that generating data never
+loads scipy.fft.
 
 All operations are pure; reductions run in a fixed index order so repeated
 evaluations are bit-identical.
@@ -210,21 +212,6 @@ class SpectralField:
     def components(self) -> int:
         return self.coefficients.shape[0]
 
-    def power(self) -> np.ndarray:
-        """Pointwise |coefficients|^2 summed over components."""
-        return np.sum(np.abs(self.coefficients) ** 2, axis=0)
-
-    def shell_spectrum(self) -> np.ndarray:
-        """Power per shell over the box volume, indexed like grid.shell_radii.
-
-        Empty shells hold zero; the entries sum to the squared L^2 norm.
-        """
-        grid = self.grid
-        binned = np.bincount(
-            grid.shell_index.ravel(), weights=self.power().ravel(), minlength=grid.shell_radii.size
-        )
-        return binned / grid.volume
-
 
 def forward_transform(field: PhysicalField) -> SpectralField:
     """Continuum-calibrated DFT: f_hat_k = (L/N)^dim sum_j f(x_j) exp(-i xi_k.x_j)."""
@@ -272,7 +259,8 @@ def half_lattice_inverse(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
 
 
 def half_lattice_spectrum(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
-    """`SpectralField.shell_spectrum` of the real field with half-lattice coefficients half[..., *half lattice].
+    """Power per shell over the box volume, indexed like grid.shell_radii, of the real field with
+    half-lattice coefficients half[..., *half lattice]; the entries sum to the squared L^2 norm.
 
     Interior columns count twice: their mirrors, in the same shell, are off the half lattice.
     """
@@ -305,6 +293,15 @@ def require_hermitian(field: SpectralField) -> None:
             f"coefficients are not Hermitian symmetric: defect {defect:.3e} "
             f"(relative {defect / scale:.3e}) at component {idx[0]}, mode k={k}"
         )
+
+
+def half_lattice_coefficients(field: PhysicalField | SpectralField) -> np.ndarray:
+    """Half-lattice coefficients of a real field: one `half_lattice_forward` of its samples,
+    or the half of its full-lattice coefficients behind `require_hermitian`."""
+    if isinstance(field, PhysicalField):
+        return half_lattice_forward(field.grid, field.values)
+    require_hermitian(field)
+    return field.coefficients[..., : field.grid.half_width]
 
 
 def inverse_transform(field: SpectralField) -> PhysicalField:
@@ -346,7 +343,7 @@ def lp_norm(field: PhysicalField, p: float) -> float:
 
 def spectral_l2_norm(field: SpectralField) -> float:
     """L^2 norm evaluated in coefficient space via Parseval."""
-    return float(np.sqrt(np.sum(field.power()) / field.grid.volume))
+    return float(np.sqrt(np.sum(np.abs(field.coefficients) ** 2) / field.grid.volume))
 
 
 def shell_l2_norms(spectrum: np.ndarray, multipliers: np.ndarray) -> np.ndarray:

@@ -92,7 +92,8 @@ from .decay_kernel import euler_maxwell_rate
 from .equilibrium import EquilibriumState
 from .errors import ConfigError, IncompatibleDataError, NumericalError, prefixed
 from .fitting import DecayFit, fit_decay_exponent
-from .grid import SpectralField, TorusGrid, _reflected, shell_l2_norms
+from .grid import SpectralField, TorusGrid, _reflected, half_lattice_coefficients, half_lattice_l2
+from .grid import half_lattice_spectrum, shell_l2_norms
 
 STATE_DIM = 10
 _COND_LIMIT = 1e8
@@ -615,21 +616,6 @@ class GridModePropagator:
         c, matrices = self._prop.classes, self._prop.matrices
         return self._per_mode(zhat, lambda y: c.rotate(matrices[c.index] @ c.rotate(y, inverse=True)))
 
-    def constraint_residual(self, zhat: np.ndarray) -> float:
-        """|(rho + i xi.E, i xi.h)| over |zhat|, summed over every lattice mode.
-
-        In real form the two rows read rho - xi.E and xi.h, up to a unit
-        phase, at xi and at -xi alike.  A mirror that lies on the half
-        lattice is counted there.
-        """
-        y, xi = self._pairs(zhat), self._grid.half_modes
-        gauss_e = y[:, 0] - sum(xi[:, j, None] * y[:, 4 + j] for j in range(3))
-        gauss_h = sum(xi[:, j, None] * y[:, 7 + j] for j in range(3))
-        power = np.abs(gauss_e) ** 2 + np.abs(gauss_h) ** 2  # (n, 2): at xi and at -xi
-        off_half = self._mirrors % self._grid.points_per_axis >= self._grid.half_width
-        den = float(np.linalg.norm(zhat))
-        return math.sqrt(float(np.sum(power[:, 0]) + np.sum(power[off_half, 1]))) / den if den > 0 else 0.0
-
 
 @dataclass(frozen=True)
 class LinearSolution:
@@ -642,6 +628,15 @@ class LinearSolution:
     constraint_residuals: np.ndarray
 
 
+def _gauss_residual(grid: TorusGrid, half: np.ndarray) -> float:
+    """|(rho + i xi.E, i xi.h)| / |z| of the state with half-lattice coefficients half (xi: `half_modes`)."""
+    xi = grid.half_modes.T.reshape((3,) + half.shape[1:])
+    gauss_e = half[0] + 1j * sum(xi[j] * half[4 + j] for j in range(3))
+    gauss_h = 1j * sum(xi[j] * half[7 + j] for j in range(3))
+    den = half_lattice_l2(grid, half)
+    return half_lattice_l2(grid, np.stack([gauss_e, gauss_h])) / den if den > 0 else 0.0
+
+
 def linear_evolve_grid(
     z0: SpectralField,
     times: Sequence[float],
@@ -651,16 +646,18 @@ def linear_evolve_grid(
 ) -> LinearSolution:
     """Exact per-mode evolution of compatible lattice data.
 
-    Reports the derivative-weighted L^2 norms of orders 0, 1 and 2.
-    Requires constraint residual <= _COMPAT_TOL = 1e-10 and mean-free
-    density and magnetic data (the zero mode of the magnetic perturbation is
-    conserved, so a nonzero mean would never decay).
+    Reports the derivative-weighted L^2 norms of orders 0, 1 and 2, read on
+    the half lattice, so z0 must be a real field's (`require_hermitian`).
+    Requires constraint residual <= _COMPAT_TOL = 1e-10 and density and
+    magnetic means at most _COMPAT_TOL of the largest coefficient (the zero
+    mode of the magnetic perturbation is conserved, so a nonzero mean would
+    never decay).
     """
     if z0.components != STATE_DIM:
         raise ConfigError(f"state needs {STATE_DIM} components, got {z0.components}")
     grid = z0.grid
-    prop = GridModePropagator(grid, eq)
-    res0 = prop.constraint_residual(z0.coefficients)
+    half = half_lattice_coefficients(z0)
+    res0 = _gauss_residual(grid, half)
     if res0 > _COMPAT_TOL:
         raise IncompatibleDataError(
             f"initial data violates the divergence constraints (residual {res0:.3e})"
@@ -668,10 +665,11 @@ def linear_evolve_grid(
     zero = (0,) * grid.dim
     mean_scale = float(np.max(np.abs(z0.coefficients)))
     for comp in (0, 7, 8, 9):
-        if abs(z0.coefficients[comp][zero]) > _COMPAT_TOL * max(mean_scale, 1.0):
+        if abs(z0.coefficients[comp][zero]) > _COMPAT_TOL * mean_scale:
             raise IncompatibleDataError(
                 "density and magnetic data must be mean-free for decay runs"
             )
+    prop = GridModePropagator(grid, eq)
     times = np.asarray(times, dtype=float)
     weights = np.array([grid.shell_radii**k for k in range(3)])
     series = np.empty((times.size, 3))
@@ -679,8 +677,9 @@ def linear_evolve_grid(
     states: list[SpectralField] = []
     for i, t in enumerate(times):
         zt = SpectralField(grid, prop.apply(z0.coefficients, float(t)))
-        residuals[i] = prop.constraint_residual(zt.coefficients)
-        series[i] = shell_l2_norms(zt.shell_spectrum(), weights)
+        half = zt.coefficients[..., : grid.half_width]
+        residuals[i] = _gauss_residual(grid, half)
+        series[i] = shell_l2_norms(half_lattice_spectrum(grid, half), weights)
         if keep_states:
             states.append(zt)
     norms = {k: series[:, k] for k in range(3)}

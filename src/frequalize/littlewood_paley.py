@@ -11,15 +11,18 @@ shells overlapping any point, and they telescope:
     sum_{q in Z} phi(2^-q xi) = 1                    (xi != 0)
 
 The profiles are radial, so they are evaluated once per shell of the
-lattice (see `grid`).  Block L^2 norms (p = 2) are dot products of the
-squared shell profiles with the field's shell spectrum and never touch the
-lattice.  A lattice multiplier is gathered from the shell values only where
-a block itself is needed: on the full lattice for block extraction and
-decomposition, and on the half lattice [..., :N//2+1] for the
-inverse-transform route to block L^p norms with p != 2 (`besov`).  On the
-torus the homogeneous family never touches the zero mode, so homogeneous
-sums reconstruct a field up to its mean; that mean is the only polynomial
-the torus can represent, which realizes the usual quotient convention.
+lattice (see `grid`).  Block L^2 norms (p = 2) and the Bernstein ratios
+are dot products of the squared shell profiles with the shell spectrum of
+the field's half lattice and never touch the lattice.  A block below
+ROUNDOFF_FLOOR of its field's largest block over the whole index range is
+transform roundoff, and is treated as zero.  A lattice multiplier is
+gathered from the shell values only where a block itself is needed: on the
+full lattice for block extraction and decomposition, and on the half
+lattice [..., :N//2+1] for the inverse-transform route to block L^p norms
+with p != 2 (`besov`).  On the torus the homogeneous family never touches
+the zero mode, so homogeneous sums reconstruct a field up to its mean; that
+mean is the only polynomial the torus can represent, which realizes the
+usual quotient convention.
 """
 
 from __future__ import annotations
@@ -31,10 +34,12 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, ZeroBlockError
-from .grid import SpectralField, TorusGrid, shell_l2_norms
+from .grid import PhysicalField, SpectralField, TorusGrid, half_lattice_coefficients, half_lattice_spectrum
+from .grid import shell_l2_norms
 
 INNER_PLATEAU = 0.75  # chi == 1 inside this radius
 OUTER_SUPPORT = 4.0 / 3.0  # chi == 0 outside this radius
+ROUNDOFF_FLOOR = 1e-13  # blocks below this share of a field's largest block are transform roundoff
 
 
 def exponential_ramp(t: np.ndarray) -> np.ndarray:
@@ -155,30 +160,30 @@ def decompose(field: SpectralField, *, homogeneous: bool = True) -> LPDecomposit
     return LPDecomposition(source=field, homogeneous=homogeneous, blocks=blocks)
 
 
-def _bernstein_ratios(
-    field: SpectralField, qs: np.ndarray, order: float, homogeneous: bool
-) -> np.ndarray:
-    """Bernstein ratio of every block q in qs; nan where the block is zero."""
-    spectrum = field.shell_spectrum()
-    profiles = block_profiles(field.grid, qs, homogeneous=homogeneous)
+def _bernstein_ratios(grid: TorusGrid, half: np.ndarray, order: float, homogeneous: bool) -> dict[int, float]:
+    """{q: Bernstein ratio} of every block above the roundoff floor of the real field with
+    half-lattice coefficients half."""
+    qs = BlockIndexRange.for_grid(grid).indices(homogeneous)
+    spectrum = half_lattice_spectrum(grid, half)
+    profiles = block_profiles(grid, qs, homogeneous=homogeneous)
     base = shell_l2_norms(spectrum, profiles)
-    deriv = shell_l2_norms(field.grid.shell_radii ** (2 * order) * spectrum, profiles)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(base > 0, deriv / (2.0 ** (qs * order) * base), np.nan)
+    live = base > ROUNDOFF_FLOOR * base.max()
+    deriv = shell_l2_norms(grid.shell_radii ** (2 * order) * spectrum, profiles[live])
+    return dict(zip(qs[live].tolist(), (deriv / (2.0 ** (qs[live] * order) * base[live])).tolist()))
 
 
 def bernstein_ratio(
-    field: SpectralField, q: int, *, order: float = 1.0, homogeneous: bool = True
+    field: PhysicalField | SpectralField, q: int, *, order: float = 1.0, homogeneous: bool = True
 ) -> float:
     """Measured ratio ||Lambda^order block|| / (2^(q order) ||block||) in L^2.
 
     Support of the shell forces the ratio into [ (3/4)^order, (8/3)^order ].
-    Raises ZeroBlockError when the block vanishes on the lattice.
+    Raises ZeroBlockError when the block is zero or below the roundoff floor.
     """
-    ratio = _bernstein_ratios(field, np.array([q]), order, homogeneous)[0]
-    if np.isnan(ratio):
+    ratio = _bernstein_ratios(field.grid, half_lattice_coefficients(field), order, homogeneous).get(q)
+    if ratio is None:
         raise ZeroBlockError(f"block q={q} is zero; derivative ratio undefined")
-    return float(ratio)
+    return ratio
 
 
 def partition_defect(grid: TorusGrid, *, homogeneous: bool = False) -> float:
@@ -196,11 +201,10 @@ def partition_defect(grid: TorusGrid, *, homogeneous: bool = False) -> float:
     return float(np.max(np.abs(profiles.sum(axis=0)[occupied] - 1.0)))
 
 
-def bernstein_extremes(grid: TorusGrid, fields: list[SpectralField]) -> tuple[float, float]:
-    """(min, max) Bernstein ratio over all nonzero blocks of the given fields."""
-    qs = BlockIndexRange.for_grid(grid).indices()
-    ratios = np.concatenate([_bernstein_ratios(f, qs, 1.0, True) for f in fields])
-    ratios = ratios[~np.isnan(ratios)]
-    if ratios.size == 0:
+def bernstein_extremes(grid: TorusGrid, fields: list[PhysicalField | SpectralField]) -> tuple[float, float]:
+    """(min, max) Bernstein ratio over all blocks of the given fields above the roundoff floor."""
+    per_field = (_bernstein_ratios(grid, half_lattice_coefficients(f), 1.0, True) for f in fields)
+    ratios = [r for found in per_field for r in found.values()]
+    if not ratios:
         raise ConfigError("no nonzero blocks found in the supplied fields")
-    return float(ratios.min()), float(ratios.max())
+    return min(ratios), max(ratios)

@@ -66,7 +66,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .besov import BesovSpec, EnergyFunctionals, besov_norm, energy_functionals, group_spectra, negative_norm
+from .besov import BesovSpec, EnergyFunctionals, energy_functionals, group_spectra, half_lattice_besov
 from .besov import kernel_convolution
 from .decay_kernel import euler_maxwell_rate
 from .equilibrium import EquilibriumState
@@ -509,11 +509,12 @@ def initial_data_gen(
 
     z_hat = np.concatenate([rho_hat, vel_hat, e_hat, h_hat])
     state = SimState(grid=grid, eq=eq, time=0.0, z=inverse_transform(SpectralField(grid, z_hat)).values)
-    base = besov_norm(state.as_field(), BesovSpec(2.5, 2.0, 1.0, False)).value
+    half = z_hat[..., : grid.half_width]
+    base = half_lattice_besov(grid, half, BesovSpec(2.5, 2.0, 1.0, False)).value
     if base == 0.0:
         raise ConfigError("generated data is identically zero; widen the profile")
     state.z *= amplitude / base
-    low = negative_norm(state.as_field(), 1.5)
+    low = half_lattice_besov(grid, half * (amplitude / base), BesovSpec(-1.5, 2.0, math.inf, True)).value
     return InitialData(state=state, amplitude=amplitude, low_order_norm=low)
 
 

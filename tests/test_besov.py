@@ -15,6 +15,8 @@ from frequalize.besov import (
     negative_norm,
     running_time_norm,
 )
+from frequalize.decay_kernel import DecayParams, euler_maxwell_rate, verify_inequality
+from frequalize.equilibrium import EquilibriumState
 from frequalize.errors import ConfigError
 from frequalize.grid import (
     PhysicalField,
@@ -26,7 +28,8 @@ from frequalize.grid import (
     lp_norm,
     random_band_limited_field,
 )
-from frequalize.littlewood_paley import DEFAULT_CUTOFFS
+from frequalize.linear_modes import linear_evolve_grid
+from frequalize.littlewood_paley import DEFAULT_CUTOFFS, bernstein_extremes, bernstein_ratio
 
 
 @pytest.fixture(scope="module")
@@ -61,8 +64,8 @@ class TestBesovNorm:
                 assert rep.value == pytest.approx(2.0 ** (2 * s) * lp_norm(f, p), rel=1e-12)
 
     def test_non_hermitian_coefficients_rejected_off_p2(self, rng):
-        # coefficients that are not a real field's: at p != 2 only the half
-        # lattice would be read, so they must be refused, not silently halved
+        # coefficients that are not a real field's: only the half lattice
+        # would be read, so they must be refused at every p, not silently halved
         grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)
         z0 = forward_transform(PhysicalField(grid, rng.standard_normal((10,) + grid.shape)))
         noise = np.random.default_rng(67).standard_normal(z0.coefficients.shape)
@@ -70,7 +73,8 @@ class TestBesovNorm:
         for p in (1.0, 3.0, math.inf):
             with pytest.raises(ConfigError, match="not Hermitian"):
                 besov_norm(state, BesovSpec(0.0, p, 1.0, True))
-        assert besov_norm(state, BesovSpec(0.0, 2.0, 1.0, True)).value > 0  # p = 2 reads the whole lattice
+        with pytest.raises(ConfigError, match="not Hermitian"):
+            besov_norm(state, BesovSpec(0.0, 2.0, 1.0, True))
         assert besov_norm(z0, BesovSpec(0.0, 1.0, 1.0, True)).value > 0
 
     def test_summation_monotonicity(self, rng):
@@ -265,3 +269,42 @@ class TestEnergyFunctionals:
             assert np.all(np.diff(arr) >= -1e-14)
         # tilde dissipation dominates the plain one blockwise (Minkowski)
         assert np.all(out.d0 >= out.d - 1e-12)
+
+
+class TestHalfLatticeReads:
+    """Every norm of a real field reads its half lattice, from samples or from coefficients alike."""
+
+    def test_samples_and_their_coefficients_agree(self, rng):
+        grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=16)
+        f = random_band_limited_field(grid, 1, rng, zero_mean=False)
+        g = forward_transform(f)
+        for spec in (BesovSpec(2.5, 2.0, 1.0, False), BesovSpec(0.5, 2.0, 2.0, True),
+                     BesovSpec(1.5, 1.0, 2.0, True), BesovSpec(0.5, math.inf, math.inf, True)):
+            a, b = besov_norm(f, spec), besov_norm(g, spec)
+            assert a.contributions.keys() == b.contributions.keys(), spec
+            assert abs(a.value - b.value) <= 1e-12 * a.value, spec
+            assert abs(a.mean_magnitude - b.mean_magnitude) <= 1e-12 * a.mean_magnitude, spec
+        assert negative_norm(g, 1.5) == pytest.approx(negative_norm(f, 1.5), rel=1e-12)
+        for r in (1.0, 2.0):
+            params = DecayParams(s=0.0, ell=1.5 if r == 1.0 else 2.0, rho=1.5, r=r, alpha=2.0)
+            a, b = (verify_inequality(h, [0.0, 1.0, 10.0], params, euler_maxwell_rate()) for h in (f, g))
+            for name in ("lhs", "low", "high", "ratio"):
+                assert np.allclose(getattr(a, name), getattr(b, name), rtol=1e-12, atol=0.0), (r, name)
+        assert np.allclose(bernstein_extremes(grid, [f]), bernstein_extremes(grid, [g]), rtol=1e-12, atol=0.0)
+
+    def test_non_hermitian_coefficients_refused(self, rng):
+        grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)
+        z0 = forward_transform(random_band_limited_field(grid, 10, rng))
+        noise = np.random.default_rng(68).standard_normal(z0.coefficients.shape)
+        state = SpectralField(grid, z0.coefficients + 1j * noise)
+        rho = SpectralField(grid, state.coefficients[:1])
+        params = DecayParams(s=0.0, ell=2.0, rho=1.5, r=2.0, alpha=2.0)
+        calls = {
+            "besov_norm": lambda: besov_norm(rho, BesovSpec(0.0, 2.0, 1.0, True)),
+            "verify_inequality": lambda: verify_inequality(rho, [0.0, 1.0], params, euler_maxwell_rate()),
+            "bernstein_ratio": lambda: bernstein_ratio(rho, 0),
+            "linear_evolve_grid": lambda: linear_evolve_grid(state, [0.0, 1.0], EquilibriumState()),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ConfigError, match="not Hermitian"):
+                call()

@@ -472,6 +472,16 @@ class TestGridEvolution:
         with pytest.raises(IncompatibleDataError):
             linear_evolve_grid(bad, [0.0, 1.0], eq)
 
+    def test_magnetic_mean_of_small_data_rejected(self, eq, rng):
+        # the mean-free check is relative to the largest coefficient, also below a largest
+        # coefficient of 1 (here 1e-12)
+        grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)
+        coeffs = compatible_lattice_state(grid, rng).coefficients
+        coeffs *= 1e-12 / np.max(np.abs(coeffs))
+        coeffs[7, 0, 0, 0] = 1e-12
+        with pytest.raises(IncompatibleDataError, match="mean-free"):
+            linear_evolve_grid(SpectralField(grid, coeffs), [0.0, 1.0], eq)
+
 
 class TestContinuumDecay:
     def test_gaussian_optimal_exponents(self, eq):

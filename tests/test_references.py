@@ -21,6 +21,12 @@ flagged; the few kept for their tests alone are listed with their reasons.
 Only `grid.py` calls an FFT (fftn, ifftn, rfftn or irfftn, under any
 module): the grid decides the lattice, its calibration and its Nyquist
 planes, and every other module reads them through its transforms.
+
+A norm of a real field reads the field's half lattice and nothing else: no
+package module but `grid.py` and `solver.py` (whose data generator builds
+full-lattice coefficients) reads `forward_transform`, `__init__.py`
+re-exports aside, and no module in src/, tests/ or perfbench/ reads a
+`shell_spectrum`.
 """
 
 from __future__ import annotations
@@ -256,3 +262,27 @@ def test_checker_flags_an_fft_call():
         "    return irfftn(y), np.fft.fftfreq(4), np.fft.ifftn\n"
     )
     assert fft_calls(source) == ["6: fftn", "6: rfftn", "7: irfftn"]
+
+
+def readers_of(sources: dict[str, str], name: str) -> list[str]:
+    """The keys of sources whose code reads name, as `reads` counts reads."""
+    return [key for key, source in sources.items() if reads(source)[name]]
+
+
+def test_norms_read_the_half_lattice():
+    package = {p.name: p.read_text() for p in MODULES}
+    allowed = ("__init__.py", "grid.py", "solver.py")  # the re-export, the definition, the data generator
+    assert [name for name in readers_of(package, "forward_transform") if name not in allowed] == []
+    everything = {str(p.relative_to(ROOT)): p.read_text() for p in READERS}
+    assert readers_of(everything, "shell_spectrum") == []
+
+
+def test_checker_flags_a_reader():
+    sources = {
+        "a.py": "from .grid import forward_transform\n",
+        "b.py": "import grid\nx = grid.forward_transform\n",
+        "c.py": "def forward_transform():\n    \"\"\"forward_transform in a docstring is no read.\"\"\"\n",
+        "d.py": "s = field.shell_spectrum()\n",
+    }
+    assert readers_of(sources, "forward_transform") == ["a.py", "b.py"]
+    assert readers_of(sources, "shell_spectrum") == ["d.py"]
