@@ -35,7 +35,6 @@ from .errors import (
     NumericalError,
     SaturationWindowError,
     SolverInstabilityError,
-    ZeroBlockError,
 )
 from .fitting import DecayFit, fit_decay_exponent
 from .grid import (
@@ -69,7 +68,7 @@ from .littlewood_paley import (
     BlockIndexRange,
     LPDecomposition,
     RadialCutoffs,
-    bernstein_ratio,
+    bernstein_ratios,
     block,
     decompose,
     partition_defect,

@@ -115,7 +115,7 @@ def cmd_lp_check(args) -> int:
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed)
     fields = [random_band_limited_field(grid, 1, rng) for _ in range(args.fields)]
-    lo, hi = bernstein_extremes(grid, fields)
+    lo, hi = bernstein_extremes(fields)
     defect_in = partition_defect(grid, homogeneous=False)
     defect_hom = partition_defect(grid, homogeneous=True)
     header = ["pou_defect_inhom", "pou_defect_hom", "bernstein_min", "bernstein_max"]

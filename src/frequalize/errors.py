@@ -40,10 +40,6 @@ class DensityError(NumericalError):
     """Total density left the positive range during a nonlinear run."""
 
 
-class ZeroBlockError(NumericalError):
-    """A dyadic block is identically zero where a ratio is requested."""
-
-
 class IncompatibleDataError(FrequalizeError):
     """Mode data violates the divergence constraints beyond tolerance."""
 

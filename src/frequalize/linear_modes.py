@@ -98,7 +98,7 @@ from .grid import half_lattice_spectrum, shell_l2_norms
 STATE_DIM = 10
 _COND_LIMIT = 1e8
 _KEY_ULPS = 8  # class keys within this many ulps of |xi| are joined
-_TABLE_CHUNK = 2048  # modes per batched Taylor evaluation in mode_exponentials
+_TABLE_CHUNK = 512  # modes per batched Taylor evaluation in mode_exponentials: its temporaries take ~14 KB a mode
 # mode_exponentials takes exp(A) as the degree-40 Taylor polynomial of A / 2^s
 # squared s times, s the fewest halvings that bring ||A||_1 to <= 6 (scaling
 # and squaring: Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009; with

@@ -33,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, ZeroBlockError
+from .errors import ConfigError
 from .grid import PhysicalField, SpectralField, TorusGrid, half_lattice_coefficients, half_lattice_spectrum
 from .grid import shell_l2_norms
 
@@ -160,30 +160,17 @@ def decompose(field: SpectralField, *, homogeneous: bool = True) -> LPDecomposit
     return LPDecomposition(source=field, homogeneous=homogeneous, blocks=blocks)
 
 
-def _bernstein_ratios(grid: TorusGrid, half: np.ndarray, order: float, homogeneous: bool) -> dict[int, float]:
-    """{q: Bernstein ratio} of every block above the roundoff floor of the real field with
-    half-lattice coefficients half."""
-    qs = BlockIndexRange.for_grid(grid).indices(homogeneous)
-    spectrum = half_lattice_spectrum(grid, half)
-    profiles = block_profiles(grid, qs, homogeneous=homogeneous)
+def bernstein_ratios(field: PhysicalField | SpectralField, *, order: float = 1.0) -> dict[int, float]:
+    """{q: ||Lambda^order block|| / (2^(q order) ||block||) in L^2} over the homogeneous blocks of a real field
+    above the roundoff floor; support of the shell forces every ratio into [(3/4)^order, (8/3)^order]."""
+    grid = field.grid
+    qs = BlockIndexRange.for_grid(grid).indices(True)
+    spectrum = half_lattice_spectrum(grid, half_lattice_coefficients(field))
+    profiles = block_profiles(grid, qs, homogeneous=True)
     base = shell_l2_norms(spectrum, profiles)
     live = base > ROUNDOFF_FLOOR * base.max()
     deriv = shell_l2_norms(grid.shell_radii ** (2 * order) * spectrum, profiles[live])
     return dict(zip(qs[live].tolist(), (deriv / (2.0 ** (qs[live] * order) * base[live])).tolist()))
-
-
-def bernstein_ratio(
-    field: PhysicalField | SpectralField, q: int, *, order: float = 1.0, homogeneous: bool = True
-) -> float:
-    """Measured ratio ||Lambda^order block|| / (2^(q order) ||block||) in L^2.
-
-    Support of the shell forces the ratio into [ (3/4)^order, (8/3)^order ].
-    Raises ZeroBlockError when the block is zero or below the roundoff floor.
-    """
-    ratio = _bernstein_ratios(field.grid, half_lattice_coefficients(field), order, homogeneous).get(q)
-    if ratio is None:
-        raise ZeroBlockError(f"block q={q} is zero; derivative ratio undefined")
-    return ratio
 
 
 def partition_defect(grid: TorusGrid, *, homogeneous: bool = False) -> float:
@@ -201,10 +188,9 @@ def partition_defect(grid: TorusGrid, *, homogeneous: bool = False) -> float:
     return float(np.max(np.abs(profiles.sum(axis=0)[occupied] - 1.0)))
 
 
-def bernstein_extremes(grid: TorusGrid, fields: list[PhysicalField | SpectralField]) -> tuple[float, float]:
+def bernstein_extremes(fields: list[PhysicalField | SpectralField]) -> tuple[float, float]:
     """(min, max) Bernstein ratio over all blocks of the given fields above the roundoff floor."""
-    per_field = (_bernstein_ratios(grid, half_lattice_coefficients(f), 1.0, True) for f in fields)
-    ratios = [r for found in per_field for r in found.values()]
+    ratios = [r for f in fields for r in bernstein_ratios(f).values()]
     if not ratios:
         raise ConfigError("no nonzero blocks found in the supplied fields")
     return min(ratios), max(ratios)

@@ -1,12 +1,14 @@
-"""Property tests of the nonlinear march's blow-up norm and its exponential table.
+"""Property tests of the half-lattice Parseval norm and the nonlinear march's exponential table.
 
-`grid.half_lattice_l2` is the norm the march watches for blow-up: by
-half-lattice Parseval it must equal the L^2 norm of the real field whose
-calibrated half-lattice coefficients (rfftn times the cell volume) it reads.  `mode_exponentials`
+`grid.half_lattice_l2` is the Parseval norm of the half lattice, which the
+march's blow-up norm on its band reproduces (tests/test_solver.py): it must
+equal the L^2 norm of the real field whose calibrated half-lattice
+coefficients (rfftn times the cell volume) it reads.  `mode_exponentials`
 is the table that propagates the linear part: it must be the real form
 D^-1 exp(t M) D with D = diag(1, i I6, I3), and, because A(xi) is symmetric
 and the symmetric part of L is positive semidefinite, it never increases the
-A0-weighted mode norm.
+A0-weighted mode norm.  It is built in chunks of modes, and the chunk size
+changes no entry.
 """
 
 import math
@@ -17,6 +19,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frequalize import linear_modes
 from frequalize.equilibrium import EquilibriumState
 from frequalize.grid import TorusGrid, half_lattice_l2
 from frequalize.linear_modes import mode_exponentials, mode_matrices, system_matrices
@@ -64,3 +67,14 @@ def test_table_is_the_real_form_and_never_increases_the_a0_norm(b_inf, t, seed):
     root = np.sqrt(system_matrices(eq)[0])
     weighted = root[:, None] * table / root[None, :]
     assert np.max(np.linalg.norm(weighted, ord=2, axis=(1, 2))) <= 1.0 + 1e-12
+
+
+def test_chunk_size_changes_no_entry(monkeypatch):
+    # each mode's Taylor evaluation is independent of the others in its chunk
+    eq = EquilibriumState(b_inf=(0.0, 0.4, 0.3))
+    xi = random_modes(np.random.default_rng(9), 1500)
+    tables = []
+    for chunk in (7, 512):
+        monkeypatch.setattr(linear_modes, "_TABLE_CHUNK", chunk)
+        tables.append(mode_exponentials(xi, eq, 2.5))
+    assert np.array_equal(tables[0], tables[1])

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from frequalize.errors import ZeroBlockError
 from frequalize.grid import (
     PhysicalField,
     SpectralField,
@@ -20,7 +19,7 @@ from frequalize.grid import (
 from frequalize.littlewood_paley import (
     DEFAULT_CUTOFFS,
     BlockIndexRange,
-    bernstein_ratio,
+    bernstein_ratios,
     block,
     block_multiplier,
     block_profiles,
@@ -153,17 +152,14 @@ class TestBernstein:
         g = TorusGrid(dim=1, box_length=2 * np.pi, points_per_axis=32)
         x = g.coordinates[0]
         f = forward_transform(PhysicalField(g, np.sin(2 * x)))
-        assert bernstein_ratio(f, 0) == pytest.approx(2.0, rel=1e-12)
+        assert bernstein_ratios(f)[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_random_fields_within_shell_bounds(self, rng):
         g = TorusGrid(dim=2, box_length=5.0, points_per_axis=32)
         for _ in range(10):
-            f = forward_transform(random_band_limited_field(g, 1, rng))
-            for q in BlockIndexRange.for_grid(g):
-                try:
-                    r = bernstein_ratio(f, q)
-                except ZeroBlockError:
-                    continue
+            ratios = bernstein_ratios(forward_transform(random_band_limited_field(g, 1, rng)))
+            assert ratios and set(ratios) <= set(BlockIndexRange.for_grid(g))
+            for r in ratios.values():
                 assert 0.75 - 1e-12 <= r <= 8.0 / 3.0 + 1e-12
 
     def test_fractional_order_against_multiplier_oracle(self, rng):
@@ -176,13 +172,14 @@ class TestBernstein:
         num = np.sqrt(np.sum(g.frequency_magnitude * np.abs(blocked) ** 2))
         den = np.sqrt(np.sum(np.abs(blocked) ** 2))
         expected = num / den / 2 ** (q / 2)
-        got = bernstein_ratio(f, q, order=0.5)
+        got = bernstein_ratios(f, order=0.5)[q]
         assert got == pytest.approx(expected, rel=1e-12)
         assert math.sqrt(0.75) - 1e-12 <= got <= math.sqrt(8.0 / 3.0) + 1e-12
 
-    def test_zero_block_raises(self):
+    def test_zero_block_has_no_ratio(self):
         g = TorusGrid(dim=1, box_length=2 * np.pi, points_per_axis=16)
         x = g.coordinates[0]
         f = forward_transform(PhysicalField(g, np.cos(x)))
-        with pytest.raises(ZeroBlockError):
-            bernstein_ratio(f, 5)
+        # |xi| = 1 lies in the shells of q = -1 and 0 only: the other blocks of the range are zero
+        assert set(BlockIndexRange.for_grid(g)) == set(range(-2, 5))
+        assert bernstein_ratios(f) == pytest.approx({-1: 2.0, 0: 1.0}, rel=1e-12)

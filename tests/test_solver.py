@@ -277,7 +277,7 @@ class TestStepping:
         # the linear flow is propagated exactly, so no step size blows up by
         # itself; a growing quadratic part (dv = +2 v) must trip the 10x norm abort
         init = initial_data_gen(grid16, eq, seed=5, amplitude=1e-2)
-        monkeypatch.setattr(solver, "_quadratic", lambda z_hat, grid, eq, time, dealias: 2.0 * z_hat[1:4])
+        monkeypatch.setattr(solver, "_quadratic", lambda z, ops, eq, time: 2.0 * z[1:4])
         with pytest.raises(SolverInstabilityError, match="norm grew"):
             integrate(init.state, StepperConfig(dt=2.5), 60.0, keep_nothing, sample_stride=10)
 
@@ -333,6 +333,57 @@ class TestStepping:
             out = integrate(state, StepperConfig(dt=dt), 2.0, keep_coefficients, sample_stride=10**6)
             l2.append(half_lattice_l2(state.grid, out.states[-1]))
         assert abs(l2[1] - l2[0]) < 0.01 * l2[0]
+
+
+def in_cube(grid: TorusGrid) -> np.ndarray:
+    """The half-lattice modes inside the 2/3-rule cube |k_j| <= N // 3, counted on the integer lattice."""
+    n = grid.points_per_axis
+    k = np.abs(np.fft.fftfreq(n, 1.0 / n))
+    cube = np.meshgrid(*([k] * (grid.dim - 1) + [k[: grid.half_width]]), indexing="ij")
+    return np.logical_and.reduce([c <= n // 3 for c in cube])
+
+
+class TestBand:
+    """The march's state, table and stages live on the dealiased band; samples are scattered back."""
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_one_table_on_the_band(self, eq, grid16, monkeypatch, dealias):
+        tables = []
+
+        def counting(xi, *args, _fn=solver.mode_exponentials):
+            tables.append(len(xi))
+            return _fn(xi, *args)
+
+        monkeypatch.setattr(solver, "mode_exponentials", counting)
+        init = initial_data_gen(grid16, eq, seed=1, amplitude=1e-2)
+        integrate(init.state, StepperConfig(dealias=dealias), 10.0, keep_nothing, sample_stride=5)
+        cube = in_cube(grid16)
+        assert tables == [int(cube.sum()) if dealias else cube.size]
+        assert tables[0] == (11 * 11 * 6 if dealias else 16 * 16 * 9)
+
+    def test_observed_coefficients_vanish_off_the_cube(self, eq, grid16):
+        outside = ~in_cube(grid16)
+        seen = []
+
+        def observe(z_hat, state):
+            seen.append(state.time)
+            assert np.all(z_hat[:, outside] == 0.0)
+            assert np.any(z_hat[:, ~outside] != 0.0)
+
+        init = initial_data_gen(grid16, eq, seed=2, amplitude=2e-2)
+        integrate(init.state, StepperConfig(), 6.0, observe, sample_stride=2)
+        assert len(seen) >= 3
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_band_norm_is_the_half_lattice_parseval_norm(self, grid16, dealias):
+        # the blow-up norm reads the band's weights; the scattered band has the same L^2 norm
+        ops = solver._ops(grid16, dealias)
+        values = np.random.default_rng(5).standard_normal((10,) + grid16.shape)
+        z = ops.gather(grid_module.half_lattice_forward(grid16, values))
+        want = half_lattice_l2(grid16, ops.scatter(z))
+        assert abs(ops.norm(z) - want) <= 1e-13 * want
+        if not dealias:
+            assert abs(want - math.sqrt(float(np.sum(values**2)) * grid16.cell_volume)) <= 1e-13 * want
 
 
 class TestCoefficientMarch:
