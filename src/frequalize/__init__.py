@@ -46,7 +46,6 @@ from .grid import (
     inverse_transform,
     lp_norm,
     random_band_limited_field,
-    solenoidal_projection,
     spectral_l2_norm,
 )
 from .io import dump_field, load_field

@@ -30,10 +30,14 @@ of every mode a mode of the lattice.
 
 Every norm of a real field reads its half lattice, which
 `half_lattice_coefficients` takes from samples (one rfftn) or, behind
-`require_hermitian`, from full-lattice coefficients.  `forward_transform`
-and `inverse_transform` are the calibrated full-lattice pair of
-`SpectralField`; they use numpy's transforms, so that generating data never
-loads scipy.fft.
+`require_hermitian`, from full-lattice coefficients.  The random fields, the
+solver's initial data and the lattice mode propagator are built on the half
+lattice too, so generating data loads scipy.fft, the library of the
+half-lattice pair; importing the package does not.
+`full_lattice_coefficients` fills a half lattice out to the full lattice of
+a `SpectralField` with conjugate mirrors.  `forward_transform` and
+`inverse_transform` are the calibrated full-lattice pair of `SpectralField`,
+on numpy's transforms.
 
 All operations are pure; reductions run in a fixed index order so repeated
 evaluations are bit-identical.
@@ -151,6 +155,15 @@ class TorusGrid:
         axis = np.where(2 * np.arange(n) == n, 0.0, self.axis_frequencies)
         xi = np.meshgrid(*([axis] * (self.dim - 1) + [axis[: self.half_width]]), indexing="ij")
         return np.stack([c.ravel() for c in xi] + [np.zeros(xi[0].size)] * (3 - self.dim), axis=1)
+
+    @cached_property
+    def mirror_index(self) -> np.ndarray:
+        """Flat half-lattice index of the mirror -k of every mode k past the half lattice (k_N > N/2),
+        in the shape grid.shape[:-1] + (N - half_width,) of those modes."""
+        n = self.points_per_axis
+        neg = -np.arange(n) % n
+        mirror = np.meshgrid(*([neg] * (self.dim - 1) + [neg[self.half_width:]]), indexing="ij")
+        return np.ravel_multi_index(mirror, self.shape[:-1] + (self.half_width,))
 
     @cached_property
     def coordinates(self) -> tuple[np.ndarray, ...]:
@@ -304,29 +317,24 @@ def half_lattice_coefficients(field: PhysicalField | SpectralField) -> np.ndarra
     return field.coefficients[..., : field.grid.half_width]
 
 
+def full_lattice_coefficients(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
+    """Full-lattice coefficients of the real field with half-lattice coefficients half[c, *half lattice].
+
+    The columns past the half lattice are the conjugates of their mirrors,
+    gathered through `TorusGrid.mirror_index`.
+    """
+    full = np.empty(half.shape[:-1] + (grid.points_per_axis,), dtype=complex)
+    full[..., : grid.half_width] = half
+    full[..., grid.half_width :] = np.conj(half.reshape(len(half), -1)[:, grid.mirror_index])
+    return full
+
+
 def inverse_transform(field: SpectralField) -> PhysicalField:
     """Exact inverse of :func:`forward_transform`, behind :func:`require_hermitian`."""
     require_hermitian(field)
     grid = field.grid
     axes = tuple(range(1, grid.dim + 1))
     return PhysicalField(grid, np.fft.ifftn(field.coefficients, axes=axes).real / grid.cell_volume)
-
-
-def solenoidal_projection(field: SpectralField) -> SpectralField:
-    """Remove the longitudinal part: g -> g - xi (xi.g)/|xi|^2 (zero mode kept)."""
-    grid = field.grid
-    if field.components != grid.dim:
-        raise ConfigError(
-            f"solenoidal projection expects {grid.dim} components, got {field.components}"
-        )
-    xi = grid.frequency_vectors
-    sq = grid.frequency_magnitude**2
-    safe = np.where(sq > 0, sq, 1.0)
-    dot = sum(xi[j] * field.coefficients[j] for j in range(grid.dim))
-    out = np.stack(
-        [field.coefficients[j] - xi[j] * dot / safe for j in range(grid.dim)]
-    )
-    return SpectralField(grid, out)
 
 
 def lp_norm(field: PhysicalField, p: float) -> float:
@@ -368,18 +376,17 @@ def random_band_limited_field(
 
     White noise is shaped by a Gaussian spectral envelope of width 0.5 xi_max
     (half the Nyquist magnitude) and cut to zero above 0.75 xi_max, so every
-    generated field stays clear of the unpaired Nyquist row.
+    generated field stays clear of the unpaired Nyquist row.  The envelope
+    acts on the noise's half lattice.
     """
-    white = rng.standard_normal((components,) + grid.shape)
-    axes = tuple(range(1, grid.dim + 1))
-    coeffs = np.fft.fftn(white, axes=axes)
-    mag = grid.frequency_magnitude
+    half = half_lattice_forward(grid, rng.standard_normal((components,) + grid.shape))
+    mag = grid.frequency_magnitude[..., : grid.half_width]
     shape = np.exp(-0.5 * (mag / (0.5 * grid.xi_max)) ** 2)
     shape[mag > 0.75 * grid.xi_max] = 0.0
-    coeffs *= shape
+    half *= shape
     if zero_mean:
-        coeffs[(slice(None),) + (0,) * grid.dim] = 0.0
-    values = np.fft.ifftn(coeffs, axes=axes).real
+        half[(slice(None),) + (0,) * grid.dim] = 0.0
+    values = half_lattice_inverse(grid, half)
     scale = np.max(np.abs(values))
     if scale > 0:
         values = values / scale

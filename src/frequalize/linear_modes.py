@@ -68,10 +68,9 @@ Every other caller reads that propagator:
 - `GridModePropagator`: one row per half-lattice mode
   (`TorusGrid.half_modes`, xi_j zeroed on the Nyquist planes), the
   frequencies of the solver's table, with P V and V^-1 P^T of its class.
-  Every lattice mode is a half-lattice mode or the mirror -xi of one.
-  Q = -I gives R(-xi) = S R(xi) S with S = D^2 = diag(1, -I6, I3), hence
-  exp(t M(-xi)) z = D^-1 exp(t R(xi)) D z, while exp(t M(xi)) z =
-  D exp(t R(xi)) D^-1 z: one orbit carries both, as two columns.
+  Every lattice mode is a half-lattice mode or the mirror -xi of one, and
+  M(-xi) = conj(M(xi)), so the coefficients of a real field stay those of a
+  real field and its half lattice carries the whole evolution.
 
 Whole-space decay experiments avoid the torus infrared cutoff by radial
 quadrature over continuum modes; lattice evolution is available for
@@ -92,7 +91,7 @@ from .decay_kernel import euler_maxwell_rate
 from .equilibrium import EquilibriumState
 from .errors import ConfigError, IncompatibleDataError, NumericalError, prefixed
 from .fitting import DecayFit, fit_decay_exponent
-from .grid import SpectralField, TorusGrid, _reflected, half_lattice_coefficients, half_lattice_l2
+from .grid import SpectralField, TorusGrid, full_lattice_coefficients, half_lattice_coefficients, half_lattice_l2
 from .grid import half_lattice_spectrum, shell_l2_norms
 
 STATE_DIM = 10
@@ -144,8 +143,6 @@ def _a0_diagonal(eq: EquilibriumState) -> np.ndarray:
 
 # D = diag(1, i I6, I3): D^-1 M(xi) D is real for every xi and B_inf
 REAL_FORM_PHASES = np.array([1.0] + [1j] * 6 + [1.0] * 3)
-# columns (D, D^-1): the phases of a mode and of its mirror in GridModePropagator
-_PAIR_PHASES = np.stack([REAL_FORM_PHASES, REAL_FORM_PHASES.conj()], axis=1)
 
 
 def real_mode_matrices(xi: np.ndarray, eq: EquilibriumState) -> np.ndarray:
@@ -569,52 +566,34 @@ def pointwise_decay_check(
 
 
 class GridModePropagator:
-    """The batched propagator over every mode of a full lattice.
+    """The batched propagator over every mode of a half lattice.
 
     Only the classes of the grid's half-lattice modes are decomposed; every
-    half-lattice mode takes its class's eigenvectors rotated by its P, and
-    the other modes are their mirrors -xi (see the module docstring).  Any
-    coefficients are accepted, Hermitian or not.
+    half-lattice mode takes its class's eigenvectors rotated by its P.
+    Coefficients come and go as (10, *half lattice) arrays, those of a real
+    field or any others: each mode is propagated on its own.
     """
 
     def __init__(self, grid: TorusGrid, eq: EquilibriumState):
-        self._grid = grid
-        # flat lattice index of the mirror -k of every half-lattice mode k
-        lattice = np.arange(grid.points_per_axis**grid.dim).reshape((1,) + grid.shape)
-        self._mirrors = _reflected(lattice, grid.dim)[..., : grid.half_width].ravel()
+        self._shape = (STATE_DIM,) + grid.shape[:-1] + (grid.half_width,)
         self._prop = _EigenPropagator(grid.half_modes, eq).for_each_mode()
 
-    def _pairs(self, zhat: np.ndarray) -> np.ndarray:
-        """y[n, 10, 2] of zhat (10, *grid.shape): D^-1 zhat at every half-lattice mode xi, D zhat at -xi."""
-        y = np.empty((len(self._mirrors), STATE_DIM, 2), dtype=complex)
-        y[..., 0] = zhat[..., : self._grid.half_width].reshape(STATE_DIM, -1).T
-        y[..., 1] = zhat.reshape(STATE_DIM, -1)[:, self._mirrors].T
-        y *= _PAIR_PHASES.conj()
-        return y
+    def _per_mode(self, half: np.ndarray, real_op: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """A modewise operator on half (10, *half lattice): real_op(y) applies the real-form operator of
+        every half-lattice mode to the rows of y = D^-1 half, which come back through D."""
+        if half.shape != self._shape:
+            raise ConfigError(f"half-lattice coefficients of shape {half.shape} != {self._shape}")
+        y = half.reshape(STATE_DIM, -1).T * REAL_FORM_PHASES.conj()
+        return (real_op(y).reshape(y.shape) * REAL_FORM_PHASES).T.reshape(self._shape)
 
-    def _per_mode(self, zhat: np.ndarray, real_op: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """A modewise operator on every lattice mode of zhat (10, *grid.shape).
+    def apply(self, half: np.ndarray, t: float) -> np.ndarray:
+        """Propagate stacked half-lattice coefficients (10, *half lattice) by time t."""
+        return self._per_mode(half, lambda y: next(self._prop.orbit(y, [t])))
 
-        real_op(y) applies the real-form operator of every half-lattice mode
-        xi to both columns of y = `_pairs(zhat)`.  They come back through D
-        and D^-1: the second onto the mirrors, then the first onto the half
-        lattice.
-        """
-        out = (real_op(self._pairs(zhat)) * _PAIR_PHASES).transpose(1, 0, 2)
-        result = np.empty(zhat.shape, dtype=complex)
-        result.reshape(STATE_DIM, -1)[:, self._mirrors] = out[..., 1]
-        half = result[..., : self._grid.half_width]
-        half[...] = out[..., 0].reshape(half.shape)
-        return result
-
-    def apply(self, zhat: np.ndarray, t: float) -> np.ndarray:
-        """Propagate stacked coefficients (10, *grid.shape) by time t."""
-        return self._per_mode(zhat, lambda y: next(self._prop.orbit(y, [t])))
-
-    def generator_apply(self, zhat: np.ndarray) -> np.ndarray:
+    def generator_apply(self, half: np.ndarray) -> np.ndarray:
         """Apply M(xi) modewise (the exact linear right-hand side): R(xi) = P R_k P^T of its class k."""
         c, matrices = self._prop.classes, self._prop.matrices
-        return self._per_mode(zhat, lambda y: c.rotate(matrices[c.index] @ c.rotate(y, inverse=True)))
+        return self._per_mode(half, lambda y: c.rotate(matrices[c.index] @ c.rotate(y, inverse=True)[..., None]))
 
 
 @dataclass(frozen=True)
@@ -646,26 +625,28 @@ def linear_evolve_grid(
 ) -> LinearSolution:
     """Exact per-mode evolution of compatible lattice data.
 
-    Reports the derivative-weighted L^2 norms of orders 0, 1 and 2, read on
-    the half lattice, so z0 must be a real field's (`require_hermitian`).
-    Requires constraint residual <= _COMPAT_TOL = 1e-10 and density and
-    magnetic means at most _COMPAT_TOL of the largest coefficient (the zero
-    mode of the magnetic perturbation is conserved, so a nonzero mean would
-    never decay).
+    z0 must be a real field's (`require_hermitian`): its half lattice is
+    propagated, and the derivative-weighted L^2 norms of orders 0, 1 and 2
+    are read there.  With keep_states, each state is filled out to the full
+    lattice by conjugate mirrors (`full_lattice_coefficients`).  Requires
+    constraint residual <= _COMPAT_TOL = 1e-10 and density and magnetic
+    means at most _COMPAT_TOL of the largest coefficient (the zero mode of
+    the magnetic perturbation is conserved, so a nonzero mean would never
+    decay).
     """
     if z0.components != STATE_DIM:
         raise ConfigError(f"state needs {STATE_DIM} components, got {z0.components}")
     grid = z0.grid
-    half = half_lattice_coefficients(z0)
-    res0 = _gauss_residual(grid, half)
+    half0 = half_lattice_coefficients(z0)
+    res0 = _gauss_residual(grid, half0)
     if res0 > _COMPAT_TOL:
         raise IncompatibleDataError(
             f"initial data violates the divergence constraints (residual {res0:.3e})"
         )
     zero = (0,) * grid.dim
-    mean_scale = float(np.max(np.abs(z0.coefficients)))
+    mean_scale = float(np.max(np.abs(half0)))
     for comp in (0, 7, 8, 9):
-        if abs(z0.coefficients[comp][zero]) > _COMPAT_TOL * mean_scale:
+        if abs(half0[comp][zero]) > _COMPAT_TOL * mean_scale:
             raise IncompatibleDataError(
                 "density and magnetic data must be mean-free for decay runs"
             )
@@ -676,12 +657,11 @@ def linear_evolve_grid(
     residuals = np.empty(times.size)
     states: list[SpectralField] = []
     for i, t in enumerate(times):
-        zt = SpectralField(grid, prop.apply(z0.coefficients, float(t)))
-        half = zt.coefficients[..., : grid.half_width]
+        half = prop.apply(half0, float(t))
         residuals[i] = _gauss_residual(grid, half)
         series[i] = shell_l2_norms(half_lattice_spectrum(grid, half), weights)
         if keep_states:
-            states.append(zt)
+            states.append(SpectralField(grid, full_lattice_coefficients(grid, half)))
     norms = {k: series[:, k] for k in range(3)}
     return LinearSolution(
         grid=grid, times=times, states=states, norms=norms, constraint_residuals=residuals

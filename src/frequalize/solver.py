@@ -71,16 +71,7 @@ from .decay_kernel import euler_maxwell_rate
 from .equilibrium import EquilibriumState
 from .errors import ConfigError, DensityError, SolverInstabilityError
 from .fitting import DecayFit, fit_decay_exponent
-from .grid import (
-    PhysicalField,
-    SpectralField,
-    TorusGrid,
-    forward_transform,
-    half_lattice_forward,
-    half_lattice_inverse,
-    inverse_transform,
-    solenoidal_projection,
-)
+from .grid import PhysicalField, TorusGrid, half_lattice_forward, half_lattice_inverse
 from .linear_modes import REAL_FORM_PHASES, mode_exponentials, real_mode_matrices
 from .littlewood_paley import DEFAULT_CUTOFFS
 
@@ -425,25 +416,28 @@ def integrate(
     grid, eq = state.grid, state.eq
     ops = _ops(grid, cfg.dealias)
     half = mode_exponentials(ops.modes, eq, 0.5 * h)
-    z = ops.gather(half_lattice_forward(grid, state.z))
-    base = ops.norm(z)
-    times, states = [state.time], [observe(ops.scatter(z), state)]
-    for k in range(1, n_steps + 1):
-        z = _lawson(z, half, ops, eq, state.time + (k - 1) * h, h)
-        t = state.time + k * h
-        if not np.all(np.isfinite(z)):
-            raise SolverInstabilityError(f"non-finite state at t={t:g} (step {k})")
-        norm = ops.norm(z)
-        if base > 0 and norm > 10.0 * base:
-            raise SolverInstabilityError(f"norm grew {norm / base:.2f}x past the abort threshold at t={t:g}")
-        if k % stride == 0 or k == n_steps:
-            final = SimState.from_coefficients(grid, eq, t, ops.scatter(z))
-            _check_sample(final, h, cfg.cfl)
-            times.append(t)
-            states.append(observe(ops.buffer, final))
-            if k < n_steps:
-                del final  # no sample is held through the steps that follow
-    return SimulationSeries(times=np.array(times), states=states, final=final)
+    try:
+        z = ops.gather(half_lattice_forward(grid, state.z))
+        base = ops.norm(z)
+        times, states = [state.time], [observe(ops.scatter(z), state)]
+        for k in range(1, n_steps + 1):
+            z = _lawson(z, half, ops, eq, state.time + (k - 1) * h, h)
+            t = state.time + k * h
+            if not np.all(np.isfinite(z)):
+                raise SolverInstabilityError(f"non-finite state at t={t:g} (step {k})")
+            norm = ops.norm(z)
+            if base > 0 and norm > 10.0 * base:
+                raise SolverInstabilityError(f"norm grew {norm / base:.2f}x past the abort threshold at t={t:g}")
+            if k % stride == 0 or k == n_steps:
+                final = SimState.from_coefficients(grid, eq, t, ops.scatter(z))
+                _check_sample(final, h, cfg.cfl)
+                times.append(t)
+                states.append(observe(ops.buffer, final))
+                if k < n_steps:
+                    del final  # no sample is held through the steps that follow
+        return SimulationSeries(times=np.array(times), states=states, final=final)
+    finally:
+        vars(ops).pop("buffer", None)  # a finished run keeps no buffer in the cache
 
 
 @dataclass(frozen=True)
@@ -505,30 +499,23 @@ def initial_data_gen(
         )
     edge = ops.band_edge if profile.band_limit is None else min(profile.band_limit, ops.band_edge)
     rng = np.random.default_rng(seed)
-    mag = grid.frequency_magnitude
-    env = profile.envelope(mag, edge)
-    zero = (slice(None),) + (0,) * grid.dim
+    # one draw of the ten components is the draws of rho, velocity, E and h in turn
+    half = half_lattice_forward(grid, rng.standard_normal((STATE_DIM,) + grid.shape))
+    mag = grid.frequency_magnitude[..., : grid.half_width]
+    half *= profile.envelope(mag, edge)
+    half[(slice(None),) + (0,) * grid.dim] = 0.0
 
-    def smooth(ncomp: int) -> np.ndarray:
-        white = PhysicalField(grid, rng.standard_normal((ncomp,) + grid.shape))
-        coeffs = forward_transform(white).coefficients * env
-        coeffs[zero] = 0.0
-        return coeffs
-
-    xi = grid.frequency_vectors
+    xi = [c[..., : grid.half_width] for c in grid.frequency_vectors]
     sq = mag**2
     safe = np.where(sq > 0, sq, 1.0)
-
-    rho_hat = smooth(1)
-    vel_hat = smooth(3)
-    e_hat = solenoidal_projection(SpectralField(grid, smooth(3))).coefficients
+    for field in (half[4:7], half[7:10]):  # the solenoidal parts of E and h
+        dot = sum(xi[j] * field[j] for j in range(grid.dim))
+        for j in range(grid.dim):
+            field[j] -= xi[j] * dot / safe
     for j in range(grid.dim):
-        e_hat[j] += 1j * xi[j] * rho_hat[0] / safe  # div E = -rho
-    h_hat = solenoidal_projection(SpectralField(grid, smooth(3))).coefficients
+        half[4 + j] += 1j * xi[j] * half[0] / safe  # div E = -rho
 
-    z_hat = np.concatenate([rho_hat, vel_hat, e_hat, h_hat])
-    state = SimState(grid=grid, eq=eq, time=0.0, z=inverse_transform(SpectralField(grid, z_hat)).values)
-    half = z_hat[..., : grid.half_width]
+    state = SimState.from_coefficients(grid, eq, 0.0, half)
     base = half_lattice_besov(grid, half, BesovSpec(2.5, 2.0, 1.0, False)).value
     if base == 0.0:
         raise ConfigError("generated data is identically zero; widen the profile")

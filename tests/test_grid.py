@@ -14,7 +14,6 @@ from frequalize.grid import (
     inverse_transform,
     lp_norm,
     random_band_limited_field,
-    solenoidal_projection,
     spectral_l2_norm,
 )
 from frequalize.io import HEADER_SIZE, dump_field, load_field
@@ -138,13 +137,30 @@ class TestTransforms:
             PhysicalField(g, vals)
 
 
-class TestDerivatives:
-    def test_divergence_of_solenoidal_projection_vanishes(self, rng):
-        g = TorusGrid(dim=3, box_length=3.0, points_per_axis=16)
-        v = random_band_limited_field(g, 3, rng)
-        proj = solenoidal_projection(forward_transform(v))
-        div = sum(1j * xi * c for xi, c in zip(g.frequency_vectors, proj.coefficients))
-        assert np.max(np.abs(div)) <= 1e-12 * np.max(np.abs(proj.coefficients))
+class AnyNGrid(TorusGrid):
+    """A TorusGrid without the even-n check, for rules written for any n."""
+
+    def __post_init__(self) -> None:
+        pass
+
+
+class TestRandomField:
+    @pytest.mark.parametrize("zero_mean", [True, False], ids=["zero_mean", "with_mean"])
+    @pytest.mark.parametrize("n", [12, 9])
+    def test_matches_full_lattice_oracle(self, n, zero_mean):
+        # neither n puts a shell on the cut 0.75 xi_max, where roundoff would decide the mode
+        grid = AnyNGrid(dim=3, box_length=3.0, points_per_axis=n)
+        got = random_band_limited_field(grid, 2, np.random.default_rng(n), zero_mean=zero_mean).values
+        coeffs = np.fft.fftn(np.random.default_rng(n).standard_normal((2,) + grid.shape), axes=(1, 2, 3))
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        mag = 2 * np.pi / grid.box_length * np.sqrt(sum(c**2 for c in np.meshgrid(k, k, k, indexing="ij")))
+        xi_max = np.pi * n / grid.box_length
+        coeffs *= np.where(mag <= 0.75 * xi_max, np.exp(-0.5 * (mag / (0.5 * xi_max)) ** 2), 0.0)
+        if zero_mean:
+            coeffs[:, 0, 0, 0] = 0.0
+        want = np.fft.ifftn(coeffs, axes=(1, 2, 3)).real
+        want /= np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestNorms:

@@ -14,7 +14,8 @@ import frequalize.linear_modes as linear_modes
 from frequalize.decay_kernel import euler_maxwell_rate
 from frequalize.equilibrium import EquilibriumState, PressureLaw
 from frequalize.errors import ConfigError, IncompatibleDataError
-from frequalize.grid import SpectralField, TorusGrid, forward_transform, random_band_limited_field
+from frequalize.grid import SpectralField, TorusGrid, forward_transform, half_lattice_coefficients
+from frequalize.grid import half_lattice_forward, half_lattice_inverse, hermitian_defect, random_band_limited_field
 from frequalize.linear_modes import (
     ContinuumData,
     ContinuumEvolver,
@@ -251,7 +252,7 @@ class TestPropagation:
             "mode_exponentials": lambda: mode_exponentials(np.ones((2, 3)), eq, t),
             "ModePropagator": lambda: ModePropagator([1.0, 0.0, 0.0], eq).apply(np.ones(10), t),
             "GridModePropagator": lambda: GridModePropagator(grid, eq).apply(
-                np.ones((10,) + grid.shape, dtype=complex), t
+                np.ones((10, 8, 8, grid.half_width), dtype=complex), t
             ),
         }[route]
         with pytest.raises(ConfigError, match="nonnegative, got -1.0" if t < 0 else "finite"):
@@ -373,20 +374,17 @@ class AnyNGrid(TorusGrid):
 
 def compatible_lattice_state(grid: TorusGrid, rng) -> SpectralField:
     """Random smooth 10-component data obeying the lattice Gauss constraints."""
-    from frequalize.grid import solenoidal_projection
-
-    rho = forward_transform(random_band_limited_field(grid, 1, rng))
-    vel = forward_transform(random_band_limited_field(grid, 3, rng))
-    e_free = solenoidal_projection(forward_transform(random_band_limited_field(grid, 3, rng)))
-    h_free = solenoidal_projection(forward_transform(random_band_limited_field(grid, 3, rng)))
     xi = grid.frequency_vectors
     sq = grid.frequency_magnitude**2
     safe = np.where(sq > 0, sq, 1.0)
-    e_long = np.stack([1j * xi[j] * rho.coefficients[0] / safe for j in range(grid.dim)])
-    coeffs = np.concatenate(
-        [rho.coefficients, vel.coefficients, e_free.coefficients + e_long, h_free.coefficients]
-    )
-    return SpectralField(grid, coeffs)
+
+    def solenoidal(g):  # g - xi (xi.g) / |xi|^2
+        return g - np.stack(xi) * sum(x * c for x, c in zip(xi, g)) / safe
+
+    rho, vel, e_free, h_free = (forward_transform(random_band_limited_field(grid, c, rng)).coefficients
+                                for c in (1, 3, 3, 3))
+    e_long = np.stack([1j * xi[j] * rho[0] / safe for j in range(grid.dim)])
+    return SpectralField(grid, np.concatenate([rho, vel, solenoidal(e_free) + e_long, solenoidal(h_free)]))
 
 
 class TestGridEvolution:
@@ -409,12 +407,12 @@ class TestGridEvolution:
     @pytest.mark.parametrize("dim,n", [(3, 8), (3, 7), (2, 8)], ids=["8^3", "7^3", "8^2"])
     def test_every_mode_matches_expm(self, dim, n, b_inf, hermitian):
         # an even n puts the Nyquist planes on the grid, an odd n has none; the
-        # oracle's xi_j is zeroed on the Nyquist planes, as lawson_oracle's is
+        # oracle's xi_j is zeroed on the Nyquist planes, as lawson_oracle's is.
+        # The general case is no real field's half lattice: every mode is propagated on its own.
         eq_b = EquilibriumState(b_inf=b_inf)
         grid = (TorusGrid if n % 2 == 0 else AnyNGrid)(dim=dim, box_length=20.0, points_per_axis=n)
         rng = np.random.default_rng(n)
-        axes = tuple(range(1, dim + 1))
-        z0 = np.fft.fftn(rng.standard_normal((10,) + grid.shape), axes=axes)
+        z0 = half_lattice_forward(grid, rng.standard_normal((10,) + grid.shape))
         if not hermitian:
             z0 = z0 + rng.standard_normal(z0.shape) + 1j * rng.standard_normal(z0.shape)
         prop = GridModePropagator(grid, eq_b)
@@ -422,9 +420,9 @@ class TestGridEvolution:
         out, gen = prop.apply(z0, t), prop.generator_apply(z0)
         k = np.fft.fftfreq(n, d=1.0 / n)
         axis = np.where(2 * np.abs(k) == n, 0.0, 2 * np.pi * k / grid.box_length)
-        xi = np.zeros(grid.shape + (3,))
-        xi[..., :dim] = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1)
-        for idx in np.ndindex(*grid.shape):
+        xi = np.zeros(z0.shape[1:] + (3,))
+        xi[..., :dim] = np.stack(np.meshgrid(*([axis] * (dim - 1) + [axis[: grid.half_width]]), indexing="ij"), axis=-1)
+        for idx in np.ndindex(*z0.shape[1:]):
             m = mode_matrices(xi[idx], eq_b)
             start = z0[(slice(None),) + idx]
             scale = np.linalg.norm(start)
@@ -460,11 +458,23 @@ class TestGridEvolution:
 
     @pytest.mark.parametrize("b_inf", [(0.0, 0.0, 0.0), (0.0, 0.0, 0.5)], ids=["b0", "b05"])
     def test_real_data_with_nyquist_content_stays_real(self, b_inf):
+        # the edge planes k_N = 0, N/2 hold mirror pairs: they must stay those of a real
+        # field, which half_lattice_inverse -> half_lattice_forward returns unchanged
         grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)
-        z0 = np.fft.fftn(np.random.default_rng(8).standard_normal((10,) + grid.shape), axes=(1, 2, 3))
+        z0 = half_lattice_forward(grid, np.random.default_rng(8).standard_normal((10,) + grid.shape))
         zt = GridModePropagator(grid, EquilibriumState(b_inf=b_inf)).apply(z0, 2.5)
-        field = np.fft.ifftn(zt, axes=(1, 2, 3))
-        assert np.linalg.norm(field.imag) <= 1e-14 * np.linalg.norm(field.real)
+        trip = half_lattice_forward(grid, half_lattice_inverse(grid, zt))
+        assert np.linalg.norm(trip - zt) <= 1e-14 * np.linalg.norm(zt)
+
+    @pytest.mark.parametrize("b_inf", [(0.0, 0.0, 0.0), (0.0, 0.4, 0.3)], ids=["b0", "b_off_axis"])
+    def test_kept_states_are_real_fields_from_z0(self, rng, b_inf):
+        grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)
+        z0 = compatible_lattice_state(grid, rng)
+        sol = linear_evolve_grid(z0, [0.0, 2.5, 40.0], EquilibriumState(b_inf=b_inf))
+        scale = np.max(np.abs(z0.coefficients))
+        assert np.max(np.abs(sol.states[0].coefficients - z0.coefficients)) <= 1e-15 * scale
+        for state in sol.states:
+            assert hermitian_defect(state)[0] <= 1e-14 * np.max(np.abs(state.coefficients))
 
     def test_incompatible_data_rejected(self, eq, rng):
         grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)
@@ -583,11 +593,11 @@ class TestConditioningFallback:
     def test_grid_mode_propagator(self, rng, all_modes_fall_back):
         eq_b = EquilibriumState(b_inf=(0.0, 0.0, 0.5))
         grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)
-        z0 = compatible_lattice_state(grid, rng).coefficients
+        z0 = half_lattice_coefficients(compatible_lattice_state(grid, rng))
         want = GridModePropagator(grid, eq_b).apply(z0, 2.5)
         calls = all_modes_fall_back()
         self.assert_close(GridModePropagator(grid, eq_b).apply(z0, 2.5), want)
-        assert len(calls) == 40  # one per class of the 320 half-lattice modes; orbits carry the mirrors
+        assert len(calls) == 40  # one per class of the 320 half-lattice modes
 
     def test_pointwise_decay_check(self, rng, all_modes_fall_back):
         # xi and its rotation about B_inf share a class; the repeated (xi, t) pair takes one expm

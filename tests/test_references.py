@@ -23,10 +23,11 @@ module): the grid decides the lattice, its calibration and its Nyquist
 planes, and every other module reads them through its transforms.
 
 A norm of a real field reads the field's half lattice and nothing else: no
-package module but `grid.py` and `solver.py` (whose data generator builds
-full-lattice coefficients) reads `forward_transform`, `__init__.py`
+package module but `grid.py` reads `forward_transform`, `__init__.py`
 re-exports aside, and no module in src/, tests/ or perfbench/ reads a
-`shell_spectrum`.
+`shell_spectrum`.  The producers of real fields (the random fields, the
+solver's initial data and the lattice mode propagator with its evolution)
+read no full-lattice transform, projection or mirror of their own.
 """
 
 from __future__ import annotations
@@ -271,7 +272,7 @@ def readers_of(sources: dict[str, str], name: str) -> list[str]:
 
 def test_norms_read_the_half_lattice():
     package = {p.name: p.read_text() for p in MODULES}
-    allowed = ("__init__.py", "grid.py", "solver.py")  # the re-export, the definition, the data generator
+    allowed = ("__init__.py", "grid.py")  # the re-export, the definition
     assert [name for name in readers_of(package, "forward_transform") if name not in allowed] == []
     everything = {str(p.relative_to(ROOT)): p.read_text() for p in READERS}
     assert readers_of(everything, "shell_spectrum") == []
@@ -286,3 +287,37 @@ def test_checker_flags_a_reader():
     }
     assert readers_of(sources, "forward_transform") == ["a.py", "b.py"]
     assert readers_of(sources, "shell_spectrum") == ["d.py"]
+
+
+FULL_LATTICE = {"forward_transform", "inverse_transform", "solenoidal_projection", "_reflected", "fftn", "ifftn"}
+HALF_LATTICE_PRODUCERS = ("initial_data_gen", "random_band_limited_field", "GridModePropagator",
+                          "linear_evolve_grid")
+
+
+def full_lattice_reads(modules: dict[str, str], names) -> dict[str, list[str]]:
+    """For each of names, the FULL_LATTICE names its top-level definition in modules reads, as `reads` counts."""
+    definitions = {name: node for source in modules.values() for node in ast.parse(source).body
+                   for name in bound_names(node) if name in names}
+    return {name: sorted(FULL_LATTICE & reads(definitions[name]).keys()) for name in names}
+
+
+def test_real_field_producers_stay_on_the_half_lattice():
+    modules = {p.name: p.read_text() for p in MODULES}
+    assert full_lattice_reads(modules, HALF_LATTICE_PRODUCERS) == {name: [] for name in HALF_LATTICE_PRODUCERS}
+
+
+def test_checker_flags_a_full_lattice_read():
+    source = (
+        "import numpy as np\n"
+        "from .grid import _reflected, half_lattice_forward\n"
+        "def half(x):\n"
+        "    \"\"\"inverse_transform in a docstring is no read.\"\"\"\n"
+        "    return half_lattice_forward(x)\n"
+        "def full(x):\n"
+        "    return np.fft.ifftn(_reflected(x))\n"
+        "class Mirror:\n"
+        "    def apply(self, x):\n"
+        "        return grid.forward_transform(x)\n"
+    )
+    assert full_lattice_reads({"m.py": source}, ("half", "full", "Mirror")) == {
+        "half": [], "full": ["_reflected", "ifftn"], "Mirror": ["forward_transform"]}

@@ -21,6 +21,7 @@ from frequalize.grid import (
     SpectralField,
     TorusGrid,
     forward_transform,
+    half_lattice_forward,
     half_lattice_inverse,
     half_lattice_l2,
     shell_l2_norms,
@@ -76,9 +77,7 @@ def constraint_series(state: SimState, cfg: StepperConfig, t_end: float, stride:
 def lin_rhs_oracle(state: SimState) -> np.ndarray:
     """Exact linear right-hand side via the per-mode generator matrices."""
     prop = GridModePropagator(state.grid, state.eq)
-    axes = tuple(range(1, state.grid.dim + 1))
-    zhat = np.fft.fftn(state.z, axes=axes)
-    return np.fft.ifftn(prop.generator_apply(zhat), axes=axes).real
+    return half_lattice_inverse(state.grid, prop.generator_apply(half_lattice_forward(state.grid, state.z)))
 
 
 def docstring_generator(xi, eq):
@@ -238,8 +237,7 @@ class TestStepping:
         init = initial_data_gen(grid, eq, seed=11, amplitude=1e-6)
         series = integrate(init.state, StepperConfig(dt=0.02), 1.0, keep_nothing, sample_stride=10**6)
         prop = GridModePropagator(grid, eq)
-        zhat0 = np.fft.fftn(init.state.z, axes=(1, 2, 3))
-        zlin = np.fft.ifftn(prop.apply(zhat0, 1.0), axes=(1, 2, 3)).real
+        zlin = half_lattice_inverse(grid, prop.apply(half_lattice_forward(grid, init.state.z), 1.0))
         z = series.final.z
         rel = math.sqrt(float(np.sum((z - zlin) ** 2) / np.sum(zlin**2)))
         assert rel <= 1e-8
@@ -252,14 +250,8 @@ class TestStepping:
         series = integrate(init.state, StepperConfig(), 20.0, keep_coefficients, sample_stride=4)
         l2_nl = np.array([half_lattice_l2(grid, s) for s in series.states])
         prop = GridModePropagator(grid, eq)
-        zhat0 = np.fft.fftn(init.state.z, axes=(1, 2, 3))
-        scale = grid.cell_volume / grid.points_per_axis**grid.dim
-        l2_lin = np.array(
-            [
-                math.sqrt(float(np.sum(np.abs(prop.apply(zhat0, t)) ** 2)) * scale)
-                for t in series.times
-            ]
-        )
+        zhat0 = half_lattice_forward(grid, init.state.z)
+        l2_lin = np.array([half_lattice_l2(grid, prop.apply(zhat0, t)) for t in series.times])
         window = (2.0, 20.0)
         fit_nl = fit_decay_exponent(series.times, l2_nl, window)
         fit_lin = fit_decay_exponent(series.times, l2_lin, window)
@@ -402,8 +394,8 @@ class TestCoefficientMarch:
 
     @pytest.mark.parametrize("dealias", [True, False])
     def test_marched_coefficients_stay_those_of_a_real_field(self, eq, grid16, monkeypatch, dealias):
-        # every coefficient array turned into a physical state (each RK stage
-        # and each sample) must survive irfftn -> rfftn unchanged
+        # every coefficient array turned into a physical state (the initial data,
+        # each RK stage and each sample) must survive irfftn -> rfftn unchanged
         seen = []
         original = SimState.from_coefficients
 
@@ -414,18 +406,32 @@ class TestCoefficientMarch:
         monkeypatch.setattr(SimState, "from_coefficients", classmethod(recording))
         init = initial_data_gen(grid16, eq, seed=7, amplitude=5e-2)
         integrate(init.state, StepperConfig(dt=0.25, dealias=dealias), 2.0, keep_nothing, sample_stride=1)
-        assert len(seen) == 8 * 4 + 8
+        assert len(seen) == 1 + 8 * 4 + 8
         axes = (1, 2, 3)
         for z_hat in seen:
             trip = np.fft.rfftn(np.fft.irfftn(z_hat, s=grid16.shape, axes=axes), axes=axes)
             assert np.max(np.abs(trip - z_hat)) <= 1e-12 * np.max(np.abs(z_hat))
 
-    def test_import_and_initial_data_leave_scipy_fft_unloaded(self):
+    def test_a_finished_run_keeps_no_buffer(self, eq, grid16):
+        init = initial_data_gen(grid16, eq, seed=3, amplitude=5e-2)
+        runs = []
+        for _ in range(2):
+            runs.append(integrate(init.state, StepperConfig(dt=0.25), 1.0, keep_coefficients, sample_stride=2))
+            assert "buffer" not in vars(solver._ops(grid16, True))
+        assert all(np.array_equal(a, b) for a, b in zip(*(run.states for run in runs)))
+
+        def failing(z_hat, state):
+            if state.time > 0:
+                raise RuntimeError("observer failed")
+
+        with pytest.raises(RuntimeError, match="observer failed"):
+            integrate(init.state, StepperConfig(dt=0.25), 1.0, failing)
+        assert "buffer" not in vars(solver._ops(grid16, True))
+
+    def test_import_leaves_scipy_fft_unloaded(self):
         code = (
             "import sys\n"
             "import frequalize\n"
-            "from frequalize import EquilibriumState, TorusGrid, initial_data_gen\n"
-            "initial_data_gen(TorusGrid(dim=3, box_length=20.0, points_per_axis=8), EquilibriumState(), 0)\n"
             "assert 'scipy.fft' not in sys.modules, 'scipy.fft was imported'\n"
         )
         src = str(Path(frequalize.__file__).resolve().parents[1])
@@ -479,6 +485,7 @@ class TestInitialData:
         init = initial_data_gen(grid16, eq, seed=0, amplitude=1e-2)
         _, rep = constraint_series(init.state, StepperConfig(dt=0.5), 0.5, 1)
         assert rep.electric_residual[0] <= 1e-12
+        assert rep.magnetic_residual[0] <= 1e-12
 
     @pytest.mark.parametrize("key,value", [("xi_width", 0.0), ("band_limit", 0.0), ("band_limit", -1.0)])
     def test_profile_range_rejected(self, key, value):
@@ -608,9 +615,10 @@ class TestCoefficientSamples:
         series, f = result.series, result.functionals
         n_samples = len(series.states)
         assert n_samples >= 3 and len(samples) == n_samples
-        # four quadratic evaluations per step and the check of every sample after the input: the
-        # Duhamel sums and the dump read the checked physical state, the other records its coefficients
-        assert transforms.count("half_lattice_inverse") == 4 * len(steps) + n_samples - 1
+        # the initial data's one inverse, then four quadratic evaluations per step and the check of every
+        # sample after the input: the Duhamel sums and the dump read the checked physical state, the other
+        # records its coefficients
+        assert transforms.count("half_lattice_inverse") == 1 + 4 * len(steps) + n_samples - 1
 
         # the three reductions of the stacked records call no transform
         transforms.clear()
