@@ -17,6 +17,7 @@ from frequalize.grid import (
     spectral_l2_norm,
 )
 from frequalize.io import HEADER_SIZE, dump_field, load_field
+from test_linear_modes import AnyNGrid
 
 
 def direct_transform(field: PhysicalField) -> np.ndarray:
@@ -135,13 +136,6 @@ class TestTransforms:
         vals[3] = np.nan
         with pytest.raises(ConfigError, match="non-finite"):
             PhysicalField(g, vals)
-
-
-class AnyNGrid(TorusGrid):
-    """A TorusGrid without the even-n check, for rules written for any n."""
-
-    def __post_init__(self) -> None:
-        pass
 
 
 class TestRandomField:
