@@ -317,6 +317,17 @@ def half_lattice_coefficients(field: PhysicalField | SpectralField) -> np.ndarra
     return field.coefficients[..., : field.grid.half_width]
 
 
+def half_lattice_solenoidal(grid: TorusGrid, half: np.ndarray) -> None:
+    """Remove, in place, the longitudinal part g -> g - xi (xi.g)/|xi|^2 of the vector field
+    whose half-lattice coefficients are half[:grid.dim] (zero mode kept)."""
+    xi = [c[..., : grid.half_width] for c in grid.frequency_vectors]
+    sq = grid.frequency_magnitude[..., : grid.half_width] ** 2
+    safe = np.where(sq > 0, sq, 1.0)
+    dot = sum(xi[j] * half[j] for j in range(grid.dim))
+    for j in range(grid.dim):
+        half[j] -= xi[j] * dot / safe
+
+
 def full_lattice_coefficients(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
     """Full-lattice coefficients of the real field with half-lattice coefficients half[c, *half lattice].
 

@@ -71,7 +71,7 @@ from .decay_kernel import euler_maxwell_rate
 from .equilibrium import EquilibriumState
 from .errors import ConfigError, DensityError, SolverInstabilityError
 from .fitting import DecayFit, fit_decay_exponent
-from .grid import PhysicalField, TorusGrid, half_lattice_forward, half_lattice_inverse
+from .grid import PhysicalField, TorusGrid, half_lattice_forward, half_lattice_inverse, half_lattice_solenoidal
 from .linear_modes import REAL_FORM_PHASES, mode_exponentials, real_mode_matrices
 from .littlewood_paley import DEFAULT_CUTOFFS
 
@@ -508,10 +508,8 @@ def initial_data_gen(
     xi = [c[..., : grid.half_width] for c in grid.frequency_vectors]
     sq = mag**2
     safe = np.where(sq > 0, sq, 1.0)
-    for field in (half[4:7], half[7:10]):  # the solenoidal parts of E and h
-        dot = sum(xi[j] * field[j] for j in range(grid.dim))
-        for j in range(grid.dim):
-            field[j] -= xi[j] * dot / safe
+    half_lattice_solenoidal(grid, half[4:7])  # the solenoidal parts of E and h
+    half_lattice_solenoidal(grid, half[7:10])
     for j in range(grid.dim):
         half[4 + j] += 1j * xi[j] * half[0] / safe  # div E = -rho
 

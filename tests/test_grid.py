@@ -11,6 +11,8 @@ from frequalize.grid import (
     SpectralField,
     TorusGrid,
     forward_transform,
+    half_lattice_forward,
+    half_lattice_solenoidal,
     inverse_transform,
     lp_norm,
     random_band_limited_field,
@@ -136,6 +138,16 @@ class TestTransforms:
         vals[3] = np.nan
         with pytest.raises(ConfigError, match="non-finite"):
             PhysicalField(g, vals)
+
+
+class TestDerivatives:
+    def test_divergence_of_solenoidal_projection_vanishes(self, rng):
+        g = TorusGrid(dim=3, box_length=3.0, points_per_axis=16)
+        v = random_band_limited_field(g, 3, rng)
+        proj = half_lattice_forward(g, v.values)
+        half_lattice_solenoidal(g, proj)
+        div = sum(1j * xi[..., : g.half_width] * c for xi, c in zip(g.frequency_vectors, proj))
+        assert np.max(np.abs(div)) <= 1e-12 * np.max(np.abs(proj))
 
 
 class TestRandomField:
