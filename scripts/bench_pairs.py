@@ -9,8 +9,19 @@ side that runs first alternates too, the export in odd pairs.  Each side
 runs its own ``perfbench/`` on its own ``src/``; the checkout side includes
 uncommitted changes.  It prints each pair's end-to-end metrics (parent ->
 checkout), then per metric the medians of both sides, the distance between
-the quartiles of the parent's runs, and the number of pairs in which the
-checkout was better.  It exits 1 if a run exits non-zero, reports itself
+the quartiles of the parent's runs, the number of pairs in which the
+checkout was better, and a verdict against the metric's ``bound`` in
+``BENCHMARK.json`` (a share of the parent's median):
+
+- ``better``: the checkout was better in at least nine pairs in ten, and its
+  median beats the parent's by more than the parent's quartile distance;
+- ``unresolved``: the parent's quartile distance exceeds bound x median,
+  and not every checkout run beats every parent run;
+- ``worse``: the checkout's median is worse than the parent's by more than
+  bound x median;
+- ``within bound``: otherwise.
+
+It exits 1 if a run exits non-zero, reports itself
 incorrect, or fails an operation.
 """
 
@@ -46,6 +57,25 @@ def run(tree: Path, workload: str, seed: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def compare(metric: dict, old: list[float], new: list[float]) -> str:
+    """One metric's summary line over the parent's runs old and the checkout's runs new, ending in its verdict."""
+    name, bound, sign = metric["name"], metric["bound"], 1.0 if metric["better"] == "lower" else -1.0
+    wins = sum(sign * (b - a) < 0 for a, b in zip(old, new))
+    a, b = statistics.median(old), statistics.median(new)
+    q1, _, q3 = statistics.quantiles(old, n=4) if len(old) > 1 else (a, a, a)
+    if wins >= 0.9 * len(old) and sign * (a - b) > q3 - q1:
+        verdict = "better"
+    elif q3 - q1 > bound * abs(a) and max(sign * v for v in new) >= min(sign * v for v in old):
+        verdict = "unresolved"
+    elif sign * (b - a) > bound * abs(a):
+        verdict = "worse"
+    else:
+        verdict = "within bound"
+    change = f" ({100.0 * (b - a) / a:+.1f}%)" if a else ""
+    return (f"median {name}: {a:.4g} -> {b:.4g} {metric['unit']}{change}, parent quartile spread {q3 - q1:.4g}, "
+            f"checkout better in {wins} of {len(old)} pairs: {verdict} (bound {bound:g})")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -78,14 +108,8 @@ def main() -> int:
             print(f"pair {i}: {line}", flush=True)
 
     for m in metrics:
-        name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
-        old, new = ([r["metrics"][name]["value"] for r in results[side]] for side in ("parent", "checkout"))
-        wins = sum(sign * (b - a) < 0 for a, b in zip(old, new))
-        a, b = statistics.median(old), statistics.median(new)
-        change = f" ({100.0 * (b - a) / a:+.1f}%)" if a else ""
-        q1, _, q3 = statistics.quantiles(old, n=4) if len(old) > 1 else (a, a, a)
-        print(f"median {name}: {a:.4g} -> {b:.4g} {m['unit']}{change}, parent quartile spread {q3 - q1:.4g}, "
-              f"checkout better in {wins} of {args.pairs} pairs")
+        print(compare(m, *([r["metrics"][m["name"]]["value"] for r in results[side]]
+                           for side in ("parent", "checkout"))))
     return 1 if bad else 0
 
 

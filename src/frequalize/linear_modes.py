@@ -40,10 +40,10 @@ evaluators:
   polynomial, matrix products only.
 - the multi-time evaluator, a private batched propagator that makes one
   eigendecomposition per symmetry class of its batch (below).  Its method
-  `orbit` carries vectors or column blocks y through a sequence of times
-  with V^-1 y formed once, and `powers` sums weighted |exp(t R) y|^2 over
-  each class; both fall back to `scipy.linalg.expm`, once per class and
-  time, for classes whose eigenbasis is ill-conditioned.
+  `orbit` carries a vector or column block y of every mode through a
+  sequence of times with V^-1 P^T y formed once, and `powers` sums weighted
+  |exp(t R) y|^2 over each class; both fall back to `scipy.linalg.expm`,
+  once per class and time, for classes whose eigenbasis is ill-conditioned.
 
 Symmetry classes.  Let b = B_inf / |B_inf|, or e_z when B_inf = 0.  For an
 orthogonal Q with det(Q) Q b = b (the rotations about b, and those
@@ -60,14 +60,12 @@ the fallback flag is exact for every member.
 
 Every other caller reads that propagator:
 - `ModePropagator` (a batch of one): D^-1 before and D after;
-- `pointwise_decay_check`: one row per sample, P V and V^-1 P^T of its
-  class, one time per sample; its ratios are read in real form, as
-  |D y| = |y|;
+- `pointwise_decay_check`: one mode per sample, one time per sample; its
+  ratios are read in real form, as |D y| = |y|;
 - `ContinuumEvolver`: the quadrature nodes' classes, through `powers` with
   y0 = D^-1 z0 and the quadrature weights (|P y| = |y|);
-- `GridModePropagator`: one row per half-lattice mode
-  (`TorusGrid.half_modes`, xi_j zeroed on the Nyquist planes), the
-  frequencies of the solver's table, with P V and V^-1 P^T of its class.
+- `GridModePropagator`: the half-lattice modes (`TorusGrid.half_modes`,
+  xi_j zeroed on the Nyquist planes), the frequencies of the solver's table.
   Every lattice mode is a half-lattice mode or the mirror -xi of one, and
   M(-xi) = conj(M(xi)), so the coefficients of a real field stay those of a
   real field and its half lattice carries the whole evolution.
@@ -79,7 +77,6 @@ cross-validation of the nonlinear solver.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -97,7 +94,9 @@ from .grid import half_lattice_spectrum, shell_l2_norms
 STATE_DIM = 10
 _COND_LIMIT = 1e8
 _KEY_ULPS = 8  # class keys within this many ulps of |xi| are joined
-_TABLE_CHUNK = 512  # modes per batched Taylor evaluation in mode_exponentials: its temporaries take ~14 KB a mode
+# modes per chunk of mode_exponentials' Taylor evaluation, whose temporaries take ~14 KB a
+# mode, and of _EigenPropagator's class products, whose gathered class matrices take 1.6 KB
+_TABLE_CHUNK = 512
 # mode_exponentials takes exp(A) as the degree-40 Taylor polynomial of A / 2^s
 # squared s times, s the fewest halvings that bring ||A||_1 to <= 6 (scaling
 # and squaring: Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009; with
@@ -305,14 +304,14 @@ class _ModeClasses:
     turns: np.ndarray  # (n, 3, 3)
     signs: np.ndarray  # (n,) det(Q_r)
 
-    def rotate(self, y: np.ndarray, modes: slice | np.ndarray = slice(None), inverse: bool = False):
-        """y overwritten by P y, or P^T y, with the P of each of the modes.
+    def rotate(self, y: np.ndarray, inverse: bool = False):
+        """y overwritten by P y, or P^T y, with the P of each mode.
 
-        y holds y[modes, 10] or y[modes, 10, k] and is returned.
+        y holds y[n, 10] or y[n, 10, k] and is returned.
         """
         blocks = y if y.ndim == 3 else y[..., None]
-        turns = self.turns[modes].swapaxes(-1, -2) if inverse else self.turns[modes]
-        signs = self.signs[modes][:, None, None]
+        turns = self.turns.swapaxes(-1, -2) if inverse else self.turns
+        signs = self.signs[:, None, None]
         for rows, sign in ((slice(1, 4), signs), (slice(4, 7), signs), (slice(7, 10), 1.0)):
             blocks[:, rows] = sign * (turns @ blocks[:, rows])
         return y
@@ -350,11 +349,11 @@ def _mode_classes(xi: np.ndarray, eq: EquilibriumState) -> _ModeClasses:
 class _EigenPropagator:
     """exp(t R(xi)) for a batch of frequencies xi[n, 3], one eigendecomposition per class.
 
-    The rows of the propagator are the classes' representatives, or, after
-    `for_each_mode`, the modes themselves.  The eigenvector route is used
-    where the eigenbasis is well conditioned; elsewhere (near eigenvalue
-    collisions the generator can be defective) the class's exponential falls
-    back to scaling-and-squaring, once per class and time.
+    Every array of the propagator has one row per class; mode r of class k
+    is carried in the class's frame, exp(t R(xi_r)) = P_r exp(t R_k) P_r^T.
+    The eigenvector route is used where the eigenbasis is well conditioned;
+    elsewhere (near eigenvalue collisions the generator can be defective) the
+    class's exponential falls back to scaling-and-squaring, once per class and time.
     """
 
     def __init__(self, xi: np.ndarray, eq: EquilibriumState):
@@ -364,45 +363,46 @@ class _EigenPropagator:
         try:
             self.vinv = np.linalg.inv(self.v)
         except np.linalg.LinAlgError:
-            self.vinv = np.full_like(self.v, np.nan)  # every row takes the fallback
+            self.vinv = np.full_like(self.v, np.nan)  # every class takes the fallback
         cond = np.linalg.norm(self.v, axis=(-2, -1)) * np.linalg.norm(self.vinv, axis=(-2, -1))
         self.ill_conditioned = ~(cond < _COND_LIMIT)  # cond(P V) = cond(V): exact for every member
-        self.modes = self.classes.first  # the mode each row stands for
 
-    def for_each_mode(self) -> _EigenPropagator:
-        """This propagator with one row per mode: w, P V and V^-1 P^T of the mode's class."""
-        c = self.classes
-        out = copy.copy(self)
-        out.w, out.ill_conditioned = self.w[c.index], self.ill_conditioned[c.index]
-        out.v = c.rotate(self.v[c.index])
-        out.vinv = c.rotate(self.vinv[c.index].swapaxes(-1, -2)).swapaxes(-1, -2)
-        out.modes = np.arange(len(c.index))
+    def _class_product(self, mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """mats[k] @ blocks[r] for the class k of every mode r, gathering mats _TABLE_CHUNK modes at a time."""
+        index = self.classes.index
+        out = np.empty(blocks.shape[:1] + mats.shape[1:2] + blocks.shape[2:], np.result_type(mats, blocks))
+        for start in range(0, len(blocks), _TABLE_CHUNK):
+            span = slice(start, start + _TABLE_CHUNK)
+            out[span] = mats[index[span]] @ blocks[span]
         return out
 
     def orbit(self, y: np.ndarray, times: Sequence):
-        """exp(t R(xi)) y[r] for the frequency xi of every row r, at each t of times in turn.
+        """exp(t R(xi_r)) y[r] for every mode r of the batch, at each t of times in turn.
 
-        y holds vectors (rows, 10) or column blocks (rows, 10, k); each t is
-        one time or one time per row.  V^-1 y is formed once.
+        y holds vectors (n, 10) or column blocks (n, 10, k); each t is one
+        time or one time per mode.  V_k^-1 P_r^T y[r] is formed once.
         """
-        blocks = y if y.ndim == 3 else y[..., None]
-        coeff = self.vinv @ blocks
-        fallback = np.flatnonzero(self.ill_conditioned)
+        c = self.classes
+        blocks = c.rotate((y if y.ndim == 3 else y[..., None]).copy(), inverse=True)
+        coeff = self._class_product(self.vinv, blocks)
+        w, fallback = self.w[c.index], np.flatnonzero(self.ill_conditioned[c.index])
+        blocks = blocks[fallback]  # all the fallback needs of P^T y
         for t in times:
             t = np.broadcast_to(np.asarray(t, dtype=float), y.shape[:1])
             _require_times(t)
-            out = self.v @ (coeff * np.exp(self.w * t[:, None])[..., None])
+            out = self._class_product(self.v, coeff * np.exp(w * t[:, None])[..., None])
             if fallback.size:
                 self._fall_back(out, blocks, fallback, t)
+            c.rotate(out)
             yield out if y.ndim == 3 else out[..., 0]
 
     def powers(self, y: np.ndarray, weights: np.ndarray, times: Sequence):
         """sum_r weights[r] |exp(t R(xi_r)) y[r]|^2 over the modes r of each class, at each t in turn.
 
-        y[n, 10] holds one vector per mode of the batch; the rows must be the
-        classes.  |P z| = |z|, so mode r of class k adds |exp(t R_k) P_r^T y[r]|^2,
-        and the class's sum is tr(E S_k E^H), E = exp(t R_k), with the moment
-        matrix S_k = sum_r weights[r] (P_r^T y[r]) (P_r^T y[r])^H.  S_k is
+        y[n, 10] holds one vector per mode of the batch.  |P z| = |z|, so mode
+        r of class k adds |exp(t R_k) P_r^T y[r]|^2, and the class's sum is
+        tr(E S_k E^H), E = exp(t R_k), with the moment matrix
+        S_k = sum_r weights[r] (P_r^T y[r]) (P_r^T y[r])^H.  S_k is
         summed in eigen-coordinates, C_k = V_k^-1 S_k V_k^-H from
         c_r = V_k^-1 P_r^T y[r], so that a slow eigencomponent keeps the
         relative accuracy of its own coefficients; then, with G_k = V_k^H V_k,
@@ -412,7 +412,7 @@ class _EigenPropagator:
         """
         c = self.classes
         y = c.rotate(y.copy(), inverse=True)
-        coords = (self.vinv[c.index] @ y[..., None])[..., 0]
+        coords = self._class_product(self.vinv, y[..., None])[..., 0]
         moments = np.zeros(self.v.shape, dtype=complex)
         np.add.at(moments, c.index, weights[:, None, None] * coords[:, :, None] * coords.conj()[:, None, :])
         terms = (self.v.conj().swapaxes(-1, -2) @ self.v) * moments.swapaxes(-1, -2)
@@ -428,15 +428,12 @@ class _EigenPropagator:
             yield out
 
     def _fall_back(self, out: np.ndarray, blocks: np.ndarray, rows: np.ndarray, t: np.ndarray) -> None:
-        """out[rows] = P exp(t R_k) P^T blocks[rows] by `scipy.linalg.expm`, one call per class k and time."""
-        modes = self.modes[rows]
-        pairs = np.stack([self.classes.index[modes], t[rows]], axis=1)
+        """out[rows] = exp(t R_k) blocks in the class frame by `scipy.linalg.expm`, once per class k and time."""
+        pairs = np.stack([self.classes.index[rows], t[rows]], axis=1)
         keys, which = np.unique(pairs, axis=0, return_inverse=True)
         for j, (k, time) in enumerate(keys):
             pick = which.ravel() == j
-            exp = scipy.linalg.expm(time * self.matrices[int(k)])
-            start = self.classes.rotate(blocks[rows[pick]], modes[pick], inverse=True)
-            out[rows[pick]] = self.classes.rotate(exp @ start, modes[pick])
+            out[rows[pick]] = scipy.linalg.expm(time * self.matrices[int(k)]) @ blocks[pick]
 
 
 class ModePropagator:
@@ -543,7 +540,7 @@ def pointwise_decay_check(
         raise ConfigError("no nonzero samples supplied")
     xis, z0s, times = np.array(xis), np.array(z0s), np.array(times, dtype=float)
     y0 = z0s * REAL_FORM_PHASES.conj()  # |D y| = |y|, so the ratios are read in real form
-    yt = next(_EigenPropagator(xis, eq).for_each_mode().orbit(y0, [times]))
+    yt = next(_EigenPropagator(xis, eq).orbit(y0, [times]))
     ratios_arr = np.linalg.norm(yt, axis=1) / np.linalg.norm(y0, axis=1)
     exps = rate.eta(np.linalg.norm(xis, axis=1)) * times
     best_c0, best_c = 0.0, float(np.max(ratios_arr))
@@ -569,14 +566,14 @@ class GridModePropagator:
     """The batched propagator over every mode of a half lattice.
 
     Only the classes of the grid's half-lattice modes are decomposed; every
-    half-lattice mode takes its class's eigenvectors rotated by its P.
-    Coefficients come and go as (10, *half lattice) arrays, those of a real
-    field or any others: each mode is propagated on its own.
+    half-lattice mode is carried in its class's frame.  Coefficients come and
+    go as (10, *half lattice) arrays, those of a real field or any others:
+    each mode is propagated on its own.
     """
 
     def __init__(self, grid: TorusGrid, eq: EquilibriumState):
         self._shape = (STATE_DIM,) + grid.shape[:-1] + (grid.half_width,)
-        self._prop = _EigenPropagator(grid.half_modes, eq).for_each_mode()
+        self._prop = _EigenPropagator(grid.half_modes, eq)
 
     def _per_mode(self, half: np.ndarray, real_op: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """A modewise operator on half (10, *half lattice): real_op(y) applies the real-form operator of
@@ -592,8 +589,9 @@ class GridModePropagator:
 
     def generator_apply(self, half: np.ndarray) -> np.ndarray:
         """Apply M(xi) modewise (the exact linear right-hand side): R(xi) = P R_k P^T of its class k."""
-        c, matrices = self._prop.classes, self._prop.matrices
-        return self._per_mode(half, lambda y: c.rotate(matrices[c.index] @ c.rotate(y, inverse=True)[..., None]))
+        prop, rotate = self._prop, self._prop.classes.rotate
+        return self._per_mode(
+            half, lambda y: rotate(prop._class_product(prop.matrices, rotate(y, inverse=True)[..., None])))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Mode matrices, constrained spectra, propagation and whole-space decay."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -456,6 +457,24 @@ class TestGridEvolution:
             assert np.array_equal(c.first[c.index[c.first]], c.first)
         assert sizes == [40, 40]
 
+    def test_desk_grid_keeps_one_row_per_class(self, eq):
+        """At 32^3 the propagator holds one eigendecomposition per class of the 17,408 half-lattice modes.
+
+        One row per mode would hold two (17,408, 10, 10) complex arrays of
+        eigenvectors, 27.9 MB each; the build's traced peak stays below 30 MB.
+        """
+        grid = TorusGrid(dim=3, box_length=100.0, points_per_axis=32)
+        tracemalloc.start()
+        try:
+            prop = GridModePropagator(grid, eq)._prop
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        classes = len(prop.classes.first)
+        assert classes < len(grid.half_modes)
+        assert [len(prop.v), len(prop.vinv), len(prop.w)] == [classes] * 3
+        assert peak < 30.0, f"build peak {peak:.1f} MB"
+
     @pytest.mark.parametrize("b_inf", [(0.0, 0.0, 0.0), (0.0, 0.0, 0.5)], ids=["b0", "b05"])
     def test_real_data_with_nyquist_content_stays_real(self, b_inf):
         # the edge planes k_N = 0, N/2 hold mirror pairs: they must stay those of a real
@@ -611,6 +630,40 @@ class TestConditioningFallback:
         assert got.c0 == want.c0
         assert got.c_bound == pytest.approx(want.c_bound, rel=1e-10)
         assert len(calls) == 2  # one per (class, time): t = 1 and t = 7
+
+    def test_one_class_falls_back_among_eigen_classes(self, rng, monkeypatch):
+        """One ill-conditioned class of several members: each member, the representative or a
+        flipped and turned one, takes expm of its own M(xi); every other mode keeps the eigenvector
+        result bit for bit."""
+        eq_b = EquilibriumState(b_inf=(0.0, 0.4, 0.3))
+        grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)
+        z0 = half_lattice_coefficients(compatible_lattice_state(grid, rng))
+        times = (2.5, 40.0)
+        plain = GridModePropagator(grid, eq_b)
+        want = [plain.apply(z0, t) for t in times]
+        mixed = GridModePropagator(grid, eq_b)
+        classes = mixed._prop.classes
+        index = classes.index
+        flipped = (classes.signs < 0) & np.any(classes.turns != np.eye(3), axis=(1, 2))  # Q = -T, T != I
+        k = int(np.argmax(np.bincount(index, weights=flipped)))
+        members = np.flatnonzero(index == k)
+        assert len(members) >= 2 and flipped[members].any() and not mixed._prop.ill_conditioned.any()
+        mixed._prop.ill_conditioned[k] = True
+        calls = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(1) or expm(a))
+        got = [mixed.apply(z0, t) for t in times]
+        assert len(calls) == len(times)  # one per (class, time)
+        flat = [g.reshape(10, -1) for g in got]
+        others = np.ones(len(index), dtype=bool)
+        others[members] = False
+        for g, w in zip(flat, want):
+            assert np.array_equal(g[:, others], w.reshape(10, -1)[:, others])
+        start = z0.reshape(10, -1)
+        for r in members:
+            m = mode_matrices(grid.half_modes[r], eq_b)
+            for g, t in zip(flat, times):
+                self.assert_close(g[:, r], expm(t * m) @ start[:, r])
 
     def test_continuum_evolver(self, all_modes_fall_back):
         eq_b = EquilibriumState(b_inf=(0.0, 0.0, 0.5))
