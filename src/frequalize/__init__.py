@@ -65,7 +65,6 @@ from .linear_modes import (
 from .littlewood_paley import (
     DEFAULT_CUTOFFS,
     BlockIndexRange,
-    LPDecomposition,
     RadialCutoffs,
     bernstein_ratios,
     block,

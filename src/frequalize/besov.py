@@ -90,10 +90,10 @@ def _block_lp(grid: TorusGrid, half: np.ndarray, qs: np.ndarray, p: float, homog
     profiles = block_profiles(grid, qs, homogeneous=homogeneous)
     if p == 2.0:
         return shell_l2_norms(half_lattice_spectrum(grid, half), profiles)
-    shells = grid.shell_index[..., : grid.half_width]
     # one block at a time: every block's coefficients at once would raise the memory peak
     return np.array([
-        lp_norm(PhysicalField(grid, half_lattice_inverse(grid, half * row[shells])), p) for row in profiles
+        lp_norm(PhysicalField(grid, half_lattice_inverse(grid, half * row[grid.shell_index])), p)
+        for row in profiles
     ])
 
 

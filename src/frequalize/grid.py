@@ -22,13 +22,15 @@ half lattice coefficients[..., :N//2+1] (`half_width` columns) holds every
 mirror pair once.  `half_lattice_forward` (an rfftn) and
 `half_lattice_inverse` (an irfftn) are its calibrated transform pair,
 `half_lattice_spectrum` is its shell spectrum and `half_lattice_l2` its
-Parseval norm.  `half_modes` holds xi of every half-lattice mode with xi_j
-zeroed on the Nyquist planes |k_j| = N/2: i xi_j is even in k there, so
-zeroing it keeps real fields real under odd derivatives (S. G. Johnson,
-Notes on FFT-based differentiation, MIT 2011), and it makes the mirror -xi
-of every mode a mode of the lattice.
+Parseval norm.  The grid's frequency tables (xi, |xi| and the shell index)
+are half-lattice arrays: the half lattice is the grid's only frequency
+layout.  `half_modes` holds xi of every half-lattice mode with xi_j zeroed
+on the Nyquist planes |k_j| = N/2: i xi_j is even in k there, so zeroing it
+keeps real fields real under odd derivatives (S. G. Johnson, Notes on
+FFT-based differentiation, MIT 2011), and it makes the mirror -xi of every
+mode a mode of the lattice.
 
-Every norm of a real field reads its half lattice, which
+Every norm and block of a real field reads its half lattice, which
 `half_lattice_coefficients` takes from samples (one rfftn) or, behind
 `require_hermitian`, from full-lattice coefficients.  The random fields, the
 solver's initial data and the lattice mode propagator are built on the half
@@ -61,8 +63,11 @@ class TorusGrid:
     """Uniform periodic grid on [0, L)^dim with its frequency lattice.
 
     Frequencies are xi_k = 2*pi*k/L per axis with integer k in [-N/2, N/2),
-    stored in FFT order.  The lattice is symmetric about zero except for the
-    unpaired Nyquist row at k = -N/2.
+    in FFT order along each axis (`axis_frequencies`).  The lattice is
+    symmetric about zero except for the unpaired Nyquist row at k = -N/2.
+    The frequency tables `frequency_vectors`, `frequency_magnitude` and
+    `shell_index` cover the half lattice, of shape
+    grid.shape[:-1] + (half_width,): the last axis stops at k = N/2.
     """
 
     dim: int
@@ -111,28 +116,29 @@ class TorusGrid:
         n = self.points_per_axis
         return 2.0 * math.pi * np.fft.fftfreq(n, d=self.spacing / 1.0)
 
+    def _half_mesh(self, axis: np.ndarray, sparse: bool = False) -> list[np.ndarray]:
+        """The per-axis values axis[k_j] at every half-lattice mode k: the last axis cut to half_width.
+
+        sparse keeps one axis per array, for sums that broadcast to the half
+        lattice without a dense temporary per axis.
+        """
+        return np.meshgrid(*([axis] * (self.dim - 1) + [axis[: self.half_width]]), indexing="ij", sparse=sparse)
+
     @cached_property
     def frequency_vectors(self) -> tuple[np.ndarray, ...]:
-        """dim arrays of shape grid.shape holding xi components."""
-        axes = [self.axis_frequencies] * self.dim
-        return tuple(np.meshgrid(*axes, indexing="ij"))
+        """dim half-lattice arrays holding the xi components."""
+        return tuple(self._half_mesh(self.axis_frequencies))
 
     @cached_property
     def frequency_magnitude(self) -> np.ndarray:
-        sq = np.zeros(self.shape)
-        for comp in self.frequency_vectors:
-            sq += comp**2
-        return np.sqrt(sq)
+        """|xi| of every half-lattice mode."""
+        return np.sqrt(sum(c**2 for c in self._half_mesh(self.axis_frequencies, sparse=True)))
 
     @cached_property
     def shell_index(self) -> np.ndarray:
-        """Integer |k|^2 of every lattice point, FFT ordering: the shell of each mode."""
-        n = self.points_per_axis
-        k_sq = np.concatenate([np.arange(n // 2), np.arange(-n // 2, 0)]) ** 2
-        total = np.zeros(self.shape, dtype=np.intp)
-        for axis in range(self.dim):
-            total += k_sq.reshape((-1,) + (1,) * (self.dim - 1 - axis))
-        return total
+        """Integer |k|^2 of every half-lattice mode: the shell of each mode."""
+        k = np.arange(self.points_per_axis)
+        return sum(self._half_mesh(np.minimum(k, self.points_per_axis - k) ** 2, sparse=True))
 
     @cached_property
     def shell_radii(self) -> np.ndarray:
@@ -152,8 +158,7 @@ class TorusGrid:
         components past dim.
         """
         n = self.points_per_axis
-        axis = np.where(2 * np.arange(n) == n, 0.0, self.axis_frequencies)
-        xi = np.meshgrid(*([axis] * (self.dim - 1) + [axis[: self.half_width]]), indexing="ij")
+        xi = self._half_mesh(np.where(2 * np.arange(n) == n, 0.0, self.axis_frequencies))
         return np.stack([c.ravel() for c in xi] + [np.zeros(xi[0].size)] * (3 - self.dim), axis=1)
 
     @cached_property
@@ -279,8 +284,8 @@ def half_lattice_spectrum(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
     """
     power = (half.real**2 + half.imag**2).reshape((-1,) + half.shape[-grid.dim:]).sum(axis=0)
     power[..., 1:-1] *= 2.0
-    shells = grid.shell_index[..., : grid.half_width]
-    return np.bincount(shells.ravel(), weights=power.ravel(), minlength=grid.shell_radii.size) / grid.volume
+    return np.bincount(grid.shell_index.ravel(), weights=power.ravel(),
+                       minlength=grid.shell_radii.size) / grid.volume
 
 
 def half_lattice_l2(grid: TorusGrid, half: np.ndarray) -> float:
@@ -320,8 +325,8 @@ def half_lattice_coefficients(field: PhysicalField | SpectralField) -> np.ndarra
 def half_lattice_solenoidal(grid: TorusGrid, half: np.ndarray) -> None:
     """Remove, in place, the longitudinal part g -> g - xi (xi.g)/|xi|^2 of the vector field
     whose half-lattice coefficients are half[:grid.dim] (zero mode kept)."""
-    xi = [c[..., : grid.half_width] for c in grid.frequency_vectors]
-    sq = grid.frequency_magnitude[..., : grid.half_width] ** 2
+    xi = grid.frequency_vectors
+    sq = grid.frequency_magnitude**2
     safe = np.where(sq > 0, sq, 1.0)
     dot = sum(xi[j] * half[j] for j in range(grid.dim))
     for j in range(grid.dim):
@@ -391,7 +396,7 @@ def random_band_limited_field(
     acts on the noise's half lattice.
     """
     half = half_lattice_forward(grid, rng.standard_normal((components,) + grid.shape))
-    mag = grid.frequency_magnitude[..., : grid.half_width]
+    mag = grid.frequency_magnitude
     shape = np.exp(-0.5 * (mag / (0.5 * grid.xi_max)) ** 2)
     shape[mag > 0.75 * grid.xi_max] = 0.0
     half *= shape

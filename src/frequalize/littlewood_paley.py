@@ -16,13 +16,13 @@ are dot products of the squared shell profiles with the shell spectrum of
 the field's half lattice and never touch the lattice.  A block below
 ROUNDOFF_FLOOR of its field's largest block over the whole index range is
 transform roundoff, and is treated as zero.  A lattice multiplier is
-gathered from the shell values only where a block itself is needed: on the
-full lattice for block extraction and decomposition, and on the half
-lattice [..., :N//2+1] for the inverse-transform route to block L^p norms
-with p != 2 (`besov`).  On the torus the homogeneous family never touches
-the zero mode, so homogeneous sums reconstruct a field up to its mean; that
-mean is the only polynomial the torus can represent, which realizes the
-usual quotient convention.
+gathered from the shell values, on the half lattice, only where a block
+itself is needed: block extraction and decomposition, which return the
+half-lattice coefficients of a real field's blocks, and the
+inverse-transform route to block L^p norms with p != 2 (`besov`).  On the
+torus the homogeneous family never touches the zero mode, so homogeneous
+sums reconstruct a field up to its mean; that mean is the only polynomial
+the torus can represent, which realizes the usual quotient convention.
 """
 
 from __future__ import annotations
@@ -123,41 +123,27 @@ def block_profiles(grid: TorusGrid, qs, *, homogeneous: bool = True) -> np.ndarr
 
 
 def block_multiplier(grid: TorusGrid, q: int, *, homogeneous: bool = True) -> np.ndarray:
-    """Lattice values of the block-q Fourier multiplier, gathered from its shell profile."""
+    """Half-lattice values of the block-q Fourier multiplier, gathered from its shell profile."""
     return block_profiles(grid, [q], homogeneous=homogeneous)[0][grid.shell_index]
 
 
-def block(field: SpectralField, q: int, *, homogeneous: bool = True) -> SpectralField:
-    """Extract the dyadic block: coefficientwise phi(2^-q xi) (chi for q=-1).
+def block(field: PhysicalField | SpectralField, q: int, *, homogeneous: bool = True) -> np.ndarray:
+    """Half-lattice coefficients of the dyadic block of a real field: coefficientwise phi(2^-q xi)
+    (chi for q=-1).
 
-    Out-of-range q returns the zero field, matching the convention that the
+    Out-of-range q returns zeros, matching the convention that the
     inhomogeneous family vanishes below q = -1.
     """
-    mult = block_multiplier(field.grid, q, homogeneous=homogeneous)
-    return SpectralField(field.grid, field.coefficients * mult)
+    return half_lattice_coefficients(field) * block_multiplier(field.grid, q, homogeneous=homogeneous)
 
 
-@dataclass(frozen=True)
-class LPDecomposition:
-    """Indexed dyadic blocks of one spectral field."""
-
-    source: SpectralField
-    homogeneous: bool
-    blocks: dict[int, SpectralField]
-
-    def reconstruct(self) -> SpectralField:
-        total = np.zeros_like(self.source.coefficients)
-        for piece in self.blocks.values():
-            total = total + piece.coefficients
-        return SpectralField(self.source.grid, total)
-
-
-def decompose(field: SpectralField, *, homogeneous: bool = True) -> LPDecomposition:
-    blocks = {
+def decompose(field: PhysicalField | SpectralField, *, homogeneous: bool = True) -> dict[int, np.ndarray]:
+    """{q: block(field, q)} over the family's index range.  The blocks sum to the field's half lattice,
+    less its mean when homogeneous."""
+    return {
         q: block(field, q, homogeneous=homogeneous)
         for q in BlockIndexRange.for_grid(field.grid).indices(homogeneous).tolist()
     }
-    return LPDecomposition(source=field, homogeneous=homogeneous, blocks=blocks)
 
 
 def bernstein_ratios(field: PhysicalField | SpectralField, *, order: float = 1.0) -> dict[int, float]:
@@ -174,7 +160,8 @@ def bernstein_ratios(field: PhysicalField | SpectralField, *, order: float = 1.0
 
 
 def partition_defect(grid: TorusGrid, *, homogeneous: bool = False) -> float:
-    """Max deviation of the telescoped profile sum from 1 over the occupied shells.
+    """Max deviation of the telescoped profile sum from 1 over the occupied shells
+    (those of the half lattice: every other mode is the mirror of one, in its shell).
 
     Inhomogeneous form: chi + sum_{q>=0} phi(2^-q .) on every occupied
     shell.  Homogeneous form: sum over the active index range, checked on

@@ -140,9 +140,7 @@ class _SpectralOps:
     def __init__(self, grid: TorusGrid, dealias: bool):
         self.grid = grid
         self.band_edge = 2.0 * math.pi * (grid.points_per_axis // 3) / grid.box_length  # |k_j| <= N // 3
-        inside = reduce(np.logical_and, [
-            np.abs(c[..., : grid.half_width]) <= self.band_edge + 1e-12 for c in grid.frequency_vectors
-        ])
+        inside = reduce(np.logical_and, [np.abs(c) <= self.band_edge + 1e-12 for c in grid.frequency_vectors])
         self.band = np.flatnonzero(inside) if dealias else np.arange(inside.size)
         self.modes = grid.half_modes[self.band]
         self.ik = 1j * self.modes.T[: grid.dim]
@@ -501,11 +499,11 @@ def initial_data_gen(
     rng = np.random.default_rng(seed)
     # one draw of the ten components is the draws of rho, velocity, E and h in turn
     half = half_lattice_forward(grid, rng.standard_normal((STATE_DIM,) + grid.shape))
-    mag = grid.frequency_magnitude[..., : grid.half_width]
+    mag = grid.frequency_magnitude
     half *= profile.envelope(mag, edge)
     half[(slice(None),) + (0,) * grid.dim] = 0.0
 
-    xi = [c[..., : grid.half_width] for c in grid.frequency_vectors]
+    xi = grid.frequency_vectors
     sq = mag**2
     safe = np.where(sq > 0, sq, 1.0)
     half_lattice_solenoidal(grid, half[4:7])  # the solenoidal parts of E and h

@@ -30,6 +30,7 @@ from frequalize.grid import (
 )
 from frequalize.linear_modes import linear_evolve_grid
 from frequalize.littlewood_paley import DEFAULT_CUTOFFS, bernstein_extremes, bernstein_ratios
+from test_shell_spectrum import full_lattice_xi
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +49,7 @@ def single_shell_field(grid: TorusGrid, q0: int, kvec) -> PhysicalField:
     conj_idx = tuple((-k) % grid.points_per_axis for k in kvec)
     coeffs[idx] = 0.5 * grid.volume
     coeffs[conj_idx] = 0.5 * grid.volume
-    ratio = grid.frequency_magnitude[idx] / 2.0**q0
+    ratio = full_lattice_xi(grid)[1][idx] / 2.0**q0
     assert 4.0 / 3.0 < ratio < 1.5, "test construction: mode must sit on the plateau"
     return inverse_transform(SpectralField(grid, coeffs))
 

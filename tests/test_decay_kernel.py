@@ -29,6 +29,7 @@ from frequalize.grid import (
     random_band_limited_field,
 )
 from frequalize.littlewood_paley import DEFAULT_CUTOFFS, BlockIndexRange
+from test_shell_spectrum import full_lattice_xi
 
 
 def profile_peak(power: float, sigma: float, c: float) -> float:
@@ -135,7 +136,7 @@ class TestLhs:
         rate = euler_maxwell_rate()
         t, s, alpha = 10.0, 0.5, 2.0
         g = forward_transform(f)
-        mag = grid.frequency_magnitude
+        mag = full_lattice_xi(grid)[1]
         damp = np.exp(-rate.eta(mag) * t)
         vals = []
         for q in BlockIndexRange.for_grid(grid):
@@ -198,7 +199,7 @@ class TestVerify:
         grid = TorusGrid(dim=3, box_length=16.0, points_per_axis=32)
         f = random_band_limited_field(grid, 1, rng)
         g = forward_transform(f)
-        coeffs = g.coefficients * (grid.frequency_magnitude >= 2.0)
+        coeffs = g.coefficients * (full_lattice_xi(grid)[1] >= 2.0)
         fh = inverse_transform(SpectralField(grid, coeffs))
         params = DecayParams(s=0.0, ell=2.0, rho=1.5, r=2.0, alpha=2.0, q0=0)
         rep = verify_inequality(fh, [0.0, 1.0, 10.0], params, euler_maxwell_rate())

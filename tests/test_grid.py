@@ -20,6 +20,7 @@ from frequalize.grid import (
 )
 from frequalize.io import HEADER_SIZE, dump_field, load_field
 from test_linear_modes import AnyNGrid
+from test_shell_spectrum import full_lattice_shells, full_lattice_xi
 
 
 def direct_transform(field: PhysicalField) -> np.ndarray:
@@ -140,13 +141,24 @@ class TestTransforms:
             PhysicalField(g, vals)
 
 
+class TestFrequencyTables:
+    @pytest.mark.parametrize("dim,n,length", [(1, 16, 5.0), (2, 8, 3.0), (3, 16, 3.0), (3, 48, 64.0)])
+    def test_tables_are_the_half_lattice_columns_of_the_full_lattice(self, dim, n, length):
+        g = TorusGrid(dim=dim, box_length=length, points_per_axis=n)
+        xi, mag = full_lattice_xi(g)
+        tables = g.frequency_vectors + (g.frequency_magnitude, g.shell_index)
+        for got, full in zip(tables, xi + (mag, full_lattice_shells(g)), strict=True):
+            assert got.shape == g.shape[:-1] + (g.half_width,)
+            assert np.array_equal(got, full[..., : g.half_width])
+
+
 class TestDerivatives:
     def test_divergence_of_solenoidal_projection_vanishes(self, rng):
         g = TorusGrid(dim=3, box_length=3.0, points_per_axis=16)
         v = random_band_limited_field(g, 3, rng)
         proj = half_lattice_forward(g, v.values)
         half_lattice_solenoidal(g, proj)
-        div = sum(1j * xi[..., : g.half_width] * c for xi, c in zip(g.frequency_vectors, proj))
+        div = sum(1j * xi * c for xi, c in zip(g.frequency_vectors, proj))
         assert np.max(np.abs(div)) <= 1e-12 * np.max(np.abs(proj))
 
 

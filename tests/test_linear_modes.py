@@ -37,6 +37,7 @@ from frequalize.linear_modes import (
     spectral_gap,
     system_matrices,
 )
+from test_shell_spectrum import full_lattice_xi
 
 
 @pytest.fixture(scope="module")
@@ -375,8 +376,8 @@ class AnyNGrid(TorusGrid):
 
 def compatible_lattice_state(grid: TorusGrid, rng) -> SpectralField:
     """Random smooth 10-component data obeying the lattice Gauss constraints."""
-    xi = grid.frequency_vectors
-    sq = grid.frequency_magnitude**2
+    xi, mag = full_lattice_xi(grid)
+    sq = mag**2
     safe = np.where(sq > 0, sq, 1.0)
 
     def solenoidal(g):  # g - xi (xi.g) / |xi|^2

@@ -291,7 +291,7 @@ def test_checker_flags_a_reader():
 
 FULL_LATTICE = {"forward_transform", "inverse_transform", "solenoidal_projection", "_reflected", "fftn", "ifftn"}
 HALF_LATTICE_PRODUCERS = ("initial_data_gen", "random_band_limited_field", "GridModePropagator",
-                          "linear_evolve_grid")
+                          "linear_evolve_grid", "block", "decompose")
 
 
 def full_lattice_reads(modules: dict[str, str], names) -> dict[str, list[str]]:

@@ -3,7 +3,9 @@ partition of unity on random grids.
 
 `full_lattice_spectrum` is the oracle for the half lattice's shell spectrum:
 it bins the power of every full-lattice mode, so it holds for any
-coefficients.  The other test modules import it from here."""
+coefficients.  `full_lattice_xi` and `full_lattice_shells` are the
+full-lattice frequency tables that the grid's half-lattice tables are cut
+from.  The other test modules import them from here."""
 
 import math
 
@@ -41,6 +43,23 @@ def cubic_grids(draw) -> TorusGrid:
     return TorusGrid(dim=dim, box_length=length, points_per_axis=n)
 
 
+def full_lattice_xi(grid: TorusGrid) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The xi components and |xi| of every full-lattice mode, FFT order along each axis: the meshgrid
+    of grid.axis_frequencies, then the sum of squares and sqrt."""
+    xi = tuple(np.meshgrid(*([grid.axis_frequencies] * grid.dim), indexing="ij"))
+    sq = np.zeros(grid.shape)
+    for comp in xi:
+        sq += comp**2
+    return xi, np.sqrt(sq)
+
+
+def full_lattice_shells(grid: TorusGrid) -> np.ndarray:
+    """Integer |k|^2 of every full-lattice mode, FFT order along each axis, from fftfreq."""
+    n = grid.points_per_axis
+    k = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(np.intp)
+    return sum(c**2 for c in np.meshgrid(*([k] * grid.dim), indexing="ij"))
+
+
 @st.composite
 def band_limited_fields(draw) -> SpectralField:
     """Random coefficients cut off at a random fraction of the axis Nyquist magnitude."""
@@ -51,7 +70,7 @@ def band_limited_fields(draw) -> SpectralField:
     rng = np.random.default_rng(seed)
     shape = (components,) + grid.shape
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coeffs[:, grid.frequency_magnitude > keep * grid.xi_max] = 0.0
+    coeffs[:, full_lattice_xi(grid)[1] > keep * grid.xi_max] = 0.0
     return SpectralField(grid, coeffs * grid.volume)
 
 
@@ -69,7 +88,7 @@ LP_EXPONENTS = st.sampled_from([1.0, 1.5, 3.0, math.inf])
 
 def lattice_profile(grid: TorusGrid, q: int, homogeneous: bool) -> np.ndarray:
     """Block-q multiplier on the full lattice, straight from |xi|: chi(|xi|) or phi(2^-q |xi|)."""
-    mag = grid.frequency_magnitude
+    mag = full_lattice_xi(grid)[1]
     if not homogeneous and q == -1:
         return DEFAULT_CUTOFFS.chi(mag)
     return DEFAULT_CUTOFFS.phi(mag / 2.0**q)
@@ -83,7 +102,7 @@ def lattice_power(field: SpectralField) -> np.ndarray:
 def full_lattice_spectrum(field: SpectralField) -> np.ndarray:
     """Power per shell over the box volume, binned from every full-lattice mode, any coefficients."""
     grid = field.grid
-    binned = np.bincount(grid.shell_index.ravel(), weights=lattice_power(field).ravel(),
+    binned = np.bincount(full_lattice_shells(grid).ravel(), weights=lattice_power(field).ravel(),
                          minlength=grid.shell_radii.size)
     return binned / grid.volume
 
@@ -158,7 +177,13 @@ class TestPartitionOfUnity:
     def test_profiles_sum_to_one_on_occupied_shells(self, grid, homogeneous):
         qs = BlockIndexRange.for_grid(grid).indices(homogeneous)
         total = block_profiles(grid, qs, homogeneous=homogeneous).sum(axis=0)
-        occupied = np.unique(grid.shell_index)
+        occupied = np.unique(full_lattice_shells(grid))
         if homogeneous:
             occupied = occupied[occupied > 0]
         assert np.max(np.abs(total[occupied] - 1.0)) <= 1e-12
+
+    @PROPERTY
+    @given(cubic_grids())
+    def test_half_lattice_occupies_every_full_lattice_shell(self, grid):
+        # every full-lattice mode is a half-lattice mode or the mirror of one, in the same shell
+        assert set(np.unique(grid.shell_index)) == set(np.unique(full_lattice_shells(grid)))

@@ -45,7 +45,7 @@ from frequalize.solver import (
     rhs_eval,
     step,
 )
-from test_shell_spectrum import full_lattice_spectrum
+from test_shell_spectrum import full_lattice_spectrum, full_lattice_xi
 
 
 @pytest.fixture(scope="module")
@@ -661,7 +661,7 @@ class TestCoefficientSamples:
             assert np.allclose(getattr(f, name), values, rtol=1e-12, atol=0.0), name
 
         # Gauss residuals with i xi_j zeroed on the Nyquist planes, as the march's multipliers are
-        xi = [np.where(np.abs(c) < grid.xi_max - 1e-9, c, 0.0) for c in grid.frequency_vectors]
+        xi = [np.where(np.abs(c) < grid.xi_max - 1e-9, c, 0.0) for c in full_lattice_xi(grid)[0]]
         for i, z in enumerate(states):
             z_hat = forward_transform(PhysicalField(grid, z)).coefficients
             div_e = sum(1j * xi[j] * z_hat[4 + j] for j in range(3)) + z_hat[0]
