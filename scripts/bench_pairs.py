@@ -11,7 +11,9 @@ uncommitted changes.  It prints each pair's end-to-end metrics (parent ->
 checkout), then per metric the medians of both sides, the distance between
 the quartiles of the parent's runs, the number of pairs in which the
 checkout was better, and a verdict against the metric's ``bound`` in
-``BENCHMARK.json`` (a share of the parent's median):
+``BENCHMARK.json`` (a share of the parent's median).  Before the first pair
+and after the last it prints the CPUs the process may use and the load
+averages, since a speed-up from threads depends on idle CPUs.  Verdicts:
 
 - ``better``: the checkout was better in at least nine pairs in ten, and its
   median beats the parent's by more than the parent's quartile distance;
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -55,6 +58,12 @@ def run(tree: Path, workload: str, seed: int) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: run.py exited {proc.returncode}:\n{proc.stderr[-4000:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def host_line(when: str) -> str:
+    """The CPUs this process may use and the 1, 5 and 15 minute load averages, labelled when."""
+    load = ", ".join(f"{x:.2f}" for x in os.getloadavg())
+    return f"host {when}: {len(os.sched_getaffinity(0))} CPUs, load averages {load}"
 
 
 def compare(metric: dict, old: list[float], new: list[float]) -> str:
@@ -93,6 +102,7 @@ def main() -> int:
         parent = Path(tmp)
         export(args.parent, parent)
         print(f"workload {args.workload}, seed {args.seed}: {args.parent} (export in {parent}) -> {ROOT}")
+        print(host_line("before the pairs"), flush=True)
         for i in range(1, args.pairs + 1):
             sides = (("parent", parent), ("checkout", ROOT))
             for side, tree in sides if i % 2 else sides[::-1]:
@@ -106,6 +116,7 @@ def main() -> int:
             line = ", ".join(f"{m['name']} {old[m['name']]['value']:.4g} -> {new[m['name']]['value']:.4g}"
                              for m in metrics)
             print(f"pair {i}: {line}", flush=True)
+        print(host_line("after the pairs"))
 
     for m in metrics:
         print(compare(m, *([r["metrics"][m["name"]]["value"] for r in results[side]]

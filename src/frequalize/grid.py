@@ -34,12 +34,13 @@ Every norm and block of a real field reads its half lattice, which
 `half_lattice_coefficients` takes from samples (one rfftn) or, behind
 `require_hermitian`, from full-lattice coefficients.  The random fields, the
 solver's initial data and the lattice mode propagator are built on the half
-lattice too, so generating data loads scipy.fft, the library of the
-half-lattice pair; importing the package does not.
+lattice too, so generating data loads scipy.fft, the one FFT library of
+both pairs; importing the package does not.
 `full_lattice_coefficients` fills a half lattice out to the full lattice of
 a `SpectralField` with conjugate mirrors.  `forward_transform` and
-`inverse_transform` are the calibrated full-lattice pair of `SpectralField`,
-on numpy's transforms.
+`inverse_transform` are the calibrated full-lattice pair of `SpectralField`.
+Both pairs run on every CPU the process may use: pocketfft splits a
+transform's independent 1-d lines across threads, so it stays bit-identical.
 
 All operations are pure; reductions run in a fixed index order so repeated
 evaluations are bit-identical.
@@ -48,6 +49,7 @@ evaluations are bit-identical.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,6 +58,7 @@ import numpy as np
 from .errors import ConfigError
 
 SUPPORTED_DIMS = (1, 2, 3)
+_FFT_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -205,12 +208,6 @@ class PhysicalField:
     def components(self) -> int:
         return self.values.shape[0]
 
-    def magnitude(self) -> np.ndarray:
-        """Pointwise Euclidean magnitude across components."""
-        if self.components == 1:
-            return np.abs(self.values[0])
-        return np.sqrt(np.sum(self.values**2, axis=0))
-
 
 @dataclass(frozen=True)
 class SpectralField:
@@ -233,9 +230,10 @@ class SpectralField:
 
 def forward_transform(field: PhysicalField) -> SpectralField:
     """Continuum-calibrated DFT: f_hat_k = (L/N)^dim sum_j f(x_j) exp(-i xi_k.x_j)."""
+    import scipy.fft
     grid = field.grid
-    axes = tuple(range(1, grid.dim + 1))
-    coeffs = np.fft.fftn(field.values, axes=axes) * grid.cell_volume
+    coeffs = scipy.fft.fftn(field.values, axes=tuple(range(1, grid.dim + 1)), workers=_FFT_WORKERS)
+    coeffs *= grid.cell_volume
     return SpectralField(grid, coeffs)
 
 
@@ -259,7 +257,7 @@ def half_lattice_forward(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Half lattice of the calibrated coefficients of real samples values[..., *grid.shape]: one rfftn."""
     import scipy.fft  # deferred: importing the package never loads scipy.fft
 
-    half = scipy.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)))
+    half = scipy.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)), workers=_FFT_WORKERS)
     half *= grid.cell_volume
     return half
 
@@ -271,7 +269,7 @@ def half_lattice_inverse(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
     """
     import scipy.fft
 
-    values = scipy.fft.irfftn(half, s=grid.shape, axes=tuple(range(-grid.dim, 0)))
+    values = scipy.fft.irfftn(half, s=grid.shape, axes=tuple(range(-grid.dim, 0)), workers=_FFT_WORKERS)
     values /= grid.cell_volume
     return values
 
@@ -347,17 +345,28 @@ def full_lattice_coefficients(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
 
 def inverse_transform(field: SpectralField) -> PhysicalField:
     """Exact inverse of :func:`forward_transform`, behind :func:`require_hermitian`."""
+    import scipy.fft
     require_hermitian(field)
     grid = field.grid
-    axes = tuple(range(1, grid.dim + 1))
-    return PhysicalField(grid, np.fft.ifftn(field.coefficients, axes=axes).real / grid.cell_volume)
+    values = scipy.fft.ifftn(field.coefficients, axes=tuple(range(1, grid.dim + 1)), workers=_FFT_WORKERS)
+    return PhysicalField(grid, values.real / grid.cell_volume)
 
 
 def lp_norm(field: PhysicalField, p: float) -> float:
-    """Grid-quadrature L^p norm of the pointwise component magnitude."""
+    """Grid-quadrature L^p norm of the pointwise component magnitude.
+
+    Squares are summed over components in one pass; at p = inf the norm is the sqrt of their maximum,
+    exact since sqrt is monotone and correctly rounded.  One component reads |v|, which cannot overflow."""
     if p < 1:
         raise ConfigError(f"lp_norm requires p >= 1, got {p}")
-    mag = field.magnitude()
+    v = field.values
+    if len(v) == 1:
+        mag = np.abs(v[0])
+    else:
+        mag = np.einsum("i...,i...->...", v, v)
+        if math.isinf(p):
+            return math.sqrt(float(np.max(mag)))
+        np.sqrt(mag, out=mag)
     if math.isinf(p):
         return float(np.max(mag))
     if p == 2.0:

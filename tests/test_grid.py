@@ -1,10 +1,13 @@
 """Transforms, spectral calculus and quadrature norms on the periodic grid."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+import scipy.fft
 
+from frequalize import grid as grid_module
 from frequalize.errors import ConfigError
 from frequalize.grid import (
     PhysicalField,
@@ -12,6 +15,7 @@ from frequalize.grid import (
     TorusGrid,
     forward_transform,
     half_lattice_forward,
+    half_lattice_inverse,
     half_lattice_solenoidal,
     inverse_transform,
     lp_norm,
@@ -41,6 +45,14 @@ def direct_transform(field: PhysicalField) -> np.ndarray:
     else:
         out = np.einsum("ai,bj,dk,cijk->cabd", w, w, w, v, optimize=True)
     return out * grid.cell_volume
+
+
+def lp_oracle(field: PhysicalField, p: float) -> float:
+    """L^p norm of sqrt(sum of squares over components), reduced as the formula reads."""
+    mag = np.sqrt(np.sum(field.values**2, axis=0))
+    if math.isinf(p):
+        return float(np.max(mag))
+    return float((np.sum(mag**p) * field.grid.cell_volume) ** (1.0 / p))
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +145,25 @@ class TestTransforms:
         with pytest.raises(ConfigError, match="k="):
             inverse_transform(SpectralField(g, coeffs))
 
+    @pytest.mark.parametrize("dim,n,components", [(1, 32, 1), (1, 9, 3), (2, 16, 2), (2, 11, 1),
+                                                  (3, 12, 10), (3, 9, 3)])
+    def test_threaded_transforms_match_one_worker(self, dim, n, components):
+        # the grid's transforms run on every CPU the process may use; criterion 10 (byte-identical
+        # reruns) needs them bit-identical to one thread, on even and odd N alike
+        if hasattr(os, "sched_getaffinity"):
+            assert grid_module._FFT_WORKERS == len(os.sched_getaffinity(0))
+        g = AnyNGrid(dim=dim, box_length=2.5, points_per_axis=n)
+        values = np.random.default_rng(n).standard_normal((components,) + g.shape)
+        axes = tuple(range(-dim, 0))
+        half = half_lattice_forward(g, values)
+        assert np.array_equal(half, scipy.fft.rfftn(values, axes=axes, workers=1) * g.cell_volume)
+        assert np.array_equal(half_lattice_inverse(g, half),
+                              scipy.fft.irfftn(half, s=g.shape, axes=axes, workers=1) / g.cell_volume)
+        full = forward_transform(PhysicalField(g, values)).coefficients
+        assert np.array_equal(full, scipy.fft.fftn(values, axes=axes, workers=1) * g.cell_volume)
+        assert np.array_equal(inverse_transform(SpectralField(g, full)).values,
+                              scipy.fft.ifftn(full, axes=axes, workers=1).real / g.cell_volume)
+
     def test_non_finite_rejected(self):
         g = TorusGrid(dim=1, box_length=1.0, points_per_axis=8)
         vals = np.zeros(g.shape)
@@ -211,6 +242,22 @@ class TestNorms:
         scaled = PhysicalField(g, 3.5 * f.values)
         for p in (1.0, 2.0, math.inf):
             assert lp_norm(scaled, p) == pytest.approx(3.5 * lp_norm(f, p), rel=1e-14)
+
+    @pytest.mark.parametrize("components", [1, 3])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_matches_component_magnitude_oracle(self, p, components):
+        g = TorusGrid(dim=3, box_length=2.0, points_per_axis=16)
+        f = PhysicalField(g, np.random.default_rng(components).standard_normal((components,) + g.shape))
+        if p in (1.0, math.inf):  # the same roundings in the same order
+            assert lp_norm(f, p) == lp_oracle(f, p)
+        else:
+            assert lp_norm(f, p) == pytest.approx(lp_oracle(f, p), rel=1e-15)
+
+    def test_one_component_sup_norm_does_not_square(self):
+        g = TorusGrid(dim=2, box_length=1.0, points_per_axis=8)
+        values = np.full(g.shape, 1e200)
+        values[3, 5] = -2e200
+        assert lp_norm(PhysicalField(g, values), math.inf) == 2e200
 
     def test_p_below_one_rejected(self):
         g = TorusGrid(dim=1, box_length=1.0, points_per_axis=8)
