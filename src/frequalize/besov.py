@@ -16,7 +16,9 @@ to one column, the aggregated Besov values, it is the plain mixed norm.
 Every norm reads the half lattice of a real field through one core,
 `half_lattice_besov`, which callers holding half-lattice coefficients call
 directly.  Block L^2 norms come from its shell spectrum; every other block
-L^p norm takes one irfftn of the block's half-lattice coefficients.  Blocks
+L^p norm takes one irfftn per component of the block's half-lattice
+coefficients, whose squares sum in place into the block's magnitude, so a
+block holds one component's transform beside the half lattice.  Blocks
 below the roundoff floor (`littlewood_paley.ROUNDOFF_FLOOR`) are dropped.
 """
 
@@ -83,18 +85,43 @@ def _block_lp(grid: TorusGrid, half: np.ndarray, qs: np.ndarray, p: float, homog
     """Block L^p norms, for every q in qs, of the real field with half-lattice coefficients half.
 
     At p = 2 a dot product with the shell spectrum; otherwise one half-lattice
-    irfftn per block.  A block of a real field is real (its multiplier is real
-    and radial), so no symmetry gate is applied per block (on roundoff-level
-    blocks it would be meaningless).
+    irfftn per block and component (`_block_magnitude`), reduced by `lp_norm`.
+    A block of a real field is real (its multiplier is real and radial), so no
+    symmetry gate is applied per block (on roundoff-level blocks it would be
+    meaningless).
     """
     profiles = block_profiles(grid, qs, homogeneous=homogeneous)
     if p == 2.0:
         return shell_l2_norms(half_lattice_spectrum(grid, half), profiles)
-    # one block at a time: every block's coefficients at once would raise the memory peak
-    return np.array([
-        lp_norm(PhysicalField(grid, half_lattice_inverse(grid, half * row[grid.shell_index])), p)
-        for row in profiles
-    ])
+    # one block and one component at a time, through buffers that every block reuses: every block's
+    # coefficients, or every component's, at once would raise the memory peak
+    coeffs = np.empty_like(half[0])
+    squares = np.empty(grid.shape) if len(half) > 1 else None
+    return np.array([lp_norm(_block_magnitude(grid, half, row[grid.shell_index], coeffs, squares), p)
+                     for row in profiles])
+
+
+def _block_magnitude(grid: TorusGrid, half: np.ndarray, multiplier: np.ndarray, coeffs: np.ndarray,
+                     squares: np.ndarray | None) -> PhysicalField:
+    """The pointwise magnitude of the block multiplier * half, as a one-component field.
+
+    Each component's block coefficients are formed in the buffer coeffs and
+    transformed alone.  A single component is its own samples.  Several sum
+    their squares into the buffer squares, in component order as `lp_norm`'s
+    one-pass sum does, and the magnitude is the square root, taken in place.
+    Non-finite samples are refused, as are squares past the float range.
+    """
+    if len(half) == 1:
+        return PhysicalField(grid, half_lattice_inverse(grid, np.multiply(half[0], multiplier, out=coeffs)))
+    for c, component in enumerate(half):
+        samples = half_lattice_inverse(grid, np.multiply(component, multiplier, out=coeffs))
+        if c == 0:
+            np.multiply(samples, samples, out=squares)
+        else:
+            np.multiply(samples, samples, out=samples)
+            squares += samples
+        del samples  # not held through the next component's transform
+    return PhysicalField(grid, np.sqrt(squares, out=squares))
 
 
 def half_lattice_besov(grid: TorusGrid, half: np.ndarray, spec: BesovSpec) -> NormReport:
@@ -115,9 +142,13 @@ def besov_norm(f: PhysicalField | SpectralField, spec: BesovSpec) -> NormReport:
     """Block-weighted norm: l^r over q of 2^(q s) ||block_q f||_Lp.
 
     Only the half lattice is read, so a SpectralField must hold a real
-    field's coefficients; other coefficients raise ConfigError.
+    field's coefficients; other coefficients raise ConfigError.  f is
+    released once its half lattice exists, so a caller that passes its only
+    reference frees the samples before the block transforms.
     """
-    return half_lattice_besov(f.grid, half_lattice_coefficients(f), spec)
+    grid, half = f.grid, half_lattice_coefficients(f)
+    del f
+    return half_lattice_besov(grid, half, spec)
 
 
 def negative_norm(f: PhysicalField | SpectralField, varrho: float) -> float:

@@ -149,11 +149,16 @@ def _parse_besov_spec(spec: str) -> BesovSpec:
         return BesovSpec(s, p, r, flag == "hom")
 
 
+def _load_input(path: str):
+    """The field dumped at --input, its errors named by the option."""
+    with prefixed("--input: "):
+        return load_field(path)
+
+
 def cmd_besov_norm(args) -> int:
     spec = args.spec
-    with prefixed("--input: "):
-        field = load_field(args.input)
-    report = besov_norm(field, spec)
+    # besov_norm holds the only reference, so it frees the samples once their half lattice exists
+    report = besov_norm(_load_input(args.input), spec)
     qs = sorted(report.contributions)
     header = ["spec", "value", "mean_magnitude"] + [f"q{q}" for q in qs]
     rows = [[spec.label(), report.value, report.mean_magnitude] + [report.contributions[q] for q in qs]]
@@ -184,8 +189,7 @@ def cmd_kernel_verify(args) -> int:
         with prefixed("--input: "):
             field = gaussian_bump(grid, width)
     else:
-        with prefixed("--input: "):
-            field = load_field(args.input)
+        field = _load_input(args.input)
     params.check(field.grid.dim)
     report = verify_inequality(field, args.times, params, rate)
     scan = tail_divergence_scan(ell, r, rate, t=4.0, n=field.grid.dim, r0=params.r_split)

@@ -356,7 +356,8 @@ def lp_norm(field: PhysicalField, p: float) -> float:
     """Grid-quadrature L^p norm of the pointwise component magnitude.
 
     Squares are summed over components in one pass; at p = inf the norm is the sqrt of their maximum,
-    exact since sqrt is monotone and correctly rounded.  One component reads |v|, which cannot overflow."""
+    exact since sqrt is monotone and correctly rounded.  One component reads |v|, which cannot overflow,
+    so a caller holding a magnitude (as the block norms of `besov` do) passes it as one component."""
     if p < 1:
         raise ConfigError(f"lp_norm requires p >= 1, got {p}")
     v = field.values
@@ -402,7 +403,9 @@ def random_band_limited_field(
     White noise is shaped by a Gaussian spectral envelope of width 0.5 xi_max
     (half the Nyquist magnitude) and cut to zero above 0.75 xi_max, so every
     generated field stays clear of the unpaired Nyquist row.  The envelope
-    acts on the noise's half lattice.
+    acts on the noise's half lattice, which is inverted one component at a
+    time into the samples; they are scaled in place to a largest magnitude
+    of 1.
     """
     half = half_lattice_forward(grid, rng.standard_normal((components,) + grid.shape))
     mag = grid.frequency_magnitude
@@ -411,19 +414,27 @@ def random_band_limited_field(
     half *= shape
     if zero_mean:
         half[(slice(None),) + (0,) * grid.dim] = 0.0
-    values = half_lattice_inverse(grid, half)
-    scale = np.max(np.abs(values))
+    values = np.empty((components,) + grid.shape)
+    for c in range(components):  # an irfftn of every component at once holds a copy of all of them
+        values[c] = half_lattice_inverse(grid, half[c])
+    scale = max(values.max(), -values.min())
     if scale > 0:
-        values = values / scale
+        values /= scale
     return PhysicalField(grid, values)
 
 
 def gaussian_bump(grid: TorusGrid, width: float) -> PhysicalField:
-    """Centered Gaussian of the given width, normalized to unit integral."""
+    """Centered Gaussian of the given width, normalized to unit integral.
+
+    The squared radius sums the squared centred coordinate of each axis, broadcast from one axis,
+    so no dense coordinate mesh is built; the rest is computed in place.
+    """
     if width <= 0:
         raise ConfigError(f"gaussian width must be positive, got {width}")
-    centered = [c - 0.5 * grid.box_length for c in grid.coordinates]
-    r_sq = sum(c**2 for c in centered)
-    values = np.exp(-r_sq / (2.0 * width**2)) / (2.0 * math.pi * width**2) ** (grid.dim / 2.0)
+    axis = np.arange(grid.points_per_axis) * grid.spacing - 0.5 * grid.box_length
+    values = sum(np.meshgrid(*([axis**2] * grid.dim), indexing="ij", sparse=True))
+    np.negative(values, out=values)
+    values /= 2.0 * width**2
+    np.exp(values, out=values)
+    values /= (2.0 * math.pi * width**2) ** (grid.dim / 2.0)
     return PhysicalField(grid, values)
-

@@ -15,6 +15,7 @@ Header (little endian, 32 bytes):
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -37,30 +38,34 @@ def dump_field(field: PhysicalField, path: str | Path) -> None:
     data = np.ascontiguousarray(field.values, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(data.tobytes())
+        fh.write(data)  # the array's own buffer: no bytes copy of the payload
 
 
 def load_field(path: str | Path) -> PhysicalField:
-    """The field of a dump; a missing file or a malformed container is a ConfigError."""
+    """The field of a dump; a missing file or a malformed container is a ConfigError.
+
+    The payload is read straight into the field's one float64 array.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"field dump {path} does not exist")
-    raw = path.read_bytes()
-    if len(raw) < HEADER_SIZE:
-        raise ConfigError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, version, dim, n, length, components = _HEADER.unpack(raw[:HEADER_SIZE])
-    if magic != MAGIC:
-        raise ConfigError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise ConfigError(f"{path}: unsupported container version {version}")
-    if components == 0:
-        raise ConfigError(f"{path}: the header declares zero components")
-    grid = TorusGrid(dim=dim, box_length=length, points_per_axis=n)
-    expected = components * n**dim
-    payload = np.frombuffer(raw, dtype="<f8", offset=HEADER_SIZE)
-    if payload.size != expected:
-        raise ConfigError(
-            f"{path}: payload holds {payload.size} samples, expected {expected}"
-        )
-    values = payload.reshape((components,) + grid.shape).astype(float)
-    return PhysicalField(grid, values)
+    with open(path, "rb") as fh:
+        head = fh.read(HEADER_SIZE)
+        if len(head) < HEADER_SIZE:
+            raise ConfigError(f"{path}: truncated header ({len(head)} bytes)")
+        magic, version, dim, n, length, components = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise ConfigError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if version != VERSION:
+            raise ConfigError(f"{path}: unsupported container version {version}")
+        if components == 0:
+            raise ConfigError(f"{path}: the header declares zero components")
+        grid = TorusGrid(dim=dim, box_length=length, points_per_axis=n)
+        expected = components * n**dim
+        size = os.fstat(fh.fileno()).st_size - HEADER_SIZE
+        if size == 8 * expected:  # checked before allocating: the header may declare any size
+            values = np.empty((components,) + grid.shape, dtype="<f8")
+            if fh.readinto(values) == size:
+                return PhysicalField(grid, values)
+    cut = f" and {size % 8} bytes" if size % 8 else ""
+    raise ConfigError(f"{path}: payload holds {size // 8} samples{cut}, expected {expected}")

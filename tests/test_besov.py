@@ -1,6 +1,7 @@
 """Besov / Chemin-Lerner norms and energy functionals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from frequalize.besov import (
     ell_r,
     energy_functionals,
     group_spectra,
+    half_lattice_besov,
     negative_norm,
     running_time_norm,
 )
@@ -292,6 +294,22 @@ class TestHalfLatticeReads:
             for name in ("lhs", "low", "high", "ratio"):
                 assert np.allclose(getattr(a, name), getattr(b, name), rtol=1e-12, atol=0.0), (r, name)
         assert np.allclose(bernstein_extremes([f]), bernstein_extremes([g]), rtol=1e-12, atol=0.0)
+
+    def test_block_transforms_hold_one_component_at_a_time(self):
+        # beside the half lattice, p != 2 blocks hold one component's coefficients and samples at a
+        # time, the sum of squares and the block multiplier: under five component-sized buffers.
+        # A transform of every component at once holds all their coefficients and samples.
+        grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=48)
+        half = half_lattice_forward(grid, np.random.default_rng(48).standard_normal((3,) + grid.shape))
+        spec = BesovSpec(0.0, 1.0, 1.0, True)
+        half_lattice_besov(grid, half, spec)  # the grid's frequency tables are built once, outside the count
+        tracemalloc.start()
+        try:
+            half_lattice_besov(grid, half, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * np.prod(grid.shape) * 8
 
     def test_non_hermitian_coefficients_refused(self, rng):
         grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)

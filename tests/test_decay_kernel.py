@@ -234,7 +234,7 @@ class TestVerify:
     @pytest.mark.parametrize("r,forward,inverse", [(1.0, 1, 8), (2.0, 1, 0)])
     def test_one_transform_per_input_and_block(self, gauss3d, monkeypatch, r, forward, inverse):
         # one half-lattice forward transform of the input, and at r != 2 one half-lattice
-        # inverse per block (8 here)
+        # inverse per block and component (8 here: one component)
         from frequalize import besov
         from frequalize import grid as grid_module
 

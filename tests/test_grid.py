@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from frequalize.grid import (
     SpectralField,
     TorusGrid,
     forward_transform,
+    gaussian_bump,
     half_lattice_forward,
     half_lattice_inverse,
     half_lattice_solenoidal,
@@ -212,6 +214,37 @@ class TestRandomField:
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+    @pytest.mark.parametrize("components", [1, 3, 10])
+    @pytest.mark.parametrize("dim, n", [(1, 32), (2, 16), (3, 12)])
+    def test_matches_batched_inverse_oracle(self, dim, n, components):
+        # the samples, inverted one component at a time and scaled in place, are those of one
+        # irfftn of every component divided by the largest |value|, bit for bit
+        grid = TorusGrid(dim=dim, box_length=5.0, points_per_axis=n)
+        got = random_band_limited_field(grid, components, np.random.default_rng(components)).values
+        half = half_lattice_forward(grid, np.random.default_rng(components).standard_normal((components,) + grid.shape))
+        mag = grid.frequency_magnitude
+        envelope = np.exp(-0.5 * (mag / (0.5 * grid.xi_max)) ** 2)
+        envelope[mag > 0.75 * grid.xi_max] = 0.0
+        half *= envelope
+        half[(slice(None),) + (0,) * dim] = 0.0
+        want = half_lattice_inverse(grid, half)
+        want = want / np.max(np.abs(want))
+        assert np.array_equal(got, want)
+
+
+class TestGaussianBump:
+    @pytest.mark.parametrize("width", [0.4, 1.0, 2.5])
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16)])
+    def test_matches_dense_mesh_oracle_without_caching_it(self, dim, n, width):
+        grid = TorusGrid(dim=dim, box_length=9.0, points_per_axis=n)
+        got = gaussian_bump(grid, width).values
+        assert "coordinates" not in vars(grid)  # no dense coordinate mesh is cached on the grid
+        centered = [c - 0.5 * grid.box_length for c in grid.coordinates]
+        r_sq = sum(c**2 for c in centered)
+        want = np.exp(-r_sq / (2.0 * width**2)) / (2.0 * math.pi * width**2) ** (dim / 2.0)
+        assert np.array_equal(got[0], want)
+
+
 class TestNorms:
     def test_constant_norm(self):
         g = TorusGrid(dim=2, box_length=3.0, points_per_axis=8)
@@ -298,3 +331,12 @@ class TestContainer:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ConfigError, match="payload"):
             load_field(path)
+
+    @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8), (3, 8)])
+    def test_dump_is_the_header_then_the_payload_bytes(self, rng, tmp_path, dim, n):
+        g = TorusGrid(dim=dim, box_length=6.0, points_per_axis=n)
+        f = PhysicalField(g, rng.standard_normal((3,) + g.shape))
+        path = tmp_path / "field.fqlz"
+        dump_field(f, path)
+        header = struct.pack("<4sIIIdI4x", b"FQLZ", 1, dim, n, g.box_length, 3)
+        assert path.read_bytes() == header + np.ascontiguousarray(f.values, dtype="<f8").tobytes()

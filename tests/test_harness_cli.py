@@ -318,6 +318,17 @@ class TestCli:
         assert f"error: --input: {dump}: " in err and "zero components" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", [["besov", "norm", "--spec", "1,2,2"], ["kernel", "verify"]])
+    def test_payload_cut_mid_sample_exits_2_and_names_input(self, tmp_path, capsys, command):
+        grid = TorusGrid(dim=2, box_length=6.0, points_per_axis=16)
+        dump = tmp_path / "cut.fqlz"
+        dump_field(PhysicalField(grid, np.ones(grid.shape)), dump)
+        dump.write_bytes(dump.read_bytes()[:-3])
+        assert main(command + ["--input", str(dump), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --input: {dump}: payload holds 255 samples and 5 bytes, expected 256" in err
+        assert not (tmp_path / "run").exists()
+
     def test_every_valued_option_has_a_converter(self):
         untyped = [(" ".join(command), action.option_strings[0])
                    for command, action in value_options(build_parser())

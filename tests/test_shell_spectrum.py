@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frequalize.besov import BesovSpec, besov_norm
+from frequalize.besov import BesovSpec, besov_norm, half_lattice_besov
 from frequalize.grid import (
     PhysicalField,
     SpectralField,
     TorusGrid,
     forward_transform,
     half_lattice_forward,
+    half_lattice_inverse,
     half_lattice_l2,
     half_lattice_spectrum,
     lp_norm,
@@ -28,6 +29,7 @@ from frequalize.grid import (
 )
 from frequalize.littlewood_paley import (
     DEFAULT_CUTOFFS,
+    ROUNDOFF_FLOOR,
     BlockIndexRange,
     block_profiles,
 )
@@ -169,6 +171,22 @@ class TestHalfLatticeBlocks:
         for q, w in want.items():
             if w > 1e-10 * top:
                 assert abs(got[q] - w) <= 1e-12 * w, (q, got[q], w)
+
+
+    @PROPERTY
+    @given(cubic_grids(), st.sampled_from([1, 3, 10]), st.integers(0, 2**32 - 1), LP_EXPONENTS, st.booleans())
+    def test_block_lp_norms_equal_the_batched_route(self, grid, components, seed, p, homogeneous):
+        # one irfftn per block and component, squares summed in place, reads what one irfftn per
+        # block of every component at once and lp_norm's one-pass sum read, bit for bit
+        values = np.random.default_rng(seed).standard_normal((components,) + grid.shape)
+        half = half_lattice_forward(grid, values)
+        qs = BlockIndexRange.for_grid(grid).indices(homogeneous)
+        profiles = block_profiles(grid, qs, homogeneous=homogeneous)
+        want = {q: lp_norm(PhysicalField(grid, half_lattice_inverse(grid, half * row[grid.shell_index])), p)
+                for q, row in zip(qs.tolist(), profiles)}
+        got = half_lattice_besov(grid, half, BesovSpec(0.0, p, 1.0, homogeneous)).contributions
+        top = max(want.values())
+        assert got == {q: w for q, w in want.items() if w > ROUNDOFF_FLOOR * top}
 
 
 class TestPartitionOfUnity:
