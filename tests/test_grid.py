@@ -213,7 +213,6 @@ class TestRandomField:
         want /= np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
-
     @pytest.mark.parametrize("components", [1, 3, 10])
     @pytest.mark.parametrize("dim, n", [(1, 32), (2, 16), (3, 12)])
     def test_matches_batched_inverse_oracle(self, dim, n, components):

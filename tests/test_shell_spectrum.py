@@ -172,7 +172,6 @@ class TestHalfLatticeBlocks:
             if w > 1e-10 * top:
                 assert abs(got[q] - w) <= 1e-12 * w, (q, got[q], w)
 
-
     @PROPERTY
     @given(cubic_grids(), st.sampled_from([1, 3, 10]), st.integers(0, 2**32 - 1), LP_EXPONENTS, st.booleans())
     def test_block_lp_norms_equal_the_batched_route(self, grid, components, seed, p, homogeneous):
