@@ -63,13 +63,12 @@ from .linear_modes import (
     spectral_gap,
 )
 from .littlewood_paley import (
-    DEFAULT_CUTOFFS,
-    BlockIndexRange,
-    RadialCutoffs,
     bernstein_ratios,
     block,
+    chi,
     decompose,
     partition_defect,
+    phi,
 )
 from .solver import (
     SimState,

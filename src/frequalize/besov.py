@@ -18,8 +18,9 @@ Every norm reads the half lattice of a real field through one core,
 directly.  Block L^2 norms come from its shell spectrum; every other block
 L^p norm takes one irfftn per component of the block's half-lattice
 coefficients, whose squares sum in place into the block's magnitude, so a
-block holds one component's transform beside the half lattice.  Blocks
-below the roundoff floor (`littlewood_paley.ROUNDOFF_FLOOR`) are dropped.
+block holds one component's transform beside the half lattice.  The blocks,
+their profiles and the roundoff floor below which a block is dropped come
+from `littlewood_paley`, which alone decides the dyadic family.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .grid import (
     lp_norm,
     shell_l2_norms,
 )
-from .littlewood_paley import ROUNDOFF_FLOOR, BlockIndexRange, block_profiles
+from .littlewood_paley import block_profiles, live_blocks
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,8 @@ def ell_r(values: Sequence[float], r: float) -> float:
     return float(np.sum(arr**r) ** (1.0 / r))
 
 
-def _block_lp(grid: TorusGrid, half: np.ndarray, qs: np.ndarray, p: float, homogeneous: bool) -> np.ndarray:
-    """Block L^p norms, for every q in qs, of the real field with half-lattice coefficients half.
+def _block_lp(grid: TorusGrid, half: np.ndarray, p: float, homogeneous: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(qs, norms): the family's indices and block L^p norms of the real field whose half lattice is half.
 
     At p = 2 a dot product with the shell spectrum; otherwise one half-lattice
     irfftn per block and component (`_block_magnitude`), reduced by `lp_norm`.
@@ -90,15 +91,15 @@ def _block_lp(grid: TorusGrid, half: np.ndarray, qs: np.ndarray, p: float, homog
     symmetry gate is applied per block (on roundoff-level blocks it would be
     meaningless).
     """
-    profiles = block_profiles(grid, qs, homogeneous=homogeneous)
+    qs, profiles = block_profiles(grid, homogeneous)
     if p == 2.0:
-        return shell_l2_norms(half_lattice_spectrum(grid, half), profiles)
+        return qs, shell_l2_norms(half_lattice_spectrum(grid, half), profiles)
     # one block and one component at a time, through buffers that every block reuses: every block's
     # coefficients, or every component's, at once would raise the memory peak
     coeffs = np.empty_like(half[0])
     squares = np.empty(grid.shape) if len(half) > 1 else None
-    return np.array([lp_norm(_block_magnitude(grid, half, row[grid.shell_index], coeffs, squares), p)
-                     for row in profiles])
+    return qs, np.array([lp_norm(_block_magnitude(grid, half, row[grid.shell_index], coeffs, squares), p)
+                         for row in profiles])
 
 
 def _block_magnitude(grid: TorusGrid, half: np.ndarray, multiplier: np.ndarray, coeffs: np.ndarray,
@@ -126,10 +127,9 @@ def _block_magnitude(grid: TorusGrid, half: np.ndarray, multiplier: np.ndarray, 
 
 def half_lattice_besov(grid: TorusGrid, half: np.ndarray, spec: BesovSpec) -> NormReport:
     """`besov_norm` of the real field with half-lattice coefficients half[components, *half lattice]."""
-    qs = BlockIndexRange.for_grid(grid).indices(spec.homogeneous)
-    raw = dict(zip(qs.tolist(), _block_lp(grid, half, qs, spec.p, spec.homogeneous).tolist()))
-    floor = ROUNDOFF_FLOOR * max(raw.values(), default=0.0)
-    contributions = {q: 2.0 ** (q * spec.s) * b for q, b in raw.items() if b > floor}
+    qs, norms = _block_lp(grid, half, spec.p, spec.homogeneous)
+    live = live_blocks(norms)
+    contributions = {q: 2.0 ** (q * spec.s) * b for q, b in zip(qs[live].tolist(), norms[live].tolist())}
     value = ell_r(list(contributions.values()), spec.r)
     mean_mag = 0.0
     if spec.homogeneous:
@@ -228,8 +228,7 @@ def energy_functionals(grid: TorusGrid, spectra: np.ndarray, times: Sequence[flo
     times = np.asarray(times, dtype=float)
     if times.size != len(spectra):
         raise ConfigError("times and spectra length mismatch")
-    qs = BlockIndexRange.for_grid(grid).indices(homogeneous=False)
-    profiles = block_profiles(grid, qs, homogeneous=False)
+    qs, profiles = block_profiles(grid, homogeneous=False)
 
     # [t, group, shell]: z, then each _DISSIPATION_NORMS group (magnetic gradient: |xi|^2 h)
     spectra = np.concatenate([np.sum(spectra, axis=1, keepdims=True), spectra], axis=1)

@@ -21,11 +21,11 @@ exactly the ell threshold (violations are detected as divergence under
 domain extension).
 
 At p = 2 every quantity here is a radial weight (block profile times kernel
-or its power-law bounds) against |f_hat|^2, so the LHS and both regime
-diagnostics are dot products with the shell spectrum of the field's half
-lattice, read once, for all times at once; the L^r block norms of the
-high-frequency data (r != 2) go through the inverse transform in `besov`.
-Blocks below the roundoff floor are left out of both sides.
+or its power-law bounds) against |f_hat|^2, so the LHS, the data's
+negative-order norm and both regime diagnostics are dot products with the
+shell spectrum of the field's half lattice, read once, for all times at
+once; the high data norm's L^r blocks go through `besov`.  The family and
+its live blocks come from `littlewood_paley`; dead blocks leave both sides.
 
 On a torus the block index is bounded below by the box size, so the
 l^alpha tail as q -> -infinity is unobservable below xi_min = 2 pi / L;
@@ -42,9 +42,9 @@ import numpy as np
 
 from .besov import BesovSpec, ell_r, half_lattice_besov
 from .errors import ConfigError, HypothesisError
-from .grid import PhysicalField, SpectralField, TorusGrid, half_lattice_coefficients, half_lattice_spectrum
+from .grid import PhysicalField, SpectralField, half_lattice_coefficients, half_lattice_spectrum
 from .grid import shell_l2_norms
-from .littlewood_paley import ROUNDOFF_FLOOR, BlockIndexRange, block_profiles
+from .littlewood_paley import block_profiles, live_blocks
 
 SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 _TAIL_EXTENSIONS = (1e1, 1e2, 1e3, 1e4)  # tail domain ends r_max of the divergence scan, in units of r0
@@ -141,38 +141,18 @@ class DecayParams:
             raise HypothesisError(f"requires 1 <= r <= 2, got r={self.r}")
         if self.alpha < 1.0:
             raise HypothesisError(f"requires alpha >= 1, got alpha={self.alpha}")
-        threshold = n * (1.0 / self.r - 0.5)
-        if self.r < 2.0:
-            if self.ell < threshold:
+        threshold = self.ell_threshold(n)
+        if self.ell < threshold:  # at r = 2 the threshold is 0
+            if self.r < 2.0:
                 raise HypothesisError(
                     f"requires ell >= n(1/r - 1/2) = {threshold:g} for r={self.r:g} < 2, "
                     f"got ell={self.ell:g}"
                 )
-        elif self.ell < 0:
             raise HypothesisError(f"requires ell >= 0 at r=2, got ell={self.ell:g}")
 
-
-def _damped_blocks(spectrum: np.ndarray, radii: np.ndarray, profiles: np.ndarray,
-                   times: np.ndarray, rate: DissipRate) -> np.ndarray:
-    """||block_q f^ e^(-eta t)||_L2 for every time (rows) and profile (columns)."""
-    damp = rate.kernel(radii, times[:, None])
-    return shell_l2_norms(damp**2 * spectrum, profiles)
-
-
-@dataclass(frozen=True)
-class RhsNorms:
-    low: float  # negative-order norm of the data
-    high: float  # high-regularity Besov norm of the data
-
-
-def _rhs_norms(grid: TorusGrid, half: np.ndarray, params: DecayParams) -> tuple[RhsNorms, dict[int, float]]:
-    """The data norms of the field with half-lattice coefficients half, and its block L^r norms above
-    the roundoff floor (the B^0_(r,inf) contributions), which the high norm weights as besov_norm would."""
-    lr_blocks = half_lattice_besov(grid, half, BesovSpec(0.0, params.r, math.inf, True)).contributions
-    low = half_lattice_besov(grid, half, BesovSpec(-params.rho, 2.0, math.inf, True)).value
-    s_high = params.s + params.ell
-    high = ell_r([2.0 ** (q * s_high) * b for q, b in lr_blocks.items()], params.alpha)
-    return RhsNorms(low=low, high=high), lr_blocks
+    def ell_threshold(self, n: int) -> float:
+        """n (1/r - 1/2), the least ell admitted in dimension n."""
+        return n * (1.0 / self.r - 0.5)
 
 
 def rhs_time_factors(t: float, params: DecayParams, rate: DissipRate, n: int) -> tuple[float, float]:
@@ -212,14 +192,15 @@ class InequalityReport:
     high_regime_sup: float | None
     profile_sup: float
     split_constants: tuple[float, float]
+    dim: int
 
-    def hypothesis_flags(self, params: DecayParams, n: int) -> dict:
-        threshold = n * (1.0 / params.r - 0.5)
+    def hypothesis_flags(self, params: DecayParams) -> dict:
+        threshold = params.ell_threshold(self.dim)
         return {
             "s_plus_rho": params.s + params.rho,
             "ell": params.ell,
             "ell_threshold": threshold,
-            "ell_above_threshold": params.ell >= threshold or (params.r == 2.0 and params.ell >= 0),
+            "ell_above_threshold": params.ell >= threshold,
             "finite_sup_ratio": bool(np.isfinite(self.sup_ratio)),
         }
 
@@ -236,7 +217,8 @@ def verify_inequality(
     separately with the kernel replaced by its power-law bound on each side
     of the split radius: the aggregated low-frequency blocks against the
     negative-order norm with its time weight, and each high-frequency block
-    against its regularity-weighted L^r norm.
+    against its regularity-weighted L^r norm.  f is released once its half
+    lattice exists, as `besov_norm` releases its argument.
     """
     times = np.asarray(sorted(times), dtype=float)
     if times.size == 0:
@@ -245,29 +227,34 @@ def verify_inequality(
     n = grid.dim
     params.check(n)
     half = half_lattice_coefficients(f)
+    del f
 
-    norms, lr_norms = _rhs_norms(grid, half, params)
+    # the data's block L^r norms above the roundoff floor, which the high norm weights as besov_norm would
+    lr_norms = half_lattice_besov(grid, half, BesovSpec(0.0, params.r, math.inf, True)).contributions
     gamma = gamma_factor(n, rate.sigma2, params.r)
     c_low_raw, c_high_raw = rate.split_constants(params.r_split)
     c_low, c_high = rate.c0 * c_low_raw, rate.c0 * c_high_raw
 
     spectrum = half_lattice_spectrum(grid, half)
     radii = grid.shell_radii
-    qs = BlockIndexRange.for_grid(grid).indices()
-    profiles = block_profiles(grid, qs)
-    base_blocks = shell_l2_norms(spectrum, profiles)
-    active = base_blocks > ROUNDOFF_FLOOR * base_blocks.max()
-    qs, profiles = qs[active], profiles[active]
+    qs, profiles = block_profiles(grid)
+    blocks = shell_l2_norms(spectrum, profiles)
+    live = live_blocks(blocks)
+    qs, profiles, blocks = qs[live], profiles[live], blocks[live]
     weight = 2.0 ** (qs * params.s)
 
-    # L^r norms of the blocks, needed by the high-regime diagnostic
-    lr_blocks = np.array([lr_norms.get(q, 0.0) for q in qs.tolist()])
+    # the data norms: negative-order (B^-rho_(2,inf)) and high-regularity (B^(s+ell)_(r,alpha))
+    norm_low = ell_r([2.0 ** (q * -params.rho) * b for q, b in zip(qs.tolist(), blocks.tolist())], math.inf)
+    s_high = params.s + params.ell
+    norm_high = ell_r([2.0 ** (q * s_high) * b for q, b in lr_norms.items()], params.alpha)
+    lr_blocks = np.array([lr_norms.get(q, 0.0) for q in qs.tolist()])  # for the high-regime diagnostic
 
-    lhs_blocks = weight * _damped_blocks(spectrum, radii, profiles, times, rate)
+    damp = rate.kernel(radii, times[:, None])
+    lhs_blocks = weight * shell_l2_norms(damp**2 * spectrum, profiles)
     lhs = np.array([ell_r(row, params.alpha) for row in lhs_blocks])
     lo_t, hi_t = rhs_time_factors(times, params, rate, n)
-    low_term = lo_t * norms.low
-    high_term = hi_t * norms.high
+    low_term = lo_t * norm_low
+    high_term = hi_t * norm_high
 
     # the two proof regimes: the kernel replaced by its power-law bound on
     # each side of the split radius
@@ -275,15 +262,15 @@ def verify_inequality(
     low = qs < params.q0
     low_damp = np.exp(-c_low * radii**rate.sigma1 * t) * (radii <= params.r_split)
     low_blocks = weight[low] * shell_l2_norms(low_damp**2 * spectrum, profiles[low])
-    low_regime = [ell_r(row, params.alpha) / (lo * norms.low)
-                  for row, lo in zip(low_blocks, lo_t)] if low.any() and norms.low > 0 else []
+    low_regime = [ell_r(row, params.alpha) / (lo * norm_low)
+                  for row, lo in zip(low_blocks, lo_t)] if low.any() and norm_low > 0 else []
 
     with np.errstate(divide="ignore"):
         inv_radii = np.where(radii > 0, radii, np.inf) ** (-rate.sigma2)
     high_damp = np.exp(-c_high * inv_radii * t) * (radii >= params.r_split)
     high = (qs >= params.q0) & (lr_blocks > 0)
     num = weight[high] * shell_l2_norms(high_damp**2 * spectrum, profiles[high])
-    den = 2.0 ** (qs[high] * (params.s + params.ell)) * hi_t[:, None] * lr_blocks[high]
+    den = 2.0 ** (qs[high] * s_high) * hi_t[:, None] * lr_blocks[high]
     high_regime = (num / den).ravel().tolist()
 
     total = low_term + high_term
@@ -304,6 +291,7 @@ def verify_inequality(
         high_regime_sup=max(high_regime) if high_regime else None,
         profile_sup=prof_sup,
         split_constants=(c_low, c_high),
+        dim=n,
     )
 
 

@@ -10,26 +10,27 @@ shells overlapping any point, and they telescope:
     chi(xi) + sum_{q>=0} phi(2^-q xi) = 1            (everywhere)
     sum_{q in Z} phi(2^-q xi) = 1                    (xi != 0)
 
-The profiles are radial, so they are evaluated once per shell of the
-lattice (see `grid`).  Block L^2 norms (p = 2) and the Bernstein ratios
-are dot products of the squared shell profiles with the shell spectrum of
-the field's half lattice and never touch the lattice.  A block below
-ROUNDOFF_FLOOR of its field's largest block over the whole index range is
-transform roundoff, and is treated as zero.  A lattice multiplier is
-gathered from the shell values, on the half lattice, only where a block
-itself is needed: block extraction and decomposition, which return the
-half-lattice coefficients of a real field's blocks, and the
-inverse-transform route to block L^p norms with p != 2 (`besov`).  On the
-torus the homogeneous family never touches the zero mode, so homogeneous
-sums reconstruct a field up to its mean; that mean is the only polynomial
-the torus can represent, which realizes the usual quotient convention.
+This module alone decides the dyadic family, and every other module asks
+it: the indices q a grid carries (`block_indices`), the family's shell
+profiles (`block_profiles`, as (qs, profiles)) and its live blocks
+(`live_blocks`: those above ROUNDOFF_FLOOR of the field's largest block;
+the others are transform roundoff).  The profiles are radial, so they are
+evaluated once per shell of the lattice (see `grid`).  Block L^2 norms
+(p = 2) and the Bernstein ratios are dot products of the squared shell
+profiles with the shell spectrum of the field's half lattice and never
+touch the lattice.  A lattice multiplier is gathered from the shell
+values, on the half lattice, only where a block itself is needed: block
+extraction and decomposition, which return the half-lattice coefficients
+of a real field's blocks, and the inverse-transform route to block L^p
+norms with p != 2 (`besov`).  On the torus the homogeneous family never
+touches the zero mode, so homogeneous sums reconstruct a field up to its
+mean; that mean is the only polynomial the torus can represent, which
+realizes the usual quotient convention.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -59,72 +60,47 @@ def exponential_ramp(t: np.ndarray) -> np.ndarray:
     return out
 
 
-class RadialCutoffs:
-    """The one (chi, phi) profile pair: chi = 1 on |xi| <= 3/4, 0 beyond 4/3,
-    and the exponential ramp in between; phi(xi) = chi(xi/2) - chi(xi)."""
-
-    def chi(self, r: np.ndarray | float) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        t = (r - INNER_PLATEAU) / (OUTER_SUPPORT - INNER_PLATEAU)
-        return 1.0 - exponential_ramp(t)
-
-    def phi(self, r: np.ndarray | float) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return self.chi(0.5 * r) - self.chi(r)
+def chi(r: np.ndarray | float) -> np.ndarray:
+    """The low-pass profile: 1 on |xi| <= 3/4, 0 beyond 4/3, and the exponential ramp in between."""
+    t = (np.asarray(r, dtype=float) - INNER_PLATEAU) / (OUTER_SUPPORT - INNER_PLATEAU)
+    return 1.0 - exponential_ramp(t)
 
 
-DEFAULT_CUTOFFS = RadialCutoffs()
+def phi(r: np.ndarray | float) -> np.ndarray:
+    """The shell profile phi(xi) = chi(xi/2) - chi(xi)."""
+    return chi(0.5 * np.asarray(r, dtype=float)) - chi(r)
 
 
-@dataclass(frozen=True)
-class BlockIndexRange:
-    """Dyadic indices whose shells can intersect the nonzero lattice.
-
-    One guard index is kept on each side; the guards are identically zero on
-    the lattice, so truncating the bi-infinite family to this range is exact.
-    """
-
-    q_min: int
-    q_max: int
-
-    @classmethod
-    def for_grid(cls, grid: TorusGrid) -> "BlockIndexRange":
-        q_min = math.ceil(math.log2(3.0 * grid.xi_min / 8.0)) - 1
-        q_max = math.floor(math.log2(4.0 * grid.xi_max / 3.0)) + 1
-        return cls(q_min=q_min, q_max=q_max)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self.q_min, self.q_max + 1))
-
-    def __contains__(self, q: int) -> bool:
-        return self.q_min <= q <= self.q_max
-
-    def indices(self, homogeneous: bool = True) -> np.ndarray:
-        """Block indices of a family: the whole range, or -1 .. q_max when inhomogeneous
-        (the low-pass block -1 alone when every frequency sits on the chi plateau)."""
-        if homogeneous:
-            return np.arange(self.q_min, self.q_max + 1)
-        return np.arange(-1, max(self.q_max, -1) + 1)
+def block_indices(grid: TorusGrid, homogeneous: bool = True) -> np.ndarray:
+    """The family's indices on grid: homogeneous, every q whose shell can meet the nonzero lattice and one guard
+    on each side (zero on the lattice, so the truncation is exact); inhomogeneous, -1 .. q_max (or -1 alone)."""
+    q_max = math.floor(math.log2(4.0 * grid.xi_max / 3.0)) + 1
+    if homogeneous:
+        return np.arange(math.ceil(math.log2(3.0 * grid.xi_min / 8.0)) - 1, q_max + 1)
+    return np.arange(-1, max(q_max, -1) + 1)
 
 
-def block_profiles(grid: TorusGrid, qs, *, homogeneous: bool = True) -> np.ndarray:
-    """Block profiles on the shells: row j is block qs[j] at every grid.shell_radii entry.
+def _profile(r: np.ndarray, q: int, homogeneous: bool) -> np.ndarray:
+    """Block q's profile at radii r: phi(2^-q r), or, inhomogeneous, chi for q = -1 and zero below it."""
+    if homogeneous or q >= 0:
+        return phi(r * 2.0**-q)
+    return chi(r) if q == -1 else np.zeros_like(r)
 
-    Inhomogeneous rows are chi for q = -1 and zero below it.
-    """
-    r = grid.shell_radii
-    rows = []
-    for q in qs:
-        if homogeneous or q >= 0:
-            rows.append(DEFAULT_CUTOFFS.phi(r * 2.0**-q))
-        else:
-            rows.append(DEFAULT_CUTOFFS.chi(r) if q == -1 else np.zeros_like(r))
-    return np.array(rows).reshape(-1, r.size)
+
+def block_profiles(grid: TorusGrid, homogeneous: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The family on the shells: (qs, profiles), profiles[j] being block qs[j] at every grid.shell_radii entry."""
+    qs, r = block_indices(grid, homogeneous), grid.shell_radii
+    return qs, np.array([_profile(r, q, homogeneous) for q in qs.tolist()]).reshape(-1, r.size)
+
+
+def live_blocks(norms: np.ndarray) -> np.ndarray:
+    """Mask of the live blocks of norms (a field's whole family): above ROUNDOFF_FLOOR of the largest."""
+    return norms > ROUNDOFF_FLOOR * norms.max(initial=0.0)
 
 
 def block_multiplier(grid: TorusGrid, q: int, *, homogeneous: bool = True) -> np.ndarray:
     """Half-lattice values of the block-q Fourier multiplier, gathered from its shell profile."""
-    return block_profiles(grid, [q], homogeneous=homogeneous)[0][grid.shell_index]
+    return _profile(grid.shell_radii, q, homogeneous)[grid.shell_index]
 
 
 def block(field: PhysicalField | SpectralField, q: int, *, homogeneous: bool = True) -> np.ndarray:
@@ -140,21 +116,17 @@ def block(field: PhysicalField | SpectralField, q: int, *, homogeneous: bool = T
 def decompose(field: PhysicalField | SpectralField, *, homogeneous: bool = True) -> dict[int, np.ndarray]:
     """{q: block(field, q)} over the family's index range.  The blocks sum to the field's half lattice,
     less its mean when homogeneous."""
-    return {
-        q: block(field, q, homogeneous=homogeneous)
-        for q in BlockIndexRange.for_grid(field.grid).indices(homogeneous).tolist()
-    }
+    return {q: block(field, q, homogeneous=homogeneous) for q in block_indices(field.grid, homogeneous).tolist()}
 
 
 def bernstein_ratios(field: PhysicalField | SpectralField, *, order: float = 1.0) -> dict[int, float]:
     """{q: ||Lambda^order block|| / (2^(q order) ||block||) in L^2} over the homogeneous blocks of a real field
     above the roundoff floor; support of the shell forces every ratio into [(3/4)^order, (8/3)^order]."""
     grid = field.grid
-    qs = BlockIndexRange.for_grid(grid).indices(True)
     spectrum = half_lattice_spectrum(grid, half_lattice_coefficients(field))
-    profiles = block_profiles(grid, qs, homogeneous=True)
+    qs, profiles = block_profiles(grid)
     base = shell_l2_norms(spectrum, profiles)
-    live = base > ROUNDOFF_FLOOR * base.max()
+    live = live_blocks(base)
     deriv = shell_l2_norms(grid.shell_radii ** (2 * order) * spectrum, profiles[live])
     return dict(zip(qs[live].tolist(), (deriv / (2.0 ** (qs[live] * order) * base[live])).tolist()))
 
@@ -167,8 +139,7 @@ def partition_defect(grid: TorusGrid, *, homogeneous: bool = False) -> float:
     shell.  Homogeneous form: sum over the active index range, checked on
     the nonzero shells only.
     """
-    qs = BlockIndexRange.for_grid(grid).indices(homogeneous)
-    profiles = block_profiles(grid, qs, homogeneous=homogeneous)
+    _, profiles = block_profiles(grid, homogeneous)
     occupied = np.bincount(grid.shell_index.ravel(), minlength=grid.shell_radii.size) > 0
     if homogeneous:
         occupied[0] = False

@@ -73,7 +73,7 @@ from .errors import ConfigError, DensityError, SolverInstabilityError
 from .fitting import DecayFit, fit_decay_exponent
 from .grid import PhysicalField, TorusGrid, half_lattice_forward, half_lattice_inverse, half_lattice_solenoidal
 from .linear_modes import REAL_FORM_PHASES, mode_exponentials, real_mode_matrices
-from .littlewood_paley import DEFAULT_CUTOFFS
+from .littlewood_paley import phi
 
 STATE_DIM = 10
 MAX_STEP = 2.0  # cap on the CFL-default step: the largest step measured accurate on the desk run
@@ -562,7 +562,7 @@ def _duhamel_modes(grid: TorusGrid) -> tuple[tuple[tuple[int, ...], int, float],
     for kvec in ((2,) + (0,) * pad, (0,) * pad + (min(6, n // 3),), (1,) * pad + (min(3, n // 3),)):
         mag = float(np.linalg.norm([grid.axis_frequencies[k] for k in kvec]))
         top = math.floor(math.log2(max(mag, 1e-12)))
-        q = max(range(top - 2, top + 3), key=lambda qq: float(DEFAULT_CUTOFFS.phi(mag / 2.0**qq)))
+        q = max(range(top - 2, top + 3), key=lambda qq: float(phi(mag / 2.0**qq)))
         modes.append((kvec, q, mag))
     return tuple(modes)
 
@@ -572,7 +572,7 @@ def duhamel_sums(state: SimState, z_hat: np.ndarray) -> tuple[np.ndarray, np.nda
     read from z_hat, the fluxes of the physical state are direct sums over the lattice there."""
     grid = state.grid
     kvecs, qs, mags = zip(*_duhamel_modes(grid))
-    phi2 = np.array([float(DEFAULT_CUTOFFS.phi(mag / 2.0**q)) ** 2 for q, mag in zip(qs, mags)])
+    phi2 = np.array([float(phi(mag / 2.0**q)) ** 2 for q, mag in zip(qs, mags)])
     z_power = np.abs(np.stack([z_hat[(slice(None),) + kvec] for kvec in kvecs], axis=-1)) ** 2
     flux_power = np.abs(_mode_coefficients(nonlinear_fluxes(state), kvecs) * grid.cell_volume) ** 2
     qf = _FROBENIUS_WEIGHTS @ flux_power[:6]

@@ -31,7 +31,7 @@ from frequalize.grid import (
     random_band_limited_field,
 )
 from frequalize.linear_modes import linear_evolve_grid
-from frequalize.littlewood_paley import DEFAULT_CUTOFFS, bernstein_extremes, bernstein_ratios
+from frequalize.littlewood_paley import bernstein_extremes, bernstein_ratios, phi
 from test_shell_spectrum import full_lattice_xi
 
 
@@ -167,8 +167,8 @@ def continuum_gaussian_negative_norm(width: float, varrho: float = 1.5) -> float
     for q in range(-30, 20):
         lo, hi = 0.75 * 2.0**q, 8.0 / 3.0 * 2.0**q
         rho = np.linspace(lo, hi, 400)
-        phi = DEFAULT_CUTOFFS.phi(rho / 2.0**q)
-        integrand = phi**2 * np.exp(-(width**2) * rho**2) * rho**2
+        profile = phi(rho / 2.0**q)
+        integrand = profile**2 * np.exp(-(width**2) * rho**2) * rho**2
         b_sq = np.trapezoid(integrand, rho) * 4 * np.pi / (2 * np.pi) ** 3
         out = max(out, 2.0 ** (-q * varrho) * math.sqrt(b_sq))
     return out

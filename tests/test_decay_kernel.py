@@ -1,17 +1,21 @@
 """The frequency-localized decay inequality: both sides, regimes, thresholds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from frequalize.besov import BesovSpec, besov_norm
+from frequalize.besov import BesovSpec, besov_norm, half_lattice_besov
 from frequalize.decay_kernel import (
     DecayParams,
     DissipRate,
     euler_maxwell_rate,
     gamma_factor,
     profile_lattice_sup,
+    rhs_time_factors,
     tail_divergence_scan,
     tail_integral,
     verify_inequality,
@@ -28,8 +32,9 @@ from frequalize.grid import (
     inverse_transform,
     random_band_limited_field,
 )
-from frequalize.littlewood_paley import DEFAULT_CUTOFFS, BlockIndexRange
-from test_shell_spectrum import full_lattice_xi
+from frequalize.io import dump_field, load_field
+from frequalize.littlewood_paley import block_indices, phi
+from test_shell_spectrum import PROPERTY, cubic_grids, full_lattice_xi
 
 
 def profile_peak(power: float, sigma: float, c: float) -> float:
@@ -107,6 +112,13 @@ class TestParams:
         with pytest.raises(HypothesisError, match="1 <= r <= 2"):
             DecayParams(s=0.0, ell=2.0, rho=1.5, r=3.0, alpha=2.0).check(3)
 
+    def test_one_threshold_for_check_and_flags(self, gauss3d):
+        # n(1/r - 1/2) is exactly 0 at r = 2, so ell = 0 passes the check and is flagged as above it
+        assert DecayParams(s=0.0, ell=1.5, rho=1.5, r=1.0, alpha=2.0).ell_threshold(3) == 1.5
+        params = DecayParams(s=0.0, ell=0.0, rho=1.5, r=2.0, alpha=2.0)
+        flags = verify_inequality(gauss3d, [0.0], params, euler_maxwell_rate()).hypothesis_flags(params)
+        assert flags["ell_threshold"] == 0.0 and flags["ell_above_threshold"]
+
 
 class TestLhs:
     def test_t_zero_reduces_to_besov(self, rng):
@@ -139,8 +151,8 @@ class TestLhs:
         mag = full_lattice_xi(grid)[1]
         damp = np.exp(-rate.eta(mag) * t)
         vals = []
-        for q in BlockIndexRange.for_grid(grid):
-            w = DEFAULT_CUTOFFS.phi(mag / 2.0**q) * damp
+        for q in block_indices(grid).tolist():
+            w = phi(mag / 2.0**q) * damp
             term = math.sqrt(float(np.sum(w**2 * np.abs(g.coefficients[0]) ** 2)) / grid.volume)
             if term > 0:
                 vals.append(2.0 ** (q * s) * term)
@@ -192,7 +204,7 @@ class TestVerify:
         params = DecayParams(s=0.0, ell=2.0, rho=1.5, r=2.0, alpha=2.0)
         rep = verify_inequality(gauss3d, [0.0, 0.1, 1.0, 10.0, 100.0], params, euler_maxwell_rate())
         assert math.isfinite(rep.sup_ratio) and rep.sup_ratio > 0
-        flags = rep.hypothesis_flags(params, 3)
+        flags = rep.hypothesis_flags(params)
         assert flags["ell_above_threshold"] and flags["finite_sup_ratio"]
 
     def test_high_supported_data_has_no_low_regime(self, rng):
@@ -251,11 +263,41 @@ class TestVerify:
         params = DecayParams(s=0.0, ell=1.5 if r == 1.0 else 2.0, rho=1.5, r=r, alpha=2.0)
         rep = verify_inequality(gauss3d, [0.0, 1.0, 10.0], params, euler_maxwell_rate())
         assert counts == {"forward": forward, "inverse": inverse}
-        assert BlockIndexRange.for_grid(gauss3d.grid).indices().size == 8
+        assert block_indices(gauss3d.grid).size == 8
         # the high data norm read off the shared block norms is bit-identical to the direct one
         # (its time factor is 1 at t = 0)
         direct = besov_norm(gauss3d, BesovSpec(params.s + params.ell, r, params.alpha, True)).value
         assert rep.high[0] == direct
+
+    @PROPERTY
+    @given(cubic_grids(), st.integers(1, 3), st.integers(0, 2**32 - 1), st.floats(0.1, 3.0))
+    def test_low_term_is_the_negative_order_norm(self, grid, components, seed, rho):
+        # the data's B^-rho_(2,inf) norm, read off the live L^2 blocks of the verifier's one
+        # spectrum, is the one half_lattice_besov computes, bit for bit
+        values = np.random.default_rng(seed).standard_normal((components,) + grid.shape)
+        params = DecayParams(s=0.0, ell=2.0, rho=rho, r=2.0, alpha=2.0)
+        rate, times = euler_maxwell_rate(), np.array([0.0, 1.0, 10.0])
+        rep = verify_inequality(PhysicalField(grid, values), times, params, rate)
+        half = half_lattice_forward(grid, values)
+        norm = half_lattice_besov(grid, half, BesovSpec(-rho, 2.0, math.inf, True)).value
+        assert np.array_equal(rep.low, rhs_time_factors(times, params, rate, grid.dim)[0] * norm)
+
+    def test_loaded_samples_are_released_before_the_block_transforms(self, tmp_path):
+        # verify_inequality drops its argument once the half lattice exists: at r = 1 the half
+        # lattice (about 3.1 component-sized arrays) and the block route's buffers stay under 9
+        # arrays, and the 3-component samples of a caller's only reference would add 3 more
+        grid = TorusGrid(dim=3, box_length=64.0, points_per_axis=48)
+        path = tmp_path / "field.fqlz"
+        dump_field(random_band_limited_field(grid, 3, np.random.default_rng(48)), path)
+        params = DecayParams(s=0.0, ell=1.5, rho=1.5, r=1.0, alpha=2.0)
+        verify_inequality(load_field(path), [0.0, 1.0], params, euler_maxwell_rate())  # tables built once
+        tracemalloc.start()
+        try:
+            verify_inequality(load_field(path), [0.0, 1.0], params, euler_maxwell_rate())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * np.prod(grid.shape) * 8
 
     def test_zero_field_reports_zero_ratio(self):
         grid = TorusGrid(dim=2, box_length=8.0, points_per_axis=16)

@@ -18,14 +18,15 @@ from frequalize.grid import (
     spectral_l2_norm,
 )
 from frequalize.littlewood_paley import (
-    DEFAULT_CUTOFFS,
-    BlockIndexRange,
     bernstein_ratios,
     block,
+    block_indices,
     block_multiplier,
     block_profiles,
+    chi,
     decompose,
     partition_defect,
+    phi,
 )
 from test_shell_spectrum import full_lattice_spectrum, full_lattice_xi, lattice_profile
 
@@ -37,30 +38,26 @@ def rng():
 
 class TestCutoffProfiles:
     def test_chi_plateau_and_support(self):
-        c = DEFAULT_CUTOFFS
-        assert c.chi(0.0) == 1.0
-        assert np.all(c.chi(np.linspace(0, 0.75, 20)) == 1.0)
-        assert np.all(c.chi(np.linspace(4 / 3, 10, 20)) == 0.0)
-        mid = c.chi(np.linspace(0.8, 1.3, 50))
+        assert chi(0.0) == 1.0
+        assert np.all(chi(np.linspace(0, 0.75, 20)) == 1.0)
+        assert np.all(chi(np.linspace(4 / 3, 10, 20)) == 0.0)
+        mid = chi(np.linspace(0.8, 1.3, 50))
         assert np.all((mid >= 0) & (mid <= 1))
 
     def test_phi_support(self):
-        c = DEFAULT_CUTOFFS
-        assert c.phi(0.5) == 0.0
-        assert np.all(c.phi(np.linspace(0, 0.75, 10)) == 0.0)
-        assert np.all(c.phi(np.linspace(8 / 3, 12, 10)) == 0.0)
-        assert c.phi(1.4) > 0.99  # plateau where chi(r/2)=1 and chi(r)=0
+        assert phi(0.5) == 0.0
+        assert np.all(phi(np.linspace(0, 0.75, 10)) == 0.0)
+        assert np.all(phi(np.linspace(8 / 3, 12, 10)) == 0.0)
+        assert phi(1.4) > 0.99  # plateau where chi(r/2)=1 and chi(r)=0
 
     def test_telescoping_sum_at_radius_five(self):
-        c = DEFAULT_CUTOFFS
         r = 5.0
-        total = c.chi(r) + sum(c.phi(r / 2**q) for q in range(0, 7))
+        total = chi(r) + sum(phi(r / 2**q) for q in range(0, 7))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_homogeneous_telescoping(self):
-        c = DEFAULT_CUTOFFS
         for r in (0.01, 0.3, 1.0, 7.7, 300.0):
-            total = sum(c.phi(r / 2**q) for q in range(-15, 15))
+            total = sum(phi(r / 2**q) for q in range(-15, 15))
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -70,8 +67,8 @@ class TestBlocks:
         g = TorusGrid(dim=1, box_length=2 * np.pi, points_per_axis=16)
         x = g.coordinates[0]
         f = forward_transform(PhysicalField(g, np.cos(x)))
-        rng_q = BlockIndexRange.for_grid(g)
-        active = [q for q in rng_q if shell_l2_norms(full_lattice_spectrum(f), block_profiles(g, [q]))[0] > 1e-14]
+        qs, profiles = block_profiles(g)
+        active = qs[shell_l2_norms(full_lattice_spectrum(f), profiles) > 1e-14].tolist()
         assert active == [-1, 0]
 
     def test_inhomogeneous_reconstruction(self, rng):
@@ -89,7 +86,7 @@ class TestBlocks:
         rec = SpectralField(g, full_lattice_coefficients(g, sum(decompose(f, homogeneous=True).values())))
         # oracle: apply the summed full-lattice multiplier in one shot
         total = np.zeros(g.shape)
-        for q in BlockIndexRange.for_grid(g):
+        for q in block_indices(g).tolist():
             total += lattice_profile(g, q, True)
         oracle = SpectralField(g, f.coefficients * total)
         assert np.max(np.abs(rec.coefficients - oracle.coefficients)) <= 1e-12 * np.max(
@@ -125,10 +122,7 @@ class TestBlocks:
         for _ in range(5):
             phys = random_band_limited_field(g, 1, rng)
             f = forward_transform(phys)
-            total = sum(
-                shell_l2_norms(full_lattice_spectrum(f), block_profiles(g, [q]))[0] ** 2
-                for q in BlockIndexRange.for_grid(g)
-            )
+            total = sum(shell_l2_norms(full_lattice_spectrum(f), block_profiles(g)[1]) ** 2)
             base = lp_norm(phys, 2.0) ** 2  # generator returns mean-zero fields
             assert 0.5 * base <= total <= 2.0 * base
 
@@ -141,11 +135,20 @@ class TestBlocks:
     def test_every_lattice_point_in_at_most_two_shells(self):
         g = TorusGrid(dim=2, box_length=7.0, points_per_axis=32)
         counts = np.zeros(g.shell_index.shape)
-        for q in BlockIndexRange.for_grid(g):
+        for q in block_indices(g).tolist():
             counts += (block_multiplier(g, q) > 0).astype(float)
         mask = g.frequency_magnitude > 0
         assert counts[mask].min() >= 1
         assert counts.max() <= 2
+
+    @pytest.mark.parametrize("homogeneous", [True, False])
+    @pytest.mark.parametrize("dim,n,length", [(1, 64, 3.0), (2, 32, 10.0), (3, 16, 2.0)])
+    def test_multiplier_is_the_family_row(self, dim, n, length, homogeneous):
+        # block_multiplier, which perfbench/tracing.py times by name, gathers the family's own row
+        g = TorusGrid(dim=dim, box_length=length, points_per_axis=n)
+        qs, profiles = block_profiles(g, homogeneous)
+        for q, row in zip(qs.tolist(), profiles):
+            assert np.array_equal(block_multiplier(g, q, homogeneous=homogeneous), row[g.shell_index]), q
 
 
 class TestBernstein:
@@ -159,7 +162,7 @@ class TestBernstein:
         g = TorusGrid(dim=2, box_length=5.0, points_per_axis=32)
         for _ in range(10):
             ratios = bernstein_ratios(forward_transform(random_band_limited_field(g, 1, rng)))
-            assert ratios and set(ratios) <= set(BlockIndexRange.for_grid(g))
+            assert ratios and set(ratios) <= set(block_indices(g).tolist())
             for r in ratios.values():
                 assert 0.75 - 1e-12 <= r <= 8.0 / 3.0 + 1e-12
 
@@ -182,5 +185,5 @@ class TestBernstein:
         x = g.coordinates[0]
         f = forward_transform(PhysicalField(g, np.cos(x)))
         # |xi| = 1 lies in the shells of q = -1 and 0 only: the other blocks of the range are zero
-        assert set(BlockIndexRange.for_grid(g)) == set(range(-2, 5))
+        assert set(block_indices(g).tolist()) == set(range(-2, 5))
         assert bernstein_ratios(f) == pytest.approx({-1: 2.0, 0: 1.0}, rel=1e-12)

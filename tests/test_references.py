@@ -28,6 +28,10 @@ re-exports aside, and no module in src/, tests/ or perfbench/ reads a
 `shell_spectrum`.  The producers of real fields (the random fields, the
 solver's initial data and the lattice mode propagator with its evolution)
 read no full-lattice transform, projection or mirror of their own.
+
+The dyadic family is decided in `littlewood_paley.py` alone: no other
+package module reads `ROUNDOFF_FLOOR` or `block_indices`; they ask it for
+the family's (qs, profiles) and for the mask of its live blocks.
 """
 
 from __future__ import annotations
@@ -287,6 +291,29 @@ def test_checker_flags_a_reader():
     }
     assert readers_of(sources, "forward_transform") == ["a.py", "b.py"]
     assert readers_of(sources, "shell_spectrum") == ["d.py"]
+
+
+FAMILY = ("ROUNDOFF_FLOOR", "block_indices")
+
+
+def family_readers(modules: dict[str, str]) -> dict[str, list[str]]:
+    """For each of FAMILY, the modules other than littlewood_paley.py that read it, as `reads` counts."""
+    return {name: [m for m in readers_of(modules, name) if m != "littlewood_paley.py"] for name in FAMILY}
+
+
+def test_the_dyadic_family_is_decided_in_littlewood_paley():
+    package = {p.name: p.read_text() for p in MODULES}
+    assert family_readers(package) == {name: [] for name in FAMILY}
+
+
+def test_checker_flags_a_family_reader():
+    sources = {
+        "littlewood_paley.py": "ROUNDOFF_FLOOR = 1e-13\ndef live_blocks(n):\n    return n > ROUNDOFF_FLOOR * n.max()\n",
+        "besov.py": "from .littlewood_paley import ROUNDOFF_FLOOR\n",
+        "decay_kernel.py": "from . import littlewood_paley as lp\nqs = lp.block_indices(grid)\n",
+        "solver.py": "def f():\n    \"\"\"ROUNDOFF_FLOOR and block_indices in a docstring are no read.\"\"\"\n",
+    }
+    assert family_readers(sources) == {"ROUNDOFF_FLOOR": ["besov.py"], "block_indices": ["decay_kernel.py"]}
 
 
 FULL_LATTICE = {"forward_transform", "inverse_transform", "solenoidal_projection", "_reflected", "fftn", "ifftn"}

@@ -27,12 +27,7 @@ from frequalize.grid import (
     lp_norm,
     shell_l2_norms,
 )
-from frequalize.littlewood_paley import (
-    DEFAULT_CUTOFFS,
-    ROUNDOFF_FLOOR,
-    BlockIndexRange,
-    block_profiles,
-)
+from frequalize.littlewood_paley import ROUNDOFF_FLOOR, block_indices, block_profiles, chi, phi
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -92,8 +87,8 @@ def lattice_profile(grid: TorusGrid, q: int, homogeneous: bool) -> np.ndarray:
     """Block-q multiplier on the full lattice, straight from |xi|: chi(|xi|) or phi(2^-q |xi|)."""
     mag = full_lattice_xi(grid)[1]
     if not homogeneous and q == -1:
-        return DEFAULT_CUTOFFS.chi(mag)
-    return DEFAULT_CUTOFFS.phi(mag / 2.0**q)
+        return chi(mag)
+    return phi(mag / 2.0**q)
 
 
 def lattice_power(field: SpectralField) -> np.ndarray:
@@ -121,7 +116,7 @@ def lattice_block_lp(field: PhysicalField, p: float, homogeneous: bool) -> dict[
     coeffs = forward_transform(field).coefficients
     axes = tuple(range(1, grid.dim + 1))
     out = {}
-    for q in BlockIndexRange.for_grid(grid).indices(homogeneous).tolist():
+    for q in block_indices(grid, homogeneous).tolist():
         values = np.fft.ifftn(coeffs * lattice_profile(grid, q, homogeneous), axes=axes).real
         out[q] = lp_norm(PhysicalField(grid, values / grid.cell_volume), p)
     return out
@@ -131,10 +126,9 @@ class TestShellSpectrum:
     @PROPERTY
     @given(band_limited_fields(), st.booleans())
     def test_block_norms_match_lattice_oracle(self, field, homogeneous):
-        for q in BlockIndexRange.for_grid(field.grid).indices(homogeneous).tolist():
+        qs, profiles = block_profiles(field.grid, homogeneous)
+        for q, got in zip(qs.tolist(), shell_l2_norms(full_lattice_spectrum(field), profiles)):
             want = lattice_block_norm(field, q, homogeneous)
-            profile = block_profiles(field.grid, [q], homogeneous=homogeneous)
-            got = shell_l2_norms(full_lattice_spectrum(field), profile)[0]
             assert abs(got - want) <= 1e-12 * want
 
     @PROPERTY
@@ -179,8 +173,7 @@ class TestHalfLatticeBlocks:
         # block of every component at once and lp_norm's one-pass sum read, bit for bit
         values = np.random.default_rng(seed).standard_normal((components,) + grid.shape)
         half = half_lattice_forward(grid, values)
-        qs = BlockIndexRange.for_grid(grid).indices(homogeneous)
-        profiles = block_profiles(grid, qs, homogeneous=homogeneous)
+        qs, profiles = block_profiles(grid, homogeneous)
         want = {q: lp_norm(PhysicalField(grid, half_lattice_inverse(grid, half * row[grid.shell_index])), p)
                 for q, row in zip(qs.tolist(), profiles)}
         got = half_lattice_besov(grid, half, BesovSpec(0.0, p, 1.0, homogeneous)).contributions
@@ -192,8 +185,7 @@ class TestPartitionOfUnity:
     @PROPERTY
     @given(cubic_grids(), st.booleans())
     def test_profiles_sum_to_one_on_occupied_shells(self, grid, homogeneous):
-        qs = BlockIndexRange.for_grid(grid).indices(homogeneous)
-        total = block_profiles(grid, qs, homogeneous=homogeneous).sum(axis=0)
+        total = block_profiles(grid, homogeneous)[1].sum(axis=0)
         occupied = np.unique(full_lattice_shells(grid))
         if homogeneous:
             occupied = occupied[occupied > 0]

@@ -27,7 +27,7 @@ from frequalize.grid import (
     shell_l2_norms,
 )
 from frequalize.linear_modes import GridModePropagator
-from frequalize.littlewood_paley import BlockIndexRange, block_profiles
+from frequalize.littlewood_paley import block_profiles
 from frequalize.solver import (
     ConstraintReport,
     SimState,
@@ -640,8 +640,8 @@ class TestCoefficientSamples:
                  for sl in (slice(0, 1), slice(1, 4), slice(4, 7), slice(7, 10))]
             spectra.append([sum(g), g[0], g[1], g[2], grid.shell_radii**2 * g[3]])
         spectra = np.array(spectra)
-        qs = BlockIndexRange.for_grid(grid).indices(homogeneous=False)
-        blocks = shell_l2_norms(spectra, block_profiles(grid, qs, homogeneous=False))  # [t, group, q]
+        qs, profiles = block_profiles(grid, homogeneous=False)
+        blocks = shell_l2_norms(spectra, profiles)  # [t, group, q]
         t = series.times
 
         def time_l2(v):  # sqrt of the cumulative trapezoid rule of v^2 along the first axis
