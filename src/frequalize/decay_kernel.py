@@ -229,8 +229,6 @@ def verify_inequality(
     half = half_lattice_coefficients(f)
     del f
 
-    # the data's block L^r norms above the roundoff floor, which the high norm weights as besov_norm would
-    lr_norms = half_lattice_besov(grid, half, BesovSpec(0.0, params.r, math.inf, True)).contributions
     gamma = gamma_factor(n, rate.sigma2, params.r)
     c_low_raw, c_high_raw = rate.split_constants(params.r_split)
     c_low, c_high = rate.c0 * c_low_raw, rate.c0 * c_high_raw
@@ -242,6 +240,12 @@ def verify_inequality(
     live = live_blocks(blocks)
     qs, profiles, blocks = qs[live], profiles[live], blocks[live]
     weight = 2.0 ** (qs * params.s)
+    # the data's block L^r norms above the roundoff floor, which the high norm weights as besov_norm would; at
+    # r = 2 they are the live L^2 blocks above, which half_lattice_besov would read off a second spectrum
+    if params.r == 2.0:
+        lr_norms = dict(zip(qs.tolist(), blocks.tolist()))
+    else:
+        lr_norms = half_lattice_besov(grid, half, BesovSpec(0.0, params.r, math.inf, True)).contributions
 
     # the data norms: negative-order (B^-rho_(2,inf)) and high-regularity (B^(s+ell)_(r,alpha))
     norm_low = ell_r([2.0 ** (q * -params.rho) * b for q, b in zip(qs.tolist(), blocks.tolist())], math.inf)

@@ -357,22 +357,24 @@ def lp_norm(field: PhysicalField, p: float) -> float:
 
     Squares are summed over components in one pass; at p = inf the norm is the sqrt of their maximum,
     exact since sqrt is monotone and correctly rounded.  One component reads |v|, which cannot overflow,
-    so a caller holding a magnitude (as the block norms of `besov` do) passes it as one component."""
+    so a caller holding a magnitude (as the block norms of `besov` do) passes it as one component: its sup
+    norm is max(max v, -max(-v)) with no copy, and a finite p raises one copy |v| to the power in place."""
     if p < 1:
         raise ConfigError(f"lp_norm requires p >= 1, got {p}")
     v = field.values
     if len(v) == 1:
+        if math.isinf(p):
+            return abs(max(float(v[0].max()), -float(v[0].min())))  # abs: +0.0 for a zero field, as |v| reads
         mag = np.abs(v[0])
     else:
         mag = np.einsum("i...,i...->...", v, v)
         if math.isinf(p):
             return math.sqrt(float(np.max(mag)))
         np.sqrt(mag, out=mag)
-    if math.isinf(p):
-        return float(np.max(mag))
+    mag **= p
     if p == 2.0:
-        return float(np.sqrt(np.sum(mag**2) * field.grid.cell_volume))
-    return float((np.sum(mag**p) * field.grid.cell_volume) ** (1.0 / p))
+        return float(np.sqrt(np.sum(mag) * field.grid.cell_volume))
+    return float((np.sum(mag) * field.grid.cell_volume) ** (1.0 / p))
 
 
 def spectral_l2_norm(field: SpectralField) -> float:

@@ -114,9 +114,11 @@ def block(field: PhysicalField | SpectralField, q: int, *, homogeneous: bool = T
 
 
 def decompose(field: PhysicalField | SpectralField, *, homogeneous: bool = True) -> dict[int, np.ndarray]:
-    """{q: block(field, q)} over the family's index range.  The blocks sum to the field's half lattice,
-    less its mean when homogeneous."""
-    return {q: block(field, q, homogeneous=homogeneous) for q in block_indices(field.grid, homogeneous).tolist()}
+    """{q: block(field, q)} over the family's index range, from one half lattice of the field.  The blocks sum
+    to the field's half lattice, less its mean when homogeneous."""
+    grid, half = field.grid, half_lattice_coefficients(field)
+    return {q: half * block_multiplier(grid, q, homogeneous=homogeneous)
+            for q in block_indices(grid, homogeneous).tolist()}
 
 
 def bernstein_ratios(field: PhysicalField | SpectralField, *, order: float = 1.0) -> dict[int, float]:

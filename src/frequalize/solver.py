@@ -40,10 +40,19 @@ integrates N.  One table of E(h/2) on the band is built per run
 (`linear_modes.mode_exponentials`: the real form D^-1 E D, by batched Taylor
 scaling and squaring, with no eigendecomposition) and E(h) is E(h/2) twice;
 grouped as E(h/2) [E(h/2) u + h/6 E(h/2) k1 + h/3 (k2 + k3)] + h/6 k4, a
-step applies the table four times.  A sample is reduced where it is taken:
-`integrate` checks it on its one inverse transform and hands the observer
-the band scattered into the half lattice and that physical state, so a run
-keeps no states.
+step applies the table four times.  The march holds the band in the
+table's real form, mode-major (`_SpectralOps`), so an apply is one real
+matmul per chunk of modes; D enters only where the band is scattered into
+the half lattice and where N is gathered from it.  The packed fluxes are
+formed in one work array, which every evaluation of N in a run overwrites.
+
+A sample costs no evaluation of N of its own: `integrate` evaluates N at
+every sample time as the k1 of the step that starts there, checks the
+sample on that evaluation's inverse transform and hands the observer the
+band scattered into the half lattice, that physical state and the
+half-lattice coefficients of its packed fluxes, the evaluation's forward
+transform.  So a run keeps no states, and the Duhamel check reads the
+fluxes at its modes by index, as it reads the state.
 
 Every frequency of the march is a row of `TorusGrid.half_modes`.  Its xi_j
 vanishes on the Nyquist planes |k_j| = N/2, so the coefficients stay those
@@ -135,7 +144,13 @@ _FROBENIUS_WEIGHTS = np.array([1.0 if i == j else 2.0 for i, j in _UPPER])  # mu
 class _SpectralOps:
     """The march's band, a flat index into the half lattice (the 2/3-rule cube |k_j| <= N/3 with dealias, else
     every mode), with its modes, multipliers i xi_j, Parseval weights (2 on interior columns, 1 on the edge
-    planes) and one half-lattice buffer to scatter into, whose entries off the band stay zero."""
+    planes), one half-lattice buffer to scatter into, whose entries off the band stay zero, and one work array
+    of the lattice's size for the packed fluxes.
+
+    The march holds a state's band in the form its tables act on: mode-major and in real form, y[m] = D^-1 z_m
+    with D = diag(REAL_FORM_PHASES), shape (n_band, 10).  D is applied only where the band enters or leaves the
+    half lattice, so a table applies with no phase pass or transpose.
+    """
 
     def __init__(self, grid: TorusGrid, dealias: bool):
         self.grid = grid
@@ -150,13 +165,22 @@ class _SpectralOps:
     def buffer(self) -> np.ndarray:
         return np.zeros((STATE_DIM,) + self.grid.shape[:-1] + (self.grid.half_width,), dtype=complex)
 
+    @cached_property
+    def fluxes(self) -> np.ndarray:
+        return np.empty((9,) + self.grid.shape)
+
     def gather(self, half: np.ndarray) -> np.ndarray:
         """The band of half-lattice coefficients half[c, *half lattice], shape (c, n_band)."""
         return half.reshape(len(half), -1)[:, self.band]
 
-    def scatter(self, coeffs: np.ndarray) -> np.ndarray:
-        """The buffer, overwritten with the band coefficients coeffs[10, n_band]; it holds nothing off the band."""
-        self.buffer.reshape(STATE_DIM, -1)[:, self.band] = coeffs
+    def to_march(self, half: np.ndarray) -> np.ndarray:
+        """The march's form y of the band of a state's half-lattice coefficients half[10, *half lattice]."""
+        y = np.empty((len(self.band), STATE_DIM), dtype=complex)
+        return np.multiply(self.gather(half).T, REAL_FORM_PHASES.conj(), out=y)
+
+    def scatter(self, y: np.ndarray) -> np.ndarray:
+        """The buffer, overwritten with the band coefficients D y of the march's form y; nothing off the band."""
+        self.buffer.reshape(STATE_DIM, -1)[:, self.band] = (y * REAL_FORM_PHASES).T
         return self.buffer
 
     def divergence(self, vec) -> np.ndarray:
@@ -172,30 +196,27 @@ def _ops(grid: TorusGrid, dealias: bool) -> _SpectralOps:
     return _SpectralOps(grid, dealias)
 
 
-def _cross(a, b) -> np.ndarray:
-    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
-
-
 def _apply_table(
     table: np.ndarray, coeffs: np.ndarray, rows: slice = slice(None), out: np.ndarray | None = None
 ) -> np.ndarray:
-    """D table[m] D^-1 applied to the coefficients of every mode m; D = diag(REAL_FORM_PHASES).
+    """table[m] applied to the march's form coeffs[m] of every mode m (see _SpectralOps).
 
-    table is real, (n_modes, 10, 10).  coeffs[c, n_modes] holds the `rows`
-    components of a state whose other components are zero.  Each chunk of
-    modes is one real matmul over interleaved (re, im) pairs; out may be
-    coeffs itself, since a chunk is read before it is written.
+    table is real, (n_modes, 10, 10).  coeffs[n_modes, c] holds the `rows`
+    components of a state whose other components are zero; the result is
+    (n_modes, 10).  Each chunk of modes is one real matmul over interleaved
+    (re, im) pairs, into a buffer that every chunk reuses; out may be coeffs
+    itself, since a chunk is read before it is written.
     """
     table = table[:, :, rows]
-    into = REAL_FORM_PHASES.conj()[rows, None]
+    n_modes, n_rows = coeffs.shape
     if out is None:
-        out = np.empty((STATE_DIM, coeffs.shape[1]), dtype=complex)
-    for start in range(0, coeffs.shape[1], _APPLY_CHUNK):
+        out = np.empty((n_modes, STATE_DIM), dtype=complex)
+    pairs = coeffs.view(float).reshape(n_modes, n_rows, 2)
+    image = np.empty((min(n_modes, _APPLY_CHUNK), STATE_DIM, 2))
+    for start in range(0, n_modes, _APPLY_CHUNK):
         span = slice(start, start + _APPLY_CHUNK)
-        pairs = np.ascontiguousarray((coeffs[:, span] * into).T).view(float)
-        real = np.matmul(table[span], pairs.reshape(len(pairs), -1, 2))
-        out[:, span] = real.view(complex)[..., 0].T
-    out *= REAL_FORM_PHASES[:, None]
+        m = min(n_modes - start, _APPLY_CHUNK)
+        out[span] = np.matmul(table[span], pairs[span], out=image[:m]).view(complex)[..., 0]
     return out
 
 
@@ -241,24 +262,36 @@ class SimState:
         return PhysicalField(self.grid, self.z)
 
 
-def nonlinear_fluxes(state: SimState) -> np.ndarray:
+def nonlinear_fluxes(state: SimState, out: np.ndarray | None = None) -> np.ndarray:
     """The packed fluxes (q2, r2) evaluated pointwise in physical space, shape (9, *grid).
 
     Rows 0-5 are the six distinct entries of the symmetric q2, in _UPPER
-    order (q2[i, j] is row _PACKED[i][j]); rows 6-8 are r2.
+    order (q2[i, j] is row _PACKED[i][j]); rows 6-8 are r2.  They are formed
+    in out when it is given, and every intermediate but the pressure
+    remainder lives in rows not yet written: r2 first, through two rows of q2
+    per cross-product component, then n and the weight -n_inf^2 / n in the
+    last two rows of q2, which those rows overwrite last.
     """
     eq = state.eq
-    n = state.total_density()
-    vel = state.velocity
-    weight = -(eq.n_inf**2) / n
-    packed = np.empty((9,) + state.grid.shape)
-    for k, (i, j) in enumerate(_UPPER):
-        packed[k] = weight * vel[i] * vel[j]
+    vel, density = state.velocity, state.density
+    packed = np.empty((9,) + state.grid.shape) if out is None else out
+    for c in range(3):  # r2 = -rho E - n_inf velocity x magnetic
+        i, j = (c + 1) % 3, (c + 2) % 3
+        cross = np.multiply(vel[i], state.magnetic[j], out=packed[0])
+        cross -= np.multiply(vel[j], state.magnetic[i], out=packed[1])
+        cross *= eq.n_inf
+        r2 = np.negative(density, out=packed[6 + c])
+        r2 *= state.electric[c]
+        r2 -= cross
+    n = np.add(density, eq.n_inf, out=packed[5])  # the total density
     rem = eq.pressure.quadratic_remainder(n, eq.n_inf)
+    weight = np.divide(-(eq.n_inf**2), n, out=packed[4])
+    for k in (0, 1, 2, 3, 5, 4):  # row 5 (n) once the remainder is taken, row 4 (the weight) last
+        i, j = _UPPER[k]
+        np.multiply(weight, vel[i], out=packed[k])
+        packed[k] *= vel[j]
     for i in range(3):
         packed[_PACKED[i][i]] -= rem
-    r2 = np.multiply(-state.density, state.electric, out=packed[6:])  # formed in place: no 3-row temporary
-    r2 -= eq.n_inf * _cross(vel, state.magnetic)
     return packed
 
 
@@ -272,17 +305,23 @@ def _positive_density(state: SimState) -> np.ndarray:
     return n
 
 
+def _velocity_source(packed_hat: np.ndarray, ops: _SpectralOps, eq: EquilibriumState) -> np.ndarray:
+    """N in the march's form from the band of the packed fluxes' coefficients packed_hat[9, n_band]: the
+    velocity rows (div q2 + r2) / n_inf, each times its phase conj(D) = -i, shape (n_band, 3)."""
+    out = np.empty((len(ops.band), 3), dtype=complex)
+    for i in range(3):
+        source = (ops.divergence([packed_hat[k] for k in _PACKED[i]]) + packed_hat[6 + i]) / eq.n_inf
+        np.multiply(source, REAL_FORM_PHASES[1 + i].conjugate(), out=out[:, i])
+    return out
+
+
 def _quadratic(z: np.ndarray, ops: _SpectralOps, eq: EquilibriumState, time: float) -> np.ndarray:
-    """N(z) of band coefficients z: the velocity rows (div q2 + r2) / n_inf, shape (3, n_band)."""
+    """N(z) of the march's form z: its velocity rows, in the march's form, shape (n_band, 3)."""
     state = SimState.from_coefficients(ops.grid, eq, time, ops.scatter(z))
     _positive_density(state)
-    packed = nonlinear_fluxes(state)
+    packed = nonlinear_fluxes(state, ops.fluxes)
     del state  # the transform below is the peak of a step
-    packed_hat = ops.gather(half_lattice_forward(ops.grid, packed))
-    return np.stack([
-        (ops.divergence([packed_hat[k] for k in _PACKED[i]]) + packed_hat[6 + i]) / eq.n_inf
-        for i in range(3)
-    ])
+    return _velocity_source(ops.gather(half_lattice_forward(ops.grid, packed)), ops, eq)
 
 
 def coefficient_rhs(
@@ -290,9 +329,9 @@ def coefficient_rhs(
 ) -> np.ndarray:
     """M(xi) z + N(z): the time derivative of the band z of half-lattice coefficients z_hat, zero off the band."""
     ops = _ops(grid, dealias)
-    z = ops.gather(z_hat)
+    z = ops.to_march(z_hat)
     dz = _apply_table(real_mode_matrices(ops.modes, eq), z)
-    dz[_VELOCITY] += _quadratic(z, ops, eq, time)
+    dz[:, _VELOCITY] += _quadratic(z, ops, eq, time)
     return ops.scatter(dz).copy()
 
 
@@ -328,31 +367,31 @@ def _check_sample(state: SimState, h: float, cfl: float) -> None:
 
 
 def _lawson(
-    z: np.ndarray, half: np.ndarray, ops: _SpectralOps, eq: EquilibriumState, t: float, h: float
+    z: np.ndarray, half: np.ndarray, ops: _SpectralOps, eq: EquilibriumState, t: float, h: float,
+    k1: np.ndarray,
 ) -> np.ndarray:
-    """One Lawson step of the band coefficients z; half is the band's table of E(h/2).
+    """One Lawson step of the march's form z from t; half is the band's table of E(h/2), k1 is N(z).
 
     z is overwritten.  The step holds three band-size arrays: z becomes
     a = E(h/2) u and then the k4 stage, b = E(h/2) k1 becomes the bracket of
     the last apply, and one more holds the k2 and k3 stages.
     """
-    k1 = _quadratic(z, ops, eq, t)
     a = _apply_table(half, z, out=z)
     b = _apply_table(half, k1, _VELOCITY)
     stage = b * (0.5 * h)
     stage += a
     k2 = _quadratic(stage, ops, eq, t + 0.5 * h)
     stage[:] = a
-    stage[_VELOCITY] += (0.5 * h) * k2
+    stage[:, _VELOCITY] += (0.5 * h) * k2
     k3 = _quadratic(stage, ops, eq, t + 0.5 * h)
     del stage
     b *= h / 6.0
     b += a
-    b[_VELOCITY] += (h / 3.0) * (k2 + k3)  # E(h/2) u + h/6 E(h/2) k1 + h/3 (k2 + k3)
-    a[_VELOCITY] += h * k3
+    b[:, _VELOCITY] += (h / 3.0) * (k2 + k3)  # E(h/2) u + h/6 E(h/2) k1 + h/3 (k2 + k3)
+    a[:, _VELOCITY] += h * k3
     k4 = _quadratic(_apply_table(half, a, out=a), ops, eq, t + h)
     out = _apply_table(half, b, out=b)
-    out[_VELOCITY] += (h / 6.0) * k4
+    out[:, _VELOCITY] += (h / 6.0) * k4
     return out
 
 
@@ -360,7 +399,8 @@ def step(state: SimState, dt: float, *, dealias: bool = True) -> SimState:
     """One Lawson step of the state's band, with a band table built for dt on every call."""
     ops = _ops(state.grid, dealias)
     half = mode_exponentials(ops.modes, state.eq, 0.5 * dt)
-    z = _lawson(ops.gather(half_lattice_forward(state.grid, state.z)), half, ops, state.eq, state.time, dt)
+    z = ops.to_march(half_lattice_forward(state.grid, state.z))
+    z = _lawson(z, half, ops, state.eq, state.time, dt, _quadratic(z, ops, state.eq, state.time))
     return SimState.from_coefficients(state.grid, state.eq, state.time + dt, ops.scatter(z))
 
 
@@ -377,7 +417,7 @@ def integrate(
     state: SimState,
     cfg: StepperConfig,
     t_end: float,
-    observe: Callable[[np.ndarray, SimState], Any],
+    observe: Callable[[np.ndarray, SimState, np.ndarray], Any],
     *,
     sample_stride: int = 1,
 ) -> SimulationSeries:
@@ -385,13 +425,18 @@ def integrate(
 
     Without cfg.dt every step ends a sample interval (see StepperConfig);
     with it, every sample_stride-th step and the last one are sampled.  The
-    input state is the first sample.  A sample's physical state is checked
-    for positive density and the advective bound, then observe(z_hat, state)
-    is kept; z_hat is the march's band scattered into the half lattice, zero
-    off the band, in a buffer that the next step overwrites.  Aborts with
-    diagnostics when the L^2 norm grows past 10 times its initial
-    value (spectral blowup).  A run of more than MAX_STEPS steps is refused
-    with a ConfigError naming stepper.dt, or stepper.cfl when dt is not given.
+    input state is checked for positive density and the advective bound, and
+    its band is the first sample.  At every sample N is evaluated once, as
+    the k1 of the step that starts there: its inverse transform is the
+    sample's physical state, checked as the input was, and
+    observe(z_hat, state, flux_hat) is kept.  z_hat is the march's band
+    scattered into the half lattice, zero off the band, in a buffer that the
+    next step overwrites; flux_hat is the half lattice of the state's packed
+    fluxes (`nonlinear_fluxes`), (9, *half lattice).  The last sample has no
+    step after it, so its N is not assembled.  Aborts with diagnostics when
+    the L^2 norm grows past 10 times its initial value (spectral blowup).  A
+    run of more than MAX_STEPS steps is refused with a ConfigError naming
+    stepper.dt, or stepper.cfl when dt is not given.
     """
     if t_end <= state.time:
         raise ConfigError("t_end must exceed the initial time")
@@ -415,27 +460,36 @@ def integrate(
     ops = _ops(grid, cfg.dealias)
     half = mode_exponentials(ops.modes, eq, 0.5 * h)
     try:
-        z = ops.gather(half_lattice_forward(grid, state.z))
-        base = ops.norm(z)
-        times, states = [state.time], [observe(ops.scatter(z), state)]
-        for k in range(1, n_steps + 1):
-            z = _lawson(z, half, ops, eq, state.time + (k - 1) * h, h)
+        z = ops.to_march(half_lattice_forward(grid, state.z))
+        base = ops.norm(z.T)
+        times, states = [], []
+        for k in range(n_steps + 1):
             t = state.time + k * h
-            if not np.all(np.isfinite(z)):
-                raise SolverInstabilityError(f"non-finite state at t={t:g} (step {k})")
-            norm = ops.norm(z)
-            if base > 0 and norm > 10.0 * base:
-                raise SolverInstabilityError(f"norm grew {norm / base:.2f}x past the abort threshold at t={t:g}")
-            if k % stride == 0 or k == n_steps:
-                final = SimState.from_coefficients(grid, eq, t, ops.scatter(z))
-                _check_sample(final, h, cfg.cfl)
-                times.append(t)
-                states.append(observe(ops.buffer, final))
-                if k < n_steps:
-                    del final  # no sample is held through the steps that follow
-        return SimulationSeries(times=np.array(times), states=states, final=final)
+            if k > 0:
+                z = _lawson(z, half, ops, eq, state.time + (k - 1) * h, h, k1)
+                if not np.all(np.isfinite(z)):
+                    raise SolverInstabilityError(f"non-finite state at t={t:g} (step {k})")
+                norm = ops.norm(z.T)
+                if base > 0 and norm > 10.0 * base:
+                    raise SolverInstabilityError(f"norm grew {norm / base:.2f}x past the abort threshold at t={t:g}")
+            if k % stride and k < n_steps:
+                k1 = _quadratic(z, ops, eq, t)
+                continue
+            sample = SimState.from_coefficients(grid, eq, t, ops.scatter(z))
+            if k > 0:
+                _check_sample(sample, h, cfg.cfl)
+            else:  # the advective bound was checked on the input state
+                _positive_density(sample)
+            flux_hat = half_lattice_forward(grid, nonlinear_fluxes(sample, ops.fluxes))
+            times.append(t)
+            states.append(observe(ops.buffer, sample, flux_hat))
+            if k < n_steps:
+                k1 = _velocity_source(ops.gather(flux_hat), ops, eq)
+                del sample, flux_hat  # no sample is held through the steps that follow
+        return SimulationSeries(times=np.array(times), states=states, final=sample)
     finally:
-        vars(ops).pop("buffer", None)  # a finished run keeps no buffer in the cache
+        for work in ("buffer", "fluxes"):
+            vars(ops).pop(work, None)  # a finished run keeps no work arrays in the cache
 
 
 @dataclass(frozen=True)
@@ -538,22 +592,6 @@ class DuhamelReport:
     c_bound: float
 
 
-def _mode_coefficients(values: np.ndarray, kvecs) -> np.ndarray:
-    """Forward-transform coefficients of values[c, *grid] at the integer modes kvecs, shape (c, len(kvecs)).
-
-    Direct sums sum_x values(x) exp(-2 pi i k.x / N), one axis at a time,
-    with the sign convention of fftn/rfftn.
-    """
-    n = values.shape[-1]
-    out = []
-    for kvec in kvecs:
-        acc = values
-        for k in reversed(kvec):
-            acc = acc @ np.exp(-2j * math.pi * k * np.arange(n) / n)
-        out.append(acc)
-    return np.stack(out, axis=-1)
-
-
 def _duhamel_modes(grid: TorusGrid) -> tuple[tuple[tuple[int, ...], int, float], ...]:
     """(k-vector, q, |xi|) of k = (2, 0, 0), (0, 0, min(6, N/3)) and (1, 1, min(3, N/3)) in 3-d: each k is on
     the half lattice, where z is read by index, and q is the block whose phi peaks at |xi|."""
@@ -567,14 +605,14 @@ def _duhamel_modes(grid: TorusGrid) -> tuple[tuple[tuple[int, ...], int, float],
     return tuple(modes)
 
 
-def duhamel_sums(state: SimState, z_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One sample's phi^2 |z|^2 (lhs) and phi^2 (|xi|^2 |Q|^2 + |R|^2) / n_inf^2 (src) at `_duhamel_modes`: z is
-    read from z_hat, the fluxes of the physical state are direct sums over the lattice there."""
-    grid = state.grid
-    kvecs, qs, mags = zip(*_duhamel_modes(grid))
+def duhamel_sums(state: SimState, z_hat: np.ndarray, flux_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One sample's phi^2 |z|^2 (lhs) and phi^2 (|xi|^2 |Q|^2 + |R|^2) / n_inf^2 (src) at `_duhamel_modes`: z and
+    the packed fluxes (Q, R) are read by index from their half lattices z_hat and flux_hat, as `integrate` hands
+    them to its observer."""
+    kvecs, qs, mags = zip(*_duhamel_modes(state.grid))
     phi2 = np.array([float(phi(mag / 2.0**q)) ** 2 for q, mag in zip(qs, mags)])
-    z_power = np.abs(np.stack([z_hat[(slice(None),) + kvec] for kvec in kvecs], axis=-1)) ** 2
-    flux_power = np.abs(_mode_coefficients(nonlinear_fluxes(state), kvecs) * grid.cell_volume) ** 2
+    z_power, flux_power = (np.abs(np.stack([half[(slice(None),) + kvec] for kvec in kvecs], axis=-1)) ** 2
+                           for half in (z_hat, flux_hat))
     qf = _FROBENIUS_WEIGHTS @ flux_power[:6]
     rf = np.sum(flux_power[6:9], axis=0)
     return phi2 * np.sum(z_power, axis=0), phi2 * (np.square(mags) * qf + rf) / state.eq.n_inf**2
@@ -635,8 +673,8 @@ def decay_experiment(
     stepper = stepper or StepperConfig()
     init = initial_data_gen(grid, eq, seed, amplitude, profile)
 
-    def observe(z_hat: np.ndarray, state: SimState) -> tuple:
-        sums = duhamel_sums(state, z_hat) if run_duhamel else None
+    def observe(z_hat: np.ndarray, state: SimState, flux_hat: np.ndarray) -> tuple:
+        sums = duhamel_sums(state, z_hat, flux_hat) if run_duhamel else None
         return group_spectra(grid, z_hat), constraint_monitor(grid, z_hat), sums
 
     series = integrate(init.state, stepper, t_end, observe, sample_stride=sample_stride)

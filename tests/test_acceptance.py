@@ -240,7 +240,7 @@ def test_criterion_8_solver_validity(desk_run):
     init = initial_data_gen(grid, eq, seed=3, amplitude=5e-2)
 
     def terminal(dt):
-        return integrate(init.state, StepperConfig(dt=dt), 2.0, lambda z_hat, state: None, sample_stride=10**6).final.z
+        return integrate(init.state, StepperConfig(dt=dt), 2.0, lambda z_hat, state, flux_hat: None, sample_stride=10**6).final.z
 
     z1, z2, zref = terminal(0.4), terminal(0.2), terminal(0.05)
     e1 = math.sqrt(float(np.sum((z1 - zref) ** 2)) * grid.cell_volume)

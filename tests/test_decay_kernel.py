@@ -269,6 +269,23 @@ class TestVerify:
         direct = besov_norm(gauss3d, BesovSpec(params.s + params.ell, r, params.alpha, True)).value
         assert rep.high[0] == direct
 
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_one_shell_spectrum_per_input(self, gauss3d, monkeypatch, r):
+        # at r = 2 the L^r blocks are the L^2 blocks of the verifier's own spectrum; at r != 2 the block
+        # transforms read none
+        from frequalize import besov, decay_kernel
+
+        calls = []
+        for module in (besov, decay_kernel):
+            def counting(*args, _fn=module.half_lattice_spectrum):
+                calls.append(args)
+                return _fn(*args)
+
+            monkeypatch.setattr(module, "half_lattice_spectrum", counting)
+        params = DecayParams(s=0.0, ell=1.5 if r == 1.0 else 2.0, rho=1.5, r=r, alpha=2.0)
+        verify_inequality(gauss3d, [0.0, 1.0, 10.0], params, euler_maxwell_rate())
+        assert len(calls) == 1
+
     @PROPERTY
     @given(cubic_grids(), st.integers(1, 3), st.integers(0, 2**32 - 1), st.floats(0.1, 3.0))
     def test_low_term_is_the_negative_order_norm(self, grid, components, seed, rho):

@@ -3,6 +3,7 @@
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,21 @@ class TestNorms:
         values = np.full(g.shape, 1e200)
         values[3, 5] = -2e200
         assert lp_norm(PhysicalField(g, values), math.inf) == 2e200
+
+    @pytest.mark.parametrize("p,copies", [(1.0, 1), (1.5, 1), (2.0, 1), (math.inf, 0)])
+    def test_one_component_peak(self, p, copies):
+        # a nonnegative magnitude, as the block norms hand it: one |v| copy raised to the power in place
+        # at finite p, and no copy for the sup norm
+        g = TorusGrid(dim=3, box_length=1.0, points_per_axis=96)
+        f = PhysicalField(g, np.random.default_rng(96).uniform(0.0, 1.0, g.shape))
+        field_bytes = f.values.nbytes
+        tracemalloc.start()
+        try:
+            lp_norm(f, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert copies * field_bytes <= peak < (copies + 0.1) * field_bytes
 
     def test_p_below_one_rejected(self):
         g = TorusGrid(dim=1, box_length=1.0, points_per_axis=8)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from frequalize import grid as grid_module
 from frequalize.grid import (
     PhysicalField,
     SpectralField,
@@ -77,6 +78,25 @@ class TestBlocks:
         rec = SpectralField(g, full_lattice_coefficients(g, sum(decompose(f, homogeneous=False).values())))
         scale = spectral_l2_norm(f)
         assert spectral_l2_norm(SpectralField(g, rec.coefficients - f.coefficients)) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("homogeneous", [True, False])
+    def test_decompose_takes_one_forward_transform(self, rng, monkeypatch, homogeneous):
+        # the blocks of a PhysicalField share one half lattice; each is block(field, q), bit for bit
+        g = TorusGrid(dim=3, box_length=5.0, points_per_axis=16)
+        f = random_band_limited_field(g, 1, rng, zero_mean=False)
+        calls = []
+
+        def counting(*args, _fn=grid_module.half_lattice_forward):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(grid_module, "half_lattice_forward", counting)
+        blocks = decompose(f, homogeneous=homogeneous)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert list(blocks) == block_indices(g, homogeneous).tolist()
+        for q, coeffs in blocks.items():
+            assert np.array_equal(coeffs, block(f, q, homogeneous=homogeneous))
 
     def test_homogeneous_reconstruction_drops_mean(self, rng):
         g = TorusGrid(dim=2, box_length=5.0, points_per_axis=32)

@@ -27,7 +27,7 @@ from frequalize.grid import (
     shell_l2_norms,
 )
 from frequalize.linear_modes import GridModePropagator
-from frequalize.littlewood_paley import block_profiles
+from frequalize.littlewood_paley import block_profiles, phi
 from frequalize.solver import (
     ConstraintReport,
     SimState,
@@ -58,20 +58,50 @@ def grid16():
     return TorusGrid(dim=3, box_length=50.0, points_per_axis=16)
 
 
-def keep_coefficients(z_hat, state):
+def keep_coefficients(z_hat, state, flux_hat):
     """`integrate` observer: a copy of the sample's half-lattice coefficients, which the next step overwrites."""
     return z_hat.copy()
 
 
-def keep_nothing(z_hat, state):
+def keep_nothing(z_hat, state, flux_hat):
     return None
 
 
 def constraint_series(state: SimState, cfg: StepperConfig, t_end: float, stride: int):
     """The run's samples and the ConstraintReport stacked from each sample's `constraint_monitor`."""
-    series = integrate(state, cfg, t_end, lambda z_hat, sample: constraint_monitor(sample.grid, z_hat),
+    series = integrate(state, cfg, t_end, lambda z_hat, sample, flux_hat: constraint_monitor(sample.grid, z_hat),
                        sample_stride=stride)
     return series, ConstraintReport(*np.array(series.states).T)
+
+
+def mode_coefficients(values: np.ndarray, kvecs) -> np.ndarray:
+    """Forward-transform coefficients of values[c, *grid] at the integer modes kvecs, shape (c, len(kvecs)).
+
+    Direct sums sum_x values(x) exp(-2 pi i k.x / N), one axis at a time,
+    with the sign convention of fftn/rfftn: the oracle for the Duhamel
+    check's flux coefficients, which it reads by index.
+    """
+    n = values.shape[-1]
+    out = []
+    for kvec in kvecs:
+        acc = values
+        for k in reversed(kvec):
+            acc = acc @ np.exp(-2j * math.pi * k * np.arange(n) / n)
+        out.append(acc)
+    return np.stack(out, axis=-1)
+
+
+def packed_fluxes_oracle(state: SimState) -> np.ndarray:
+    """The packed fluxes of `nonlinear_fluxes`, each row one expression of the solver docstring's q2 and r2."""
+    eq, vel, mag = state.eq, state.velocity, state.magnetic
+    n = state.density + eq.n_inf
+    weight = -(eq.n_inf**2) / n
+    rem = eq.pressure.quadratic_remainder(n, eq.n_inf)
+    q2 = [weight * vel[i] * vel[j] - (rem if i == j else 0.0) for i, j in solver._UPPER]
+    r2 = [-state.density * state.electric[c] - eq.n_inf * (vel[(c + 1) % 3] * mag[(c + 2) % 3]
+                                                           - vel[(c + 2) % 3] * mag[(c + 1) % 3])
+          for c in range(3)]
+    return np.stack(q2 + r2)
 
 
 def lin_rhs_oracle(state: SimState) -> np.ndarray:
@@ -269,7 +299,7 @@ class TestStepping:
         # the linear flow is propagated exactly, so no step size blows up by
         # itself; a growing quadratic part (dv = +2 v) must trip the 10x norm abort
         init = initial_data_gen(grid16, eq, seed=5, amplitude=1e-2)
-        monkeypatch.setattr(solver, "_quadratic", lambda z, ops, eq, time: 2.0 * z[1:4])
+        monkeypatch.setattr(solver, "_quadratic", lambda z, ops, eq, time: 2.0 * z[:, 1:4])
         with pytest.raises(SolverInstabilityError, match="norm grew"):
             integrate(init.state, StepperConfig(dt=2.5), 60.0, keep_nothing, sample_stride=10)
 
@@ -300,7 +330,9 @@ class TestStepping:
         assert len(series.states) == intervals + 1
         assert np.allclose(np.diff(series.times), 20.0 / intervals)
         assert len(steps) == intervals * steps_per_sample
-        assert len(fluxes) == 4 * len(steps)
+        # four evaluations of N per step, a sample's being the k1 of the step that starts there, and the last
+        # sample's fluxes for its observer
+        assert len(fluxes) == 4 * len(steps) + 1
 
     def test_resolution_doubling_changes_norm_below_one_percent(self, eq):
         # residual aliasing of the non-polynomial pressure remainder is
@@ -357,7 +389,7 @@ class TestBand:
         outside = ~in_cube(grid16)
         seen = []
 
-        def observe(z_hat, state):
+        def observe(z_hat, state, flux_hat):
             seen.append(state.time)
             assert np.all(z_hat[:, outside] == 0.0)
             assert np.any(z_hat[:, ~outside] != 0.0)
@@ -371,9 +403,9 @@ class TestBand:
         # the blow-up norm reads the band's weights; the scattered band has the same L^2 norm
         ops = solver._ops(grid16, dealias)
         values = np.random.default_rng(5).standard_normal((10,) + grid16.shape)
-        z = ops.gather(grid_module.half_lattice_forward(grid16, values))
+        z = ops.to_march(grid_module.half_lattice_forward(grid16, values))
         want = half_lattice_l2(grid16, ops.scatter(z))
-        assert abs(ops.norm(z) - want) <= 1e-13 * want
+        assert abs(ops.norm(z.T) - want) <= 1e-13 * want
         if not dealias:
             assert abs(want - math.sqrt(float(np.sum(values**2)) * grid16.cell_volume)) <= 1e-13 * want
 
@@ -406,7 +438,7 @@ class TestCoefficientMarch:
         monkeypatch.setattr(SimState, "from_coefficients", classmethod(recording))
         init = initial_data_gen(grid16, eq, seed=7, amplitude=5e-2)
         integrate(init.state, StepperConfig(dt=0.25, dealias=dealias), 2.0, keep_nothing, sample_stride=1)
-        assert len(seen) == 1 + 8 * 4 + 8
+        assert len(seen) == 1 + 8 * 4 + 1  # the data, four stages per step (k1 is a sample's) and the last sample
         axes = (1, 2, 3)
         for z_hat in seen:
             trip = np.fft.rfftn(np.fft.irfftn(z_hat, s=grid16.shape, axes=axes), axes=axes)
@@ -420,13 +452,30 @@ class TestCoefficientMarch:
             assert "buffer" not in vars(solver._ops(grid16, True))
         assert all(np.array_equal(a, b) for a, b in zip(*(run.states for run in runs)))
 
-        def failing(z_hat, state):
+        def failing(z_hat, state, flux_hat):
             if state.time > 0:
                 raise RuntimeError("observer failed")
 
         with pytest.raises(RuntimeError, match="observer failed"):
             integrate(init.state, StepperConfig(dt=0.25), 1.0, failing)
         assert "buffer" not in vars(solver._ops(grid16, True))
+
+    def test_fluxes_are_formed_in_the_work_array(self, eq, grid16, monkeypatch):
+        # every evaluation of N in a march, at a sample or a stage, forms the packed fluxes in the band
+        # operators' one work array, bit for bit as the formulas written row by row
+        ops = solver._ops(grid16, True)
+        returned = []
+
+        def recording(*args, _fn=solver.nonlinear_fluxes):
+            out = _fn(*args)
+            returned.append(out is ops.fluxes and np.array_equal(out, packed_fluxes_oracle(args[0])))
+            return out
+
+        monkeypatch.setattr(solver, "nonlinear_fluxes", recording)
+        init = initial_data_gen(grid16, eq, seed=3, amplitude=5e-2)
+        integrate(init.state, StepperConfig(dt=0.25), 1.0, keep_nothing, sample_stride=2)
+        assert returned == [True] * (4 * 4 + 1)
+        assert "fluxes" not in vars(ops)
 
     def test_import_leaves_scipy_fft_unloaded(self):
         code = (
@@ -565,15 +614,38 @@ class TestDuhamel:
         kvecs = [(2,) + (0,) * (dim - 1), (0,) * (dim - 1) + (5,), (1,) * (dim - 1) + (3,)]
         coeffs = np.fft.rfftn(values, axes=tuple(range(1, dim + 1)))
         want = np.stack([coeffs[(slice(None),) + k] for k in kvecs], axis=-1)
-        got = solver._mode_coefficients(values, kvecs)
+        got = mode_coefficients(values, kvecs)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_flux_coefficients_by_index_match_direct_sums(self, eq, dim):
+        # the observer's flux_hat, read at the Duhamel modes, against direct sums of the fluxes of the
+        # sample's physical state; and the source that duhamel_sums forms from it
+        grid = TorusGrid(dim=dim, box_length=20.0, points_per_axis=16)
+        init = initial_data_gen(grid, eq, seed=dim, amplitude=5e-2)
+        kvecs, qs, mags = zip(*solver._duhamel_modes(grid))
+        phi2 = np.array([phi(mag / 2.0**q) ** 2 for q, mag in zip(qs, mags)])
+        seen = []
+
+        def observe(z_hat, state, flux_hat):
+            want = mode_coefficients(nonlinear_fluxes(state), kvecs) * grid.cell_volume
+            got = np.stack([flux_hat[(slice(None),) + k] for k in kvecs], axis=-1)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            power = np.abs(want) ** 2
+            src = phi2 * (np.square(mags) * (solver._FROBENIUS_WEIGHTS @ power[:6]) + power[6:].sum(axis=0))
+            src /= eq.n_inf**2
+            assert np.max(np.abs(duhamel_sums(state, z_hat, flux_hat)[1] - src)) <= 1e-12 * np.max(src)
+            seen.append(state.time)
+
+        integrate(init.state, StepperConfig(dt=0.25), 1.0, observe, sample_stride=2)
+        assert seen == [0.0, 0.5, 1.0]
 
     def test_source_free_mode_bound(self, eq):
         # with tiny data the source term is negligible and the envelope is
         # essentially the kernel times the initial block power
         grid = TorusGrid(dim=3, box_length=50.0, points_per_axis=16)
         init = initial_data_gen(grid, eq, seed=8, amplitude=1e-5)
-        series = integrate(init.state, StepperConfig(), 10.0, lambda z_hat, state: duhamel_sums(state, z_hat),
+        series = integrate(init.state, StepperConfig(), 10.0, lambda z_hat, state, flux_hat: duhamel_sums(state, z_hat, flux_hat),
                            sample_stride=2)
         rep = duhamel_check(grid, series.times, series.states)
         assert rep.c1 > 0
@@ -602,9 +674,9 @@ class TestCoefficientSamples:
 
         def copying(state, cfg, t_end, observe, _fn=solver.integrate, **kwargs):
             # the coefficients are copied only to rebuild the definitions below
-            def both(z_hat, sample):
+            def both(z_hat, sample, flux_hat):
                 samples.append(z_hat.copy())
-                return observe(z_hat, sample)
+                return observe(z_hat, sample, flux_hat)
 
             return _fn(state, cfg, t_end, both, **kwargs)
 
@@ -615,10 +687,10 @@ class TestCoefficientSamples:
         series, f = result.series, result.functionals
         n_samples = len(series.states)
         assert n_samples >= 3 and len(samples) == n_samples
-        # the initial data's one inverse, then four quadratic evaluations per step and the check of every
-        # sample after the input: the Duhamel sums and the dump read the checked physical state, the other
-        # records its coefficients
-        assert transforms.count("half_lattice_inverse") == 1 + 4 * len(steps) + n_samples - 1
+        # the initial data's one inverse, then four quadratic evaluations per step, the k1 of a step that
+        # starts at a sample being the sample's checked physical state, and the last sample's: the Duhamel
+        # sums read the fluxes' forward transform of that evaluation, the other records the coefficients
+        assert transforms.count("half_lattice_inverse") == 1 + 4 * len(steps) + 1
 
         # the three reductions of the stacked records call no transform
         transforms.clear()
@@ -676,7 +748,7 @@ class TestCoefficientSamples:
         # larger than every sample of this run together
         init = initial_data_gen(grid16, eq, seed=1, amplitude=1e-2)
 
-        def observe(z_hat, state):
+        def observe(z_hat, state, flux_hat):
             if state.time == init.state.time:
                 tracemalloc.reset_peak()
 
