@@ -39,11 +39,11 @@ evaluators:
   chunk, t R(xi) goes through one batched scaling-and-squaring of a Taylor
   polynomial, matrix products only.
 - the multi-time evaluator, a private batched propagator that makes one
-  eigendecomposition per symmetry class of its batch (below).  Its method
-  `orbit` carries a vector or column block y of every mode through a
-  sequence of times with V^-1 P^T y formed once, and `powers` sums weighted
-  |exp(t R) y|^2 over each class; both fall back to `scipy.linalg.expm`,
-  once per class and time, for classes whose eigenbasis is ill-conditioned.
+  eigendecomposition per symmetry class of its batch (below).  Its `orbit`
+  carries a vector or column block y of every mode through a sequence of
+  times, P^T y formed once and one real table row Re(V diag(e^{wt}) V^-1) per
+  class and time; `powers` sums weighted |exp(t R) y|^2 over each class.  An
+  ill-conditioned class takes `scipy.linalg.expm` instead, once per time.
 
 Symmetry classes.  Let b = B_inf / |B_inf|, or e_z when B_inf = 0.  For an
 orthogonal Q with det(Q) Q b = b (the rotations about b, and those
@@ -95,7 +95,7 @@ STATE_DIM = 10
 _COND_LIMIT = 1e8
 _KEY_ULPS = 8  # class keys within this many ulps of |xi| are joined
 # modes per chunk of mode_exponentials' Taylor evaluation, whose temporaries take ~14 KB a
-# mode, and of _EigenPropagator's class products, whose gathered class matrices take 1.6 KB
+# mode, and of _EigenPropagator's class products, whose gathered real table rows take 0.8 KB
 _TABLE_CHUNK = 512
 # mode_exponentials takes exp(A) as the degree-40 Taylor polynomial of A / 2^s
 # squared s times, s the fewest halvings that bring ||A||_1 to <= 6 (scaling
@@ -307,13 +307,14 @@ class _ModeClasses:
     def rotate(self, y: np.ndarray, inverse: bool = False):
         """y overwritten by P y, or P^T y, with the P of each mode.
 
-        y holds y[n, 10] or y[n, 10, k] and is returned.
+        y[n, 10] or y[n, 10, k], returned; each output component sums real `turns` entries times components.
         """
         blocks = y if y.ndim == 3 else y[..., None]
-        turns = self.turns.swapaxes(-1, -2) if inverse else self.turns
-        signs = self.signs[:, None, None]
-        for rows, sign in ((slice(1, 4), signs), (slice(4, 7), signs), (slice(7, 10), 1.0)):
-            blocks[:, rows] = sign * (turns @ blocks[:, rows])
+        turns = np.ascontiguousarray((self.turns if inverse else self.turns.swapaxes(-1, -2)).T)  # [i, j, n]
+        for start, q in ((1, turns * self.signs), (4, turns * self.signs), (7, turns)):
+            part = [blocks[:, start + j].copy() for j in range(3)]
+            for i in range(3):
+                blocks[:, start + i] = sum(q[i, j, :, None] * part[j] for j in range(3))
         return y
 
 
@@ -351,9 +352,8 @@ class _EigenPropagator:
 
     Every array of the propagator has one row per class; mode r of class k
     is carried in the class's frame, exp(t R(xi_r)) = P_r exp(t R_k) P_r^T.
-    The eigenvector route is used where the eigenbasis is well conditioned;
-    elsewhere (near eigenvalue collisions the generator can be defective) the
-    class's exponential falls back to scaling-and-squaring, once per class and time.
+    `orbit` applies one real table row E = Re(V_k diag(e^{w_k t}) V_k^-1) per class and time, or, where the
+    eigenbasis is ill-conditioned (near eigenvalue collisions the generator can be defective), expm(t R_k).
     """
 
     def __init__(self, xi: np.ndarray, eq: EquilibriumState):
@@ -367,33 +367,45 @@ class _EigenPropagator:
         cond = np.linalg.norm(self.v, axis=(-2, -1)) * np.linalg.norm(self.vinv, axis=(-2, -1))
         self.ill_conditioned = ~(cond < _COND_LIMIT)  # cond(P V) = cond(V): exact for every member
 
-    def _class_product(self, mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-        """mats[k] @ blocks[r] for the class k of every mode r, gathering mats _TABLE_CHUNK modes at a time."""
-        index = self.classes.index
-        out = np.empty(blocks.shape[:1] + mats.shape[1:2] + blocks.shape[2:], np.result_type(mats, blocks))
-        for start in range(0, len(blocks), _TABLE_CHUNK):
+    @staticmethod
+    def _class_product(mats: np.ndarray, blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """mats[rows[r]] @ blocks[r] for every mode r, in blocks' layout, gathering mats _TABLE_CHUNK modes at a
+        time; mats are square, and real mats act on the (re, im) pairs of complex blocks."""
+        pairs = blocks.view(float) if mats.dtype == float and blocks.dtype == complex else blocks
+        out = np.empty_like(pairs, np.result_type(mats, pairs))
+        for start in range(0, len(rows), _TABLE_CHUNK):
             span = slice(start, start + _TABLE_CHUNK)
-            out[span] = mats[index[span]] @ blocks[span]
-        return out
+            np.matmul(mats[rows[span]], pairs[span], out=out[span])
+        return out if pairs is blocks else out.view(complex)
+
+    def _table(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(E, rows): real rows E[j] = exp(t_j R_k_j), one per class at a shared time t and one per distinct
+        (class, time) pair at one time per mode, and the row of every mode."""
+        if t.ndim == 0:
+            classes, rows, times = slice(None), self.classes.index, np.full(len(self.w), float(t))
+        else:
+            keys, rows = np.unique(np.stack([self.classes.index, t], axis=1), axis=0, return_inverse=True)
+            classes, rows, times = keys[:, 0].astype(np.intp), rows.ravel(), keys[:, 1]
+        decay = np.exp(self.w[classes] * times[:, None])
+        table = ((self.v[classes] * decay[:, None, :]) @ self.vinv[classes]).real.copy()  # gathered by whole rows
+        for j in np.flatnonzero(self.ill_conditioned[classes]):
+            table[j] = scipy.linalg.expm(times[j] * self.matrices[classes][j])
+        return table, rows
 
     def orbit(self, y: np.ndarray, times: Sequence):
         """exp(t R(xi_r)) y[r] for every mode r of the batch, at each t of times in turn.
 
         y holds vectors (n, 10) or column blocks (n, 10, k); each t is one
-        time or one time per mode.  V_k^-1 P_r^T y[r] is formed once.
+        time or one time per mode.  P_r^T y[r] is formed once, in y's layout;
+        each time applies its table row to it and rotates the result back.
         """
         c = self.classes
-        blocks = c.rotate((y if y.ndim == 3 else y[..., None]).copy(), inverse=True)
-        coeff = self._class_product(self.vinv, blocks)
-        w, fallback = self.w[c.index], np.flatnonzero(self.ill_conditioned[c.index])
-        blocks = blocks[fallback]  # all the fallback needs of P^T y
+        blocks = c.rotate((y if y.ndim == 3 else y[..., None]).copy(order="K"), inverse=True)
         for t in times:
-            t = np.broadcast_to(np.asarray(t, dtype=float), y.shape[:1])
+            t = np.asarray(t, dtype=float)
             _require_times(t)
-            out = self._class_product(self.v, coeff * np.exp(w * t[:, None])[..., None])
-            if fallback.size:
-                self._fall_back(out, blocks, fallback, t)
-            c.rotate(out)
+            table, rows = self._table(t if t.ndim == 0 else np.broadcast_to(t, y.shape[:1]))
+            out = c.rotate(self._class_product(table, blocks, rows))
             yield out if y.ndim == 3 else out[..., 0]
 
     def powers(self, y: np.ndarray, weights: np.ndarray, times: Sequence):
@@ -412,7 +424,7 @@ class _EigenPropagator:
         """
         c = self.classes
         y = c.rotate(y.copy(), inverse=True)
-        coords = self._class_product(self.vinv, y[..., None])[..., 0]
+        coords = self._class_product(self.vinv, y[..., None], c.index)[..., 0]
         moments = np.zeros(self.v.shape, dtype=complex)
         np.add.at(moments, c.index, weights[:, None, None] * coords[:, :, None] * coords.conj()[:, None, :])
         terms = (self.v.conj().swapaxes(-1, -2) @ self.v) * moments.swapaxes(-1, -2)
@@ -426,14 +438,6 @@ class _EigenPropagator:
                 states = scipy.linalg.expm(t * self.matrices[k]) @ y[members].T
                 out[k] = weights[members] @ np.sum(np.abs(states) ** 2, axis=0)
             yield out
-
-    def _fall_back(self, out: np.ndarray, blocks: np.ndarray, rows: np.ndarray, t: np.ndarray) -> None:
-        """out[rows] = exp(t R_k) blocks in the class frame by `scipy.linalg.expm`, once per class k and time."""
-        pairs = np.stack([self.classes.index[rows], t[rows]], axis=1)
-        keys, which = np.unique(pairs, axis=0, return_inverse=True)
-        for j, (k, time) in enumerate(keys):
-            pick = which.ravel() == j
-            out[rows[pick]] = scipy.linalg.expm(time * self.matrices[int(k)]) @ blocks[pick]
 
 
 class ModePropagator:
@@ -576,8 +580,8 @@ class GridModePropagator:
         self._prop = _EigenPropagator(grid.half_modes, eq)
 
     def _per_mode(self, half: np.ndarray, real_op: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """A modewise operator on half (10, *half lattice): real_op(y) applies the real-form operator of
-        every half-lattice mode to the rows of y = D^-1 half, which come back through D."""
+        """A modewise operator on half (10, *half lattice): real_op(y) applies the real-form operator of every
+        half-lattice mode to the rows of y = D^-1 half, component-major as half is, which come back through D."""
         if half.shape != self._shape:
             raise ConfigError(f"half-lattice coefficients of shape {half.shape} != {self._shape}")
         y = half.reshape(STATE_DIM, -1).T * REAL_FORM_PHASES.conj()
@@ -590,8 +594,8 @@ class GridModePropagator:
     def generator_apply(self, half: np.ndarray) -> np.ndarray:
         """Apply M(xi) modewise (the exact linear right-hand side): R(xi) = P R_k P^T of its class k."""
         prop, rotate = self._prop, self._prop.classes.rotate
-        return self._per_mode(
-            half, lambda y: rotate(prop._class_product(prop.matrices, rotate(y, inverse=True)[..., None])))
+        return self._per_mode(half, lambda y: rotate(
+            prop._class_product(prop.matrices, rotate(y, inverse=True)[..., None], prop.classes.index)))
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,11 @@ class _SpectralOps:
         self.buffer.reshape(STATE_DIM, -1)[:, self.band] = (y * REAL_FORM_PHASES).T
         return self.buffer
 
+    def release(self) -> None:
+        """Drop the work arrays `buffer` and `fluxes`: a call that has returned keeps neither in the `_ops` cache."""
+        for work in ("buffer", "fluxes"):
+            vars(self).pop(work, None)
+
     def divergence(self, vec) -> np.ndarray:
         return sum(self.ik[j] * vec[j] for j in range(self.grid.dim))
 
@@ -329,10 +334,13 @@ def coefficient_rhs(
 ) -> np.ndarray:
     """M(xi) z + N(z): the time derivative of the band z of half-lattice coefficients z_hat, zero off the band."""
     ops = _ops(grid, dealias)
-    z = ops.to_march(z_hat)
-    dz = _apply_table(real_mode_matrices(ops.modes, eq), z)
-    dz[:, _VELOCITY] += _quadratic(z, ops, eq, time)
-    return ops.scatter(dz).copy()
+    try:
+        z = ops.to_march(z_hat)
+        dz = _apply_table(real_mode_matrices(ops.modes, eq), z)
+        dz[:, _VELOCITY] += _quadratic(z, ops, eq, time)
+        return ops.scatter(dz)  # the buffer, released to the caller
+    finally:
+        ops.release()
 
 
 def rhs_eval(state: SimState, *, dealias: bool = True) -> np.ndarray:
@@ -398,10 +406,13 @@ def _lawson(
 def step(state: SimState, dt: float, *, dealias: bool = True) -> SimState:
     """One Lawson step of the state's band, with a band table built for dt on every call."""
     ops = _ops(state.grid, dealias)
-    half = mode_exponentials(ops.modes, state.eq, 0.5 * dt)
-    z = ops.to_march(half_lattice_forward(state.grid, state.z))
-    z = _lawson(z, half, ops, state.eq, state.time, dt, _quadratic(z, ops, state.eq, state.time))
-    return SimState.from_coefficients(state.grid, state.eq, state.time + dt, ops.scatter(z))
+    try:
+        half = mode_exponentials(ops.modes, state.eq, 0.5 * dt)
+        z = ops.to_march(half_lattice_forward(state.grid, state.z))
+        z = _lawson(z, half, ops, state.eq, state.time, dt, _quadratic(z, ops, state.eq, state.time))
+        return SimState.from_coefficients(state.grid, state.eq, state.time + dt, ops.scatter(z))
+    finally:
+        ops.release()
 
 
 @dataclass
@@ -488,8 +499,7 @@ def integrate(
                 del sample, flux_hat  # no sample is held through the steps that follow
         return SimulationSeries(times=np.array(times), states=states, final=sample)
     finally:
-        for work in ("buffer", "fluxes"):
-            vars(ops).pop(work, None)  # a finished run keeps no work arrays in the cache
+        ops.release()
 
 
 @dataclass(frozen=True)

@@ -432,6 +432,26 @@ class TestGridEvolution:
             assert np.linalg.norm(out[(slice(None),) + idx] - want) <= 1e-12 * scale, idx
             assert np.linalg.norm(gen[(slice(None),) + idx] - m @ start) <= 1e-14 * np.linalg.norm(m) * scale, idx
 
+    @pytest.mark.parametrize(
+        "b_inf", [(0.0, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.4, 0.3)], ids=["b0", "b05", "b_off_axis"]
+    )
+    def test_agrees_with_the_taylor_table(self, b_inf):
+        """`apply`, from one eigendecomposition per class, against the table of `mode_exponentials`,
+        which takes no eigendecomposition, applied mode by mode to general complex data."""
+        eq_b = EquilibriumState(b_inf=b_inf)
+        grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)
+        shape = (10,) + grid.shape[:-1] + (grid.half_width,)
+        rng = np.random.default_rng(29)
+        z0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        prop = GridModePropagator(grid, eq_b)
+        phases = linear_modes.REAL_FORM_PHASES
+        start = z0.reshape(10, -1).T * phases.conj()
+        for t in (0.0, 0.5, 50.0):
+            want = np.einsum("nij,nj->ni", mode_exponentials(grid.half_modes, eq_b, t), start) * phases
+            got = prop.apply(z0, t).reshape(10, -1).T
+            error = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+            assert error.max() <= 1e-10, (t, error.max())
+
     def test_decomposes_one_matrix_per_class(self, monkeypatch):
         """One eig matrix per class of the 8 * 8 * 5 = 320 half-lattice modes.
 
@@ -511,6 +531,42 @@ class TestGridEvolution:
         coeffs[7, 0, 0, 0] = 1e-12
         with pytest.raises(IncompatibleDataError, match="mean-free"):
             linear_evolve_grid(SpectralField(grid, coeffs), [0.0, 1.0], eq)
+
+
+class TestClassRotation:
+    """`_ModeClasses.rotate` against the 3x3 products y -> diag(1, s T, s T, T) y that it forms term by term."""
+
+    @staticmethod
+    def turn_products(classes, y, inverse):
+        turns = classes.turns.swapaxes(-1, -2) if inverse else classes.turns
+        signs = classes.signs[:, None, None]
+        blocks = (y if y.ndim == 3 else y[..., None]).copy()
+        for rows, sign in ((slice(1, 4), signs), (slice(4, 7), signs), (slice(7, 10), 1.0)):
+            blocks[:, rows] = sign * (turns @ blocks[:, rows])
+        return blocks.reshape(y.shape)
+
+    # B_inf across the half axis, so that the half lattice holds flipped modes (s = -1)
+    @pytest.mark.parametrize("b_inf", [(0.5, 0.0, 0.0), (0.0, 0.4, 0.3)], ids=["b_x", "b_off_axis"])
+    @pytest.mark.parametrize("columns", [(), (3,)], ids=["vectors", "blocks"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_turn_products(self, b_inf, columns, dtype):
+        grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)
+        classes = linear_modes._mode_classes(grid.half_modes, EquilibriumState(b_inf=b_inf))
+        assert np.any(classes.signs < 0)
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal((len(grid.half_modes), 10) + columns).astype(dtype)
+        if dtype is complex:
+            y += 1j * rng.standard_normal(y.shape)
+        tol = 1e-15 * np.max(np.abs(y))
+        for inverse in (False, True):
+            want = self.turn_products(classes, y, inverse)
+            for layout in (np.ascontiguousarray, np.asfortranarray):  # mode-major and component-major
+                got = classes.rotate(layout(y.copy()), inverse=inverse)
+                assert got.dtype == y.dtype and np.max(np.abs(got - want)) <= tol
+        forward = classes.rotate(y.copy())
+        assert np.max(np.abs(classes.rotate(forward.copy(), inverse=True) - y)) <= tol
+        reps = classes.first  # P = I on a representative: its rows come back bit for bit
+        assert forward[reps].tobytes() == y[reps].tobytes()
 
 
 class TestContinuumDecay:

@@ -460,6 +460,24 @@ class TestCoefficientMarch:
             integrate(init.state, StepperConfig(dt=0.25), 1.0, failing)
         assert "buffer" not in vars(solver._ops(grid16, True))
 
+    @pytest.mark.parametrize("call", ["rhs_eval", "coefficient_rhs", "step"])
+    def test_single_calls_keep_no_work_arrays(self, eq, grid16, call):
+        # the band operators stay cached per grid, their buffer and flux work array do not
+        init = initial_data_gen(grid16, eq, seed=3, amplitude=5e-2)
+        z_hat = half_lattice_forward(grid16, init.state.z)
+        run = {
+            "rhs_eval": lambda: rhs_eval(init.state),
+            "coefficient_rhs": lambda: solver.coefficient_rhs(z_hat, grid16, eq),
+            "step": lambda: step(init.state, 0.25),
+        }[call]
+        first = run()
+        ops = solver._ops(grid16, True)
+        assert "buffer" not in vars(ops) and "fluxes" not in vars(ops)
+        second = run()
+        assert "buffer" not in vars(ops) and "fluxes" not in vars(ops)
+        if call == "coefficient_rhs":  # each call hands back a buffer of its own
+            assert second is not first and np.array_equal(second, first)
+
     def test_fluxes_are_formed_in_the_work_array(self, eq, grid16, monkeypatch):
         # every evaluation of N in a march, at a sample or a stage, forms the packed fluxes in the band
         # operators' one work array, bit for bit as the formulas written row by row
