@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import BlockWeightError, ConfigError
 from .grid import (
     PhysicalField,
     SpectralField,
@@ -82,6 +82,13 @@ def ell_r(values: Sequence[float], r: float) -> float:
     return float(np.sum(arr**r) ** (1.0 / r))
 
 
+def block_weight(q, s: float):
+    """2^(q s), the weight at regularity s of block q (an int, or an array); BlockWeightError past the float range."""
+    if not np.all(q * s < 1024.0):  # 2^1024 is past the largest float
+        raise BlockWeightError(f"the block weight 2^(q s) at regularity s = {s:g} passes the float range")
+    return 2.0 ** (q * s)
+
+
 def _block_lp(grid: TorusGrid, half: np.ndarray, p: float, homogeneous: bool) -> tuple[np.ndarray, np.ndarray]:
     """(qs, norms): the family's indices and block L^p norms of the real field whose half lattice is half.
 
@@ -129,7 +136,7 @@ def half_lattice_besov(grid: TorusGrid, half: np.ndarray, spec: BesovSpec) -> No
     """`besov_norm` of the real field with half-lattice coefficients half[components, *half lattice]."""
     qs, norms = _block_lp(grid, half, spec.p, spec.homogeneous)
     live = live_blocks(norms)
-    contributions = {q: 2.0 ** (q * spec.s) * b for q, b in zip(qs[live].tolist(), norms[live].tolist())}
+    contributions = {q: block_weight(q, spec.s) * b for q, b in zip(qs[live].tolist(), norms[live].tolist())}
     value = ell_r(list(contributions.values()), spec.r)
     mean_mag = 0.0
     if spec.homogeneous:

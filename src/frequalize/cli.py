@@ -29,6 +29,7 @@ from .decay_kernel import (
 )
 from .equilibrium import EquilibriumState
 from .errors import (
+    BlockWeightError,
     ConfigError,
     FrequalizeError,
     HypothesisError,
@@ -158,7 +159,8 @@ def _load_input(path: str):
 def cmd_besov_norm(args) -> int:
     spec = args.spec
     # besov_norm holds the only reference, so it frees the samples once their half lattice exists
-    report = besov_norm(_load_input(args.input), spec)
+    with prefixed("--spec: ", BlockWeightError):
+        report = besov_norm(_load_input(args.input), spec)
     qs = sorted(report.contributions)
     header = ["spec", "value", "mean_magnitude"] + [f"q{q}" for q in qs]
     rows = [[spec.label(), report.value, report.mean_magnitude] + [report.contributions[q] for q in qs]]
@@ -194,7 +196,8 @@ def cmd_kernel_verify(args) -> int:
     params = DecayParams(s=s, ell=ell, rho=rho, r=r, alpha=alpha, q0=args.q0)
     grid = _load_grid(args.grid, TorusGrid(dim=3, box_length=64.0, points_per_axis=48))
     # verify_inequality holds the only reference, so it frees the samples once their half lattice exists
-    report = verify_inequality(_kernel_input(args.input, grid), args.times, params, rate)
+    with prefixed("--params: ", BlockWeightError):
+        report = verify_inequality(_kernel_input(args.input, grid), args.times, params, rate)
     scan = tail_divergence_scan(ell, r, rate, t=4.0, n=report.dim, r0=params.r_split)
     header = ["t", "lhs", "low", "high", "ratio"]
     rows = [

@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .besov import BesovSpec, ell_r, half_lattice_besov
+from .besov import BesovSpec, block_weight, ell_r, half_lattice_besov
 from .errors import ConfigError, HypothesisError
 from .grid import PhysicalField, SpectralField, half_lattice_coefficients, half_lattice_spectrum
 from .grid import shell_l2_norms
@@ -239,7 +239,7 @@ def verify_inequality(
     blocks = shell_l2_norms(spectrum, profiles)
     live = live_blocks(blocks)
     qs, profiles, blocks = qs[live], profiles[live], blocks[live]
-    weight = 2.0 ** (qs * params.s)
+    weight = block_weight(qs, params.s)
     # the data's block L^r norms above the roundoff floor, which the high norm weights as besov_norm would; at
     # r = 2 they are the live L^2 blocks above, which half_lattice_besov would read off a second spectrum
     if params.r == 2.0:
@@ -248,9 +248,9 @@ def verify_inequality(
         lr_norms = half_lattice_besov(grid, half, BesovSpec(0.0, params.r, math.inf, True)).contributions
 
     # the data norms: negative-order (B^-rho_(2,inf)) and high-regularity (B^(s+ell)_(r,alpha))
-    norm_low = ell_r([2.0 ** (q * -params.rho) * b for q, b in zip(qs.tolist(), blocks.tolist())], math.inf)
+    norm_low = ell_r([block_weight(q, -params.rho) * b for q, b in zip(qs.tolist(), blocks.tolist())], math.inf)
     s_high = params.s + params.ell
-    norm_high = ell_r([2.0 ** (q * s_high) * b for q, b in lr_norms.items()], params.alpha)
+    norm_high = ell_r([block_weight(q, s_high) * b for q, b in lr_norms.items()], params.alpha)
     lr_blocks = np.array([lr_norms.get(q, 0.0) for q in qs.tolist()])  # for the high-regime diagnostic
 
     damp = rate.kernel(radii, times[:, None])
@@ -274,7 +274,7 @@ def verify_inequality(
     high_damp = np.exp(-c_high * inv_radii * t) * (radii >= params.r_split)
     high = (qs >= params.q0) & (lr_blocks > 0)
     num = weight[high] * shell_l2_norms(high_damp**2 * spectrum, profiles[high])
-    den = 2.0 ** (qs[high] * s_high) * hi_t[:, None] * lr_blocks[high]
+    den = block_weight(qs[high], s_high) * hi_t[:, None] * lr_blocks[high]
     high_regime = (num / den).ravel().tolist()
 
     total = low_term + high_term

@@ -15,12 +15,16 @@ class ConfigError(FrequalizeError):
     """Invalid configuration; message names the offending key path."""
 
 
+class BlockWeightError(ConfigError):
+    """A block weight 2^(q s) past the float range: charged to the regularity s that sets it."""
+
+
 @contextmanager
-def prefixed(prefix: str):
-    """Re-raise a ConfigError of the block with prefix (a key path or an option) before its message."""
+def prefixed(prefix: str, kind: type[ConfigError] = ConfigError):
+    """Re-raise a ConfigError of the block, of the given kind, with prefix (a key path or an option) first."""
     try:
         yield
-    except ConfigError as exc:
+    except kind as exc:
         raise ConfigError(f"{prefix}{exc}") from None
 
 

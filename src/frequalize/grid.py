@@ -80,13 +80,18 @@ class TorusGrid:
     def __post_init__(self) -> None:
         if self.dim not in SUPPORTED_DIMS:
             raise ConfigError(f"grid.dim: expected one of {SUPPORTED_DIMS}, got {self.dim}")
-        if not self.box_length > 0:
-            raise ConfigError(f"grid.box_length: must be positive, got {self.box_length}")
         n = self.points_per_axis
         if n < 8 or n % 2 != 0:
             raise ConfigError(
                 f"grid.points_per_axis: must be an even integer >= 8, got {n}"
             )
+        try:  # the Parseval sums divide by the volume and square coefficients that carry the cell volume
+            sizes = (self.box_length, self.volume, self.cell_volume**2)
+        except OverflowError:
+            sizes = (math.inf,)
+        if not all(np.finfo(float).tiny <= size < math.inf for size in sizes):
+            raise ConfigError(f"grid.box_length: must be positive, its volume and cell volume^2 normal floats, "
+                              f"got {self.box_length!r}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -287,8 +292,11 @@ def half_lattice_spectrum(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
 
 
 def half_lattice_l2(grid: TorusGrid, half: np.ndarray) -> float:
-    """L^2 norm of the real field with half-lattice coefficients half, by Parseval."""
-    return math.sqrt(float(np.sum(half_lattice_spectrum(grid, half))))
+    """L^2 norm of the real field with half-lattice coefficients half[..., *half lattice], by Parseval: one sum
+    of the power, interior columns counted twice."""
+    power = half.real**2 + half.imag**2
+    power[..., 1:-1] *= 2.0
+    return math.sqrt(float(np.sum(power)) / grid.volume)
 
 
 def require_hermitian(field: SpectralField) -> None:

@@ -95,7 +95,8 @@ STATE_DIM = 10
 _COND_LIMIT = 1e8
 _KEY_ULPS = 8  # class keys within this many ulps of |xi| are joined
 # modes per chunk of mode_exponentials' Taylor evaluation, whose temporaries take ~14 KB a
-# mode, and of _EigenPropagator's class products, whose gathered real table rows take 0.8 KB
+# mode, of _EigenPropagator's class products, whose gathered real table rows take 0.8 KB, and
+# of its class moments, whose outer products take 1.6 KB
 _TABLE_CHUNK = 512
 # mode_exponentials takes exp(A) as the degree-40 Taylor polynomial of A / 2^s
 # squared s times, s the fewest halvings that bring ||A||_1 to <= 6 (scaling
@@ -257,6 +258,14 @@ def constraint_matrix(xi: Sequence[float]) -> np.ndarray:
     if np.allclose(xi, 0.0):
         return gauss_e[None, :]  # only the density row survives at xi = 0
     return np.vstack([gauss_e, gauss_h])
+
+
+def gauss_residuals(grid: TorusGrid, half: np.ndarray) -> tuple[float, float, float]:
+    """(||rho + div E||, ||div h||, ||z||) in L^2, by Parseval, of the half-lattice coefficients half[10, *grid]."""
+    xi = grid.half_modes.T.reshape((3,) + half.shape[1:])
+    gauss_e = half[0] + 1j * sum(xi[j] * half[4 + j] for j in range(3))
+    gauss_h = 1j * sum(xi[j] * half[7 + j] for j in range(3))
+    return half_lattice_l2(grid, gauss_e), half_lattice_l2(grid, gauss_h), half_lattice_l2(grid, half)
 
 
 def constraint_projector(xi: Sequence[float]) -> np.ndarray:
@@ -426,7 +435,10 @@ class _EigenPropagator:
         y = c.rotate(y.copy(), inverse=True)
         coords = self._class_product(self.vinv, y[..., None], c.index)[..., 0]
         moments = np.zeros(self.v.shape, dtype=complex)
-        np.add.at(moments, c.index, weights[:, None, None] * coords[:, :, None] * coords.conj()[:, None, :])
+        for start in range(0, len(coords), _TABLE_CHUNK):  # the unchunked sum's order, one chunk in memory
+            span = slice(start, start + _TABLE_CHUNK)
+            part = coords[span]
+            np.add.at(moments, c.index[span], weights[span, None, None] * part[:, :, None] * part.conj()[:, None, :])
         terms = (self.v.conj().swapaxes(-1, -2) @ self.v) * moments.swapaxes(-1, -2)
         fallback = np.flatnonzero(self.ill_conditioned)
         for t in times:
@@ -609,15 +621,6 @@ class LinearSolution:
     constraint_residuals: np.ndarray
 
 
-def _gauss_residual(grid: TorusGrid, half: np.ndarray) -> float:
-    """|(rho + i xi.E, i xi.h)| / |z| of the state with half-lattice coefficients half (xi: `half_modes`)."""
-    xi = grid.half_modes.T.reshape((3,) + half.shape[1:])
-    gauss_e = half[0] + 1j * sum(xi[j] * half[4 + j] for j in range(3))
-    gauss_h = 1j * sum(xi[j] * half[7 + j] for j in range(3))
-    den = half_lattice_l2(grid, half)
-    return half_lattice_l2(grid, np.stack([gauss_e, gauss_h])) / den if den > 0 else 0.0
-
-
 def linear_evolve_grid(
     z0: SpectralField,
     times: Sequence[float],
@@ -640,7 +643,8 @@ def linear_evolve_grid(
         raise ConfigError(f"state needs {STATE_DIM} components, got {z0.components}")
     grid = z0.grid
     half0 = half_lattice_coefficients(z0)
-    res0 = _gauss_residual(grid, half0)
+    norm_e, norm_b, scale = gauss_residuals(grid, half0)
+    res0 = math.hypot(norm_e, norm_b) / scale if scale > 0 else 0.0  # |(rho + div E, div h)| / |z|
     if res0 > _COMPAT_TOL:
         raise IncompatibleDataError(
             f"initial data violates the divergence constraints (residual {res0:.3e})"
@@ -660,7 +664,8 @@ def linear_evolve_grid(
     states: list[SpectralField] = []
     for i, t in enumerate(times):
         half = prop.apply(half0, float(t))
-        residuals[i] = _gauss_residual(grid, half)
+        norm_e, norm_b, scale = gauss_residuals(grid, half)
+        residuals[i] = math.hypot(norm_e, norm_b) / scale if scale > 0 else 0.0
         series[i] = shell_l2_norms(half_lattice_spectrum(grid, half), weights)
         if keep_states:
             states.append(SpectralField(grid, full_lattice_coefficients(grid, half)))

@@ -43,8 +43,10 @@ grouped as E(h/2) [E(h/2) u + h/6 E(h/2) k1 + h/3 (k2 + k3)] + h/6 k4, a
 step applies the table four times.  The march holds the band in the
 table's real form, mode-major (`_SpectralOps`), so an apply is one real
 matmul per chunk of modes; D enters only where the band is scattered into
-the half lattice and where N is gathered from it.  The packed fluxes are
-formed in one work array, which every evaluation of N in a run overwrites.
+the half lattice and where N is gathered from it.  The call that marches
+(`integrate`, `coefficient_rhs` or `step`) owns its band operators and their
+work arrays, the half-lattice buffer and the packed fluxes: every evaluation
+of N in the call reuses both, and they are freed when it returns.
 
 A sample costs no evaluation of N of its own: `integrate` evaluates N at
 every sample time as the k1 of the step that starts there, checks the
@@ -69,7 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import reduce
 from typing import Any, Callable
 
 import numpy as np
@@ -81,7 +83,7 @@ from .equilibrium import EquilibriumState
 from .errors import ConfigError, DensityError, SolverInstabilityError
 from .fitting import DecayFit, fit_decay_exponent
 from .grid import PhysicalField, TorusGrid, half_lattice_forward, half_lattice_inverse, half_lattice_solenoidal
-from .linear_modes import REAL_FORM_PHASES, mode_exponentials, real_mode_matrices
+from .linear_modes import REAL_FORM_PHASES, gauss_residuals, mode_exponentials, real_mode_matrices
 from .littlewood_paley import phi
 
 STATE_DIM = 10
@@ -141,11 +143,16 @@ _PACKED = ((0, 1, 2), (1, 3, 4), (2, 4, 5))  # packed index of q2[i, j]
 _FROBENIUS_WEIGHTS = np.array([1.0 if i == j else 2.0 for i, j in _UPPER])  # multiplicities in |q2|_F^2
 
 
+def _band_edge(grid: TorusGrid) -> float:
+    """The 2/3-rule cutoff 2 pi (N // 3) / L: the dealiased band is the cube |k_j| <= N // 3."""
+    return 2.0 * math.pi * (grid.points_per_axis // 3) / grid.box_length
+
+
 class _SpectralOps:
     """The march's band, a flat index into the half lattice (the 2/3-rule cube |k_j| <= N/3 with dealias, else
     every mode), with its modes, multipliers i xi_j, Parseval weights (2 on interior columns, 1 on the edge
     planes), one half-lattice buffer to scatter into, whose entries off the band stay zero, and one work array
-    of the lattice's size for the packed fluxes.
+    of the lattice's size for the packed fluxes; each call that marches builds its own, freed when it returns.
 
     The march holds a state's band in the form its tables act on: mode-major and in real form, y[m] = D^-1 z_m
     with D = diag(REAL_FORM_PHASES), shape (n_band, 10).  D is applied only where the band enters or leaves the
@@ -154,20 +161,13 @@ class _SpectralOps:
 
     def __init__(self, grid: TorusGrid, dealias: bool):
         self.grid = grid
-        self.band_edge = 2.0 * math.pi * (grid.points_per_axis // 3) / grid.box_length  # |k_j| <= N // 3
-        inside = reduce(np.logical_and, [np.abs(c) <= self.band_edge + 1e-12 for c in grid.frequency_vectors])
+        inside = reduce(np.logical_and, [np.abs(c) <= _band_edge(grid) + 1e-12 for c in grid.frequency_vectors])
         self.band = np.flatnonzero(inside) if dealias else np.arange(inside.size)
         self.modes = grid.half_modes[self.band]
         self.ik = 1j * self.modes.T[: grid.dim]
         self.weights = np.where(np.isin(self.band % grid.half_width, (0, grid.half_width - 1)), 1.0, 2.0)
-
-    @cached_property
-    def buffer(self) -> np.ndarray:
-        return np.zeros((STATE_DIM,) + self.grid.shape[:-1] + (self.grid.half_width,), dtype=complex)
-
-    @cached_property
-    def fluxes(self) -> np.ndarray:
-        return np.empty((9,) + self.grid.shape)
+        self.buffer = np.zeros((STATE_DIM,) + grid.shape[:-1] + (grid.half_width,), dtype=complex)
+        self.fluxes = np.empty((9,) + grid.shape)
 
     def gather(self, half: np.ndarray) -> np.ndarray:
         """The band of half-lattice coefficients half[c, *half lattice], shape (c, n_band)."""
@@ -183,22 +183,9 @@ class _SpectralOps:
         self.buffer.reshape(STATE_DIM, -1)[:, self.band] = (y * REAL_FORM_PHASES).T
         return self.buffer
 
-    def release(self) -> None:
-        """Drop the work arrays `buffer` and `fluxes`: a call that has returned keeps neither in the `_ops` cache."""
-        for work in ("buffer", "fluxes"):
-            vars(self).pop(work, None)
-
-    def divergence(self, vec) -> np.ndarray:
-        return sum(self.ik[j] * vec[j] for j in range(self.grid.dim))
-
     def norm(self, coeffs: np.ndarray) -> float:
         """L^2 norm, by Parseval, of the real field with band coefficients coeffs[..., n_band]."""
         return math.sqrt(float(np.sum(self.weights * (coeffs.real**2 + coeffs.imag**2))) / self.grid.volume)
-
-
-@lru_cache(maxsize=8)
-def _ops(grid: TorusGrid, dealias: bool) -> _SpectralOps:
-    return _SpectralOps(grid, dealias)
 
 
 def _apply_table(
@@ -315,7 +302,8 @@ def _velocity_source(packed_hat: np.ndarray, ops: _SpectralOps, eq: EquilibriumS
     velocity rows (div q2 + r2) / n_inf, each times its phase conj(D) = -i, shape (n_band, 3)."""
     out = np.empty((len(ops.band), 3), dtype=complex)
     for i in range(3):
-        source = (ops.divergence([packed_hat[k] for k in _PACKED[i]]) + packed_hat[6 + i]) / eq.n_inf
+        div = sum(ops.ik[j] * packed_hat[_PACKED[i][j]] for j in range(ops.grid.dim))  # div q2, row i
+        source = (div + packed_hat[6 + i]) / eq.n_inf
         np.multiply(source, REAL_FORM_PHASES[1 + i].conjugate(), out=out[:, i])
     return out
 
@@ -333,14 +321,11 @@ def coefficient_rhs(
     z_hat: np.ndarray, grid: TorusGrid, eq: EquilibriumState, *, time: float = 0.0, dealias: bool = True
 ) -> np.ndarray:
     """M(xi) z + N(z): the time derivative of the band z of half-lattice coefficients z_hat, zero off the band."""
-    ops = _ops(grid, dealias)
-    try:
-        z = ops.to_march(z_hat)
-        dz = _apply_table(real_mode_matrices(ops.modes, eq), z)
-        dz[:, _VELOCITY] += _quadratic(z, ops, eq, time)
-        return ops.scatter(dz)  # the buffer, released to the caller
-    finally:
-        ops.release()
+    ops = _SpectralOps(grid, dealias)
+    z = ops.to_march(z_hat)
+    dz = _apply_table(real_mode_matrices(ops.modes, eq), z)
+    dz[:, _VELOCITY] += _quadratic(z, ops, eq, time)
+    return ops.scatter(dz)  # the buffer, which outlives the operators
 
 
 def rhs_eval(state: SimState, *, dealias: bool = True) -> np.ndarray:
@@ -405,14 +390,11 @@ def _lawson(
 
 def step(state: SimState, dt: float, *, dealias: bool = True) -> SimState:
     """One Lawson step of the state's band, with a band table built for dt on every call."""
-    ops = _ops(state.grid, dealias)
-    try:
-        half = mode_exponentials(ops.modes, state.eq, 0.5 * dt)
-        z = ops.to_march(half_lattice_forward(state.grid, state.z))
-        z = _lawson(z, half, ops, state.eq, state.time, dt, _quadratic(z, ops, state.eq, state.time))
-        return SimState.from_coefficients(state.grid, state.eq, state.time + dt, ops.scatter(z))
-    finally:
-        ops.release()
+    ops = _SpectralOps(state.grid, dealias)
+    half = mode_exponentials(ops.modes, state.eq, 0.5 * dt)
+    z = ops.to_march(half_lattice_forward(state.grid, state.z))
+    z = _lawson(z, half, ops, state.eq, state.time, dt, _quadratic(z, ops, state.eq, state.time))
+    return SimState.from_coefficients(state.grid, state.eq, state.time + dt, ops.scatter(z))
 
 
 @dataclass
@@ -468,38 +450,35 @@ def integrate(
     h = span / n_steps
     _check_sample(state, h, cfg.cfl)
     grid, eq = state.grid, state.eq
-    ops = _ops(grid, cfg.dealias)
+    ops = _SpectralOps(grid, cfg.dealias)
     half = mode_exponentials(ops.modes, eq, 0.5 * h)
-    try:
-        z = ops.to_march(half_lattice_forward(grid, state.z))
-        base = ops.norm(z.T)
-        times, states = [], []
-        for k in range(n_steps + 1):
-            t = state.time + k * h
-            if k > 0:
-                z = _lawson(z, half, ops, eq, state.time + (k - 1) * h, h, k1)
-                if not np.all(np.isfinite(z)):
-                    raise SolverInstabilityError(f"non-finite state at t={t:g} (step {k})")
-                norm = ops.norm(z.T)
-                if base > 0 and norm > 10.0 * base:
-                    raise SolverInstabilityError(f"norm grew {norm / base:.2f}x past the abort threshold at t={t:g}")
-            if k % stride and k < n_steps:
-                k1 = _quadratic(z, ops, eq, t)
-                continue
-            sample = SimState.from_coefficients(grid, eq, t, ops.scatter(z))
-            if k > 0:
-                _check_sample(sample, h, cfg.cfl)
-            else:  # the advective bound was checked on the input state
-                _positive_density(sample)
-            flux_hat = half_lattice_forward(grid, nonlinear_fluxes(sample, ops.fluxes))
-            times.append(t)
-            states.append(observe(ops.buffer, sample, flux_hat))
-            if k < n_steps:
-                k1 = _velocity_source(ops.gather(flux_hat), ops, eq)
-                del sample, flux_hat  # no sample is held through the steps that follow
-        return SimulationSeries(times=np.array(times), states=states, final=sample)
-    finally:
-        ops.release()
+    z = ops.to_march(half_lattice_forward(grid, state.z))
+    base = ops.norm(z.T)
+    times, states = [], []
+    for k in range(n_steps + 1):
+        t = state.time + k * h
+        if k > 0:
+            z = _lawson(z, half, ops, eq, state.time + (k - 1) * h, h, k1)
+            if not np.all(np.isfinite(z)):
+                raise SolverInstabilityError(f"non-finite state at t={t:g} (step {k})")
+            norm = ops.norm(z.T)
+            if base > 0 and norm > 10.0 * base:
+                raise SolverInstabilityError(f"norm grew {norm / base:.2f}x past the abort threshold at t={t:g}")
+        if k % stride and k < n_steps:
+            k1 = _quadratic(z, ops, eq, t)
+            continue
+        sample = SimState.from_coefficients(grid, eq, t, ops.scatter(z))
+        if k > 0:
+            _check_sample(sample, h, cfg.cfl)
+        else:  # the advective bound was checked on the input state
+            _positive_density(sample)
+        flux_hat = half_lattice_forward(grid, nonlinear_fluxes(sample, ops.fluxes))
+        times.append(t)
+        states.append(observe(ops.buffer, sample, flux_hat))
+        if k < n_steps:
+            k1 = _velocity_source(ops.gather(flux_hat), ops, eq)
+            del sample, flux_hat  # no sample is held through the steps that follow
+    return SimulationSeries(times=np.array(times), states=states, final=sample)
 
 
 @dataclass(frozen=True)
@@ -511,11 +490,7 @@ class ConstraintReport:
 
 def constraint_monitor(grid: TorusGrid, z_hat: np.ndarray) -> tuple[float, float, float]:
     """(||div E + rho||_L2, ||div h||_L2, their max / ||z||_L2) of one sample's half-lattice coefficients."""
-    ops = _ops(grid, False)  # every half-lattice mode
-    z = z_hat.reshape(len(z_hat), -1)
-    norm_e = ops.norm(ops.divergence(z[4:7]) + z[0])
-    norm_b = ops.norm(ops.divergence(z[7:10]))
-    scale = ops.norm(z)
+    norm_e, norm_b, scale = gauss_residuals(grid, z_hat)
     return norm_e, norm_b, max(norm_e, norm_b) / scale if scale > 0 else 0.0
 
 
@@ -553,13 +528,10 @@ def initial_data_gen(
     if amplitude <= 0:
         raise ConfigError(f"amplitude must be positive, got {amplitude}")
     profile = profile or SpectralProfile()
-    ops = _ops(grid, True)
-    if profile.band_limit is not None and profile.band_limit > ops.band_edge + 1e-12:
-        raise ConfigError(
-            f"init.profile: band limit {profile.band_limit:g} exceeds the dealiasing "
-            f"cutoff {ops.band_edge:g}"
-        )
-    edge = ops.band_edge if profile.band_limit is None else min(profile.band_limit, ops.band_edge)
+    cutoff = _band_edge(grid)
+    if profile.band_limit is not None and profile.band_limit > cutoff + 1e-12:
+        raise ConfigError(f"init.profile: band limit {profile.band_limit:g} exceeds the dealiasing cutoff {cutoff:g}")
+    edge = cutoff if profile.band_limit is None else min(profile.band_limit, cutoff)
     rng = np.random.default_rng(seed)
     # one draw of the ten components is the draws of rho, velocity, E and h in turn
     half = half_lattice_forward(grid, rng.standard_normal((STATE_DIM,) + grid.shape))

@@ -329,6 +329,45 @@ class TestCli:
         assert f"error: --input: {dump}: payload holds 255 samples and 5 bytes, expected 256" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("length", [math.inf, 1e120, 1e-120, 1e90])
+    @pytest.mark.parametrize("command", [["besov", "norm", "--spec=1,2,2"], ["besov", "norm", "--spec=1,3,2"],
+                                         ["kernel", "verify"]])
+    def test_dump_box_length_out_of_range_exits_2_and_names_it(self, tmp_path, capsys, command, length):
+        # no finite normal volume or squared cell volume: the norms would divide by 0, overflow or read 0
+        dump = tmp_path / "box.fqlz"
+        payload = np.random.default_rng(0).standard_normal(8**3).astype("<f8").tobytes()
+        dump.write_bytes(struct.pack("<4sIIIdI4x", b"FQLZ", 1, 3, 8, length, 1) + payload)
+        assert main(command + ["--input", str(dump), "--out", str(tmp_path / "run")]) == 2
+        assert "error: --input: grid.box_length: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("length", [1e120, 1e-120, 1e90])
+    @pytest.mark.parametrize("command", ["lp", "kernel", "nonlinear"])
+    def test_grid_box_length_out_of_range_exits_2_and_names_it(self, tmp_path, capsys, command, length):
+        grid_cfg = tmp_path / "grid.json"
+        grid_cfg.write_text(json.dumps({"dim": 3, "box_length": length, "points_per_axis": 8}))
+        argv = {
+            "lp": ["lp", "check", "--grid", str(grid_cfg), "--fields", "1"],
+            "kernel": ["kernel", "verify", "--grid", str(grid_cfg), "--times", "0:10:3"],
+            "nonlinear": ["nonlinear", "run", "--config", str(write_config(tmp_path, {"grid.box_length": length}))],
+        }[command]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+        assert "error: grid.box_length: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv,option", [
+        (["besov", "norm", "--spec=-2000,2,2"], "--spec"),
+        (["besov", "norm", "--spec=-2000,3,2"], "--spec"),
+        (["kernel", "verify", "--params=0,2,2000,2,2", "--times", "0:10:3"], "--params"),  # 2^(-q rho)
+    ])
+    def test_overflowing_block_weight_exits_2_and_names_option(self, tmp_path, capsys, argv, option):
+        grid = TorusGrid(dim=3, box_length=100.0, points_per_axis=16)
+        dump = tmp_path / "f.fqlz"
+        dump_field(PhysicalField(grid, np.random.default_rng(0).standard_normal(grid.shape)), dump)
+        assert main(argv + ["--input", str(dump), "--out", str(tmp_path / "run")]) == 2
+        assert f"error: {option}: the block weight 2^(q s) at regularity s = -2000 passes" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_every_valued_option_has_a_converter(self):
         untyped = [(" ".join(command), action.option_strings[0])
                    for command, action in value_options(build_parser())

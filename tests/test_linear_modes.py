@@ -631,6 +631,21 @@ class TestContinuumDecay:
             want = np.sqrt(power[:, k] / (2.0 * math.pi) ** 3)
             np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=0.0)
 
+    def test_class_moments_are_summed_in_chunks_bit_for_bit(self, monkeypatch):
+        # `powers` accumulates each class's moments _TABLE_CHUNK modes at a time, in the order of one sum over
+        # the whole batch, so the norms of a batch of several chunks match that sum's bit for bit
+        eq_b = EquilibriumState(b_inf=(0.0, 0.0, 0.5))
+        ev = ContinuumEvolver(eq_b, ContinuumData(kind="gaussian", width=2.0), n_radial=60, n_polar=4, n_azimuth=4)
+        n_modes = len(ev._node_weights)
+        assert n_modes > 512 and len(ev._prop.classes.first) < n_modes // 2  # several chunks, shared classes
+        norms = {}
+        for chunk in (7, 512, n_modes):
+            monkeypatch.setattr(linear_modes, "_TABLE_CHUNK", chunk)
+            norms[chunk] = ev.norms([0.0, 0.7, 5.0, 40.0], orders=(0, 1, 2))
+        for k in range(3):
+            assert np.array_equal(norms[7][k], norms[n_modes][k])
+            assert np.array_equal(norms[512][k], norms[n_modes][k])
+
 
 class TestConditioningFallback:
     """With the conditioning limit at 0 every mode takes scipy.linalg.expm."""

@@ -32,6 +32,10 @@ read no full-lattice transform, projection or mirror of their own.
 The dyadic family is decided in `littlewood_paley.py` alone: no other
 package module reads `ROUNDOFF_FLOOR` or `block_indices`; they ask it for
 the family's (qs, profiles) and for the mask of its live blocks.
+
+No package module uses `functools.lru_cache` or `functools.cache`: a
+module-level cache keeps what it holds for the life of the process, so
+the call that needs an object builds it and owns it.
 """
 
 from __future__ import annotations
@@ -348,3 +352,42 @@ def test_checker_flags_a_full_lattice_read():
     )
     assert full_lattice_reads({"m.py": source}, ("half", "full", "Mirror")) == {
         "half": [], "full": ["_reflected", "ifftn"], "Mirror": ["forward_transform"]}
+
+
+PROCESS_CACHES = {"lru_cache", "cache"}
+
+
+def process_caches(source: str) -> list[str]:
+    """'line: name' for each use of a PROCESS_CACHES decorator of functools: imported from it, or read as an
+    attribute of a name that `import functools` bound."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "functools"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"{node.lineno}: {alias.name}" for alias in node.names if alias.name in PROCESS_CACHES]
+        elif (isinstance(node, ast.Attribute) and node.attr in PROCESS_CACHES
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append(f"{node.lineno}: {node.attr}")
+    return found
+
+
+def test_no_module_keeps_a_process_wide_cache():
+    found = {p.name: process_caches(p.read_text()) for p in MODULES}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_checker_flags_a_process_wide_cache():
+    source = (
+        "import functools\n"
+        "import functools as ft\n"
+        "from functools import cached_property, lru_cache, reduce\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def f(x):\n"
+        "    \"\"\"functools.cache in a docstring is no use.\"\"\"\n"
+        "    return reduce(max, x)\n"
+        "g = ft.cache(f)\n"
+        "h = other.cache(f)\n"
+    )
+    assert process_caches(source) == ["3: lru_cache", "4: lru_cache", "8: cache"]

@@ -1,10 +1,12 @@
 """Nonlinear pseudospectral solver: fluxes, stepping, constraints, experiments."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +67,19 @@ def keep_coefficients(z_hat, state, flux_hat):
 
 def keep_nothing(z_hat, state, flux_hat):
     return None
+
+
+def capture_ops(monkeypatch) -> list:
+    """Weak references to every `_SpectralOps` the solver builds from now on, in order."""
+    built = []
+
+    def recording(grid, dealias, _cls=solver._SpectralOps):
+        ops = _cls(grid, dealias)
+        built.append(weakref.ref(ops))
+        return ops
+
+    monkeypatch.setattr(solver, "_SpectralOps", recording)
+    return built
 
 
 def constraint_series(state: SimState, cfg: StepperConfig, t_end: float, stride: int):
@@ -401,7 +416,7 @@ class TestBand:
     @pytest.mark.parametrize("dealias", [True, False])
     def test_band_norm_is_the_half_lattice_parseval_norm(self, grid16, dealias):
         # the blow-up norm reads the band's weights; the scattered band has the same L^2 norm
-        ops = solver._ops(grid16, dealias)
+        ops = solver._SpectralOps(grid16, dealias)
         values = np.random.default_rng(5).standard_normal((10,) + grid16.shape)
         z = ops.to_march(grid_module.half_lattice_forward(grid16, values))
         want = half_lattice_l2(grid16, ops.scatter(z))
@@ -444,25 +459,32 @@ class TestCoefficientMarch:
             trip = np.fft.rfftn(np.fft.irfftn(z_hat, s=grid16.shape, axes=axes), axes=axes)
             assert np.max(np.abs(trip - z_hat)) <= 1e-12 * np.max(np.abs(z_hat))
 
-    def test_a_finished_run_keeps_no_buffer(self, eq, grid16):
+    def test_a_finished_run_keeps_no_buffer(self, eq, grid16, monkeypatch):
+        # each run builds its own band operators, and they die with the run, returned or failed
+        built = capture_ops(monkeypatch)
         init = initial_data_gen(grid16, eq, seed=3, amplitude=5e-2)
         runs = []
         for _ in range(2):
             runs.append(integrate(init.state, StepperConfig(dt=0.25), 1.0, keep_coefficients, sample_stride=2))
-            assert "buffer" not in vars(solver._ops(grid16, True))
+            assert built[-1]() is None
+        assert len(built) == 2
         assert all(np.array_equal(a, b) for a, b in zip(*(run.states for run in runs)))
 
         def failing(z_hat, state, flux_hat):
             if state.time > 0:
                 raise RuntimeError("observer failed")
 
-        with pytest.raises(RuntimeError, match="observer failed"):
+        with pytest.raises(RuntimeError, match="observer failed") as failure:
             integrate(init.state, StepperConfig(dt=0.25), 1.0, failing)
-        assert "buffer" not in vars(solver._ops(grid16, True))
+        assert built[-1]() is not None  # held by the traceback's frames
+        del failure
+        gc.collect()
+        assert len(built) == 3 and built[-1]() is None
 
     @pytest.mark.parametrize("call", ["rhs_eval", "coefficient_rhs", "step"])
-    def test_single_calls_keep_no_work_arrays(self, eq, grid16, call):
-        # the band operators stay cached per grid, their buffer and flux work array do not
+    def test_single_calls_keep_no_work_arrays(self, eq, grid16, monkeypatch, call):
+        # every call builds its band operators, buffer and flux work array included, and drops them on return
+        built = capture_ops(monkeypatch)
         init = initial_data_gen(grid16, eq, seed=3, amplitude=5e-2)
         z_hat = half_lattice_forward(grid16, init.state.z)
         run = {
@@ -471,29 +493,28 @@ class TestCoefficientMarch:
             "step": lambda: step(init.state, 0.25),
         }[call]
         first = run()
-        ops = solver._ops(grid16, True)
-        assert "buffer" not in vars(ops) and "fluxes" not in vars(ops)
+        assert len(built) == 1 and built[0]() is None
         second = run()
-        assert "buffer" not in vars(ops) and "fluxes" not in vars(ops)
+        assert len(built) == 2 and built[1]() is None
         if call == "coefficient_rhs":  # each call hands back a buffer of its own
             assert second is not first and np.array_equal(second, first)
 
     def test_fluxes_are_formed_in_the_work_array(self, eq, grid16, monkeypatch):
         # every evaluation of N in a march, at a sample or a stage, forms the packed fluxes in the band
         # operators' one work array, bit for bit as the formulas written row by row
-        ops = solver._ops(grid16, True)
+        built = capture_ops(monkeypatch)
         returned = []
 
         def recording(*args, _fn=solver.nonlinear_fluxes):
             out = _fn(*args)
-            returned.append(out is ops.fluxes and np.array_equal(out, packed_fluxes_oracle(args[0])))
+            returned.append(out is built[0]().fluxes and np.array_equal(out, packed_fluxes_oracle(args[0])))
             return out
 
         monkeypatch.setattr(solver, "nonlinear_fluxes", recording)
         init = initial_data_gen(grid16, eq, seed=3, amplitude=5e-2)
         integrate(init.state, StepperConfig(dt=0.25), 1.0, keep_nothing, sample_stride=2)
         assert returned == [True] * (4 * 4 + 1)
-        assert "fluxes" not in vars(ops)
+        assert len(built) == 1 and built[0]() is None
 
     def test_import_leaves_scipy_fft_unloaded(self):
         code = (
