@@ -1,4 +1,4 @@
-"""Per-operation wall time, RSS high-water mark and minor page faults of one workload round.
+"""Per-operation wall time, CPU time, RSS high-water mark and minor page faults of one workload round.
 
     python3 scripts/op_memory.py --workload NAME [--seed 2024]
 
@@ -6,10 +6,15 @@ Run from anywhere; it measures the checkout it lives in.  It imports
 frequalize from the checkout's ``src/`` and the workload from
 ``perfbench/workloads.py``, unchanged, and runs one untraced round in this
 process: set-up first, then the operations in order, with the single BLAS
-thread of a benchmark round.  Every number comes from ``getrusage`` of this
-process: per line, the wall time, the RSS high-water mark once the step has
-run (``ru_maxrss``; it never falls, so a step that leaves it where it was
-stayed under the earlier peak) and the minor page faults the step took.
+thread of a benchmark round.  The header names the package's worker count
+(``frequalize.grid._WORKERS``, the CPUs the process may use), which the FFTs
+and the mode propagators share.  Per line: the wall time, and beside it the
+CPU seconds of every thread of the process (``ru_utime + ru_stime``), so a
+step that ran on several threads reads cpu_s above wall_s; the RSS
+high-water mark once the step has run (``ru_maxrss``; it never falls, so a
+step that leaves it where it was stayed under the earlier peak); and the
+minor page faults the step took.  All but the wall time come from one
+``getrusage`` of this process.
 After the last operation it runs each operation's check and prints its
 digest, so two checkouts can be compared for identical outputs.  It exits 1
 if an operation or a check fails.
@@ -36,14 +41,15 @@ import run as perfbench_run  # noqa: E402  (stdlib only; sets no thread count on
 os.environ.update(perfbench_run.THREAD_ENV)
 
 
-def usage() -> tuple[float, float, int]:
-    """(monotonic seconds, RSS high-water mark in MB, minor page faults so far) of this process."""
+def usage() -> tuple[float, float, float, int]:
+    """(monotonic seconds, CPU seconds, RSS high-water mark in MB, minor page faults so far) of this process."""
     ru = resource.getrusage(resource.RUSAGE_SELF)
-    return time.perf_counter(), ru.ru_maxrss / 1024.0, ru.ru_minflt
+    return time.perf_counter(), ru.ru_utime + ru.ru_stime, ru.ru_maxrss / 1024.0, ru.ru_minflt
 
 
-def line(name: str, before: tuple[float, float, int], after: tuple[float, float, int]) -> str:
-    return f"{name:<20} {after[0] - before[0]:>9.3f} {after[1]:>11.1f} {after[2] - before[2]:>12,d}"
+def line(name: str, before: tuple[float, float, float, int], after: tuple[float, float, float, int]) -> str:
+    return (f"{name:<20} {after[0] - before[0]:>9.3f} {after[1] - before[1]:>9.3f} {after[2]:>11.1f}"
+            f" {after[3] - before[3]:>12,d}")
 
 
 def main() -> int:
@@ -54,12 +60,14 @@ def main() -> int:
 
     import frequalize
     import frequalize.cli
+    import frequalize.grid
     import workloads
 
     if args.workload not in workloads.WORKLOADS:
         parser.error(f"--workload: expected one of {sorted(workloads.WORKLOADS)}, got {args.workload!r}")
-    print(f"workload {args.workload}, seed {args.seed}, frequalize from {Path(frequalize.__file__).parent}")
-    print(f"{'step':<20} {'wall_s':>9} {'max_rss_mb':>11} {'minor_faults':>12}")
+    print(f"workload {args.workload}, seed {args.seed}, {frequalize.grid._WORKERS} workers, "
+          f"frequalize from {Path(frequalize.__file__).parent}")
+    print(f"{'step':<20} {'wall_s':>9} {'cpu_s':>9} {'max_rss_mb':>11} {'minor_faults':>12}")
     failed = 0
     with tempfile.TemporaryDirectory(prefix="op-memory-") as tmp:
         ctx = workloads.Context(seed=args.seed, work=Path(tmp), main=frequalize.cli.main)

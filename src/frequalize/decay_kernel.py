@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .besov import BesovSpec, block_weight, ell_r, half_lattice_besov
-from .errors import ConfigError, HypothesisError
+from .errors import BlockWeightError, ConfigError, HypothesisError
 from .grid import PhysicalField, SpectralField, half_lattice_coefficients, half_lattice_spectrum
 from .grid import shell_l2_norms
 from .littlewood_paley import block_profiles, live_blocks
@@ -165,15 +165,23 @@ def rhs_time_factors(t: float, params: DecayParams, rate: DissipRate, n: int) ->
 def profile_lattice_sup(
     power: float, sigma: float, c: float, alpha: float, taus: Sequence[float]
 ) -> float:
-    """max over tau of the l^alpha_q norm of (2^q tau)^power exp(-c (2^q tau)^sigma)."""
+    """max over tau of the l^alpha_q norm of (2^q tau)^power exp(-c (2^q tau)^sigma).
+
+    Each term is formed in logs, as exp(power ln x - c x^sigma), so that a
+    power past the float range meets the exponential that brings it back.
+    A sup that itself passes the float range raises BlockWeightError,
+    charged to the power that sets it.
+    """
     qs = np.arange(-80, 81)
     out = 0.0
     for tau in taus:
         if tau <= 0:
             continue
         x = 2.0**qs * tau
-        vals = x**power * np.exp(-c * x**sigma)
-        out = max(out, ell_r(vals, alpha))
+        with np.errstate(over="ignore"):  # an infinite x^sigma makes its term exp(-inf) = 0
+            out = max(out, ell_r(np.exp(power * np.log(x) - c * x**sigma), alpha))
+    if not math.isfinite(out):
+        raise BlockWeightError(f"the profile sup at power s + rho = {power:g} passes the float range")
     return out
 
 
@@ -257,6 +265,11 @@ def verify_inequality(
     lhs_blocks = weight * shell_l2_norms(damp**2 * spectrum, profiles)
     lhs = np.array([ell_r(row, params.alpha) for row in lhs_blocks])
     lo_t, hi_t = rhs_time_factors(times, params, rate, n)
+    subnormal = lo_t < np.finfo(float).tiny  # the low regime's ratios would divide by an underflow
+    if subnormal.any():
+        raise BlockWeightError(f"the time weight (1+t)^(-(s+rho)/sigma1) at (s + rho)/sigma1 = "
+                               f"{(params.s + params.rho) / rate.sigma1:g} is no normal float at t = "
+                               f"{times[subnormal][0]:g}")
     low_term = lo_t * norm_low
     high_term = hi_t * norm_high
 

@@ -16,7 +16,8 @@ class ConfigError(FrequalizeError):
 
 
 class BlockWeightError(ConfigError):
-    """A block weight 2^(q s) past the float range: charged to the regularity s that sets it."""
+    """A weight past the float range, charged to the regularity that sets it: a block weight 2^(q s), or the
+    time weight and profile sup of the decay inequality's low regime, set by s + rho."""
 
 
 @contextmanager

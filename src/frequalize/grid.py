@@ -41,6 +41,10 @@ a `SpectralField` with conjugate mirrors.  `forward_transform` and
 `inverse_transform` are the calibrated full-lattice pair of `SpectralField`.
 Both pairs run on every CPU the process may use: pocketfft splits a
 transform's independent 1-d lines across threads, so it stays bit-identical.
+`_WORKERS`, the CPUs in the process's affinity mask, counted once at import,
+is the one worker count of the package: the transforms pass it to
+`scipy.fft` as `workers=`, and the mode propagators of `linear_modes`
+split their batches into that many contiguous spans of rows.
 
 All operations are pure; reductions run in a fixed index order so repeated
 evaluations are bit-identical.
@@ -58,7 +62,7 @@ import numpy as np
 from .errors import ConfigError
 
 SUPPORTED_DIMS = (1, 2, 3)
-_FFT_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -237,7 +241,7 @@ def forward_transform(field: PhysicalField) -> SpectralField:
     """Continuum-calibrated DFT: f_hat_k = (L/N)^dim sum_j f(x_j) exp(-i xi_k.x_j)."""
     import scipy.fft
     grid = field.grid
-    coeffs = scipy.fft.fftn(field.values, axes=tuple(range(1, grid.dim + 1)), workers=_FFT_WORKERS)
+    coeffs = scipy.fft.fftn(field.values, axes=tuple(range(1, grid.dim + 1)), workers=_WORKERS)
     coeffs *= grid.cell_volume
     return SpectralField(grid, coeffs)
 
@@ -262,7 +266,7 @@ def half_lattice_forward(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Half lattice of the calibrated coefficients of real samples values[..., *grid.shape]: one rfftn."""
     import scipy.fft  # deferred: importing the package never loads scipy.fft
 
-    half = scipy.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)), workers=_FFT_WORKERS)
+    half = scipy.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)), workers=_WORKERS)
     half *= grid.cell_volume
     return half
 
@@ -274,7 +278,7 @@ def half_lattice_inverse(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
     """
     import scipy.fft
 
-    values = scipy.fft.irfftn(half, s=grid.shape, axes=tuple(range(-grid.dim, 0)), workers=_FFT_WORKERS)
+    values = scipy.fft.irfftn(half, s=grid.shape, axes=tuple(range(-grid.dim, 0)), workers=_WORKERS)
     values /= grid.cell_volume
     return values
 
@@ -347,7 +351,8 @@ def full_lattice_coefficients(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
     """
     full = np.empty(half.shape[:-1] + (grid.points_per_axis,), dtype=complex)
     full[..., : grid.half_width] = half
-    full[..., grid.half_width :] = np.conj(half.reshape(len(half), -1)[:, grid.mirror_index])
+    for part, mirrors in zip(half.reshape(len(half), -1), full[..., grid.half_width :]):  # one component's gather
+        np.conjugate(part[grid.mirror_index], out=mirrors)
     return full
 
 
@@ -356,7 +361,7 @@ def inverse_transform(field: SpectralField) -> PhysicalField:
     import scipy.fft
     require_hermitian(field)
     grid = field.grid
-    values = scipy.fft.ifftn(field.coefficients, axes=tuple(range(1, grid.dim + 1)), workers=_FFT_WORKERS)
+    values = scipy.fft.ifftn(field.coefficients, axes=tuple(range(1, grid.dim + 1)), workers=_WORKERS)
     return PhysicalField(grid, values.real / grid.cell_volume)
 
 

@@ -70,6 +70,24 @@ Every other caller reads that propagator:
   M(-xi) = conj(M(xi)), so the coefficients of a real field stay those of a
   real field and its half lattice carries the whole evolution.
 
+Workers.  The propagator's batched work runs on `grid._WORKERS` threads,
+the CPUs the process may use, the count the grid's transforms pass to
+scipy.fft: `eig` and `inv` of the classes, the rows of each time's table,
+the class products and the rotations by P split their rows into contiguous
+spans, one per worker, and each span writes its own rows of an array
+allocated once.  `GridModePropagator.stream` carries one `orbit` over the
+times of `linear_evolve_grid`: while the next time propagates, a worker
+reduces the last one (Gauss residuals, shell spectrum, kept state), with at
+most one time in flight.  Every result equals the one-thread result bit for
+bit: a row is computed by the LAPACK, matmul and elementwise calls of the
+whole batch whatever span holds it (spans start on multiples of
+_SPAN_ALIGN rows, so an elementwise pass meets each row in the same SIMD
+lanes), no sum runs across spans, and the `expm` rows and the class
+moments are formed in the calling thread, in their serial order.  With one
+usable CPU nothing leaves the calling thread.  The pool is one per process:
+it starts a thread only when handed work, and a pool per call would start
+and join threads some thirty times per lattice evolution.
+
 Whole-space decay experiments avoid the torus infrared cutoff by radial
 quadrature over continuum modes; lattice evolution is available for
 cross-validation of the nonlinear solver.
@@ -78,12 +96,15 @@ cross-validation of the nonlinear solver.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
 
+from . import grid as _grid
 from .decay_kernel import euler_maxwell_rate
 from .equilibrium import EquilibriumState
 from .errors import ConfigError, IncompatibleDataError, NumericalError, prefixed
@@ -96,7 +117,8 @@ _COND_LIMIT = 1e8
 _KEY_ULPS = 8  # class keys within this many ulps of |xi| are joined
 # modes per chunk of mode_exponentials' Taylor evaluation, whose temporaries take ~14 KB a
 # mode, of _EigenPropagator's class products, whose gathered real table rows take 0.8 KB, and
-# of its class moments, whose outer products take 1.6 KB
+# of its class moments, whose outer products take 1.6 KB; classes per chunk of its eig, inv
+# and table rows, whose complex temporaries take 1.6 KB a class
 _TABLE_CHUNK = 512
 # mode_exponentials takes exp(A) as the degree-40 Taylor polynomial of A / 2^s
 # squared s times, s the fewest halvings that bring ||A||_1 to <= 6 (scaling
@@ -116,6 +138,37 @@ _TAYLOR_COEFFS = np.array(
 ).reshape(-1, _PS_BLOCK)  # row i: the coefficients of A^(7i) .. A^(7i+6)
 _RESIDUAL_TOL = 1e-8  # largest Gauss-constraint residual pointwise_decay_check accepts
 _COMPAT_TOL = 1e-10  # largest constraint residual and mean linear_evolve_grid accepts
+# a span of rows starts on a multiple of this many rows, so that every elementwise pass over a span meets its
+# rows in the SIMD lanes the pass over the whole batch gives them
+_SPAN_ALIGN = 64
+# the propagators' worker threads, one process-wide pool: it starts a thread only when work is handed to it,
+# which never happens with one usable CPU, and its idle threads hold no arrays
+_POOL = ThreadPoolExecutor(max_workers=_grid._WORKERS, thread_name_prefix="frequalize")
+
+
+def _spread(n: int, work: Callable[[slice], None]) -> None:
+    """work(span) over contiguous spans of range(n), one per worker (`grid._WORKERS`), the first in this thread.
+
+    Spans start on multiples of _SPAN_ALIGN rows, and each span's work
+    writes only its own rows, so the spans share no lock.  Every span has
+    ended when this returns or raises, with the first exception a span
+    raised.
+    """
+    step = max(1, -(-n // (_grid._WORKERS * _SPAN_ALIGN))) * _SPAN_ALIGN
+    spans = [slice(start, min(start + step, n)) for start in range(0, max(n, 1), step)]
+    futures = [_POOL.submit(work, span) for span in spans[1:]]
+    try:
+        work(spans[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _chunks(span: slice):
+    """span as consecutive slices of at most _TABLE_CHUNK rows, which bound a span's temporaries."""
+    for start in range(span.start, span.stop, _TABLE_CHUNK):
+        yield slice(start, min(start + _TABLE_CHUNK, span.stop))
 
 
 def omega_matrix(v: np.ndarray) -> np.ndarray:
@@ -280,13 +333,21 @@ def constraint_basis(xi: Sequence[float]) -> np.ndarray:
     return scipy.linalg.null_space(constraint_matrix(xi))
 
 
-def constraint_residual(z: np.ndarray, xi: Sequence[float]) -> float:
-    """Relative size of the constraint violation of a mode vector."""
+def constraint_residual(z: np.ndarray, xi: np.ndarray) -> np.ndarray | float:
+    """|C(xi) z| / |z|, the relative constraint violation of mode vectors z[..., 10] at xi[..., 3], 0 where z = 0.
+
+    C holds the rows of `constraint_matrix`: the density row alone where
+    xi is 0 to 1e-8.  One vector gives a float, a stack one residual per row.
+    """
     z = np.asarray(z, dtype=complex)
-    scale = float(np.linalg.norm(z))
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(constraint_matrix(xi) @ z)) / scale
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim == 1:
+        xi = _pad_xi(xi)
+    gauss_e = z[..., 0] + 1j * np.einsum("...j,...j->...", xi, z[..., 4:7])
+    gauss_h = np.where(np.all(np.abs(xi) <= 1e-8, axis=-1), 0.0, 1j * np.einsum("...j,...j->...", xi, z[..., 7:10]))
+    scale = np.linalg.norm(z, axis=-1)
+    residual = np.hypot(np.abs(gauss_e), np.abs(gauss_h)) / np.where(scale > 0, scale, 1.0)
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def _cluster(values: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -313,17 +374,28 @@ class _ModeClasses:
     turns: np.ndarray  # (n, 3, 3)
     signs: np.ndarray  # (n,) det(Q_r)
 
+    @cached_property
+    def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        """(signs[r] turns[r][i, j], turns[r][i, j]) laid out [i, j, r]: the real coefficient rows of P_r."""
+        plain = self.turns.transpose(1, 2, 0)  # `_mode_classes` lays turns out so, as a view
+        return plain * self.signs, plain
+
     def rotate(self, y: np.ndarray, inverse: bool = False):
         """y overwritten by P y, or P^T y, with the P of each mode.
 
-        y[n, 10] or y[n, 10, k], returned; each output component sums real `turns` entries times components.
+        y[n, 10] or y[n, 10, k], returned; each output component sums real `turns` entries times components,
+        the workers taking contiguous spans of modes.
         """
         blocks = y if y.ndim == 3 else y[..., None]
-        turns = np.ascontiguousarray((self.turns if inverse else self.turns.swapaxes(-1, -2)).T)  # [i, j, n]
-        for start, q in ((1, turns * self.signs), (4, turns * self.signs), (7, turns)):
-            part = [blocks[:, start + j].copy() for j in range(3)]
-            for i in range(3):
-                blocks[:, start + i] = sum(q[i, j, :, None] * part[j] for j in range(3))
+        signed, plain = (q.swapaxes(0, 1) if inverse else q for q in self._coefficients)
+
+        def turn(span: slice) -> None:
+            for start, q in ((1, signed), (4, signed), (7, plain)):
+                part = [blocks[span, start + j].copy() for j in range(3)]
+                for i in range(3):
+                    blocks[span, start + i] = sum(q[i, j, span, None] * part[j] for j in range(3))
+
+        _spread(len(blocks), turn)
         return y
 
 
@@ -348,12 +420,8 @@ def _mode_classes(xi: np.ndarray, eq: EquilibriumState) -> _ModeClasses:
     on_axis = size == 0  # xi on the b axis (cos = sin = 0): no turn
     cos = np.where(on_axis, 1.0, cos) / np.where(on_axis, 1.0, size)
     sin = sin / np.where(on_axis, 1.0, size)
-    turns = (
-        cos[:, None, None] * np.eye(3)
-        + sin[:, None, None] * omega_matrix(b)
-        + (1.0 - cos)[:, None, None] * np.outer(b, b)
-    )
-    return _ModeClasses(index=index, first=first, turns=turns, signs=signs)
+    rows = cos * np.eye(3)[..., None] + sin * omega_matrix(b)[..., None] + (1.0 - cos) * np.outer(b, b)[..., None]
+    return _ModeClasses(index=index, first=first, turns=rows.transpose(2, 0, 1), signs=signs)  # rows [i, j, n]
 
 
 class _EigenPropagator:
@@ -368,37 +436,71 @@ class _EigenPropagator:
     def __init__(self, xi: np.ndarray, eq: EquilibriumState):
         self.classes = _mode_classes(xi, eq)
         self.matrices = real_mode_matrices(xi[self.classes.first], eq)
-        self.w, self.v = np.linalg.eig(self.matrices)
+        count = len(self.matrices)
+        self.w = np.empty((count, STATE_DIM), dtype=complex)
+        self.v = np.empty((count, STATE_DIM, STATE_DIM), dtype=complex)
+
+        def decompose(span: slice) -> None:
+            for chunk in _chunks(span):
+                self.w[chunk], self.v[chunk] = np.linalg.eig(self.matrices[chunk])
+
+        _spread(count, decompose)
+        if not self.w.imag.any():  # eig hands a batch of real spectra back real, and inv then works in reals
+            self.w, self.v = self.w.real.copy(), self.v.real.copy()
+        self.vinv = np.empty_like(self.v)
+
+        def invert(span: slice) -> None:
+            for chunk in _chunks(span):
+                self.vinv[chunk] = np.linalg.inv(self.v[chunk])
+
         try:
-            self.vinv = np.linalg.inv(self.v)
+            _spread(count, invert)
         except np.linalg.LinAlgError:
-            self.vinv = np.full_like(self.v, np.nan)  # every class takes the fallback
+            self.vinv.fill(np.nan)  # a singular V in any span: every class takes the fallback
         cond = np.linalg.norm(self.v, axis=(-2, -1)) * np.linalg.norm(self.vinv, axis=(-2, -1))
         self.ill_conditioned = ~(cond < _COND_LIMIT)  # cond(P V) = cond(V): exact for every member
 
     @staticmethod
-    def _class_product(mats: np.ndarray, blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """mats[rows[r]] @ blocks[r] for every mode r, in blocks' layout, gathering mats _TABLE_CHUNK modes at a
-        time; mats are square, and real mats act on the (re, im) pairs of complex blocks."""
-        pairs = blocks.view(float) if mats.dtype == float and blocks.dtype == complex else blocks
-        out = np.empty_like(pairs, np.result_type(mats, pairs))
-        for start in range(0, len(rows), _TABLE_CHUNK):
-            span = slice(start, start + _TABLE_CHUNK)
-            np.matmul(mats[rows[span]], pairs[span], out=out[span])
-        return out if pairs is blocks else out.view(complex)
+    def _class_product(mats: np.ndarray, blocks: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None):
+        """mats[rows[r]] @ blocks[r] for every mode r, into out (new if None) in blocks' layout, returned.
 
-    def _table(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        The workers take contiguous spans of modes and gather mats one
+        chunk at a time; mats are square, and real mats act on the (re, im)
+        pairs of complex blocks.
+        """
+        if out is None:
+            out = np.empty_like(blocks, np.result_type(mats, blocks))
+        real_on_complex = mats.dtype == float and blocks.dtype == complex
+        pairs, dest = (blocks.view(float), out.view(float)) if real_on_complex else (blocks, out)
+
+        def multiply(span: slice) -> None:
+            for chunk in _chunks(span):
+                np.matmul(mats[rows[chunk]], pairs[chunk], out=dest[chunk])
+
+        _spread(len(rows), multiply)
+        return out
+
+    def _table(self, t: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(E, rows): real rows E[j] = exp(t_j R_k_j), one per class at a shared time t and one per distinct
-        (class, time) pair at one time per mode, and the row of every mode."""
+        (class, time) pair at one time per mode, and the row of every mode.  E is written into out when its
+        length fits, by the workers in contiguous spans of rows; the `expm` rows follow in this thread."""
         if t.ndim == 0:
-            classes, rows, times = slice(None), self.classes.index, np.full(len(self.w), float(t))
+            classes, rows, times = None, self.classes.index, np.full(len(self.w), float(t))
         else:
             keys, rows = np.unique(np.stack([self.classes.index, t], axis=1), axis=0, return_inverse=True)
             classes, rows, times = keys[:, 0].astype(np.intp), rows.ravel(), keys[:, 1]
-        decay = np.exp(self.w[classes] * times[:, None])
-        table = ((self.v[classes] * decay[:, None, :]) @ self.vinv[classes]).real.copy()  # gathered by whole rows
-        for j in np.flatnonzero(self.ill_conditioned[classes]):
-            table[j] = scipy.linalg.expm(times[j] * self.matrices[classes][j])
+        table = out if out is not None and len(out) == len(times) else np.empty((len(times), STATE_DIM, STATE_DIM))
+
+        def fill(span: slice) -> None:
+            for chunk in _chunks(span):
+                rep = chunk if classes is None else classes[chunk]
+                decay = np.exp(self.w[rep] * times[chunk, None])
+                table[chunk] = ((self.v[rep] * decay[:, None, :]) @ self.vinv[rep]).real
+
+        _spread(len(times), fill)
+        ill = self.ill_conditioned if classes is None else self.ill_conditioned[classes]
+        for j in np.flatnonzero(ill):
+            table[j] = scipy.linalg.expm(times[j] * self.matrices[j if classes is None else classes[j]])
         return table, rows
 
     def orbit(self, y: np.ndarray, times: Sequence):
@@ -406,16 +508,19 @@ class _EigenPropagator:
 
         y holds vectors (n, 10) or column blocks (n, 10, k); each t is one
         time or one time per mode.  P_r^T y[r] is formed once, in y's layout;
-        each time applies its table row to it and rotates the result back.
+        each time applies its table row to it and rotates the result back,
+        into one work array that the next time overwrites.
         """
-        c = self.classes
-        blocks = c.rotate((y if y.ndim == 3 else y[..., None]).copy(order="K"), inverse=True)
+        c, vectors, modes = self.classes, y.ndim == 2, y.shape[:1]
+        blocks = c.rotate((y[..., None] if vectors else y).copy(order="K"), inverse=True)
+        del y  # a temporary y is freed once P^T y exists
+        out, table = np.empty_like(blocks), None
         for t in times:
             t = np.asarray(t, dtype=float)
             _require_times(t)
-            table, rows = self._table(t if t.ndim == 0 else np.broadcast_to(t, y.shape[:1]))
-            out = c.rotate(self._class_product(table, blocks, rows))
-            yield out if y.ndim == 3 else out[..., 0]
+            table, rows = self._table(t if t.ndim == 0 else np.broadcast_to(t, modes), table)
+            c.rotate(self._class_product(table, blocks, rows, out))
+            yield out[..., 0] if vectors else out
 
     def powers(self, y: np.ndarray, weights: np.ndarray, times: Sequence):
         """sum_r weights[r] |exp(t R(xi_r)) y[r]|^2 over the modes r of each class, at each t in turn.
@@ -537,24 +642,27 @@ def pointwise_decay_check(
     flow, so no uniform decay can hold off the constraint set.
     """
     rate = euler_maxwell_rate()
-    xis, z0s, times = [], [], []
-    for xi, z0, t in samples:
-        z0 = np.asarray(z0, dtype=complex)
-        res = constraint_residual(z0, xi)
-        if res > _RESIDUAL_TOL:
-            raise IncompatibleDataError(
-                f"mode data violates the divergence constraints (residual {res:.3e} "
-                f"> {_RESIDUAL_TOL:g}) at xi={tuple(np.round(_pad_xi(xi), 6))}"
-            )
-        if not np.all(np.isfinite(z0)):
-            raise ConfigError("mode data must be finite")
-        if np.linalg.norm(z0) > 0.0:
-            xis.append(_pad_xi(xi))
-            z0s.append(z0)
-            times.append(t)
-    if not z0s:
+    samples = list(samples)
+    if not samples:
         raise ConfigError("no nonzero samples supplied")
-    xis, z0s, times = np.array(xis), np.array(z0s), np.array(times, dtype=float)
+    xis = np.array([_pad_xi(xi) for xi, _, _ in samples])
+    z0s = np.array([np.asarray(z0, dtype=complex) for _, z0, _ in samples])
+    times = np.array([t for _, _, t in samples], dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):  # data that are not finite get no residual: refused below
+        residuals = constraint_residual(z0s, xis)
+    refused = np.flatnonzero((residuals > _RESIDUAL_TOL) | ~np.all(np.isfinite(z0s), axis=1))
+    if refused.size:  # the first refused sample names its fault
+        first = refused[0]
+        if not residuals[first] > _RESIDUAL_TOL:
+            raise ConfigError("mode data must be finite")
+        raise IncompatibleDataError(
+            f"mode data violates the divergence constraints (residual {residuals[first]:.3e} "
+            f"> {_RESIDUAL_TOL:g}) at xi={tuple(np.round(xis[first], 6))}"
+        )
+    nonzero = np.linalg.norm(z0s, axis=1) > 0.0
+    if not nonzero.any():
+        raise ConfigError("no nonzero samples supplied")
+    xis, z0s, times = xis[nonzero], z0s[nonzero], times[nonzero]
     y0 = z0s * REAL_FORM_PHASES.conj()  # |D y| = |y|, so the ratios are read in real form
     yt = next(_EigenPropagator(xis, eq).orbit(y0, [times]))
     ratios_arr = np.linalg.norm(yt, axis=1) / np.linalg.norm(y0, axis=1)
@@ -594,14 +702,46 @@ class GridModePropagator:
     def _per_mode(self, half: np.ndarray, real_op: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """A modewise operator on half (10, *half lattice): real_op(y) applies the real-form operator of every
         half-lattice mode to the rows of y = D^-1 half, component-major as half is, which come back through D."""
+        return self._lattice_form(real_op(self._real_form(half)))
+
+    def _real_form(self, half: np.ndarray) -> np.ndarray:
+        """The rows y = D^-1 half of every half-lattice mode, component-major as half (10, *half lattice) is."""
         if half.shape != self._shape:
             raise ConfigError(f"half-lattice coefficients of shape {half.shape} != {self._shape}")
-        y = half.reshape(STATE_DIM, -1).T * REAL_FORM_PHASES.conj()
-        return (real_op(y).reshape(y.shape) * REAL_FORM_PHASES).T.reshape(self._shape)
+        return half.reshape(STATE_DIM, -1).T * REAL_FORM_PHASES.conj()
+
+    def _lattice_form(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """D y of the rows y[n, 10] as half-lattice coefficients (10, *half lattice), into out (new if None)."""
+        if out is None:
+            out = np.empty(self._shape, dtype=complex)
+        np.multiply(y.reshape(-1, STATE_DIM), REAL_FORM_PHASES, out=out.reshape(STATE_DIM, -1).T)
+        return out
 
     def apply(self, half: np.ndarray, t: float) -> np.ndarray:
         """Propagate stacked half-lattice coefficients (10, *half lattice) by time t."""
         return self._per_mode(half, lambda y: next(self._prop.orbit(y, [t])))
+
+    def stream(self, half: np.ndarray, times: Sequence[float], reduce: Callable[[int, np.ndarray], None]) -> None:
+        """reduce(i, state) of the state at each times[i], one `orbit` over the times.
+
+        D^-1 and P^T touch half once.  Each state is written into one array
+        and reduced on a worker while the next time propagates; at most one
+        time is in flight, so a state is overwritten only once its reduction
+        has returned.  With one worker, each reduction runs here, in turn.
+        """
+        state, pending = np.empty(self._shape, dtype=complex), None
+        try:
+            for i, y in enumerate(self._prop.orbit(self._real_form(half), times)):
+                if pending is not None:
+                    pending.result()
+                self._lattice_form(y, out=state)
+                if _grid._WORKERS > 1:
+                    pending = _POOL.submit(reduce, i, state)
+                else:
+                    reduce(i, state)
+        finally:
+            if pending is not None:
+                pending.result()
 
     def generator_apply(self, half: np.ndarray) -> np.ndarray:
         """Apply M(xi) modewise (the exact linear right-hand side): R(xi) = P R_k P^T of its class k."""
@@ -662,13 +802,15 @@ def linear_evolve_grid(
     series = np.empty((times.size, 3))
     residuals = np.empty(times.size)
     states: list[SpectralField] = []
-    for i, t in enumerate(times):
-        half = prop.apply(half0, float(t))
+
+    def reduce(i: int, half: np.ndarray) -> None:
         norm_e, norm_b, scale = gauss_residuals(grid, half)
         residuals[i] = math.hypot(norm_e, norm_b) / scale if scale > 0 else 0.0
         series[i] = shell_l2_norms(half_lattice_spectrum(grid, half), weights)
         if keep_states:
             states.append(SpectralField(grid, full_lattice_coefficients(grid, half)))
+
+    prop.stream(half0, times.tolist(), reduce)
     norms = {k: series[:, k] for k in range(3)}
     return LinearSolution(
         grid=grid, times=times, states=states, norms=norms, constraint_residuals=residuals

@@ -20,7 +20,7 @@ from frequalize.decay_kernel import (
     tail_integral,
     verify_inequality,
 )
-from frequalize.errors import ConfigError, HypothesisError
+from frequalize.errors import BlockWeightError, ConfigError, HypothesisError
 from frequalize.grid import (
     PhysicalField,
     SpectralField,
@@ -333,6 +333,16 @@ class TestVerify:
         measured = profile_lattice_sup(1.5, 2.0, 0.25, math.inf, np.geomspace(0.1, 100, 25))
         assert measured <= peak * (1 + 1e-9)
         assert measured >= 0.5 * peak
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_profile_lattice_sup_in_logs_past_the_power_range(self):
+        # x^100 overflows on the lattice's top blocks (x up to 2^80 tau) where exp(-c x^2) is 0: formed in
+        # logs, every term is finite, and the sup still meets the analytic peak
+        peak = profile_peak(100.0, 2.0, 0.25)
+        measured = profile_lattice_sup(100.0, 2.0, 0.25, math.inf, np.geomspace(0.1, 100, 25))
+        assert math.isfinite(peak) and 0.5 * peak <= measured <= peak * (1 + 1e-9)
+        with pytest.raises(BlockWeightError, match="profile sup at power s \\+ rho = 2001.5 passes the float range"):
+            profile_lattice_sup(2001.5, 2.0, 0.25, 2.0, [0.5, 1.0])
 
 
 class TestTailIntegral:

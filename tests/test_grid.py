@@ -154,7 +154,7 @@ class TestTransforms:
         # the grid's transforms run on every CPU the process may use; criterion 10 (byte-identical
         # reruns) needs them bit-identical to one thread, on even and odd N alike
         if hasattr(os, "sched_getaffinity"):
-            assert grid_module._FFT_WORKERS == len(os.sched_getaffinity(0))
+            assert grid_module._WORKERS == len(os.sched_getaffinity(0))
         g = AnyNGrid(dim=dim, box_length=2.5, points_per_axis=n)
         values = np.random.default_rng(n).standard_normal((components,) + g.shape)
         axes = tuple(range(-dim, 0))

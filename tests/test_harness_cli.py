@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +367,24 @@ class TestCli:
         dump_field(PhysicalField(grid, np.random.default_rng(0).standard_normal(grid.shape)), dump)
         assert main(argv + ["--input", str(dump), "--out", str(tmp_path / "run")]) == 2
         assert f"error: {option}: the block weight 2^(q s) at regularity s = -2000 passes" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("times,message", [
+        ("0:10:3", "the time weight (1+t)^(-(s+rho)/sigma1) at (s + rho)/sigma1 = 1000.75 "
+                   "is no normal float at t = 10"),
+        ("0:1:3", "the profile sup at power s + rho = 2001.5 passes the float range"),
+    ])
+    def test_underflowing_time_weight_exits_2_and_names_params(self, tmp_path, capsys, times, message):
+        # (1+t)^(-1000.75) underflows to 0 at t = 10, and the low-regime profile sup passes the float range
+        # where it does not: each exits 2 naming --params, where a run would write "inf" and 0/0 ratios
+        grid = TorusGrid(dim=3, box_length=100.0, points_per_axis=16)
+        dump = tmp_path / "f.fqlz"
+        dump_field(PhysicalField(grid, np.random.default_rng(0).standard_normal(grid.shape)), dump)
+        argv = ["kernel", "verify", "--rate", "1,2", "--params=2000,2,1.5,2,2", "--times", times]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv + ["--input", str(dump), "--out", str(tmp_path / "run")]) == 2
+        assert f"error: --params: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_every_valued_option_has_a_converter(self):
