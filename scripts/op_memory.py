@@ -6,9 +6,9 @@ Run from anywhere; it measures the checkout it lives in.  It imports
 frequalize from the checkout's ``src/`` and the workload from
 ``perfbench/workloads.py``, unchanged, and runs one untraced round in this
 process: set-up first, then the operations in order, with the single BLAS
-thread of a benchmark round.  The header names the package's worker count
-(``frequalize.grid._WORKERS``, the CPUs the process may use), which the FFTs
-and the mode propagators share.  Per line: the wall time, and beside it the
+thread of a benchmark round.  The header names the FFTs' worker count
+(``frequalize.grid._WORKERS``, the CPUs the process may use), which the
+transforms pass to ``scipy.fft``.  Per line: the wall time, and beside it the
 CPU seconds of every thread of the process (``ru_utime + ru_stime``), so a
 step that ran on several threads reads cpu_s above wall_s; the RSS
 high-water mark once the step has run (``ru_maxrss``; it never falls, so a
@@ -65,7 +65,7 @@ def main() -> int:
 
     if args.workload not in workloads.WORKLOADS:
         parser.error(f"--workload: expected one of {sorted(workloads.WORKLOADS)}, got {args.workload!r}")
-    print(f"workload {args.workload}, seed {args.seed}, {frequalize.grid._WORKERS} workers, "
+    print(f"workload {args.workload}, seed {args.seed}, {frequalize.grid._WORKERS} FFT workers, "
           f"frequalize from {Path(frequalize.__file__).parent}")
     print(f"{'step':<20} {'wall_s':>9} {'cpu_s':>9} {'max_rss_mb':>11} {'minor_faults':>12}")
     failed = 0

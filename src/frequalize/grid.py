@@ -42,9 +42,8 @@ a `SpectralField` with conjugate mirrors.  `forward_transform` and
 Both pairs run on every CPU the process may use: pocketfft splits a
 transform's independent 1-d lines across threads, so it stays bit-identical.
 `_WORKERS`, the CPUs in the process's affinity mask, counted once at import,
-is the one worker count of the package: the transforms pass it to
-`scipy.fft` as `workers=`, and the mode propagators of `linear_modes`
-split their batches into that many contiguous spans of rows.
+is the worker count the transforms pass to `scipy.fft` as `workers=`; the
+rest of the package computes in the calling thread.
 
 All operations are pure; reductions run in a fixed index order so repeated
 evaluations are bit-identical.

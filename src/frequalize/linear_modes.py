@@ -69,24 +69,8 @@ Every other caller reads that propagator:
   Every lattice mode is a half-lattice mode or the mirror -xi of one, and
   M(-xi) = conj(M(xi)), so the coefficients of a real field stay those of a
   real field and its half lattice carries the whole evolution.
-
-Workers.  The propagator's batched work runs on `grid._WORKERS` threads,
-the CPUs the process may use, the count the grid's transforms pass to
-scipy.fft: `eig` and `inv` of the classes, the rows of each time's table,
-the class products and the rotations by P split their rows into contiguous
-spans, one per worker, and each span writes its own rows of an array
-allocated once.  `GridModePropagator.stream` carries one `orbit` over the
-times of `linear_evolve_grid`: while the next time propagates, a worker
-reduces the last one (Gauss residuals, shell spectrum, kept state), with at
-most one time in flight.  Every result equals the one-thread result bit for
-bit: a row is computed by the LAPACK, matmul and elementwise calls of the
-whole batch whatever span holds it (spans start on multiples of
-_SPAN_ALIGN rows, so an elementwise pass meets each row in the same SIMD
-lanes), no sum runs across spans, and the `expm` rows and the class
-moments are formed in the calling thread, in their serial order.  With one
-usable CPU nothing leaves the calling thread.  The pool is one per process:
-it starts a thread only when handed work, and a pool per call would start
-and join threads some thirty times per lattice evolution.
+  `linear_evolve_grid` reads its states from `GridModePropagator.stream`,
+  one `orbit` over the times, each time's state in one reused array.
 
 Whole-space decay experiments avoid the torus infrared cutoff by radial
 quadrature over continuum modes; lattice evolution is available for
@@ -96,7 +80,6 @@ cross-validation of the nonlinear solver.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -104,7 +87,6 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from . import grid as _grid
 from .decay_kernel import euler_maxwell_rate
 from .equilibrium import EquilibriumState
 from .errors import ConfigError, IncompatibleDataError, NumericalError, prefixed
@@ -138,37 +120,12 @@ _TAYLOR_COEFFS = np.array(
 ).reshape(-1, _PS_BLOCK)  # row i: the coefficients of A^(7i) .. A^(7i+6)
 _RESIDUAL_TOL = 1e-8  # largest Gauss-constraint residual pointwise_decay_check accepts
 _COMPAT_TOL = 1e-10  # largest constraint residual and mean linear_evolve_grid accepts
-# a span of rows starts on a multiple of this many rows, so that every elementwise pass over a span meets its
-# rows in the SIMD lanes the pass over the whole batch gives them
-_SPAN_ALIGN = 64
-# the propagators' worker threads, one process-wide pool: it starts a thread only when work is handed to it,
-# which never happens with one usable CPU, and its idle threads hold no arrays
-_POOL = ThreadPoolExecutor(max_workers=_grid._WORKERS, thread_name_prefix="frequalize")
 
 
-def _spread(n: int, work: Callable[[slice], None]) -> None:
-    """work(span) over contiguous spans of range(n), one per worker (`grid._WORKERS`), the first in this thread.
-
-    Spans start on multiples of _SPAN_ALIGN rows, and each span's work
-    writes only its own rows, so the spans share no lock.  Every span has
-    ended when this returns or raises, with the first exception a span
-    raised.
-    """
-    step = max(1, -(-n // (_grid._WORKERS * _SPAN_ALIGN))) * _SPAN_ALIGN
-    spans = [slice(start, min(start + step, n)) for start in range(0, max(n, 1), step)]
-    futures = [_POOL.submit(work, span) for span in spans[1:]]
-    try:
-        work(spans[0])
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
-
-
-def _chunks(span: slice):
-    """span as consecutive slices of at most _TABLE_CHUNK rows, which bound a span's temporaries."""
-    for start in range(span.start, span.stop, _TABLE_CHUNK):
-        yield slice(start, min(start + _TABLE_CHUNK, span.stop))
+def _chunks(n: int):
+    """range(n) as consecutive slices of at most _TABLE_CHUNK rows, which bound the temporaries."""
+    for start in range(0, n, _TABLE_CHUNK):
+        yield slice(start, min(start + _TABLE_CHUNK, n))
 
 
 def omega_matrix(v: np.ndarray) -> np.ndarray:
@@ -275,9 +232,8 @@ def mode_exponentials(xi: np.ndarray, eq: EquilibriumState, t: float) -> np.ndar
     """
     _require_times(np.asarray(t, dtype=float))
     table = np.empty((len(xi), STATE_DIM, STATE_DIM))
-    for start in range(0, len(xi), _TABLE_CHUNK):
-        chunk = xi[start : start + _TABLE_CHUNK]
-        table[start : start + len(chunk)] = _taylor_exponentials(t * real_mode_matrices(chunk, eq))
+    for chunk in _chunks(len(xi)):
+        table[chunk] = _taylor_exponentials(t * real_mode_matrices(xi[chunk], eq))
     return table
 
 
@@ -384,18 +340,14 @@ class _ModeClasses:
         """y overwritten by P y, or P^T y, with the P of each mode.
 
         y[n, 10] or y[n, 10, k], returned; each output component sums real `turns` entries times components,
-        the workers taking contiguous spans of modes.
+        in one pass over the modes: its temporaries are the size of one component.
         """
         blocks = y if y.ndim == 3 else y[..., None]
         signed, plain = (q.swapaxes(0, 1) if inverse else q for q in self._coefficients)
-
-        def turn(span: slice) -> None:
-            for start, q in ((1, signed), (4, signed), (7, plain)):
-                part = [blocks[span, start + j].copy() for j in range(3)]
-                for i in range(3):
-                    blocks[span, start + i] = sum(q[i, j, span, None] * part[j] for j in range(3))
-
-        _spread(len(blocks), turn)
+        for start, q in ((1, signed), (4, signed), (7, plain)):
+            part = [blocks[:, start + j].copy() for j in range(3)]
+            for i in range(3):
+                blocks[:, start + i] = sum(q[i, j, :, None] * part[j] for j in range(3))
         return y
 
 
@@ -439,24 +391,16 @@ class _EigenPropagator:
         count = len(self.matrices)
         self.w = np.empty((count, STATE_DIM), dtype=complex)
         self.v = np.empty((count, STATE_DIM, STATE_DIM), dtype=complex)
-
-        def decompose(span: slice) -> None:
-            for chunk in _chunks(span):
-                self.w[chunk], self.v[chunk] = np.linalg.eig(self.matrices[chunk])
-
-        _spread(count, decompose)
+        for chunk in _chunks(count):
+            self.w[chunk], self.v[chunk] = np.linalg.eig(self.matrices[chunk])
         if not self.w.imag.any():  # eig hands a batch of real spectra back real, and inv then works in reals
             self.w, self.v = self.w.real.copy(), self.v.real.copy()
         self.vinv = np.empty_like(self.v)
-
-        def invert(span: slice) -> None:
-            for chunk in _chunks(span):
-                self.vinv[chunk] = np.linalg.inv(self.v[chunk])
-
         try:
-            _spread(count, invert)
+            for chunk in _chunks(count):
+                self.vinv[chunk] = np.linalg.inv(self.v[chunk])
         except np.linalg.LinAlgError:
-            self.vinv.fill(np.nan)  # a singular V in any span: every class takes the fallback
+            self.vinv.fill(np.nan)  # a singular V in any chunk: every class takes the fallback
         cond = np.linalg.norm(self.v, axis=(-2, -1)) * np.linalg.norm(self.vinv, axis=(-2, -1))
         self.ill_conditioned = ~(cond < _COND_LIMIT)  # cond(P V) = cond(V): exact for every member
 
@@ -464,40 +408,31 @@ class _EigenPropagator:
     def _class_product(mats: np.ndarray, blocks: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None):
         """mats[rows[r]] @ blocks[r] for every mode r, into out (new if None) in blocks' layout, returned.
 
-        The workers take contiguous spans of modes and gather mats one
-        chunk at a time; mats are square, and real mats act on the (re, im)
-        pairs of complex blocks.
+        mats are gathered one chunk of modes at a time; they are square, and
+        real mats act on the (re, im) pairs of complex blocks.
         """
         if out is None:
             out = np.empty_like(blocks, np.result_type(mats, blocks))
         real_on_complex = mats.dtype == float and blocks.dtype == complex
         pairs, dest = (blocks.view(float), out.view(float)) if real_on_complex else (blocks, out)
-
-        def multiply(span: slice) -> None:
-            for chunk in _chunks(span):
-                np.matmul(mats[rows[chunk]], pairs[chunk], out=dest[chunk])
-
-        _spread(len(rows), multiply)
+        for chunk in _chunks(len(rows)):
+            np.matmul(mats[rows[chunk]], pairs[chunk], out=dest[chunk])
         return out
 
     def _table(self, t: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(E, rows): real rows E[j] = exp(t_j R_k_j), one per class at a shared time t and one per distinct
         (class, time) pair at one time per mode, and the row of every mode.  E is written into out when its
-        length fits, by the workers in contiguous spans of rows; the `expm` rows follow in this thread."""
+        length fits, _TABLE_CHUNK rows at a time, and the `expm` rows follow."""
         if t.ndim == 0:
             classes, rows, times = None, self.classes.index, np.full(len(self.w), float(t))
         else:
             keys, rows = np.unique(np.stack([self.classes.index, t], axis=1), axis=0, return_inverse=True)
             classes, rows, times = keys[:, 0].astype(np.intp), rows.ravel(), keys[:, 1]
         table = out if out is not None and len(out) == len(times) else np.empty((len(times), STATE_DIM, STATE_DIM))
-
-        def fill(span: slice) -> None:
-            for chunk in _chunks(span):
-                rep = chunk if classes is None else classes[chunk]
-                decay = np.exp(self.w[rep] * times[chunk, None])
-                table[chunk] = ((self.v[rep] * decay[:, None, :]) @ self.vinv[rep]).real
-
-        _spread(len(times), fill)
+        for chunk in _chunks(len(times)):
+            rep = chunk if classes is None else classes[chunk]
+            decay = np.exp(self.w[rep] * times[chunk, None])
+            table[chunk] = ((self.v[rep] * decay[:, None, :]) @ self.vinv[rep]).real
         ill = self.ill_conditioned if classes is None else self.ill_conditioned[classes]
         for j in np.flatnonzero(ill):
             table[j] = scipy.linalg.expm(times[j] * self.matrices[j if classes is None else classes[j]])
@@ -540,10 +475,9 @@ class _EigenPropagator:
         y = c.rotate(y.copy(), inverse=True)
         coords = self._class_product(self.vinv, y[..., None], c.index)[..., 0]
         moments = np.zeros(self.v.shape, dtype=complex)
-        for start in range(0, len(coords), _TABLE_CHUNK):  # the unchunked sum's order, one chunk in memory
-            span = slice(start, start + _TABLE_CHUNK)
-            part = coords[span]
-            np.add.at(moments, c.index[span], weights[span, None, None] * part[:, :, None] * part.conj()[:, None, :])
+        for chunk in _chunks(len(coords)):  # the unchunked sum's order, one chunk in memory
+            part = coords[chunk]
+            np.add.at(moments, c.index[chunk], weights[chunk, None, None] * part[:, :, None] * part.conj()[:, None, :])
         terms = (self.v.conj().swapaxes(-1, -2) @ self.v) * moments.swapaxes(-1, -2)
         fallback = np.flatnonzero(self.ill_conditioned)
         for t in times:
@@ -721,27 +655,15 @@ class GridModePropagator:
         """Propagate stacked half-lattice coefficients (10, *half lattice) by time t."""
         return self._per_mode(half, lambda y: next(self._prop.orbit(y, [t])))
 
-    def stream(self, half: np.ndarray, times: Sequence[float], reduce: Callable[[int, np.ndarray], None]) -> None:
-        """reduce(i, state) of the state at each times[i], one `orbit` over the times.
+    def stream(self, half: np.ndarray, times: Sequence[float]):
+        """The state at each of times in turn, one `orbit` over the times.
 
-        D^-1 and P^T touch half once.  Each state is written into one array
-        and reduced on a worker while the next time propagates; at most one
-        time is in flight, so a state is overwritten only once its reduction
-        has returned.  With one worker, each reduction runs here, in turn.
+        D^-1 and P^T touch half once.  Every state is written into one
+        array, yielded each time, which the next time overwrites.
         """
-        state, pending = np.empty(self._shape, dtype=complex), None
-        try:
-            for i, y in enumerate(self._prop.orbit(self._real_form(half), times)):
-                if pending is not None:
-                    pending.result()
-                self._lattice_form(y, out=state)
-                if _grid._WORKERS > 1:
-                    pending = _POOL.submit(reduce, i, state)
-                else:
-                    reduce(i, state)
-        finally:
-            if pending is not None:
-                pending.result()
+        state = np.empty(self._shape, dtype=complex)
+        for y in self._prop.orbit(self._real_form(half), times):
+            yield self._lattice_form(y, out=state)
 
     def generator_apply(self, half: np.ndarray) -> np.ndarray:
         """Apply M(xi) modewise (the exact linear right-hand side): R(xi) = P R_k P^T of its class k."""
@@ -802,15 +724,12 @@ def linear_evolve_grid(
     series = np.empty((times.size, 3))
     residuals = np.empty(times.size)
     states: list[SpectralField] = []
-
-    def reduce(i: int, half: np.ndarray) -> None:
+    for i, half in enumerate(prop.stream(half0, times.tolist())):
         norm_e, norm_b, scale = gauss_residuals(grid, half)
         residuals[i] = math.hypot(norm_e, norm_b) / scale if scale > 0 else 0.0
         series[i] = shell_l2_norms(half_lattice_spectrum(grid, half), weights)
         if keep_states:
             states.append(SpectralField(grid, full_lattice_coefficients(grid, half)))
-
-    prop.stream(half0, times.tolist(), reduce)
     norms = {k: series[:, k] for k in range(3)}
     return LinearSolution(
         grid=grid, times=times, states=states, norms=norms, constraint_residuals=residuals

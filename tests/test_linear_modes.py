@@ -2,10 +2,7 @@
 
 import math
 import re
-import sys
-import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-import frequalize.grid as grid_module
 import frequalize.linear_modes as linear_modes
 
 from frequalize.decay_kernel import euler_maxwell_rate
@@ -505,10 +501,10 @@ class TestGridEvolution:
         With b = e_z (B_inf = 0 or along z) a class is one |k_z| in {0, .., 3}
         (the Nyquist k = -4 counts as 0) and one k_x^2 + k_y^2 over
         |k_x|, |k_y| <= 3, which takes 10 values: 40 classes.  Each mode is its
-        representative carried by its class's Q.  The workers decompose
-        contiguous spans of classes (8-row aligned here, so that two workers
-        split the 40), whose batch sizes sum to the class count: a class
-        decomposed twice would pass it.
+        representative carried by its class's Q.  The classes are decomposed
+        in consecutive chunks (16 classes here, so that the 40 take three),
+        whose batch sizes sum to the class count: a class decomposed twice
+        would fail it.
         """
         sizes = []
         eig = np.linalg.eig
@@ -518,20 +514,18 @@ class TestGridEvolution:
             return eig(a)
 
         monkeypatch.setattr(np.linalg, "eig", counting)
-        monkeypatch.setattr(linear_modes, "_SPAN_ALIGN", 8)
+        monkeypatch.setattr(linear_modes, "_TABLE_CHUNK", 16)
         grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)
-        for workers in (1, 2):
-            monkeypatch.setattr(grid_module, "_WORKERS", workers)
-            for b_inf in ((0.0, 0.0, 0.0), (0.0, 0.0, 0.5)):
-                sizes.append([])
-                GridModePropagator(grid, EquilibriumState(b_inf=b_inf))
-                c = linear_modes._mode_classes(grid.half_modes, EquilibriumState(b_inf=b_inf))
-                rep = grid.half_modes[c.first[c.index]]
-                q = c.signs[:, None, None] * c.turns
-                assert np.max(np.abs(np.einsum("nij,nj->ni", q, rep) - grid.half_modes)) <= 1e-15
-                assert np.array_equal(c.first[c.index[c.first]], c.first)
-        assert [sum(batches) for batches in sizes] == [40] * 4
-        assert [sorted(batches) for batches in sizes] == [[40]] * 2 + [[16, 24]] * 2  # one worker, then two
+        for b_inf in ((0.0, 0.0, 0.0), (0.0, 0.0, 0.5)):
+            sizes.append([])
+            GridModePropagator(grid, EquilibriumState(b_inf=b_inf))
+            c = linear_modes._mode_classes(grid.half_modes, EquilibriumState(b_inf=b_inf))
+            rep = grid.half_modes[c.first[c.index]]
+            q = c.signs[:, None, None] * c.turns
+            assert np.max(np.abs(np.einsum("nij,nj->ni", q, rep) - grid.half_modes)) <= 1e-15
+            assert np.array_equal(c.first[c.index[c.first]], c.first)
+        assert [sum(batches) for batches in sizes] == [40] * 2
+        assert sizes == [[16, 16, 8]] * 2
 
     @pytest.mark.parametrize("count", [1, 3, 8])
     def test_rotates_the_initial_data_once(self, eq, rng, monkeypatch, count):
@@ -823,133 +817,38 @@ class TestConditioningFallback:
             np.testing.assert_allclose(got[k], want[k], rtol=1e-10, atol=0.0)
         assert len(calls) == len(times) * 20 * 2  # per radius, the 16 nodes form 2 classes: +-mu of 2 |mu|
 
-
-class CountingPool:
-    """A thread pool that counts the work handed to it."""
-
-    def __init__(self, threads=2):
-        self.pool = ThreadPoolExecutor(max_workers=threads)
-        self.tasks = 0
-
-    def submit(self, fn, *args):
-        self.tasks += 1
-        return self.pool.submit(fn, *args)
-
-
-class TestWorkers:
-    """The propagators on one worker and on two: the same bits, and no thread with one worker.
-
-    The workers split each batch into contiguous spans of rows; every row is
-    computed by the LAPACK, matmul and elementwise calls of the serial pass,
-    and each class keeps its summation order.
-    """
-
-    @staticmethod
-    def on(monkeypatch, workers, fn):
-        pool = CountingPool(workers)
-        monkeypatch.setattr(grid_module, "_WORKERS", workers)
-        monkeypatch.setattr(linear_modes, "_POOL", pool)
-        try:
-            return fn(), pool.tasks
-        finally:
-            pool.pool.shutdown()
-
-    def both(self, monkeypatch, fn):
-        (serial, idle), (threaded, tasks) = self.on(monkeypatch, 1, fn), self.on(monkeypatch, 2, fn)
-        assert idle == 0 and tasks > 0
-        return serial, threaded
-
-    @pytest.mark.parametrize("b_inf", [(0.0, 0.0, 0.0), (0.0, 0.0, 0.5)], ids=["b0", "b05"])
-    def test_lattice_evolution(self, monkeypatch, b_inf):
-        grid = TorusGrid(dim=3, box_length=100.0, points_per_axis=16)
-        z0 = compatible_lattice_state(grid, np.random.default_rng(2024))
-        times = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
-        eq_b = EquilibriumState(b_inf=b_inf)
-        serial, threaded = self.both(monkeypatch, lambda: linear_evolve_grid(z0, times, eq_b))
-        assert serial.constraint_residuals.tobytes() == threaded.constraint_residuals.tobytes()
-        for k in range(3):
-            assert serial.norms[k].tobytes() == threaded.norms[k].tobytes()
-        assert len(serial.states) == len(threaded.states) == len(times)
-        for a, b in zip(serial.states, threaded.states):
-            assert a.coefficients.tobytes() == b.coefficients.tobytes()
-
-    def test_many_workers_switching_often(self, monkeypatch):
-        # more workers than CPUs and a thread switch every microsecond: a span that wrote another's rows,
-        # or a state overwritten before its reduction returned, would change the bits
-        grid = TorusGrid(dim=3, box_length=100.0, points_per_axis=16)
-        z0 = compatible_lattice_state(grid, np.random.default_rng(7))
-        eq_b = EquilibriumState(b_inf=(0.0, 0.4, 0.3))
-        times = np.linspace(0.0, 30.0, 12)
-        serial, _ = self.on(monkeypatch, 1, lambda: linear_evolve_grid(z0, times, eq_b))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            start = time.perf_counter()
-            threaded, tasks = self.on(monkeypatch, 8, lambda: linear_evolve_grid(z0, times, eq_b))
-            assert time.perf_counter() - start < 60.0
-        finally:
-            sys.setswitchinterval(interval)
-        assert tasks > 0
-        assert serial.constraint_residuals.tobytes() == threaded.constraint_residuals.tobytes()
-        assert all(serial.norms[k].tobytes() == threaded.norms[k].tobytes() for k in range(3))
-        assert [a.coefficients.tobytes() for a in serial.states] == [b.coefficients.tobytes() for b in threaded.states]
-
-    def test_continuum_norms(self, monkeypatch):
-        eq_b = EquilibriumState(b_inf=(0.0, 0.0, 0.5))
-        data = ContinuumData(kind="gaussian", width=2.0)
-
-        def norms():
-            ev = ContinuumEvolver(eq_b, data, n_radial=60, n_polar=4, n_azimuth=4)
-            return ev.norms([0.0, 0.7, 5.0, 40.0], orders=(0, 1, 2))
-
-        serial, threaded = self.both(monkeypatch, norms)
-        for k in range(3):
-            assert serial[k].tobytes() == threaded[k].tobytes()
-
-    def test_pointwise_decay_check(self, monkeypatch):
-        rng = np.random.default_rng(2024)
-        samples = []
-        for _ in range(300):
-            xi = 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(3)
-            samples.append((xi, random_compatible_mode(xi, rng), 10.0 ** rng.uniform(-1, 2)))
-        serial, threaded = self.both(monkeypatch, lambda: pointwise_decay_check(samples, EquilibriumState()))
-        assert serial == threaded
-
-    def test_ill_conditioned_class_takes_the_same_expm_rows(self, monkeypatch):
-        # one class of the second span falls back: its expm rows, formed in the calling thread, and every
-        # eigenvector row come out as the serial pass forms them
+    def test_ill_conditioned_class_takes_the_same_expm_rows(self):
+        # one class of the second chunk falls back: its table row is exactly expm(t R_k), and every other
+        # row is the unmarked table's, bit for bit
         eq_b = EquilibriumState(b_inf=(0.0, 0.4, 0.3))
         grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=16)
-        z0 = half_lattice_coefficients(compatible_lattice_state(grid, np.random.default_rng(3)))
-        expm, calls = scipy.linalg.expm, []
-        monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.copy()) or expm(a))
-
-        def propagate():
-            prop = GridModePropagator(grid, eq_b)
-            classes = len(prop._prop.classes.first)
-            assert classes > 2 * linear_modes._SPAN_ALIGN
-            prop._prop.ill_conditioned[classes - 3] = True
-            return [prop.apply(z0, t) for t in (2.5, 40.0)]
-
-        serial, threaded = self.both(monkeypatch, propagate)
-        for a, b in zip(serial, threaded):
-            assert a.tobytes() == b.tobytes()
-        assert len(calls) == 4 and all(np.array_equal(a, b) for a, b in zip(calls[:2], calls[2:]))
+        prop = GridModePropagator(grid, eq_b)._prop
+        classes = len(prop.classes.first)
+        assert classes > linear_modes._TABLE_CHUNK and not prop.ill_conditioned.any()
+        k = classes - 3
+        for t in (2.5, 40.0):
+            want, rows = prop._table(np.asarray(t))
+            prop.ill_conditioned[k] = True
+            got, got_rows = prop._table(np.asarray(t))
+            prop.ill_conditioned[k] = False
+            assert np.array_equal(got_rows, rows)
+            assert np.array_equal(got[k], scipy.linalg.expm(t * prop.matrices[k]))
+            others = np.arange(classes) != k
+            assert got[others].tobytes() == want[others].tobytes()
 
     def test_a_singular_span_sends_every_class_to_expm(self, monkeypatch):
-        # the whole-batch inv raised for a singular V and every class fell back; a singular V in one span
-        # does the same
+        # a singular V in the second chunk of classes sends every class to expm, not only that chunk's
         inv, batches = np.linalg.inv, []
 
         def singular_after_the_first(a):
             batches.append(len(a))
-            if len(batches) > 1:  # whichever span comes second
+            if len(batches) > 1:
                 raise np.linalg.LinAlgError("Singular matrix")
             return inv(a)
 
         monkeypatch.setattr(np.linalg, "inv", singular_after_the_first)
-        monkeypatch.setattr(grid_module, "_WORKERS", 2)
         grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=16)
         prop = GridModePropagator(grid, EquilibriumState(b_inf=(0.0, 0.4, 0.3)))._prop
-        assert len(batches) == 2 and sum(batches) == len(prop.classes.first)
+        classes = len(prop.classes.first)
+        assert batches == [linear_modes._TABLE_CHUNK, classes - linear_modes._TABLE_CHUNK]
         assert np.isnan(prop.vinv).all() and prop.ill_conditioned.all()

@@ -36,6 +36,10 @@ the family's (qs, profiles) and for the mask of its live blocks.
 No package module uses `functools.lru_cache` or `functools.cache`: a
 module-level cache keeps what it holds for the life of the process, so
 the call that needs an object builds it and owns it.
+
+No package module imports `concurrent.futures` or `threading`: the package
+computes in the calling thread, and only `scipy.fft` splits a transform
+over threads of its own.
 """
 
 from __future__ import annotations
@@ -391,3 +395,43 @@ def test_checker_flags_a_process_wide_cache():
         "h = other.cache(f)\n"
     )
     assert process_caches(source) == ["3: lru_cache", "4: lru_cache", "8: cache"]
+
+
+THREAD_MODULES = {"concurrent.futures", "threading"}
+
+
+def thread_imports(source: str) -> list[str]:
+    """'line: module' for each import of a THREAD_MODULES module or of a name from one, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"{node.lineno}: {alias.name}" for alias in node.names if alias.name in THREAD_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            found += [f"{node.lineno}: {name}" for name in names if name in THREAD_MODULES]
+    return found
+
+
+def test_no_module_imports_a_thread_library():
+    found = {p.name: thread_imports(p.read_text()) for p in MODULES}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_checker_flags_a_thread_import():
+    source = (
+        "import threading\n"
+        "import concurrent.futures as cf, os\n"
+        "from concurrent import futures\n"
+        "from concurrent.futures import ThreadPoolExecutor, wait\n"
+        "from threading import Lock\n"
+        "from .threading import helper\n"
+        "import threadpoolctl, concurrent\n"
+        "def f():\n"
+        "    \"\"\"import threading in a docstring is no import.\"\"\"\n"
+        "    import threading as th\n"
+        "    return th.Lock, 'concurrent.futures'\n"
+    )
+    assert thread_imports(source) == [
+        "1: threading", "2: concurrent.futures", "3: concurrent.futures", "4: concurrent.futures", "5: threading",
+        "10: threading",
+    ]
