@@ -34,15 +34,16 @@ and L back from it.  Only real forms are exponentiated, by one of two
 evaluators:
 
 - `mode_exponentials`, the single-time evaluator: the real table
-  exp(t R(xi)) = D^-1 exp(t M(xi)) D with which the nonlinear solver
-  propagates its linear part.  One time needs no eigenvectors: chunk by
-  chunk, t R(xi) goes through one batched scaling-and-squaring of a Taylor
-  polynomial, matrix products only.
+  exp(t R(xi)) = D^-1 exp(t M(xi)) D at one time, or at one time per mode.
+  The nonlinear solver propagates its linear part with it, and
+  `pointwise_decay_check` reads one exponential per sample from it.  It
+  needs no eigenvectors: chunk by chunk, t R(xi) goes through one batched
+  scaling-and-squaring of a Taylor polynomial, matrix products only.
 - the multi-time evaluator, a private batched propagator that makes one
   eigendecomposition per symmetry class of its batch (below).  Its `orbit`
-  carries a vector or column block y of every mode through a sequence of
-  times, P^T y formed once and one real table row Re(V diag(e^{wt}) V^-1) per
-  class and time; `powers` sums weighted |exp(t R) y|^2 over each class.  An
+  carries a vector y of every mode through a sequence of shared times, P^T y
+  formed once and one real table row Re(V diag(e^{wt}) V^-1) per class and
+  time; `powers` sums weighted |exp(t R) y|^2 over each class.  An
   ill-conditioned class takes `scipy.linalg.expm` instead, once per time.
 
 Symmetry classes.  Let b = B_inf / |B_inf|, or e_z when B_inf = 0.  For an
@@ -59,9 +60,8 @@ and the condition number are taken once per class; cond(P V) = cond(V), so
 the fallback flag is exact for every member.
 
 Every other caller reads that propagator:
-- `ModePropagator` (a batch of one): D^-1 before and D after;
-- `pointwise_decay_check`: one mode per sample, one time per sample; its
-  ratios are read in real form, as |D y| = |y|;
+- `ModePropagator` (a batch of one, its class's representative, so P = I):
+  its class's table row, D^-1 before and D after;
 - `ContinuumEvolver`: the quadrature nodes' classes, through `powers` with
   y0 = D^-1 z0 and the quadrature weights (|P y| = |y|);
 - `GridModePropagator`: the half-lattice modes (`TorusGrid.half_modes`,
@@ -224,16 +224,19 @@ def _taylor_exponentials(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def mode_exponentials(xi: np.ndarray, eq: EquilibriumState, t: float) -> np.ndarray:
+def mode_exponentials(xi: np.ndarray, eq: EquilibriumState, t: float | np.ndarray) -> np.ndarray:
     """The real table D^-1 exp(t M(xi)) D = exp(t R(xi)) for xi[n, 3], shape (n, 10, 10).
 
-    Built _TABLE_CHUNK modes at a time, each chunk one batched Taylor
-    scaling-and-squaring evaluation, so the temporaries stay a fixed size.
+    t is one time or one time per mode.  Built _TABLE_CHUNK modes at a time,
+    each chunk one batched Taylor scaling-and-squaring evaluation, so the
+    temporaries stay a fixed size.
     """
-    _require_times(np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
+    _require_times(t)
+    t = np.broadcast_to(t, (len(xi),))
     table = np.empty((len(xi), STATE_DIM, STATE_DIM))
     for chunk in _chunks(len(xi)):
-        table[chunk] = _taylor_exponentials(t * real_mode_matrices(xi[chunk], eq))
+        table[chunk] = _taylor_exponentials(t[chunk, None, None] * real_mode_matrices(xi[chunk], eq))
     return table
 
 
@@ -381,7 +384,7 @@ class _EigenPropagator:
 
     Every array of the propagator has one row per class; mode r of class k
     is carried in the class's frame, exp(t R(xi_r)) = P_r exp(t R_k) P_r^T.
-    `orbit` applies one real table row E = Re(V_k diag(e^{w_k t}) V_k^-1) per class and time, or, where the
+    `_table` holds one real row E = Re(V_k diag(e^{w_k t}) V_k^-1) per class at a time t, or, where the
     eigenbasis is ill-conditioned (near eigenvalue collisions the generator can be defective), expm(t R_k).
     """
 
@@ -393,8 +396,6 @@ class _EigenPropagator:
         self.v = np.empty((count, STATE_DIM, STATE_DIM), dtype=complex)
         for chunk in _chunks(count):
             self.w[chunk], self.v[chunk] = np.linalg.eig(self.matrices[chunk])
-        if not self.w.imag.any():  # eig hands a batch of real spectra back real, and inv then works in reals
-            self.w, self.v = self.w.real.copy(), self.v.real.copy()
         self.vinv = np.empty_like(self.v)
         try:
             for chunk in _chunks(count):
@@ -404,9 +405,8 @@ class _EigenPropagator:
         cond = np.linalg.norm(self.v, axis=(-2, -1)) * np.linalg.norm(self.vinv, axis=(-2, -1))
         self.ill_conditioned = ~(cond < _COND_LIMIT)  # cond(P V) = cond(V): exact for every member
 
-    @staticmethod
-    def _class_product(mats: np.ndarray, blocks: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None):
-        """mats[rows[r]] @ blocks[r] for every mode r, into out (new if None) in blocks' layout, returned.
+    def _class_product(self, mats: np.ndarray, blocks: np.ndarray, out: np.ndarray | None = None):
+        """mats[k] @ blocks[r] for every mode r of class k, into out (new if None) in blocks' layout, returned.
 
         mats are gathered one chunk of modes at a time; they are square, and
         real mats act on the (re, im) pairs of complex blocks.
@@ -415,47 +415,38 @@ class _EigenPropagator:
             out = np.empty_like(blocks, np.result_type(mats, blocks))
         real_on_complex = mats.dtype == float and blocks.dtype == complex
         pairs, dest = (blocks.view(float), out.view(float)) if real_on_complex else (blocks, out)
+        rows = self.classes.index
         for chunk in _chunks(len(rows)):
             np.matmul(mats[rows[chunk]], pairs[chunk], out=dest[chunk])
         return out
 
-    def _table(self, t: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(E, rows): real rows E[j] = exp(t_j R_k_j), one per class at a shared time t and one per distinct
-        (class, time) pair at one time per mode, and the row of every mode.  E is written into out when its
-        length fits, _TABLE_CHUNK rows at a time, and the `expm` rows follow."""
-        if t.ndim == 0:
-            classes, rows, times = None, self.classes.index, np.full(len(self.w), float(t))
-        else:
-            keys, rows = np.unique(np.stack([self.classes.index, t], axis=1), axis=0, return_inverse=True)
-            classes, rows, times = keys[:, 0].astype(np.intp), rows.ravel(), keys[:, 1]
-        table = out if out is not None and len(out) == len(times) else np.empty((len(times), STATE_DIM, STATE_DIM))
-        for chunk in _chunks(len(times)):
-            rep = chunk if classes is None else classes[chunk]
-            decay = np.exp(self.w[rep] * times[chunk, None])
-            table[chunk] = ((self.v[rep] * decay[:, None, :]) @ self.vinv[rep]).real
-        ill = self.ill_conditioned if classes is None else self.ill_conditioned[classes]
-        for j in np.flatnonzero(ill):
-            table[j] = scipy.linalg.expm(times[j] * self.matrices[j if classes is None else classes[j]])
-        return table, rows
+    def _table(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """The real rows exp(t R_k), one per class k, into out (new if None), _TABLE_CHUNK rows at a time;
+        the `expm` rows follow."""
+        _require_times(np.asarray(t, dtype=float))
+        table = np.empty((len(self.w), STATE_DIM, STATE_DIM)) if out is None else out
+        for chunk in _chunks(len(table)):
+            decay = np.exp(self.w[chunk] * t)
+            table[chunk] = ((self.v[chunk] * decay[:, None, :]) @ self.vinv[chunk]).real
+        for k in np.flatnonzero(self.ill_conditioned):
+            table[k] = scipy.linalg.expm(t * self.matrices[k])
+        return table
 
-    def orbit(self, y: np.ndarray, times: Sequence):
+    def orbit(self, y: np.ndarray, times: Sequence[float]):
         """exp(t R(xi_r)) y[r] for every mode r of the batch, at each t of times in turn.
 
-        y holds vectors (n, 10) or column blocks (n, 10, k); each t is one
-        time or one time per mode.  P_r^T y[r] is formed once, in y's layout;
-        each time applies its table row to it and rotates the result back,
-        into one work array that the next time overwrites.
+        y[n, 10] holds one vector per mode.  P_r^T y[r] is formed once, in
+        y's layout; each time applies its class's table row to it and rotates
+        the result back, into one work array that the next time overwrites.
         """
-        c, vectors, modes = self.classes, y.ndim == 2, y.shape[:1]
-        blocks = c.rotate((y[..., None] if vectors else y).copy(order="K"), inverse=True)
+        c = self.classes
+        blocks = c.rotate(y[..., None].copy(order="K"), inverse=True)
         del y  # a temporary y is freed once P^T y exists
         out, table = np.empty_like(blocks), None
         for t in times:
-            t = np.asarray(t, dtype=float)
-            _require_times(t)
-            table, rows = self._table(t if t.ndim == 0 else np.broadcast_to(t, modes), table)
-            c.rotate(self._class_product(table, blocks, rows, out))
-            yield out[..., 0] if vectors else out
+            table = self._table(float(t), table)
+            c.rotate(self._class_product(table, blocks, out))
+            yield out[..., 0]
 
     def powers(self, y: np.ndarray, weights: np.ndarray, times: Sequence):
         """sum_r weights[r] |exp(t R(xi_r)) y[r]|^2 over the modes r of each class, at each t in turn.
@@ -473,7 +464,7 @@ class _EigenPropagator:
         """
         c = self.classes
         y = c.rotate(y.copy(), inverse=True)
-        coords = self._class_product(self.vinv, y[..., None], c.index)[..., 0]
+        coords = self._class_product(self.vinv, y[..., None])[..., 0]
         moments = np.zeros(self.v.shape, dtype=complex)
         for chunk in _chunks(len(coords)):  # the unchunked sum's order, one chunk in memory
             part = coords[chunk]
@@ -498,7 +489,7 @@ class ModePropagator:
         self._prop = _EigenPropagator(_pad_xi(xi)[None], eq)
 
     def matrix_at(self, t: float) -> np.ndarray:
-        real = next(self._prop.orbit(np.eye(STATE_DIM)[None], [t]))[0]
+        real = self._prop._table(float(t))[0]  # a batch of one is its class's representative: P = I
         return REAL_FORM_PHASES[:, None] * real * REAL_FORM_PHASES.conj()
 
     def apply(self, z0: np.ndarray, t: float) -> np.ndarray:
@@ -598,7 +589,7 @@ def pointwise_decay_check(
         raise ConfigError("no nonzero samples supplied")
     xis, z0s, times = xis[nonzero], z0s[nonzero], times[nonzero]
     y0 = z0s * REAL_FORM_PHASES.conj()  # |D y| = |y|, so the ratios are read in real form
-    yt = next(_EigenPropagator(xis, eq).orbit(y0, [times]))
+    yt = (mode_exponentials(xis, eq, times) @ y0[..., None])[..., 0]
     ratios_arr = np.linalg.norm(yt, axis=1) / np.linalg.norm(y0, axis=1)
     exps = rate.eta(np.linalg.norm(xis, axis=1)) * times
     best_c0, best_c = 0.0, float(np.max(ratios_arr))
@@ -633,11 +624,6 @@ class GridModePropagator:
         self._shape = (STATE_DIM,) + grid.shape[:-1] + (grid.half_width,)
         self._prop = _EigenPropagator(grid.half_modes, eq)
 
-    def _per_mode(self, half: np.ndarray, real_op: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """A modewise operator on half (10, *half lattice): real_op(y) applies the real-form operator of every
-        half-lattice mode to the rows of y = D^-1 half, component-major as half is, which come back through D."""
-        return self._lattice_form(real_op(self._real_form(half)))
-
     def _real_form(self, half: np.ndarray) -> np.ndarray:
         """The rows y = D^-1 half of every half-lattice mode, component-major as half (10, *half lattice) is."""
         if half.shape != self._shape:
@@ -653,7 +639,7 @@ class GridModePropagator:
 
     def apply(self, half: np.ndarray, t: float) -> np.ndarray:
         """Propagate stacked half-lattice coefficients (10, *half lattice) by time t."""
-        return self._per_mode(half, lambda y: next(self._prop.orbit(y, [t])))
+        return next(self.stream(half, [t]))
 
     def stream(self, half: np.ndarray, times: Sequence[float]):
         """The state at each of times in turn, one `orbit` over the times.
@@ -668,8 +654,8 @@ class GridModePropagator:
     def generator_apply(self, half: np.ndarray) -> np.ndarray:
         """Apply M(xi) modewise (the exact linear right-hand side): R(xi) = P R_k P^T of its class k."""
         prop, rotate = self._prop, self._prop.classes.rotate
-        return self._per_mode(half, lambda y: rotate(
-            prop._class_product(prop.matrices, rotate(y, inverse=True)[..., None], prop.classes.index)))
+        y = rotate(self._real_form(half), inverse=True)[..., None]
+        return self._lattice_form(rotate(prop._class_product(prop.matrices, y)))
 
 
 @dataclass(frozen=True)
@@ -905,14 +891,17 @@ def linear_decay_experiment(
     there only starts once the surviving modes sit well above the support
     edge, hence the later default window.
 
-    Every ConfigError names its parameter.  A norm that overflows where the
-    order-0 norm does not is charged to the orders.  Any other overflow of
-    mode data or norm is charged to the cutoff of high-pass data, whose
-    quadrature spans [cutoff, 40 cutoff], and to the orders of Gaussian
-    data, whose quadrature is fixed.  Data that underflow to 0 at every node
-    are charged to the parameter that decays them: the budget of high-pass
-    data and the width of Gaussian data.
+    Every ConfigError names its parameter, and a repeated order is refused.
+    A norm that overflows where the order-0 norm does not is charged to the
+    orders.  Any other overflow of mode data or norm is charged to the
+    cutoff of high-pass data, whose quadrature spans [cutoff, 40 cutoff],
+    and to the orders of Gaussian data, whose quadrature is fixed.  Data
+    that underflow to 0 at every node are charged to the parameter that
+    decays them: the budget of high-pass data and the width of Gaussian
+    data.
     """
+    if len(set(orders)) != len(orders):
+        raise ConfigError(f"orders: each order may appear once, got {', '.join(map(str, orders))}")
     data = data or ContinuumData(kind="gaussian", width=2.5)
     try:
         if data.kind == "gaussian":

@@ -248,14 +248,20 @@ class TestPropagation:
             ModePropagator([1.0, 0.0, 0.0], eq).apply(z0, 1.0)
 
     @pytest.mark.parametrize("t", [-1.0, math.inf, math.nan], ids=["negative", "inf", "nan"])
-    @pytest.mark.parametrize("route", ["mode_exponentials", "ModePropagator", "GridModePropagator"])
+    @pytest.mark.parametrize(
+        "route", ["mode_exponentials", "ModePropagator", "GridModePropagator", "pointwise_decay_check"]
+    )
     def test_time_must_be_finite_and_nonnegative(self, eq, route, t):
         grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=8)
+        xi = [1.0, 0.0, 0.0]
         propagate = {
             "mode_exponentials": lambda: mode_exponentials(np.ones((2, 3)), eq, t),
-            "ModePropagator": lambda: ModePropagator([1.0, 0.0, 0.0], eq).apply(np.ones(10), t),
+            "ModePropagator": lambda: ModePropagator(xi, eq).apply(np.ones(10), t),
             "GridModePropagator": lambda: GridModePropagator(grid, eq).apply(
                 np.ones((10, 8, 8, grid.half_width), dtype=complex), t
+            ),
+            "pointwise_decay_check": lambda: pointwise_decay_check(
+                [(xi, random_compatible_mode(xi, np.random.default_rng(0)), t)], eq
             ),
         }[route]
         with pytest.raises(ConfigError, match="nonnegative, got -1.0" if t < 0 else "finite"):
@@ -265,6 +271,8 @@ class TestPropagation:
 class TestTable:
     def test_taylor_scaling_and_squaring_needs_no_eigenvectors(self, monkeypatch):
         """The table calls neither eig nor expm, matches expm, and is I at t = 0.
+
+        One time per mode gives the rows of one time at a time, bit for bit.
 
         One batch mixes |xi| from 1e-2 to 1e2 with t from 0 to 100, so rows
         that take no squaring and rows that take more than ten share it.
@@ -292,9 +300,12 @@ class TestTable:
             monkeypatch.setattr(np.linalg, name, refuse)
         monkeypatch.setattr(scipy.linalg, "expm", refuse)
         assert np.max(np.abs(linear_modes._taylor_exponentials(batch) - want)) <= 1e-12
+        per_time = np.empty_like(want)
         for time in np.unique(t):
             rows = t == time
-            assert np.max(np.abs(mode_exponentials(xi[rows], eq_b, time) - want[rows])) <= 1e-12
+            per_time[rows] = mode_exponentials(xi[rows], eq_b, time)
+            assert np.max(np.abs(per_time[rows] - want[rows])) <= 1e-12
+        assert mode_exponentials(xi, eq_b, t).tobytes() == per_time.tobytes()
         table = mode_exponentials(xi, eq_b, 0.0)
         assert np.array_equal(table, np.broadcast_to(np.eye(10), table.shape))
 
@@ -754,18 +765,24 @@ class TestConditioningFallback:
         self.assert_close(GridModePropagator(grid, eq_b).apply(z0, 2.5), want)
         assert len(calls) == 40  # one per class of the 320 half-lattice modes
 
-    def test_pointwise_decay_check(self, rng, all_modes_fall_back):
-        # xi and its rotation about B_inf share a class; the repeated (xi, t) pair takes one expm
+    def test_pointwise_decay_check(self, rng, monkeypatch):
+        # pointwise reads one exponential per sample from the Taylor table: it builds no eigen-propagator and
+        # takes no eig, inv or expm, so with every class ill-conditioned its report is the same
         eq_b = EquilibriumState(b_inf=(0.0, 0.0, 0.5))
         xi, turned = np.array([0.8, -0.4, 0.3]), np.array([0.4, 0.8, 0.3])
         pairs = [(xi, 1.0), (turned, 1.0), (xi, 7.0), (xi, 7.0)]
         samples = [(x, random_compatible_mode(x, rng), t) for x, t in pairs]
         want = pointwise_decay_check(samples, eq_b)
-        calls = all_modes_fall_back()
-        got = pointwise_decay_check(samples, eq_b)
-        assert got.c0 == want.c0
-        assert got.c_bound == pytest.approx(want.c_bound, rel=1e-10)
-        assert len(calls) == 2  # one per (class, time): t = 1 and t = 7
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pointwise took an eigen-propagator, an eigendecomposition or expm")
+
+        for name in ("eig", "inv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        monkeypatch.setattr(linear_modes, "_EigenPropagator", refuse)
+        monkeypatch.setattr(linear_modes, "_COND_LIMIT", 0.0)
+        assert pointwise_decay_check(samples, eq_b) == want
 
     def test_one_class_falls_back_among_eigen_classes(self, rng, monkeypatch):
         """One ill-conditioned class of several members: each member, the representative or a
@@ -818,8 +835,8 @@ class TestConditioningFallback:
         assert len(calls) == len(times) * 20 * 2  # per radius, the 16 nodes form 2 classes: +-mu of 2 |mu|
 
     def test_ill_conditioned_class_takes_the_same_expm_rows(self):
-        # one class of the second chunk falls back: its table row is exactly expm(t R_k), and every other
-        # row is the unmarked table's, bit for bit
+        # one class of the second chunk falls back: its table row at one time is exactly expm(t R_k), and
+        # every other row is the unmarked table's, bit for bit
         eq_b = EquilibriumState(b_inf=(0.0, 0.4, 0.3))
         grid = TorusGrid(dim=3, box_length=20.0, points_per_axis=16)
         prop = GridModePropagator(grid, eq_b)._prop
@@ -827,11 +844,11 @@ class TestConditioningFallback:
         assert classes > linear_modes._TABLE_CHUNK and not prop.ill_conditioned.any()
         k = classes - 3
         for t in (2.5, 40.0):
-            want, rows = prop._table(np.asarray(t))
+            want = prop._table(t)
             prop.ill_conditioned[k] = True
-            got, got_rows = prop._table(np.asarray(t))
+            got = prop._table(t)
             prop.ill_conditioned[k] = False
-            assert np.array_equal(got_rows, rows)
+            assert got.shape == want.shape == (classes, 10, 10)
             assert np.array_equal(got[k], scipy.linalg.expm(t * prop.matrices[k]))
             others = np.arange(classes) != k
             assert got[others].tobytes() == want[others].tobytes()
