@@ -16,11 +16,17 @@ to one column, the aggregated Besov values, it is the plain mixed norm.
 Every norm reads the half lattice of a real field through one core,
 `half_lattice_besov`, which callers holding half-lattice coefficients call
 directly.  Block L^2 norms come from its shell spectrum; every other block
-L^p norm takes one irfftn per component of the block's half-lattice
-coefficients, whose squares sum in place into the block's magnitude, so a
-block holds one component's transform beside the half lattice.  The blocks,
-their profiles and the roundoff floor below which a block is dropped come
-from `littlewood_paley`, which alone decides the dyadic family.
+L^p norm takes one inverse transform per component of the block's
+half-lattice coefficients, whose squares sum in place into the block's
+magnitude, so a block holds one component's transform beside the half
+lattice.  A block vanishes outside the cube |k_j| <= reach, reach the isqrt
+of the last shell its profile reaches; where that cube is smaller than the
+lattice, the transform is the grid's `half_lattice_cube_inverse`, which
+inverts only the lattice lines that meet the cube, and otherwise one
+irfftn.  Both read the same samples, and a block whose profile vanishes on
+every shell takes no transform.  The blocks, their profiles and the
+roundoff floor below which a block is dropped come from `littlewood_paley`,
+which alone decides the dyadic family.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .grid import (
     SpectralField,
     TorusGrid,
     half_lattice_coefficients,
+    half_lattice_cube_inverse,
     half_lattice_inverse,
     half_lattice_spectrum,
     lp_norm,
@@ -92,11 +99,12 @@ def block_weight(q, s: float):
 def _block_lp(grid: TorusGrid, half: np.ndarray, p: float, homogeneous: bool) -> tuple[np.ndarray, np.ndarray]:
     """(qs, norms): the family's indices and block L^p norms of the real field whose half lattice is half.
 
-    At p = 2 a dot product with the shell spectrum; otherwise one half-lattice
-    irfftn per block and component (`_block_magnitude`), reduced by `lp_norm`.
-    A block of a real field is real (its multiplier is real and radial), so no
-    symmetry gate is applied per block (on roundoff-level blocks it would be
-    meaningless).
+    At p = 2 a dot product with the shell spectrum; otherwise one inverse
+    transform per block and component (`_block_magnitude`), reduced by
+    `lp_norm`; a block whose profile vanishes on every shell takes none and
+    reads 0.  A block of a real field is real (its multiplier is real and
+    radial), so no symmetry gate is applied per block (on roundoff-level
+    blocks it would be meaningless).
     """
     qs, profiles = block_profiles(grid, homogeneous)
     if p == 2.0:
@@ -105,24 +113,33 @@ def _block_lp(grid: TorusGrid, half: np.ndarray, p: float, homogeneous: bool) ->
     # coefficients, or every component's, at once would raise the memory peak
     coeffs = np.empty_like(half[0])
     squares = np.empty(grid.shape) if len(half) > 1 else None
-    return qs, np.array([lp_norm(_block_magnitude(grid, half, row[grid.shell_index], coeffs, squares), p)
+    return qs, np.array([lp_norm(_block_magnitude(grid, half, row, coeffs, squares), p) if row.any() else 0.0
                          for row in profiles])
 
 
-def _block_magnitude(grid: TorusGrid, half: np.ndarray, multiplier: np.ndarray, coeffs: np.ndarray,
+def _block_magnitude(grid: TorusGrid, half: np.ndarray, row: np.ndarray, coeffs: np.ndarray,
                      squares: np.ndarray | None) -> PhysicalField:
-    """The pointwise magnitude of the block multiplier * half, as a one-component field.
+    """The pointwise magnitude of block row (a shell profile, nonzero somewhere) of half, as a one-component
+    field.
 
-    Each component's block coefficients are formed in the buffer coeffs and
-    transformed alone.  A single component is its own samples.  Several sum
-    their squares into the buffer squares, in component order as `lp_norm`'s
-    one-pass sum does, and the magnitude is the square root, taken in place.
-    Non-finite samples are refused, as are squares past the float range.
+    The block vanishes outside the cube |k_j| <= reach, reach the isqrt of
+    the last shell of its profile, so each component's block coefficients,
+    formed in the buffer coeffs, go to `half_lattice_cube_inverse` in place,
+    or to `half_lattice_inverse` where the cube covers the lattice; both
+    read the same samples.  A single component is its own samples.  Several
+    sum their squares into the buffer squares, in component order as
+    `lp_norm`'s one-pass sum does, and the magnitude is the square root,
+    taken in place.  Non-finite samples are refused, as are squares past the
+    float range.
     """
-    if len(half) == 1:
-        return PhysicalField(grid, half_lattice_inverse(grid, np.multiply(half[0], multiplier, out=coeffs)))
+    multiplier = row[grid.shell_index]
+    reach = math.isqrt(int(np.flatnonzero(row)[-1]))
+    cube = 2 * reach + 1 < grid.points_per_axis
     for c, component in enumerate(half):
-        samples = half_lattice_inverse(grid, np.multiply(component, multiplier, out=coeffs))
+        np.multiply(component, multiplier, out=coeffs)
+        samples = half_lattice_cube_inverse(grid, coeffs, reach) if cube else half_lattice_inverse(grid, coeffs)
+        if len(half) == 1:
+            return PhysicalField(grid, samples)
         if c == 0:
             np.multiply(samples, samples, out=squares)
         else:

@@ -196,7 +196,7 @@ def cmd_kernel_verify(args) -> int:
     params = DecayParams(s=s, ell=ell, rho=rho, r=r, alpha=alpha, q0=args.q0)
     grid = _load_grid(args.grid, TorusGrid(dim=3, box_length=64.0, points_per_axis=48))
     # verify_inequality holds the only reference, so it frees the samples once their half lattice exists
-    with prefixed("--params: ", BlockWeightError):
+    with prefixed("--params: ", (BlockWeightError, HypothesisError)):  # DecayParams.check's refusals too
         report = verify_inequality(_kernel_input(args.input, grid), args.times, params, rate)
     scan = tail_divergence_scan(ell, r, rate, t=4.0, n=report.dim, r0=params.r_split)
     header = ["t", "lhs", "low", "high", "ratio"]

@@ -21,8 +21,9 @@ class BlockWeightError(ConfigError):
 
 
 @contextmanager
-def prefixed(prefix: str, kind: type[ConfigError] = ConfigError):
-    """Re-raise a ConfigError of the block, of the given kind, with prefix (a key path or an option) first."""
+def prefixed(prefix: str, kind: type[FrequalizeError] | tuple[type[FrequalizeError], ...] = ConfigError):
+    """Re-raise an error of the block, of the given kind (or kinds), as a ConfigError with prefix (a key path
+    or an option) first."""
     try:
         yield
     except kind as exc:

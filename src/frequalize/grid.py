@@ -22,13 +22,17 @@ half lattice coefficients[..., :N//2+1] (`half_width` columns) holds every
 mirror pair once.  `half_lattice_forward` (an rfftn) and
 `half_lattice_inverse` (an irfftn) are its calibrated transform pair,
 `half_lattice_spectrum` is its shell spectrum and `half_lattice_l2` its
-Parseval norm.  The grid's frequency tables (xi, |xi| and the shell index)
-are half-lattice arrays: the half lattice is the grid's only frequency
-layout.  `half_modes` holds xi of every half-lattice mode with xi_j zeroed
-on the Nyquist planes |k_j| = N/2: i xi_j is even in k there, so zeroing it
-keeps real fields real under odd derivatives (S. G. Johnson, Notes on
-FFT-based differentiation, MIT 2011), and it makes the mirror -xi of every
-mode a mode of the lattice.
+Parseval norm.  Coefficients that vanish outside the cube |k_j| <= reach,
+as a low dyadic block's do, are inverted by `half_lattice_cube_inverse`:
+irfftn's passes on only the lattice lines that meet the cube, the rest
+being lines of zeros (FFT pruning; J. D. Markel, IEEE Trans. Audio
+Electroacoust. 19, 1971), with the same bits as `half_lattice_inverse`.
+The grid's frequency tables (xi, |xi| and the shell index) are half-lattice
+arrays: the half lattice is the grid's only frequency layout.  `half_modes`
+holds xi of every half-lattice mode with xi_j zeroed on the Nyquist planes
+|k_j| = N/2: i xi_j is even in k there, so zeroing it keeps real fields real
+under odd derivatives (S. G. Johnson, Notes on FFT-based differentiation,
+MIT 2011), and it makes the mirror -xi of every mode a mode of the lattice.
 
 Every norm and block of a real field reads its half lattice, which
 `half_lattice_coefficients` takes from samples (one rfftn) or, behind
@@ -39,6 +43,8 @@ both pairs; importing the package does not.
 `full_lattice_coefficients` fills a half lattice out to the full lattice of
 a `SpectralField` with conjugate mirrors.  `forward_transform` and
 `inverse_transform` are the calibrated full-lattice pair of `SpectralField`.
+This module makes the package's only FFT calls, of the n-dimensional
+transforms and of the 1-d ones of the pruned inverse.
 Both pairs run on every CPU the process may use: pocketfft splits a
 transform's independent 1-d lines across threads, so it stays bit-identical.
 `_WORKERS`, the CPUs in the process's affinity mask, counted once at import,
@@ -51,6 +57,7 @@ evaluations are bit-identical.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -278,6 +285,32 @@ def half_lattice_inverse(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
     import scipy.fft
 
     values = scipy.fft.irfftn(half, s=grid.shape, axes=tuple(range(-grid.dim, 0)), workers=_WORKERS)
+    values /= grid.cell_volume
+    return values
+
+
+def half_lattice_cube_inverse(grid: TorusGrid, half: np.ndarray, reach: int) -> np.ndarray:
+    """`half_lattice_inverse` of one component's half-lattice coefficients half[*half lattice] that vanish
+    outside the cube |k_j| <= reach (0 <= reach < N/2), bit for bit, transforming only the lattice lines
+    that meet the cube.
+
+    irfftn's passes in its order: an unscaled ifft along each axis but the last, on the lines whose later
+    indices lie in the cube (the earlier axes are already transformed), then one unscaled irfft along the
+    last axis, and pocketfft's factor 1/N^dim (1 / long double N^dim, rounded once) afterwards.  half is
+    the work array: scipy's pocketfft writes a complex ifft in place under overwrite_x.
+    """
+    import scipy.fft
+
+    n = grid.points_per_axis
+    if not 0 <= reach < n // 2:
+        raise ValueError(f"the cube |k_j| <= {reach} does not fit inside a lattice of {n} points per axis")
+    rows = [slice(0, reach + 1)] + ([slice(n - reach, n)] if reach else [])  # |k_j| <= reach in FFT order
+    for axis in range(grid.dim - 1):
+        for cube in itertools.product(rows, repeat=grid.dim - 2 - axis):
+            lines = half[(slice(None),) * (axis + 1) + cube + (slice(0, reach + 1),)]
+            scipy.fft.ifft(lines, axis=axis, norm="forward", overwrite_x=True, workers=_WORKERS)
+    values = scipy.fft.irfft(half, n, norm="forward", workers=_WORKERS)
+    values *= float(1 / np.longdouble(n**grid.dim))
     values /= grid.cell_volume
     return values
 

@@ -22,10 +22,11 @@ touch the lattice.  A lattice multiplier is gathered from the shell
 values, on the half lattice, only where a block itself is needed: block
 extraction and decomposition, which return the half-lattice coefficients
 of a real field's blocks, and the inverse-transform route to block L^p
-norms with p != 2 (`besov`).  On the torus the homogeneous family never
-touches the zero mode, so homogeneous sums reconstruct a field up to its
-mean; that mean is the only polynomial the torus can represent, which
-realizes the usual quotient convention.
+norms with p != 2 (`besov`), which inverts a block only on the lattice
+lines that meet the cube its profile's last shell bounds.  On the torus the
+homogeneous family never touches the zero mode, so homogeneous sums
+reconstruct a field up to its mean; that mean is the only polynomial the
+torus can represent, which realizes the usual quotient convention.
 """
 
 from __future__ import annotations

@@ -304,6 +304,10 @@ class TestCli:
         (["linear", "decay", "--width", "1e200"], "--width"),  # the data underflow to 0
         (["linear", "decay", "--data", "highpass", "--orders", "0,200"], "--orders"),  # |xi|^402 overflows
         (["linear", "decay", "--orders", "0,0"], "--orders"),  # a repeated order
+        (["kernel", "verify", "--params", "0,2,-3,2,2"], "--params"),  # s + rho <= 0
+        (["kernel", "verify", "--params", "0,2,1.5,0.5,2"], "--params"),  # r < 1
+        (["kernel", "verify", "--params", "0,2,1.5,2,0.5"], "--params"),  # alpha < 1
+        (["kernel", "verify", "--params", "0,-1,1.5,2,2"], "--params"),  # ell < 0 at r = 2
     ])
     def test_bad_option_value_exits_2_and_names_it(self, tmp_path, capsys, argv, option):
         assert main(argv + ["--out", str(tmp_path / "run")]) == 2

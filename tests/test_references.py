@@ -245,7 +245,7 @@ def test_checker_flags_a_dead_attribute():
     assert unread_attributes({"m.py": source}, [source, user]) == ["m.py: Report.unused", "m.py: Box.dead"]
 
 
-FFT_CALLS = {"fftn", "ifftn", "rfftn", "irfftn"}
+FFT_CALLS = {"fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"}
 
 
 def fft_calls(source: str) -> list[str]:
@@ -272,9 +272,9 @@ def test_checker_flags_an_fft_call():
         "def f(x):\n"
         "    \"\"\"rfftn in a docstring is no call.\"\"\"\n"
         "    y = np.fft.fftn(x) + scipy.fft.rfftn(x)\n"
-        "    return irfftn(y), np.fft.fftfreq(4), np.fft.ifftn\n"
+        "    return irfftn(y), scipy.fft.irfft(y), np.fft.fftfreq(4), np.fft.ifftn\n"
     )
-    assert fft_calls(source) == ["6: fftn", "6: rfftn", "7: irfftn"]
+    assert fft_calls(source) == ["6: fftn", "6: rfftn", "7: irfftn", "7: irfft"]
 
 
 def readers_of(sources: dict[str, str], name: str) -> list[str]:

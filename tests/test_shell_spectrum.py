@@ -1,5 +1,5 @@
-"""Property tests: shell-spectrum block norms, half-lattice block L^p norms and the
-partition of unity on random grids.
+"""Property tests: shell-spectrum block norms, half-lattice block L^p norms, the pruned
+cube inverse and the partition of unity on random grids.
 
 `full_lattice_spectrum` is the oracle for the half lattice's shell spectrum:
 it bins the power of every full-lattice mode, so it holds for any
@@ -20,6 +20,7 @@ from frequalize.grid import (
     SpectralField,
     TorusGrid,
     forward_transform,
+    half_lattice_cube_inverse,
     half_lattice_forward,
     half_lattice_inverse,
     half_lattice_l2,
@@ -78,6 +79,22 @@ def white_noise_fields(draw) -> PhysicalField:
     components = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return PhysicalField(grid, rng.standard_normal((components,) + grid.shape))
+
+
+@st.composite
+def cube_coefficients(draw) -> tuple[TorusGrid, np.ndarray, int]:
+    """A grid, a reach 0 <= reach < N/2 and one component's half-lattice coefficients, random on the cube
+    |k_j| <= reach and zero elsewhere."""
+    grid = draw(cubic_grids())
+    n = grid.points_per_axis
+    reach = draw(st.integers(0, n // 2 - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.flatnonzero(np.minimum(np.arange(n), n - np.arange(n)) <= reach)  # |k_j| <= reach, FFT order
+    cube = np.ix_(*([rows] * (grid.dim - 1) + [np.arange(reach + 1)]))
+    half = np.zeros(grid.shape[:-1] + (grid.half_width,), dtype=complex)
+    shape = half[cube].shape
+    half[cube] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return grid, half, reach
 
 
 LP_EXPONENTS = st.sampled_from([1.0, 1.5, 3.0, math.inf])
@@ -179,6 +196,23 @@ class TestHalfLatticeBlocks:
         got = half_lattice_besov(grid, half, BesovSpec(0.0, p, 1.0, homogeneous)).contributions
         top = max(want.values())
         assert got == {q: w for q, w in want.items() if w > ROUNDOFF_FLOOR * top}
+
+
+class TestCubeInverse:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(cube_coefficients())
+    def test_equals_the_full_inverse(self, case):
+        # the pruned transform runs irfftn's arithmetic on every line that can be nonzero, so it reads the
+        # same samples bit for bit
+        grid, half, reach = case
+        want = half_lattice_inverse(grid, half)
+        assert np.array_equal(half_lattice_cube_inverse(grid, half.copy(), reach), want)
+
+    @pytest.mark.parametrize("reach", [-1, 4])
+    def test_cube_must_fit_inside_the_lattice(self, reach):
+        grid = TorusGrid(dim=2, box_length=1.0, points_per_axis=8)
+        with pytest.raises(ValueError, match="does not fit"):
+            half_lattice_cube_inverse(grid, np.zeros((8, grid.half_width), dtype=complex), reach)
 
 
 class TestPartitionOfUnity:
